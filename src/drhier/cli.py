@@ -1,9 +1,9 @@
 """Command-line frontend with deterministic text/JSON/LaTeX output.
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
-verdict or nonzero residuals, 2 usage errors (argparse), 3 missing or
-unreadable table file, 4 strict-policy table miss, 5 computation
-precondition errors.
+verdict or nonzero residuals, 2 usage errors (argparse) and malformed
+``render`` input, 3 missing or unreadable table file, 4 strict-policy
+table miss, 5 computation precondition errors.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .reconstruct import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
+EXIT_USAGE = 2
 EXIT_TABLE_FILE = 3
 EXIT_TABLE_MISS = 4
 EXIT_PRECONDITION = 5
@@ -84,8 +85,7 @@ def functional_text(h: LocalFunctional, names) -> str:
     return h.canonical_density().render(names)
 
 def cmd_gd(args) -> int:
-    depth = args.depth or root_depth_for_residue(args.m + args.r)
-    ctx = gd_context(args.r, depth)
+    ctx = gd_context(args.r, root_depth_for_residue(args.m + args.r))
     K = gd_operator(ctx)
     h = gd_hamiltonian(ctx, args.m)
     names = f_names(args.r)
@@ -97,8 +97,7 @@ def cmd_gd(args) -> int:
 
 def cmd_rspin(args) -> int:
     k = args.alpha + args.r * args.d
-    depth = args.depth or root_depth_for_residue(k + args.r)
-    ctx = gd_context(args.r, depth)
+    ctx = gd_context(args.r, root_depth_for_residue(k + args.r))
     K, h = rspin_system(ctx, args.alpha, args.d)
     names = w_names(args.r)
     text = "K^{{{r}-spin}} = {K}\nh^{{{r}-spin}}_{{{a},{d}}} = int {h} dx".format(
@@ -170,8 +169,7 @@ def cmd_dr_g11(args) -> int:
 
 def cmd_verify_main(args) -> int:
     k = 1 + args.r
-    depth = args.depth or root_depth_for_residue(k + args.r)
-    ctx = gd_context(args.r, depth)
+    ctx = gd_context(args.r, root_depth_for_residue(k + args.r))
     report = verify_dr_dz_equivalence(ctx)
     conds = report.conditions
     text = ("conditions: [dw/du1 = delta: {}, push(eta dx) = K: {}, "
@@ -185,8 +183,7 @@ def cmd_reconstruct(args) -> int:
         print("reconstruction demo is wired for r = 2 (gd-chain omega data)",
               file=sys.stderr)
         return EXIT_PRECONDITION
-    depth = args.depth or root_depth_for_residue(1 + 2 * args.tmax + args.r)
-    ctx = gd_context(args.r, depth)
+    ctx = gd_context(args.r, root_depth_for_residue(1 + 2 * args.tmax + args.r))
     bounds = Bounds(t_max=args.tmax, t_deg=args.t_degree, eps_max=args.eps_order)
     omega = omega_from_gd(ctx, q_max=args.tmax)
     h11 = rspin_hamiltonian(ctx, 1, 1)
@@ -254,8 +251,12 @@ def cmd_quantize_check(args) -> int:
     return EXIT_OK
 
 def cmd_render(args) -> int:
-    data = json.load(sys.stdin)
-    poly = DiffPoly.from_json_dict(data)
+    try:
+        data = json.load(sys.stdin)  # JSONDecodeError is a ValueError
+        poly = DiffPoly.from_json_dict(data)
+    except ValueError as exc:
+        print(f"malformed render input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     names = u_names(poly.ring.n_fields)
     if data.get("integrated"):
         emit(args, f"int {LocalFunctional(poly).render(names)} dx",
@@ -273,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text")
-        p.add_argument("--depth", type=int, default=None,
-                       help="Lax-root depth override")
 
     p = sub.add_parser("gd", help="K^GD and h^GD_m")
     p.add_argument("--r", type=int, required=True)

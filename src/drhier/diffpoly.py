@@ -116,9 +116,6 @@ class DiffPoly:
             return DiffPoly(ring)
         return DiffPoly(ring, {(k, ()): c})
 
-    def copy(self) -> "DiffPoly":
-        return DiffPoly(self.ring, dict(self.terms))
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -320,10 +317,6 @@ class DiffPoly:
 
     # -- evaluation / substitution ---------------------------------------------
 
-    def eval_zero(self) -> AlgScalar:
-        """Value at u = 0 (and eps kept only at exponent zero)."""
-        return self.constant_term()
-
     def substitute(self, images: dict[int, "DiffPoly"], out_ring: Ring | None = None) -> "DiffPoly":
         """Replace u^alpha_j by dx^j(images[alpha]); fields must be covered."""
         if out_ring is None:
@@ -411,12 +404,34 @@ class DiffPoly:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiffPoly":
-        ring = Ring(data["N"], data.get("d", 1))
+        """Inverse of to_json_dict; a malformed payload raises ValueError."""
+        def integer(value, what, least=None):
+            if type(value) is not int or (least is not None and value < least):
+                bound = "" if least is None else f" >= {least}"
+                raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+            return value
+
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError("expected an object with a 'terms' list")
+        ring = Ring(integer(data.get("N"), "N", 1), integer(data.get("d", 1), "d", 1))
         out = DiffPoly(ring)
         for term in data["terms"]:
-            jets = tuple(sorted((a, o, p) for a, o, p in term["jets"]))
-            coeff = AlgScalar.from_json(term["coeff"], ring.d)
-            out._add_term((term.get("eps", 0), jets), coeff)
+            if not (isinstance(term, dict) and isinstance(term.get("jets"), list)
+                    and isinstance(term.get("coeff"), list) and len(term["coeff"]) == 4):
+                raise ValueError(f"malformed term {term!r}")
+            try:
+                coeff = AlgScalar.from_json(term["coeff"], ring.d)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"malformed coefficient {term['coeff']!r}") from None
+            poly = DiffPoly.const(ring, coeff).eps_shift(integer(term.get("eps", 0), "eps"))
+            for jet in term["jets"]:
+                if not isinstance(jet, list) or len(jet) != 3:
+                    raise ValueError(f"a jet is [field, order, power], got {jet!r}")
+                alpha, order, power = jet
+                poly = poly * DiffPoly.jet(ring, integer(alpha, "field index"),
+                                           integer(order, "order", 0),
+                                           integer(power, "power", 1))
+            out = out + poly
         return out
 
 

@@ -258,17 +258,6 @@ def hain_expand(g: int, n: int, zero_weight_marking: bool = False
     return {sym: poly for sym, poly in out.items() if poly}
 
 
-def multiply_psi(expansion: dict[TautMonomial, APoly], position: int,
-                 power: int) -> dict[TautMonomial, APoly]:
-    """Multiply every monomial by psi_{position}^power (position is 0-based)."""
-    out = {}
-    for sym, poly in expansion.items():
-        psi = list(sym.psi)
-        psi[position] += power
-        out[TautMonomial(psi=tuple(psi), boundary=sym.boundary)] = poly
-    return out
-
-
 # -- intersection-number tables ----------------------------------------------------------------
 
 

@@ -17,13 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate
-from .hamops import (
-    DiffOperator,
-    HamiltonianOperator,
-    flow,
-    op_dress,
-    transport_operator,
-)
+from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
 from .psido import PseudoDiffOp, pdo_root, root_depth_for_residue
 from .scalars import AlgScalar, minus_r_half_power, squarefree_part
 
@@ -137,7 +131,7 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
             rest = tuple(t for t in jets if t[0] <= n)
             rest_poly = DiffPoly(ext, {(eps, rest): c}).map_fields(field_back, ctx.ring_f)
             entry = K.entries[order][b]
-            K.entries[order][b] = entry + DiffOperator(ctx.ring_f, {xo: rest_poly})
+            K.entries[order][b] = entry + PseudoDiffOp.finite(ctx.ring_f, {xo: rest_poly})
     return K
 
 

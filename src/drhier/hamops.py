@@ -1,10 +1,10 @@
 """Hamiltonian operators, Poisson brackets, flows and Miura transformations.
 
-A DiffOperator is a finite sum of differential-polynomial coefficients times
-nonnegative powers of d_x; composition normal-orders d_x to the right via
-the Leibniz expansion.  A HamiltonianOperator is an N x N matrix of these,
-inducing the bracket {f, g}_K = int (df/du^mu  K^{mu nu}  dg/du^nu) dx on
-local functionals.  Miura transformations are near-identity changes of
+A HamiltonianOperator is an N x N matrix of differential operators: finite
+PseudoDiffOp sums of differential-polynomial coefficients times nonnegative
+powers of d_x, composed by the Leibniz rule of ``psido``.  It induces the
+bracket {f, g}_K = int (df/du^mu  K^{mu nu}  dg/du^nu) dx on local
+functionals.  Miura transformations are near-identity changes of
 field variables w^alpha = u^alpha + O(eps) by differential polynomials;
 they transport functionals by substitution of the inverse map and operators
 by the chain-rule conjugation formula.
@@ -12,120 +12,10 @@ by the chain-rule conjugation formula.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring
-
-
-class DiffOperator:
-    """Finite map {j >= 0: coefficient} representing sum c_j d_x^j."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: Ring, coeffs: dict[int, DiffPoly] | None = None):
-        self.ring = ring
-        self.coeffs = {}
-        if coeffs:
-            for j, c in coeffs.items():
-                if j < 0:
-                    raise ValueError("differential operators have powers >= 0")
-                if not c.is_zero():
-                    self.coeffs[j] = c
-
-    @staticmethod
-    def zero(ring: Ring) -> "DiffOperator":
-        return DiffOperator(ring)
-
-    @staticmethod
-    def dx(ring: Ring, power: int = 1, coeff=1) -> "DiffOperator":
-        return DiffOperator(ring, {power: DiffPoly.const(ring, coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            s = out.get(j, DiffPoly.zero(self.ring)) + c
-            if s.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = s
-        return DiffOperator(self.ring, out)
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator(self.ring, {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
-
-    def scale(self, scalar) -> "DiffOperator":
-        return DiffOperator(self.ring, {j: c * scalar for j, c in self.coeffs.items()})
-
-    def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self after other: (sum a_j d^j) o (sum b_k d^k), Leibniz to the right."""
-        out = DiffOperator(self.ring)
-        acc: dict[int, DiffPoly] = {}
-        for j, a in self.coeffs.items():
-            for k, b in other.coeffs.items():
-                db = b
-                for l in range(j + 1):
-                    if not db.is_zero():
-                        coeff = a * db * math.comb(j, l)
-                        key = j - l + k
-                        acc[key] = acc.get(key, DiffPoly.zero(self.ring)) + coeff
-                    if l < j:
-                        db = db.dx()
-        for j, c in acc.items():
-            if not c.is_zero():
-                out.coeffs[j] = c
-        return out
-
-    def apply(self, f: DiffPoly) -> DiffPoly:
-        out = DiffPoly.zero(self.ring)
-        for j, c in self.coeffs.items():
-            out = out + c * f.dx_pow(j)
-        return out
-
-    def truncate_eps(self, emax: int) -> "DiffOperator":
-        return DiffOperator(self.ring,
-                            {j: c.truncate_eps(emax) for j, c in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "DiffOperator":
-        return DiffOperator(self.ring, {j: fn(c) for j, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def render(self, names=None) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[j]
-            body = c.render(names)
-            if j == 0:
-                parts.append(body)
-            else:
-                dx = "d_x" if j == 1 else f"d_x^{j}"
-                if body == "1":
-                    parts.append(dx)
-                elif body == "-1":
-                    parts.append(f"-{dx}")
-                elif ("+" in body or "-" in body[1:]):
-                    parts.append(f"({body})*{dx}")
-                else:
-                    parts.append(f"{body}*{dx}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"DiffOperator({self.render()})"
-
-    def to_json_dict(self) -> dict:
-        return {str(j): c.to_json_dict() for j, c in sorted(self.coeffs.items())}
+from .psido import PseudoDiffOp
 
 
 class HamiltonianOperator:
@@ -133,7 +23,7 @@ class HamiltonianOperator:
 
     __slots__ = ("ring", "entries")
 
-    def __init__(self, ring: Ring, entries: list[list[DiffOperator]]):
+    def __init__(self, ring: Ring, entries: list[list[PseudoDiffOp]]):
         n = ring.n_fields
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("operator matrix must be N x N")
@@ -144,7 +34,7 @@ class HamiltonianOperator:
     def zero(ring: Ring) -> "HamiltonianOperator":
         n = ring.n_fields
         return HamiltonianOperator(
-            ring, [[DiffOperator.zero(ring) for _ in range(n)] for _ in range(n)])
+            ring, [[PseudoDiffOp.finite(ring) for _ in range(n)] for _ in range(n)])
 
     @staticmethod
     def eta_dx(ring: Ring, eta: list[list[Fraction]]) -> "HamiltonianOperator":
@@ -154,10 +44,10 @@ class HamiltonianOperator:
         for a in range(n):
             for b in range(n):
                 if eta[a][b]:
-                    out.entries[a][b] = DiffOperator.dx(ring, 1, eta[a][b])
+                    out.entries[a][b] = PseudoDiffOp.dx(ring, 1, eta[a][b])
         return out
 
-    def entry(self, alpha: int, beta: int) -> DiffOperator:
+    def entry(self, alpha: int, beta: int) -> PseudoDiffOp:
         """1-based field indexing."""
         return self.entries[alpha - 1][beta - 1]
 
@@ -202,7 +92,8 @@ class HamiltonianOperator:
 
     def to_json_dict(self) -> dict:
         return {"N": self.ring.n_fields, "d": self.ring.d,
-                "entries": [[op.to_json_dict() for op in row] for row in self.entries]}
+                "entries": [[{str(j): c.to_json_dict() for j, c in sorted(op.coeffs.items())}
+                             for op in row] for row in self.entries]}
 
 
 # -- bracket and flows ------------------------------------------------------------
@@ -252,7 +143,7 @@ def op_dress(K: HamiltonianOperator) -> HamiltonianOperator:
                             "nonzero constant d_x^0 component; operator cannot be dressed")
                     shifted = piece.eps_shift(i + j - 1)
                     dressed[i] = dressed.get(i, DiffPoly.zero(ring)) + shifted
-            out.entries[a][b] = DiffOperator(ring, dressed)
+            out.entries[a][b] = PseudoDiffOp.finite(ring, dressed)
     return out
 
 
@@ -347,35 +238,33 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
     """
     ring = K.ring
     n = ring.n_fields
-    lefts: list[dict[int, DiffOperator]] = []
-    rights: list[dict[int, DiffOperator]] = []
+    zero = PseudoDiffOp.finite(ring)
+    lefts: list[dict[int, PseudoDiffOp]] = []
+    rights: list[dict[int, PseudoDiffOp]] = []
     for w in forward:
-        left: dict[int, DiffOperator] = {}
-        right: dict[int, DiffOperator] = {}
+        left: dict[int, PseudoDiffOp] = {}
+        right: dict[int, PseudoDiffOp] = {}
         for mu in range(1, n + 1):
             for p in range(w.max_order(mu) + 1):
                 dw = w.partial(mu, p)
                 if dw.is_zero():
                     continue
-                left.setdefault(mu, DiffOperator.zero(ring))
-                left[mu] = left[mu] + DiffOperator(ring, {p: dw})
-                sign_dx = DiffOperator.dx(ring, p, (-1) ** p) if p else \
-                    DiffOperator.dx(ring, 0)
-                right.setdefault(mu, DiffOperator.zero(ring))
-                right[mu] = right[mu] + sign_dx.compose(DiffOperator(ring, {0: dw}))
+                left[mu] = left.get(mu, zero) + PseudoDiffOp.finite(ring, {p: dw})
+                right[mu] = right.get(mu, zero) + PseudoDiffOp.dx(
+                    ring, p, (-1) ** p) * PseudoDiffOp.from_poly(ring, dw)
         lefts.append(left)
         rights.append(right)
     out = HamiltonianOperator.zero(out_ring)
     for a in range(n):
         for b in range(n):
-            acc = DiffOperator.zero(ring)
+            acc = zero
             for mu, lop in lefts[a].items():
                 for nu, rop in rights[b].items():
                     mid = K.entries[mu - 1][nu - 1]
                     if mid.is_zero():
                         continue
-                    acc = acc + lop.compose(mid).compose(rop)
-            out.entries[a][b] = DiffOperator(
+                    acc = acc + lop * mid * rop
+            out.entries[a][b] = PseudoDiffOp.finite(
                 out_ring, {j: c.substitute(inverse_images, out_ring)
                            for j, c in acc.coeffs.items()})
     return out

@@ -9,6 +9,8 @@ coefficient is either exact or unavailable, never silently wrong.
 
 The commutation rule is d_x^k o a = sum_l binom(k, l) (d_x^l a) d_x^{k-l}
 with the generalized binomial k(k-1)...(k-l+1)/l!, valid for k < 0 as well.
+A differential operator (the entries of a Hamiltonian operator) is the
+finite case: ``lo = None`` and orders >= 0 only.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ class PseudoDiffOp:
     def from_poly(ring: Ring, f: DiffPoly) -> "PseudoDiffOp":
         return PseudoDiffOp(ring, 0, None, {0: f})
 
+    @staticmethod
+    def finite(ring: Ring, coeffs: dict[int, DiffPoly] | None = None) -> "PseudoDiffOp":
+        """The differential operator sum c_j d_x^j; no coefficients give zero."""
+        coeffs = coeffs or {}
+        if any(j < 0 for j in coeffs):
+            raise ValueError("differential operators have powers >= 0")
+        return PseudoDiffOp(ring, max(coeffs, default=0), None, coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
     def coeff(self, n: int) -> DiffPoly:
         if n > self.top:
             return DiffPoly.zero(self.ring)
@@ -113,6 +126,19 @@ class PseudoDiffOp:
     def scale(self, scalar) -> "PseudoDiffOp":
         return PseudoDiffOp(self.ring, self.top, self.lo,
                             {n: c * scalar for n, c in self.coeffs.items()})
+
+    def truncate_eps(self, emax: int) -> "PseudoDiffOp":
+        return PseudoDiffOp(self.ring, self.top, self.lo,
+                            {n: c.truncate_eps(emax) for n, c in self.coeffs.items()})
+
+    def apply(self, f: DiffPoly) -> DiffPoly:
+        """sum c_j d_x^j f; only a finite differential operator applies exactly."""
+        if self.lo is not None or any(n < 0 for n in self.coeffs):
+            raise ValueError("only a finite differential operator can be applied")
+        out = DiffPoly.zero(self.ring)
+        for j, c in self.coeffs.items():
+            out = out + c * f.dx_pow(j)
+        return out
 
     def __mul__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         """Composition; output window is the pessimistic intersection.
@@ -196,8 +222,10 @@ class PseudoDiffOp:
     def __eq__(self, other):
         if not isinstance(other, PseudoDiffOp):
             return NotImplemented
-        return (self.ring == other.ring and self.top == other.top
-                and self.lo == other.lo and self.coeffs == other.coeffs)
+        # a finite operator's top is only the bound a cancelling sum left
+        return (self.ring == other.ring and self.lo == other.lo
+                and (self.lo is None or self.top == other.top)
+                and self.coeffs == other.coeffs)
 
     def render(self, names=None) -> str:
         if not self.coeffs:
@@ -222,21 +250,6 @@ class PseudoDiffOp:
     def __repr__(self):
         window = f"[{self.lo}, {self.top}]" if self.lo is not None else f"(-inf, {self.top}]"
         return f"PseudoDiffOp({self.render()}; window {window})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "top": self.top,
-            "window": [self.lo, self.top],
-            "coeffs": {str(n): c.to_json_dict()
-                       for n, c in sorted(self.coeffs.items())},
-        }
-
-
-def pdo_plus_res(a: PseudoDiffOp) -> tuple[PseudoDiffOp, DiffPoly]:
-    """(A_+, res A); the window must include order -1."""
-    if a.lo is not None and a.lo > -1:
-        raise ValueError("window does not include the residue order -1")
-    return a.plus_part(), a.residue()
 
 
 def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
@@ -270,11 +283,6 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
             new_coeffs[-t] = mismatch / m
         s = PseudoDiffOp(ring, 1, -t, new_coeffs)
     return s
-
-
-def pdo_frac_power(a: PseudoDiffOp, p: int, m: int, depth: int) -> PseudoDiffOp:
-    """(A^{1/m})^p with window tracking; depth refers to the root."""
-    return pdo_root(a, m, depth).power(p)
 
 
 def root_depth_for_residue(p: int, margin: int = 2) -> int:

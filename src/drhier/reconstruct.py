@@ -483,14 +483,13 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
                                 f"series needs jet order {d} > bound {jmax}")
                     q_terms.append((coeff, i, m))
                     # subtract coeff * eps^i * prod z^gamma_d over the box
-                    factors = []
-                    for (gamma, d), power in m:
-                        factors.extend([(gamma, d)] * power)
+                    factors = tuple((gamma, d) for (gamma, d), power in m
+                                    for _ in range(power))
                     for j2 in range(i, b.eps_max + 1):
                         for deg2 in range(degree, sdeg + 1):
                             for m2 in sol.monomials(deg2):
-                                val = _eval_z_product(sol, z_series_coeff,
-                                                      factors, m2, j2 - i)
+                                val = sol._eval_factors(factors, m2, j2 - i,
+                                                        z_series_coeff)
                                 if val:
                                     key = (m2, j2)
                                     newv = residual.get(key, Fraction(0)) \
@@ -512,23 +511,6 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
             poly = poly + term.eps_shift(i)
         out.append(poly)
     return out
-
-
-def _eval_z_product(sol, z_coeff, factors, m, i):
-    if not factors:
-        return Fraction(1) if (not m and i == 0) else Fraction(0)
-    gamma, d = factors[0]
-    rest = factors[1:]
-    total = Fraction(0)
-    for m1, m2 in tmon_divisors(m):
-        for i1 in range(i + 1):
-            left = z_coeff(gamma, d, m1, i1)
-            if not left:
-                continue
-            right = _eval_z_product(sol, z_coeff, rest, m2, i - i1)
-            if right:
-                total += left * right
-    return total
 
 
 # -- the three-condition hierarchy comparison -----------------------------------------------

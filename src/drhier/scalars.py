@@ -186,9 +186,6 @@ class AlgScalar:
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.e))
 
-    def sort_key(self):
-        return (self.a, self.b, self.c, self.e)
-
     def __repr__(self):
         return f"AlgScalar({self.a}, {self.b}, {self.c}, {self.e}, d={self.d})"
 

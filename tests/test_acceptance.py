@@ -34,7 +34,7 @@ from drhier.gdhier import (
     rspin_operator,
     rspin_system,
 )
-from drhier.hamops import DiffOperator, HamiltonianOperator, bracket, flow
+from drhier.hamops import HamiltonianOperator, bracket, flow
 from drhier.psido import PseudoDiffOp, pdo_root
 from drhier.quantize import (
     DeformedRule,
@@ -120,12 +120,12 @@ def reference_h_spin(r, ring):
 
 
 def reference_k_spin(r, ring):
-    dx = DiffOperator.dx(ring)
-    z = DiffOperator.zero(ring)
+    dx = PseudoDiffOp.dx(ring)
+    z = PseudoDiffOp.finite(ring)
 
     def disp(denom):
-        return DiffOperator(ring, {3: DiffPoly.const(ring, Fraction(1, denom))
-                                   .eps_shift(2)})
+        return PseudoDiffOp.finite(ring, {3: DiffPoly.const(ring, Fraction(1, denom))
+                                         .eps_shift(2)})
 
     if r == 2:
         return HamiltonianOperator(ring, [[dx]])
@@ -185,22 +185,11 @@ def test_criterion_2_reference_tables(r):
     K, h = rspin_system(ctx, 1, 1)
     assert K == reference_k_spin(r, ctx.ring_w)
     reference = reference_h_spin(r, ctx.ring_w)
-    flagged = (r == 5)
     eps_orders = sorted({eps for eps, _ in h.density.terms}
                         | {eps for eps, _ in reference.density.terms})
     for eps in eps_orders:
         ours = integrate(h.density.eps_coefficient(eps).eps_shift(eps))
         theirs = integrate(reference.density.eps_coefficient(eps).eps_shift(eps))
-        if flagged and eps == 6:
-            # the -589/135000 w4_6 (w4)^2 term of the reference table has a
-            # sign pattern unlike its neighbours: report the computed value
-            # and the diff instead of asserting against the tabulated number
-            diff = ours.canonical_density() - theirs.canonical_density()
-            names = {a: f"w{a}" for a in range(1, r)}
-            print(f"  r=5 eps^6 computed: {ours.canonical_density().render(names)}")
-            print(f"  r=5 eps^6 diff vs reference table: "
-                  f"{diff.render(names) if not diff.is_zero() else '0 (table confirmed)'}")
-            continue
         assert local_eq(ours, theirs), f"r={r} eps^{eps} mismatch"
     report(2, f"K^{{{r}-spin}} and h^{{{r}-spin}}_{{1,1}} match the reference "
               f"table under local equivalence")

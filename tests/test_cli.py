@@ -1,11 +1,15 @@
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from drhier import cli
 from drhier.diffpoly import DiffPoly, LocalFunctional, Ring
 from drhier.drspin import IntegralTable, TautMonomial, hain_expand
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -47,6 +51,16 @@ def test_rspin_golden_and_stable(run):
     assert out1 == GOLDEN_RSPIN_2
     code, out2, _ = run("rspin", "--r", "2", "--alpha", "1", "--d", "1")
     assert out2 == out1  # byte-identical across runs
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "gd-r5-m1.txt"),
+                                         ("json", "gd-r5-m1.json")])
+def test_gd_r5_golden(run, fmt, golden):
+    # K^GD for r = 5 has parenthesised multi-term coefficients, negative
+    # terms and d_x^0 entries: the operator renderer and JSON layout in full
+    code, out, _ = run("gd", "--r", "5", "--m", "1", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_enumerate_golden(run):
@@ -141,8 +155,6 @@ def test_unknown_verb_exit():
 
 
 def test_render_stdin(run, monkeypatch):
-    import io
-
     payload = DiffPoly.jet(Ring(1), 1, 2) * Fraction(3, 2)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload.to_json_dict())))
     code, out, _ = run("render")
@@ -163,3 +175,16 @@ def test_quantize_check_cli(run):
                        "--seed", "1")
     assert code == 0
     assert "associativity: 6 ok" in out
+
+
+@pytest.mark.parametrize("stdin", [
+    '{"N": 1}',
+    "not json",
+    '{"N": 1, "terms": [{"coeff": [1, 0, 0, 0], "eps": 0, "jets": [[2, 0, 1]]}]}',
+])
+def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run("render")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("malformed render input:") and err.count("\n") == 1

@@ -16,7 +16,8 @@ from drhier.gdhier import (
     rspin_operator,
     rspin_system,
 )
-from drhier.hamops import DiffOperator, bracket
+from drhier.hamops import bracket
+from drhier.psido import PseudoDiffOp
 from drhier.scalars import AlgScalar
 
 from conftest import ctx_for
@@ -32,24 +33,22 @@ def f_names(r):
 
 def test_gd_operator_r2():
     K = gd_operator(CTX[2])
-    assert K.entries[0][0] == DiffOperator.dx(CTX[2].ring_f, 1, -2)
+    assert K.entries[0][0] == PseudoDiffOp.dx(CTX[2].ring_f, 1, -2)
 
 
 def test_gd_operator_r3():
     K = gd_operator(CTX[3])
     ring = CTX[3].ring_f
-    z = DiffOperator.zero(ring)
-    m3 = DiffOperator.dx(ring, 1, -3)
+    z = PseudoDiffOp.finite(ring)
+    m3 = PseudoDiffOp.dx(ring, 1, -3)
     assert K.entries == [[z, m3], [m3, z]]
 
 
 def adjoint(op, ring):
     """Formal adjoint: (c d^j)* = (-d)^j o c."""
-    out = DiffOperator.zero(ring)
+    out = PseudoDiffOp.finite(ring)
     for j, c in op.coeffs.items():
-        sign = DiffOperator.dx(ring, j, (-1) ** j) if j else DiffOperator(
-            ring, {0: DiffPoly.const(ring, 1)})
-        out = out + sign.compose(DiffOperator(ring, {0: c}))
+        out = out + PseudoDiffOp.dx(ring, j, (-1) ** j) * PseudoDiffOp.from_poly(ring, c)
     return out
 
 
@@ -206,7 +205,7 @@ def test_rspin_change_roundtrip(r):
 def test_rspin_system_r2_reference_value():
     ctx = CTX[2]
     K, h = rspin_system(ctx, 1, 1)
-    assert K.entries[0][0] == DiffOperator.dx(ctx.ring_w)
+    assert K.entries[0][0] == PseudoDiffOp.dx(ctx.ring_w)
     w = ctx.w_var(1)
     reference = integrate(w ** 3 / 6 + (w * w.dx_pow(2)).eps_shift(2) / 24)
     assert local_eq(h, reference)
@@ -269,17 +268,17 @@ def test_rspin_operator_r4_has_dispersive_entry():
     K = rspin_operator(CTX[4])
     ring = CTX[4].ring_w
     assert K.entries[0][0].coeffs[3] == DiffPoly.const(ring, Fraction(1, 48)).eps_shift(2)
-    assert K.entries[0][2] == DiffOperator.dx(ring)
-    assert K.entries[1][1] == DiffOperator.dx(ring)
+    assert K.entries[0][2] == PseudoDiffOp.dx(ring)
+    assert K.entries[1][1] == PseudoDiffOp.dx(ring)
     assert K.entries[0][1].is_zero()
 
 
 def test_rspin_operator_r5_matches_reference_value():
     K = rspin_operator(CTX[5])
     ring = CTX[5].ring_w
-    dx = DiffOperator.dx(ring)
-    disp = DiffOperator(ring, {3: DiffPoly.const(ring, Fraction(1, 30)).eps_shift(2)})
-    z = DiffOperator.zero(ring)
+    dx = PseudoDiffOp.dx(ring)
+    disp = PseudoDiffOp.finite(ring, {3: DiffPoly.const(ring, Fraction(1, 30)).eps_shift(2)})
+    z = PseudoDiffOp.finite(ring)
     assert K.entries == [[z, disp, z, dx], [disp, z, dx, z],
                          [z, dx, z, z], [dx, z, z, z]]
 

@@ -5,7 +5,6 @@ import pytest
 
 from drhier.diffpoly import DiffPoly, Ring, eps_dress, integrate, local_eq
 from drhier.hamops import (
-    DiffOperator,
     HamiltonianOperator,
     MiuraMap,
     bracket,
@@ -15,6 +14,7 @@ from drhier.hamops import (
     miura_push_poly,
     op_dress,
 )
+from drhier.psido import PseudoDiffOp
 
 R1 = Ring(1)
 R3 = Ring(3)
@@ -26,7 +26,7 @@ def u(alpha=1, order=0, ring=R1):
 
 
 def dx_op(ring=R1, power=1, coeff=1):
-    return HamiltonianOperator(ring, [[DiffOperator.dx(ring, power, coeff)]])
+    return HamiltonianOperator(ring, [[PseudoDiffOp.dx(ring, power, coeff)]])
 
 
 def rand_functional(rng, ring, max_order=2):
@@ -44,9 +44,9 @@ def rand_functional(rng, ring, max_order=2):
 
 def test_compose_leibniz():
     # d o f = f d + f_x
-    d = DiffOperator.dx(R1)
-    f = DiffOperator(R1, {0: u()})
-    comp = d.compose(f)
+    d = PseudoDiffOp.dx(R1)
+    f = PseudoDiffOp.finite(R1, {0: u()})
+    comp = d * f
     assert comp.coeffs[1] == u()
     assert comp.coeffs[0] == u(1, 1)
 
@@ -58,9 +58,34 @@ def test_compose_associative_sampled():
         for _ in range(3):
             coeffs = {rng.randint(0, 2): DiffPoly.jet(R1, 1, rng.randint(0, 2))
                       for _ in range(2)}
-            ops.append(DiffOperator(R1, coeffs))
+            ops.append(PseudoDiffOp.finite(R1, coeffs))
         a, b, c = ops
-        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        assert (a * b) * c == a * (b * c)
+
+
+def test_finite_operator_equality_ignores_cancelled_top():
+    d3 = PseudoDiffOp.dx(R1, 3)
+    assert (d3 + PseudoDiffOp.dx(R1)) - d3 == PseudoDiffOp.dx(R1)
+
+
+def test_finite_operator_rejects_negative_powers():
+    with pytest.raises(ValueError):
+        PseudoDiffOp.finite(R1, {-1: u()})
+
+
+def test_apply_refuses_truncated_operators():
+    windowed = PseudoDiffOp(R1, 1, -1, {1: DiffPoly.const(R1, 1)})
+    with pytest.raises(ValueError):
+        windowed.apply(u())
+    assert PseudoDiffOp.dx(R1, 2).apply(u()) == u(1, 2)
+
+
+def test_json_entry_shape():
+    entry = PseudoDiffOp.finite(R1, {2: DiffPoly.const(R1, 1), 0: u()})
+    data = HamiltonianOperator(R1, [[entry]]).to_json_dict()
+    assert data["N"] == 1
+    assert data["entries"] == [[{"0": u().to_json_dict(),
+                                 "2": DiffPoly.const(R1, 1).to_json_dict()}]]
 
 
 # -- bracket -----------------------------------------------------------------------
@@ -188,7 +213,7 @@ def test_push_operator_identity():
 def test_push_operator_first_order_shift():
     m = MiuraMap(R1, [u() + u(1, 1).eps_shift(1)])
     moved = miura_push_operator(dx_op(), m, 4)
-    expected = DiffOperator(R1, {
+    expected = PseudoDiffOp.finite(R1, {
         1: DiffPoly.const(R1, 1),
         3: DiffPoly.const(R1, -1).eps_shift(2),
     })
@@ -240,7 +265,7 @@ def test_op_dress_third_order():
 
 def test_op_dress_grading_audit():
     # f * dx^2 + f_x * dx: every piece gains eps^{i+j-1}
-    entry = DiffOperator(R1, {2: u(), 1: u(1, 1)})
+    entry = PseudoDiffOp.finite(R1, {2: u(), 1: u(1, 1)})
     K = HamiltonianOperator(R1, [[entry]])
     dressed = op_dress(K).entries[0][0]
     assert dressed.coeffs[2] == u().eps_shift(1)       # i=2, j=0
@@ -248,7 +273,7 @@ def test_op_dress_grading_audit():
 
 
 def test_op_dress_rejects_constant_term():
-    K = HamiltonianOperator(R1, [[DiffOperator(R1, {0: DiffPoly.const(R1, 1)})]])
+    K = HamiltonianOperator(R1, [[PseudoDiffOp.finite(R1, {0: DiffPoly.const(R1, 1)})]])
     with pytest.raises(ValueError):
         op_dress(K)
 

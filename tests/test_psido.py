@@ -7,8 +7,6 @@ from drhier.diffpoly import DiffPoly, Ring, integrate
 from drhier.psido import (
     PseudoDiffOp,
     gen_binom,
-    pdo_frac_power,
-    pdo_plus_res,
     pdo_root,
     root_depth_for_residue,
 )
@@ -109,13 +107,14 @@ def test_mul_associative_sampled():
 def test_plus_res_split():
     a = PseudoDiffOp(R1, 2, -1,
                      {2: DiffPoly.const(R1, 1), 0: f(), -1: f()})
-    plus, res = pdo_plus_res(a)
+    plus, res = a.plus_part(), a.residue()
     assert plus.coeffs == {2: DiffPoly.const(R1, 1), 0: f()}
     assert res == f()
 
 
 def test_plus_res_dx():
-    plus, res = pdo_plus_res(PseudoDiffOp.dx(R1))
+    a = PseudoDiffOp.dx(R1)
+    plus, res = a.plus_part(), a.residue()
     assert plus == PseudoDiffOp.dx(R1)
     assert res.is_zero()
 
@@ -123,7 +122,7 @@ def test_plus_res_dx():
 def test_res_requires_window():
     a = PseudoDiffOp(R1, 2, 0, {2: DiffPoly.const(R1, 1)})
     with pytest.raises(ValueError):
-        pdo_plus_res(a)
+        a.residue()
 
 
 def test_plus_plus_minus_reassemble():
@@ -193,7 +192,7 @@ def test_root_depth_guard():
 
 def test_frac_power_roundtrip():
     L = PseudoDiffOp(R1, 2, None, {2: DiffPoly.const(R1, 1), 0: f()})
-    sq = pdo_frac_power(L, 2, 2, 6)
+    sq = pdo_root(L, 2, 6).power(2)
     for n in range(sq.lo, 3):
         assert sq.coeff(n) == L.coeff(n)
 
@@ -201,7 +200,7 @@ def test_frac_power_roundtrip():
 def test_res_L_to_5_halves():
     # reference 2-spin value: res L^{5/2} = 5/16 f^3 + 5/32 f_x^2 + 5/16 f f_xx + 1/32 f_xxxx
     L = PseudoDiffOp(R1, 2, None, {2: DiffPoly.const(R1, 1), 0: f()})
-    p = pdo_frac_power(L, 5, 2, root_depth_for_residue(5))
+    p = pdo_root(L, 2, root_depth_for_residue(5)).power(5)
     expected = (5 * f() ** 3 / 16 + 5 * f(1) ** 2 / 32
                 + 5 * f() * f(2) / 16 + f(4) / 32)
     assert p.residue() == expected
@@ -209,13 +208,13 @@ def test_res_L_to_5_halves():
 
 def test_res_L_to_3_halves():
     L = PseudoDiffOp(R1, 2, None, {2: DiffPoly.const(R1, 1), 0: f()})
-    p = pdo_frac_power(L, 3, 2, root_depth_for_residue(3))
+    p = pdo_root(L, 2, root_depth_for_residue(3)).power(3)
     assert p.residue() == 3 * f() ** 2 / 8 + f(2) / 8
 
 
 def test_integer_frac_power_is_identity():
     L, ring = lax_operator(3)
-    p = pdo_frac_power(L, 3, 3, 6)
+    p = pdo_root(L, 3, 6).power(3)
     for n in range(p.lo, 4):
         assert p.coeff(n) == L.coeff(n)
 
@@ -231,11 +230,3 @@ def test_residue_of_commutator_is_total_derivative():
         if comm.lo is not None and comm.lo > -1:
             continue
         assert integrate(comm.residue()).is_zero()
-
-
-def test_json_shape():
-    L = PseudoDiffOp(R1, 2, None, {2: DiffPoly.const(R1, 1), 0: f()})
-    data = L.to_json_dict()
-    assert data["top"] == 2
-    assert data["window"] == [None, 2]
-    assert set(data["coeffs"]) == {"0", "2"}
