@@ -1,18 +1,18 @@
 """drhier: exact symbolic computation for hamiltonian hierarchies of PDEs.
 
-Subpackages follow the pipeline: scalars -> diffpoly -> hamops/psido ->
-gdhier -> drspin -> reconstruct -> quantize, with a CLI frontend in cli.
+Modules form one import chain, each importing only modules before it:
+scalars -> diffpoly -> psido -> hamops -> gdhier -> drspin -> quantize ->
+reconstruct -> cli.
 """
 
 from .scalars import AlgScalar, Rational
-from .diffpoly import DiffPoly, LocalFunctional, PSeries, Ring, integrate, local_eq
+from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 
 __all__ = [
     "AlgScalar",
     "Rational",
     "DiffPoly",
     "LocalFunctional",
-    "PSeries",
     "Ring",
     "integrate",
     "local_eq",

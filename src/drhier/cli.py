@@ -2,14 +2,15 @@
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse) and malformed
-``render`` input, 3 missing or unreadable table file, 4 strict-policy
-table miss, 5 computation precondition errors.
+``render`` input, 3 missing, unreadable or malformed table file, 4
+strict-policy table miss, 5 computation precondition errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from .diffpoly import DiffPoly, LocalFunctional
 from .drspin import (
     IntegralTable,
     Profile,
+    TableFileError,
     TableMissError,
     assemble_hamiltonian,
     builtin_g11,
@@ -42,6 +44,7 @@ from .quantize import (
     WeylElement,
     f_r_map,
     weyl_star,
+    word_to_pkey,
 )
 from .reconstruct import (
     Bounds,
@@ -51,6 +54,7 @@ from .reconstruct import (
     special_solution,
     verify_dr_dz_equivalence,
 )
+from .scalars import AlgScalar
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -206,8 +210,6 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK if report.clean else EXIT_FAIL
 
 def cmd_quantize_check(args) -> int:
-    import random
-
     rng = random.Random(args.seed)
     r = args.r
     ctx = WeylContext(n_fields=r - 1, window=args.window)
@@ -219,13 +221,8 @@ def cmd_quantize_check(args) -> int:
         for _ in range(rng.randint(1, 3)):
             word = [(rng.randint(1, r - 1), rng.randint(-args.window, args.window))
                     for _ in range(rng.randint(0, 3))]
-            counts = {}
-            for m in word:
-                counts[m] = counts.get(m, 0) + 1
-            pkey = tuple(sorted((a, k, p) for (a, k), p in counts.items()))
-            from .scalars import AlgScalar
-            terms[(0, 0, pkey)] = AlgScalar(Fraction(rng.randint(-3, 3)))
-        return WeylElement(ctx, {k: v for k, v in terms.items() if v})
+            terms[(0, 0, word_to_pkey(word))] = AlgScalar(Fraction(rng.randint(-3, 3)))
+        return WeylElement(ctx, terms)
 
     for _ in range(args.samples):
         a, b, c = rand_el(), rand_el(), rand_el()
@@ -264,6 +261,19 @@ def cmd_render(args) -> int:
     else:
         emit(args, poly.render(names), poly.to_json_dict())
     return EXIT_OK
+
+def int_at_least(least: int):
+    """argparse type for an integer >= least; anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -331,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="special solution and residuals")
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--tmax", type=int, default=3)
-    p.add_argument("--t-degree", type=int, default=4)
-    p.add_argument("--eps-order", type=int, default=4)
+    p.add_argument("--tmax", type=int_at_least(1), default=3)
+    p.add_argument("--t-degree", type=int_at_least(1), default=4)
+    p.add_argument("--eps-order", type=int_at_least(0), default=4)
     add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("quantize-check", help="star-product property checks")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=int_at_least(1), default=3)
     add_common(p)
     p.set_defaults(func=cmd_quantize_check)
 
@@ -359,7 +369,7 @@ def main(argv=None) -> int:
     except TableMissError as exc:
         print(f"table miss under strict policy: {exc}", file=sys.stderr)
         return EXIT_TABLE_MISS
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except TableFileError as exc:
         print(f"table file error: {exc}", file=sys.stderr)
         return EXIT_TABLE_FILE
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Differential polynomials, local functionals and the Fourier dictionary.
+"""Differential polynomials and local functionals.
 
 A differential polynomial is a polynomial in jet variables u^alpha_i
 (alpha = 1..N fields, i >= 0 the number of x-derivatives) together with a
@@ -17,10 +17,9 @@ inverse fails loudly instead of truncating.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
-from .scalars import AlgScalar
+from .scalars import AlgScalar, add_term
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -143,22 +142,14 @@ class DiffPoly:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _add_term(self, mon: Monomial, coeff: AlgScalar):
-        cur = self.terms.get(mon)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[mon] = new
-        elif cur is not None:
-            del self.terms[mon]
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction, AlgScalar)):
             other = DiffPoly.const(self.ring, other)
         self.ring.check_compatible(other.ring)
-        out = DiffPoly(self.ring, dict(self.terms))
+        terms = dict(self.terms)
         for mon, c in other.terms.items():
-            out._add_term(mon, c)
-        return out
+            add_term(terms, mon, c)
+        return DiffPoly(self.ring, terms)
 
     __radd__ = __add__
 
@@ -180,15 +171,15 @@ class DiffPoly:
                 return DiffPoly(self.ring)
             return DiffPoly(self.ring, {m: v * c for m, v in self.terms.items()})
         self.ring.check_compatible(other.ring)
-        out = DiffPoly(self.ring)
+        terms: dict = {}
         if len(self.terms) > len(other.terms):
             left, right = other, self
         else:
             left, right = self, other
         for (e1, j1), c1 in left.terms.items():
             for (e2, j2), c2 in right.terms.items():
-                out._add_term((e1 + e2, _mul_jets(j1, j2)), c1 * c2)
-        return out
+                add_term(terms, (e1 + e2, _mul_jets(j1, j2)), c1 * c2)
+        return DiffPoly(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -223,7 +214,7 @@ class DiffPoly:
 
     def dx(self) -> "DiffPoly":
         """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i."""
-        out = DiffPoly(self.ring)
+        terms: dict = {}
         for (eps, jets), c in self.terms.items():
             for idx, (alpha, order, power) in enumerate(jets):
                 lowered = list(jets)
@@ -232,8 +223,8 @@ class DiffPoly:
                 else:
                     lowered[idx] = (alpha, order, power - 1)
                 mon = (eps, _mul_jets(tuple(lowered), ((alpha, order + 1, 1),)))
-                out._add_term(mon, c * power)
-        return out
+                add_term(terms, mon, c * power)
+        return DiffPoly(self.ring, terms)
 
     def dx_pow(self, k: int) -> "DiffPoly":
         f = self
@@ -243,7 +234,7 @@ class DiffPoly:
 
     def partial(self, alpha: int, order: int) -> "DiffPoly":
         """Plain partial derivative with respect to the jet variable u^alpha_order."""
-        out = DiffPoly(self.ring)
+        terms: dict = {}
         for (eps, jets), c in self.terms.items():
             for idx, (a, o, power) in enumerate(jets):
                 if a == alpha and o == order:
@@ -252,9 +243,9 @@ class DiffPoly:
                         del lowered[idx]
                     else:
                         lowered[idx] = (a, o, power - 1)
-                    out._add_term((eps, tuple(lowered)), c * power)
+                    add_term(terms, (eps, tuple(lowered)), c * power)
                     break
-        return out
+        return DiffPoly(self.ring, terms)
 
     def var_der(self, alpha: int) -> "DiffPoly":
         """Variational derivative sum_i (-d_x)^i d/du^alpha_i."""
@@ -335,23 +326,23 @@ class DiffPoly:
                     cache[key] = image_jet(alpha, order - 1).dx()
             return cache[key]
 
-        out = DiffPoly(out_ring)
+        terms: dict = {}
         for (eps, jets), c in self.terms.items():
             prod = DiffPoly.const(out_ring, 1)
             for alpha, order, power in jets:
                 prod = prod * image_jet(alpha, order) ** power
             contribution = (prod * out_ring.scalar(c)).eps_shift(eps)
             for mon, v in contribution.terms.items():
-                out._add_term(mon, v)
-        return out
+                add_term(terms, mon, v)
+        return DiffPoly(out_ring, terms)
 
     def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
         """Relabel field indices (a pure renaming, no calculus)."""
-        out = DiffPoly(out_ring)
+        terms: dict = {}
         for (eps, jets), c in self.terms.items():
             new = tuple(sorted((field_map[a], o, p) for a, o, p in jets))
-            out._add_term((eps, new), out_ring.scalar(c))
-        return out
+            add_term(terms, (eps, new), out_ring.scalar(c))
+        return DiffPoly(out_ring, terms)
 
     # -- rendering / serialization ------------------------------------------------
 
@@ -521,12 +512,7 @@ class LocalFunctional:
                     reducible = False
                     break
             if not reducible:
-                cur = out.get(mon)
-                new = coeff if cur is None else cur + coeff
-                if new:
-                    out[mon] = new
-                elif cur is not None:
-                    del out[mon]
+                add_term(out, mon, coeff)
                 continue
             # m = A * u^{a}_{o}: replace by -dx(A) * u^{a}_{o-1} mod im(dx)
             rest = tuple(t for t in jets if t != (a_max, o_max, 1))
@@ -540,13 +526,7 @@ class LocalFunctional:
             for m2, c2 in repl.terms.items():
                 if not m2[1]:
                     continue
-                add = coeff * c2 * scale
-                cur = work.get(m2)
-                new = add if cur is None else cur + add
-                if new:
-                    work[m2] = new
-                elif cur is not None:
-                    del work[m2]
+                add_term(work, m2, coeff * c2 * scale)
         return DiffPoly(ring, out)
 
     def render(self, names=None, eps_name: str = "eps") -> str:
@@ -583,136 +563,9 @@ def eps_dress(h: LocalFunctional | DiffPoly):
     density = h.density if isinstance(h, LocalFunctional) else h
     if density.max_eps() > 0:
         raise ValueError("eps dressing expects an eps-free input")
-    out = DiffPoly(density.ring)
-    for (eps, jets), c in density.terms.items():
-        deg = sum(o * p for _, o, p in jets)
-        out._add_term((deg, jets), c)
+    terms: dict = {}
+    for (_, jets), c in density.terms.items():
+        add_term(terms, (sum(o * p for _, o, p in jets), jets), c)
+    out = DiffPoly(density.ring, terms)
     return LocalFunctional(out) if isinstance(h, LocalFunctional) else out
 
-
-# -- Fourier dictionary ---------------------------------------------------------
-
-
-PKey = tuple[tuple[int, int, int], ...]  # sorted (alpha, mode, power)
-
-
-class PSeries:
-    """Polynomial in Fourier modes p^alpha_k, |k| <= M, with eps powers.
-
-    Only the frequency-zero (mode-sum zero) part of a local functional is
-    retained; general elements track their mode sum per monomial implicitly
-    through the stored keys.
-    """
-
-    __slots__ = ("ring", "window", "terms")
-
-    def __init__(self, ring: Ring, window: int, terms: dict | None = None):
-        if window < 1:
-            raise ValueError("mode window must be >= 1")
-        self.ring = ring
-        self.window = window
-        self.terms = terms if terms is not None else {}
-
-    def _add_term(self, key, coeff: AlgScalar):
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
-
-    def __add__(self, other):
-        if self.window != other.window:
-            raise ValueError("mode window mismatch")
-        out = PSeries(self.ring, self.window, dict(self.terms))
-        for key, c in other.terms.items():
-            out._add_term(key, c)
-        return out
-
-    def __sub__(self, other):
-        return self + PSeries(other.ring, other.window,
-                              {k: -c for k, c in other.terms.items()})
-
-    def __mul__(self, scalar):
-        c = self.ring.scalar(scalar)
-        return PSeries(self.ring, self.window,
-                       {k: v * c for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PSeries):
-            return NotImplemented
-        return (self.ring == other.ring and self.window == other.window
-                and self.terms == other.terms)
-
-    @staticmethod
-    def mode_sum(pkey: PKey) -> int:
-        return sum(k * p for _, k, p in pkey)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (eps, pkey), c in self.sorted_terms():
-            factors = []
-            if eps:
-                factors.append("eps" if eps == 1 else f"eps^{eps}")
-            for alpha, k, power in pkey:
-                base = f"p{alpha}[{k}]"
-                factors.append(base if power == 1 else f"{base}^{power}")
-            body = "*".join(factors) or "1"
-            chunks.append(f"({c})*{body}")
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return f"PSeries({self.render()})"
-
-
-def lf_to_p_series(h: LocalFunctional, window: int) -> PSeries:
-    """Mode-zero Fourier image of a local functional.
-
-    Substitutes u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx} and
-    keeps the frequency-zero part; exact for every retained monomial.
-    """
-    ring = h.ring
-    out = PSeries(ring, window)
-    i_unit = AlgScalar(0, 1)
-    mode_range = range(-window, window + 1)
-    for (eps, jets), coeff in h.density.terms.items():
-        factors = []
-        for alpha, order, power in jets:
-            factors.extend([(alpha, order)] * power)
-        if not factors:
-            continue  # constants are quotiented away
-
-        def expand(idx, mode_sum, acc_coeff, acc_modes):
-            if idx == len(factors):
-                if mode_sum != 0:
-                    return
-                counts: dict[tuple[int, int], int] = {}
-                for am in acc_modes:
-                    counts[am] = counts.get(am, 0) + 1
-                pkey = tuple((a, k, p) for (a, k), p in sorted(counts.items()))
-                out._add_term((eps, pkey), acc_coeff)
-                return
-            alpha, order = factors[idx]
-            remaining = len(factors) - idx - 1
-            for k in mode_range:
-                if k == 0 and order > 0:
-                    continue
-                # prune: remaining factors can shift the sum by at most window each
-                if abs(mode_sum + k) > remaining * window:
-                    continue
-                factor = (i_unit * k) ** order if order else AlgScalar(1)
-                expand(idx + 1, mode_sum + k, acc_coeff * factor,
-                       acc_modes + ((alpha, k),))
-
-        expand(0, 0, ring.scalar(coeff), ())
-    return out

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate
-from .scalars import squarefree_part
+from .scalars import add_term, squarefree_part
 
 # a-polynomials: exponent tuple (over markings carrying weights) -> Fraction
 APoly = dict[tuple[int, ...], Fraction]
@@ -31,11 +31,7 @@ APoly = dict[tuple[int, ...], Fraction]
 def apoly_add(a: APoly, b: APoly) -> APoly:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        add_term(out, k, v)
     return out
 
 
@@ -43,12 +39,7 @@ def apoly_mul(a: APoly, b: APoly) -> APoly:
     out: APoly = {}
     for k1, v1 in a.items():
         for k2, v2 in b.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
-            s = out.get(key, Fraction(0)) + v1 * v2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
     return out
 
 
@@ -265,6 +256,10 @@ class TableMissError(KeyError):
     """A strict-policy table was asked for a monomial it does not cover."""
 
 
+class TableFileError(ValueError):
+    """A table file cannot be read or does not hold a well-formed table."""
+
+
 @dataclass
 class IntegralTable:
     """Map from tautological monomials to exact intersection numbers.
@@ -315,23 +310,59 @@ class IntegralTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "IntegralTable":
+        """Inverse of to_json_dict; a malformed payload raises TableFileError."""
+        def integers(value, what, least=0, length=None):
+            if (not isinstance(value, list)
+                    or any(type(x) is not int or x < least for x in value)
+                    or length is not None and len(value) != length):
+                size = "" if length is None else f"{length} "
+                raise TableFileError(
+                    f"{what} must be a list of {size}integers >= {least}, got {value!r}")
+            return tuple(value)
+
+        def rational(value):
+            try:
+                if type(value) in (int, str):
+                    return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+            raise TableFileError(f"value must be an exact rational, got {value!r}")
+
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise TableFileError("expected an object with an 'entries' list")
+        g, n, default_zero = data.get("g"), data.get("n"), data.get("default_zero", False)
+        if not (type(g) is int and type(n) is int and g >= 0 and n >= 1
+                and isinstance(default_zero, bool)):
+            raise TableFileError("need integers g >= 0, n >= 1 and a boolean default_zero, "
+                                 f"got {g!r}, {n!r}, {default_zero!r}")
         entries = {}
         for item in data["entries"]:
+            if not isinstance(item, dict):
+                raise TableFileError(f"malformed entry {item!r}")
+            boundary = item.get("boundary", [])
+            if not isinstance(boundary, list) or not all(
+                    isinstance(b, list) and len(b) == 2 and type(b[0]) is int
+                    for b in boundary):
+                raise TableFileError(f"boundary is a list of [h, J] pairs, got {boundary!r}")
             sym = TautMonomial(
-                psi=tuple(item["psi"]),
-                boundary=tuple(sorted((h, tuple(J))
-                                      for h, J in item.get("boundary", []))))
-            entries[sym] = Fraction(item["value"])
-        table = IntegralTable(g=data["g"], n=data["n"],
-                              labels=tuple(data.get("labels", [])),
-                              entries=entries,
-                              default_zero=bool(data.get("default_zero", False)))
+                psi=integers(item.get("psi"), "psi", length=n),
+                boundary=tuple(sorted((h, integers(J, "J", least=1))
+                                      for h, J in boundary)))
+            entries[sym] = rational(item.get("value"))
+        table = IntegralTable(g=g, n=n,
+                              labels=integers(data.get("labels", []), "labels", least=1),
+                              entries=entries, default_zero=default_zero)
         return table.canonicalize()
 
     @staticmethod
     def load(path) -> "IntegralTable":
-        with open(path) as fh:
-            return IntegralTable.from_json_dict(json.load(fh))
+        """Read a table file; an unreadable, non-JSON or malformed one raises
+        TableFileError naming the path."""
+        try:
+            with open(path) as fh:
+                return IntegralTable.from_json_dict(json.load(fh))
+        except (OSError, ValueError) as exc:  # bad JSON or encoding: ValueError
+            raise TableFileError(f"{path}: {exc}") from None
 
 
 # -- pairing and assembly ------------------------------------------------------------------------
@@ -469,6 +500,15 @@ _G11_DATA = {
         (Fraction(617, 1620000), 6, ((4, 0, 1), (4, 2, 1), (4, 4, 1))),
         (Fraction(107, 10800000), 8, ((4, 0, 1), (4, 8, 1))),
     ],
+}
+
+
+# The reference change from DR to DZ variables, w^alpha = u^alpha + c eps^2
+# u^beta_2 for alpha -> (beta, c); the identity for r = 3.
+DR_DZ_SHIFTS: dict[int, dict[int, tuple[int, Fraction]]] = {
+    3: {},
+    4: {1: (3, Fraction(1, 96))},
+    5: {1: (3, Fraction(1, 60)), 2: (4, Fraction(1, 60))},
 }
 
 

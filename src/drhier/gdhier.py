@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate
 from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
-from .psido import PseudoDiffOp, pdo_root, root_depth_for_residue
+from .psido import PseudoDiffOp, pdo_root
 from .scalars import AlgScalar, minus_r_half_power, squarefree_part
 
 
@@ -81,11 +81,8 @@ class GDContext:
 
 
 @lru_cache(maxsize=None)
-def gd_context(r: int, depth: int | None = None, max_m: int | None = None) -> GDContext:
-    """Context factory; the default depth covers h^GD_k for k = alpha + r*d <= max_m."""
-    if depth is None:
-        top = max_m if max_m is not None else 2 * r + 1
-        depth = root_depth_for_residue(top + r)
+def gd_context(r: int, depth: int) -> GDContext:
+    """Shared context per (r, depth), so repeated calls reuse the root powers."""
     return GDContext(r, depth)
 
 

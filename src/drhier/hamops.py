@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring
 from .psido import PseudoDiffOp
+from .scalars import add_term
 
 
 class HamiltonianOperator:
@@ -141,8 +142,7 @@ def op_dress(K: HamiltonianOperator) -> HamiltonianOperator:
                     if i + j - 1 < 0:
                         raise ValueError(
                             "nonzero constant d_x^0 component; operator cannot be dressed")
-                    shifted = piece.eps_shift(i + j - 1)
-                    dressed[i] = dressed.get(i, DiffPoly.zero(ring)) + shifted
+                    add_term(dressed, i, piece.eps_shift(i + j - 1))
             out.entries[a][b] = PseudoDiffOp.finite(ring, dressed)
     return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffpoly import DiffPoly, Ring
+from .scalars import add_term
 
 
 def gen_binom(k: int, l: int) -> Fraction:
@@ -103,17 +104,10 @@ class PseudoDiffOp:
         else:
             lo = max(self.lo, other.lo)
         top = max(self.top, other.top)
-        out: dict[int, DiffPoly] = {}
-        for n, c in self.coeffs.items():
-            if lo is None or n >= lo:
-                out[n] = c
+        out = {n: c for n, c in self.coeffs.items() if lo is None or n >= lo}
         for n, c in other.coeffs.items():
             if lo is None or n >= lo:
-                s = out.get(n, DiffPoly.zero(self.ring)) + c
-                if s.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = s
+                add_term(out, n, c)
         return PseudoDiffOp(self.ring, top, lo, out)
 
     def __neg__(self) -> "PseudoDiffOp":
@@ -173,16 +167,12 @@ class PseudoDiffOp:
                         break
                     w = gen_binom(j, l)
                     if w:
-                        order = j + k - l
-                        term = a * db * w
-                        acc[order] = acc.get(order, DiffPoly.zero(self.ring)) + term
+                        add_term(acc, j + k - l, a * db * w)
                     if j >= 0 and l >= j:
                         break  # finite Leibniz expansion for differential powers
                     db = db.dx()
                     l += 1
-        out: dict[int, DiffPoly] = {n: c for n, c in acc.items()
-                                    if (lo is None or n >= lo) and not c.is_zero()}
-        return PseudoDiffOp(self.ring, top, lo, out)
+        return PseudoDiffOp(self.ring, top, lo, acc)
 
     def power(self, p: int) -> "PseudoDiffOp":
         if p < 1:
@@ -285,11 +275,11 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
     return s
 
 
-def root_depth_for_residue(p: int, margin: int = 2) -> int:
+def root_depth_for_residue(p: int) -> int:
     """Root depth so that the residue of the p-th power is trustworthy.
 
     S to depth D gives S^p the window [p + 1 - D, p]; reaching order -1
-    needs D >= p + 2.  Over-provisioned by ``margin`` to fail loudly rather
-    than return a wrong residue after further compositions.
+    needs D >= p + 2.  Over-provisioned by two to fail loudly rather than
+    return a wrong residue after further compositions.
     """
-    return p + 2 + margin
+    return p + 4

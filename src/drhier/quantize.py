@@ -13,6 +13,10 @@ the chosen commutation rule:
 with the deformed constants read off a constant-coefficient hamiltonian
 operator (entries sum_j K_j eps^j d_x^{j+1}) rather than hard-coded.
 Within the finite window everything is exact.
+
+The classical (hbar^0) part is the Fourier dictionary of local functionals:
+u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
+functional keeps the frequency-zero part (``lf_to_p_series``).
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffpoly import PSeries, Ring
+from .diffpoly import LocalFunctional
+from .drspin import DR_DZ_SHIFTS
+from .gdhier import eta_matrix
 from .hamops import HamiltonianOperator
-from .reconstruct import DR_DZ_SHIFTS
-from .scalars import AlgScalar
+from .scalars import AlgScalar, add_term
 
 Mode = tuple[int, int]  # (alpha, k)
 
@@ -92,6 +97,10 @@ class WeylContext:
     window: int
     d: int = 1
 
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("mode window must be >= 1")
+
 
 class WeylElement:
     """Normal-ordered polynomial in the modes with hbar/eps coefficients.
@@ -136,29 +145,14 @@ class WeylElement:
         return WeylElement(ctx, {(0, 0, ((alpha, k, 1),)):
                                  AlgScalar.coerce(coeff, ctx.d)})
 
-    @staticmethod
-    def from_p_series(ps: PSeries, ctx: WeylContext) -> "WeylElement":
-        terms = {}
-        for (eps, pkey), c in ps.terms.items():
-            terms[(0, eps, pkey)] = c
-        return WeylElement(ctx, terms)
-
     # -- linear structure ---------------------------------------------------------------
-
-    def _add_term(self, key, coeff):
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[key] = new
-        elif cur is not None:
-            del self.terms[key]
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if self.ctx != other.ctx:
             raise ValueError("window/context mismatch")
         out = WeylElement(self.ctx, dict(self.terms))
         for key, c in other.terms.items():
-            out._add_term(key, c)
+            add_term(out.terms, key, c)
         return out
 
     def __neg__(self):
@@ -182,14 +176,10 @@ class WeylElement:
     def hbar_order(self) -> int:
         return min((h for h, _, _ in self.terms), default=0)
 
-    def classical_limit(self) -> PSeries:
-        """Set hbar = 0; the result is a commutative mode polynomial."""
-        ring = Ring(self.ctx.n_fields, self.ctx.d)
-        ps = PSeries(ring, self.ctx.window)
-        for (h, eps, pkey), c in self.terms.items():
-            if h == 0:
-                ps._add_term((eps, pkey), c)
-        return ps
+    def classical_limit(self) -> "WeylElement":
+        """Set hbar = 0: the hbar^0 part, a commutative mode polynomial."""
+        return WeylElement(self.ctx, {key: c for key, c in self.terms.items()
+                                      if key[0] == 0})
 
     def render(self) -> str:
         if not self.terms:
@@ -243,7 +233,7 @@ def _split_blocks(pkey):
         tuple(sorted(pos, key=lambda m: (m[1], m[0])))
 
 
-def _word_to_pkey(word) -> tuple:
+def word_to_pkey(word) -> tuple:
     counts: dict = {}
     for mode in word:
         counts[mode] = counts.get(mode, 0) + 1
@@ -267,24 +257,16 @@ def _reorder(pos, nonpos, rule):
     head = pos[:-1]
     out: dict = {}
 
-    def accumulate(target, key2, coeff):
-        cur = target.get(key2)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            target[key2] = new
-        elif cur is not None:
-            del target[key2]
-
     # x through the whole nonpositive word: commutator terms first
     for s, y in enumerate(nonpos):
         for h, e, c in rule.bracket(x, y):
             reduced = nonpos[:s] + nonpos[s + 1:]
             for (h2, e2, np2, p2), c2 in _reorder(head, reduced, rule).items():
-                accumulate(out, (h + h2, e + e2, np2, p2), c * c2)
+                add_term(out, (h + h2, e + e2, np2, p2), c * c2)
     # and the fully commuted term with x appended on the right
     for (h2, e2, np2, p2), c2 in _reorder(head, nonpos, rule).items():
-        accumulate(out, (h2, e2, np2,
-                         tuple(sorted(p2 + (x,), key=lambda m: (m[1], m[0])))), c2)
+        add_term(out, (h2, e2, np2,
+                       tuple(sorted(p2 + (x,), key=lambda m: (m[1], m[0])))), c2)
     _REORDER_MEMO[key] = out
     return out
 
@@ -303,8 +285,8 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
             coeff = c1 * c2
             for (hc, ec, np_mid, pos_mid), cmid in _reorder(pos1, np2, rule).items():
                 word = np1 + np_mid + pos_mid + pos2
-                key = (h1 + h2 + hc, e1 + e2 + ec, _word_to_pkey(word))
-                out._add_term(key, coeff * cmid)
+                key = (h1 + h2 + hc, e1 + e2 + ec, word_to_pkey(word))
+                add_term(out.terms, key, coeff * cmid)
     return out
 
 
@@ -322,8 +304,6 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
     if r not in (4, 5) or r not in DR_DZ_SHIFTS:
         raise ValueError("f_r is defined for r = 4, 5")
     shifts = DR_DZ_SHIFTS[r]
-    from .gdhier import eta_matrix
-
     rule = StandardRule.from_eta(eta_matrix(r))
     ctx = a.ctx
 
@@ -346,3 +326,50 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
             acc = weyl_star(acc, image(mode), rule)
         result = result + acc
     return result
+
+
+# -- the Fourier dictionary ------------------------------------------------------------
+
+
+def mode_sum(pkey) -> int:
+    """Total frequency sum k * power of a mode monomial."""
+    return sum(k * p for _, k, p in pkey)
+
+
+def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
+    """Mode-zero Fourier image of a local functional, as an hbar^0 element.
+
+    Substitutes u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx} and
+    keeps the frequency-zero part; exact for every retained monomial.
+    """
+    ring = h.ring
+    ctx = WeylContext(ring.n_fields, window, ring.d)
+    terms: dict = {}
+    i_unit = AlgScalar(0, 1)
+    mode_range = range(-window, window + 1)
+    for (eps, jets), coeff in h.density.terms.items():
+        factors = []
+        for alpha, order, power in jets:
+            factors.extend([(alpha, order)] * power)
+        if not factors:
+            continue  # constants are quotiented away
+
+        def expand(idx, mode_total, acc_coeff, acc_modes):
+            if idx == len(factors):
+                if mode_total == 0:
+                    add_term(terms, (0, eps, word_to_pkey(acc_modes)), acc_coeff)
+                return
+            alpha, order = factors[idx]
+            remaining = len(factors) - idx - 1
+            for k in mode_range:
+                if k == 0 and order > 0:
+                    continue
+                # prune: remaining factors can shift the sum by at most window each
+                if abs(mode_total + k) > remaining * window:
+                    continue
+                factor = (i_unit * k) ** order if order else AlgScalar(1)
+                expand(idx + 1, mode_total + k, acc_coeff * factor,
+                       acc_modes + ((alpha, k),))
+
+        expand(0, 0, ring.scalar(coeff), ())
+    return WeylElement(ctx, terms)

@@ -27,7 +27,8 @@ from .diffpoly import DiffPoly, LocalFunctional, Ring, local_eq
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
     miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
-from .drspin import builtin_g11
+from .drspin import DR_DZ_SHIFTS, builtin_g11
+from .scalars import add_term
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
@@ -249,8 +250,8 @@ class SpecialSolution:
                 lowered = tmon_remove(m, var)
                 if tmon_degree(lowered) >= self.bounds.t_deg:
                     continue
-                table[(lowered, i)] = table.get((lowered, i), Fraction(0)) + e * value
-            out.append({k: v for k, v in table.items() if v})
+                add_term(table, (lowered, i), e * value)
+            out.append(table)
         return out
 
 
@@ -438,9 +439,7 @@ def solutions_agree(a: SpecialSolution, b: SpecialSolution,
 # -- rewriting a t-series as a differential polynomial ---------------------------------------
 
 
-def jet_rewrite(series: list[dict], sol: SpecialSolution,
-                series_t_deg: int | None = None,
-                max_jet_order: int | None = None) -> list[DiffPoly]:
+def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     """Express per-field t-series as differential polynomials in the jets.
 
     Inverts the triangular system d_x^d u^sp|_{x=0} = t^alpha_d + delta +
@@ -448,15 +447,15 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
     emit the matching monomial in z^gamma_d = u^gamma_d -
     delta^{gamma,1} delta_{d,1}, subtract its full series, and repeat.
 
-    ``series_t_deg`` is the t-degree up to which the input series is
-    trustworthy (one less than the solution box for flow series); levels
-    beyond it are neither peeled nor required to cancel.  The result is
-    exact for density terms of z-degree within that bound.
+    The input series is trustworthy up to t-degree one less than the
+    solution box (as flow series are); levels beyond it are neither peeled
+    nor required to cancel.  The result is exact for density terms of
+    z-degree within that bound, and jets of order above the box's t_max
+    are refused.
     """
     ring = sol.ring
     b = sol.bounds
-    sdeg = b.t_deg - 1 if series_t_deg is None else series_t_deg
-    jmax = b.t_max if max_jet_order is None else max_jet_order
+    sdeg = b.t_deg - 1
 
     def z_series_coeff(gamma, d, m, i):
         value = sol.jet(gamma, d, m, i)
@@ -478,9 +477,9 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
                     if not coeff:
                         continue
                     for (gamma, d), _ in m:
-                        if d > jmax:
+                        if d > b.t_max:
                             raise ValueError(
-                                f"series needs jet order {d} > bound {jmax}")
+                                f"series needs jet order {d} > bound {b.t_max}")
                     q_terms.append((coeff, i, m))
                     # subtract coeff * eps^i * prod z^gamma_d over the box
                     factors = tuple((gamma, d) for (gamma, d), power in m
@@ -491,13 +490,7 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
                                 val = sol._eval_factors(factors, m2, j2 - i,
                                                         z_series_coeff)
                                 if val:
-                                    key = (m2, j2)
-                                    newv = residual.get(key, Fraction(0)) \
-                                        - coeff * val
-                                    if newv:
-                                        residual[key] = newv
-                                    else:
-                                        residual.pop(key, None)
+                                    add_term(residual, (m2, j2), -coeff * val)
         if any(v for v in residual.values()):
             raise ValueError("series is not closed by jets within the bounds")
         poly = DiffPoly.zero(ring)
@@ -514,13 +507,6 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution,
 
 
 # -- the three-condition hierarchy comparison -----------------------------------------------
-
-
-DR_DZ_SHIFTS: dict[int, dict[int, tuple[int, Fraction]]] = {
-    3: {},
-    4: {1: (3, Fraction(1, 96))},
-    5: {1: (3, Fraction(1, 60)), 2: (4, Fraction(1, 60))},
-}
 
 
 def dz_miura_map(r: int, ring: Ring) -> MiuraMap:

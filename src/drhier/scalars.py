@@ -218,10 +218,6 @@ class AlgScalar:
         return AlgScalar(a, b, c, e, d)
 
 
-def imaginary_unit() -> AlgScalar:
-    return AlgScalar(0, 1)
-
-
 def sqrt_minus(r: int) -> AlgScalar:
     """The fixed branch sqrt(-r) := i*sqrt(r) with sqrt(r) > 0."""
     d, s = squarefree_part(r)
@@ -233,6 +229,21 @@ def sqrt_minus(r: int) -> AlgScalar:
 def minus_r_half_power(r: int, m: int) -> AlgScalar:
     """(-r)^(m/2) computed as (i*sqrt(r))^m; m may be any integer."""
     return sqrt_minus(r) ** m
+
+
+def add_term(terms: dict, key, value) -> None:
+    """Add value into terms[key] and drop the key when the sum is zero.
+
+    Every sparse container keeps the rule "never store a zero" through this
+    one helper; values are any ring elements whose truth value means
+    nonzero (AlgScalar, Fraction, DiffPoly).
+    """
+    cur = terms.get(key)
+    new = value if cur is None else cur + value
+    if new:
+        terms[key] = new
+    elif cur is not None:
+        del terms[key]
 
 
 # -- Bernoulli numbers and polynomials ----------------------------------------

@@ -188,3 +188,31 @@ def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     assert code == 2
     assert out == ""
     assert err.startswith("malformed render input:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"g": 2},
+    [1],
+    {"g": 2, "n": 2, "entries": [{"psi": [2, 0], "boundary": []}]},
+])
+def test_malformed_table_file_exit(run, tmp_path, payload):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run("hain-pair", "--g", "2", "--counts", "0,2",
+                         "--table-file", str(path))
+    assert code == cli.EXIT_TABLE_FILE
+    assert out == ""
+    assert err.startswith("table file error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--tmax", "0"],
+    ["reconstruct", "--t-degree", "-1"],
+    ["reconstruct", "--eps-order", "-1"],
+    ["quantize-check", "--r", "3", "--window", "0"],
+    ["quantize-check", "--r", "3", "--samples", "-1"],
+])
+def test_out_of_range_bounds_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE

@@ -10,9 +10,9 @@ from drhier.diffpoly import (
     Ring,
     eps_dress,
     integrate,
-    lf_to_p_series,
     local_eq,
 )
+from drhier.quantize import lf_to_p_series, mode_sum
 
 R1 = Ring(1)
 R2 = Ring(2)
@@ -169,9 +169,9 @@ def test_eps_dress_rejects_eps_input():
 def test_p_series_quadratic():
     ps = lf_to_p_series(integrate(u() ** 2 / 2), 2)
     expected = {
-        (0, ((1, 0, 2),)): AlgScalar(Fraction(1, 2)),
-        (0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1),
-        (0, ((1, -2, 1), (1, 2, 1))): AlgScalar(1),
+        (0, 0, ((1, 0, 2),)): AlgScalar(Fraction(1, 2)),
+        (0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1),
+        (0, 0, ((1, -2, 1), (1, 2, 1))): AlgScalar(1),
     }
     assert ps.terms == expected
 
@@ -179,7 +179,7 @@ def test_p_series_quadratic():
 def test_p_series_u_u2():
     # int u u_2: modes (k, -k) give (i(-k))^2 + (ik)^2 = -2k^2
     ps = lf_to_p_series(integrate(u() * u(1, 2)), 1)
-    assert ps.terms == {(0, ((1, -1, 1), (1, 1, 1))): AlgScalar(-2)}
+    assert ps.terms == {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(-2)}
 
 
 def test_p_series_total_derivative_vanishes():
@@ -191,8 +191,8 @@ def test_p_series_mode_sums_are_zero():
     for _ in range(10):
         h = integrate(rand_poly(rng, R2, max_order=2, max_power=1))
         ps = lf_to_p_series(h, 2)
-        for (_, pkey) in ps.terms:
-            assert ps.mode_sum(pkey) == 0
+        for (_, _, pkey) in ps.terms:
+            assert mode_sum(pkey) == 0
 
 
 # -- round trip: p-series back to a local functional (arity <= 2) --------------------------
@@ -236,7 +236,7 @@ def reconstruct_two_field(ps, window, max_total_order):
             continue
         key = tuple(sorted([(1, k, 1), (2, -k, 1)]))
         rows.append([(i_unit * (-k)) ** n for n in basis])
-        rhs.append(ps.terms.get((0, key), AlgScalar(0)))
+        rhs.append(ps.terms.get((0, 0, key), AlgScalar(0)))
     coeffs = solve_exact(rows, rhs)
     density = DiffPoly.zero(R2)
     for n, c in zip(basis, coeffs):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drhier.diffpoly import DiffPoly, Ring, integrate, lf_to_p_series, local_eq
+from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import (
     DRPolynomial,
     IntegralTable,
@@ -16,6 +16,7 @@ from drhier.drspin import (
     hain_expand,
     pair_with_table,
 )
+from drhier.quantize import lf_to_p_series
 from drhier.scalars import AlgScalar
 
 
@@ -185,7 +186,7 @@ def test_assemble_distinct_labels_p_series_oracle():
         if k == 0:
             continue
         # (ik)(i(-k)) = k^2: matches (-eps^2) P(a,-a) = eps^2 a^2 directly
-        key = (2, tuple(sorted([(1, k, 1), (2, -k, 1)])))
+        key = (0, 2, tuple(sorted([(1, k, 1), (2, -k, 1)])))
         expected[key] = AlgScalar(Fraction(k * k))
     assert ps.terms == expected
 

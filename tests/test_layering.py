@@ -1,0 +1,52 @@
+"""The package's import structure: stdlib only, and one layer order.
+
+Each module may import only modules earlier in the chain, so the lower
+layers never depend on the higher ones (the order the package docstring
+states).
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drhier"
+ORDER = ["scalars", "diffpoly", "psido", "hamops", "gdhier", "drspin",
+         "quantize", "reconstruct", "cli"]
+
+
+def imports(module: str):
+    """(is_relative, top-level name) for every import in the module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield False, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    yield True, node.module.split(".")[0]
+                else:
+                    yield from ((True, alias.name) for alias in node.names)
+            else:
+                yield False, node.module.split(".")[0]
+
+
+def test_every_module_is_in_the_order():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(ORDER)
+
+
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_runtime_is_pure_stdlib(module):
+    for relative, name in imports(module):
+        assert relative or name in sys.stdlib_module_names, \
+            f"{module} imports {name}, which is neither stdlib nor relative"
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_imports_follow_the_layer_order(module):
+    earlier = ORDER[:ORDER.index(module)]
+    for relative, name in imports(module):
+        assert not relative or name in earlier, f"{module} imports {name}, not below it"

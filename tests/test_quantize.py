@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from drhier.diffpoly import lf_to_p_series
 from drhier.drspin import builtin_g11
 from drhier.gdhier import eta_matrix, rspin_operator
 from drhier.quantize import (
@@ -12,6 +11,7 @@ from drhier.quantize import (
     WeylContext,
     WeylElement,
     f_r_map,
+    lf_to_p_series,
     weyl_commutator,
     weyl_star,
 )
@@ -86,12 +86,12 @@ def test_star_reduces_to_product_at_hbar_zero():
         b = rand_element(rng, CTX1)
         classical = weyl_star(a, b, rule).classical_limit()
         direct = {}
-        for (e1, k1), c1 in a.classical_limit().terms.items():
-            for (e2, k2), c2 in b.classical_limit().terms.items():
+        for (_, e1, k1), c1 in a.classical_limit().terms.items():
+            for (_, e2, k2), c2 in b.classical_limit().terms.items():
                 counts = {}
                 for alpha, k, p in k1 + k2:
                     counts[(alpha, k)] = counts.get((alpha, k), 0) + p
-                key = (e1 + e2,
+                key = (0, e1 + e2,
                        tuple(sorted((a_, k_, p_) for (a_, k_), p_ in counts.items())))
                 direct[key] = direct.get(key, AlgScalar(0)) + c1 * c2
         direct = {k: v for k, v in direct.items() if v}
@@ -248,7 +248,7 @@ def test_classical_limit_drops_hbar():
         (1, 0, ()): AlgScalar(0, 1),
     })
     ps = el.classical_limit()
-    assert ps.terms == {(0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)}
+    assert ps.terms == {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)}
 
 
 def test_classical_limit_multiplicative():
@@ -265,11 +265,11 @@ def test_classical_limit_multiplicative():
 
 
 def test_g11_lift_round_trip():
-    ps = lf_to_p_series(builtin_g11(3), 2)
-    ctx = WeylContext(n_fields=2, window=2, d=3)
-    lifted = WeylElement.from_p_series(ps, ctx)
+    lifted = lf_to_p_series(builtin_g11(3), 2)
+    assert lifted.ctx == WeylContext(n_fields=2, window=2, d=3)
+    assert lifted.terms and all(h == 0 for h, _, _ in lifted.terms)
     back = lifted.classical_limit()
-    assert back.terms == ps.terms
+    assert back == lifted
 
 
 def test_weyl_json_shape():
