@@ -1,9 +1,10 @@
 """Command-line frontend with deterministic text/JSON/LaTeX output.
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
-verdict or nonzero residuals, 2 usage errors (argparse) and malformed
-``render`` input, 3 missing, unreadable or malformed table file, 4
-strict-policy table miss, 5 computation precondition errors.
+verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``)
+and malformed ``render`` input, 3 missing, unreadable or malformed table
+file, 4 strict-policy table miss, 5 computation precondition errors (a
+table whose n is not the sum of ``--counts`` among them).
 """
 
 from __future__ import annotations
@@ -85,16 +86,13 @@ def emit(args, text_value: str, json_value) -> None:
     else:
         print(text_value)
 
-def functional_text(h: LocalFunctional, names) -> str:
-    return h.canonical_density().render(names)
-
 def cmd_gd(args) -> int:
     ctx = gd_context(args.r, root_depth_for_residue(args.m + args.r))
     K = gd_operator(ctx)
     h = gd_hamiltonian(ctx, args.m)
     names = f_names(args.r)
     text = "K^GD = {}\nh^GD_{} = int {} dx".format(
-        K.render(names), args.m, functional_text(h, names))
+        K.render(names), args.m, h.render(names))
     emit(args, text, {"operator": K.to_json_dict(),
                       "hamiltonian": h.to_json_dict(), "m": args.m, "r": args.r})
     return EXIT_OK
@@ -106,7 +104,7 @@ def cmd_rspin(args) -> int:
     names = w_names(args.r)
     text = "K^{{{r}-spin}} = {K}\nh^{{{r}-spin}}_{{{a},{d}}} = int {h} dx".format(
         r=args.r, K=K.render(names), a=args.alpha, d=args.d,
-        h=functional_text(h, names))
+        h=h.render(names))
     emit(args, text, {"operator": K.to_json_dict(),
                       "hamiltonian": h.to_json_dict(),
                       "r": args.r, "alpha": args.alpha, "d": args.d})
@@ -129,16 +127,17 @@ def load_table(args) -> IntegralTable:
         table.default_zero = True
     return table
 
-def parse_counts(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def paired_expansion(args, n: int):
+    """Load the table, expand Hain's formula for (g, n) and pair the two."""
+    table = load_table(args)
+    if table.n != n:
+        raise ValueError(
+            f"the table is for n = {table.n} but --counts sums to n = {n}")
+    return pair_with_table(hain_expand(args.g, n), table,
+                           dilaton=not args.no_dilaton, g=args.g, n=n)
 
 def cmd_hain_pair(args) -> int:
-    table = load_table(args)
-    counts = parse_counts(args.counts)
-    n = sum(counts)
-    expansion = hain_expand(args.g, n)
-    poly = pair_with_table(expansion, table, dilaton=not args.no_dilaton,
-                           g=args.g, n=n)
+    poly = paired_expansion(args, sum(args.counts))
     lines = [
         "a^({}) : {}".format(",".join(map(str, exps)), value)
         for exps, value in poly.coeffs
@@ -149,26 +148,21 @@ def cmd_hain_pair(args) -> int:
     return EXIT_OK
 
 def cmd_assemble(args) -> int:
-    table = load_table(args)
-    counts = parse_counts(args.counts)
     profile = Profile(r=args.r, alpha=args.alpha, d=args.d, g=args.g,
-                      counts=counts)
+                      counts=args.counts)
     if not profile.selection_holds():
         print("profile violates the degree selection rule", file=sys.stderr)
         return EXIT_PRECONDITION
-    n = profile.n
-    expansion = hain_expand(args.g, n)
-    poly = pair_with_table(expansion, table, dilaton=not args.no_dilaton,
-                           g=args.g, n=n)
+    poly = paired_expansion(args, profile.n)
     h = assemble_hamiltonian(args.r, [(profile, poly)])
     names = u_names(args.r - 1)
-    emit(args, f"int {functional_text(h, names)} dx", h.to_json_dict())
+    emit(args, f"int {h.render(names)} dx", h.to_json_dict())
     return EXIT_OK
 
 def cmd_dr_g11(args) -> int:
     h = builtin_g11(args.r)
     names = u_names(args.r - 1)
-    emit(args, f"int {functional_text(h, names)} dx", h.to_json_dict())
+    emit(args, f"int {h.render(names)} dx", h.to_json_dict())
     return EXIT_OK
 
 def cmd_verify_main(args) -> int:
@@ -233,7 +227,8 @@ def cmd_quantize_check(args) -> int:
             return EXIT_FAIL
         checks["associativity"] += 1
     if r in (4, 5):
-        rule_def = DeformedRule.from_operator(rspin_operator(gd_context(r, 12)))
+        rule_def = DeformedRule.from_operator(
+            rspin_operator(gd_context(r, root_depth_for_residue(r - 1))))
         for _ in range(args.samples // 2):
             a, b = rand_el(), rand_el()
             lhs = f_r_map(r, weyl_star(a, b, rule_def))
@@ -275,6 +270,18 @@ def int_at_least(least: int):
         return value
     return parse
 
+def counts_type(text: str) -> tuple[int, ...]:
+    """argparse type for --counts: comma-separated integers >= 0, one > 0."""
+    try:
+        counts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        counts = ()
+    if not counts or min(counts) < 0 or not any(counts):
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers >= 0, at least one positive, "
+            f"got {text!r}")
+    return counts
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drhier",
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hain-pair", help="pair a Hain expansion with a table")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--counts", required=True,
+    p.add_argument("--counts", type=counts_type, required=True,
                    help="comma-separated n_1,..,n_{r-1}")
     p.add_argument("--table-file", required=True)
     p.add_argument("--no-dilaton", action="store_true")
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--counts", required=True)
+    p.add_argument("--counts", type=counts_type, required=True)
     p.add_argument("--table-file", required=True)
     p.add_argument("--no-dilaton", action="store_true")
     p.add_argument("--policy", choices=("table", "strict", "zero"),
@@ -364,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "assemble" and len(args.counts) != args.r - 1:
+        parser.error(f"assemble: --counts needs r - 1 = {args.r - 1} entries, "
+                     f"got {len(args.counts)}")
     try:
         return args.func(args)
     except TableMissError as exc:

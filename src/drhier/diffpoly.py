@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import AlgScalar, add_term
+from .scalars import AlgScalar, add_term, power_by_squaring
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -190,14 +190,7 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("negative powers of differential polynomials")
-        result = DiffPoly.const(self.ring, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n) if n else DiffPoly.const(self.ring, 1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgScalar)):
@@ -552,9 +545,7 @@ def integrate(density: DiffPoly) -> LocalFunctional:
 def local_eq(h1: LocalFunctional, h2: LocalFunctional) -> bool:
     """True iff h1 and h2 differ by a constant plus a total x-derivative."""
     h1.ring.check_compatible(h2.ring)
-    diff = h1.density - h2.density
-    return all(diff.var_der(alpha).is_zero()
-               for alpha in range(1, h1.ring.n_fields + 1))
+    return (h1 - h2).is_zero()
 
 
 def eps_dress(h: LocalFunctional | DiffPoly):

@@ -167,26 +167,21 @@ class RSpinChange:
     """The change f -> w and its triangular inverse.
 
     forward[alpha-1] is w^alpha as a differential polynomial in the f's;
-    inverse[i] is f_i in the w's.  Dressed variants carry eps^degree on each
-    homogeneous piece.
+    inverse[i] is f_i in the w's.
     """
 
-    __slots__ = ("r", "forward", "inverse", "forward_dressed", "inverse_dressed")
+    __slots__ = ("r", "forward", "inverse")
 
     def __init__(self, r, forward, inverse):
         self.r = r
         self.forward = forward
         self.inverse = inverse
-        self.forward_dressed = [eps_dress(w) for w in forward]
-        self.inverse_dressed = [eps_dress(g) for g in inverse]
 
-    def inverse_images(self, dressed: bool = False) -> dict[int, DiffPoly]:
-        src = self.inverse_dressed if dressed else self.inverse
-        return {i + 1: g for i, g in enumerate(src)}
+    def inverse_images(self) -> dict[int, DiffPoly]:
+        return {i + 1: g for i, g in enumerate(self.inverse)}
 
-    def forward_images(self, dressed: bool = False) -> dict[int, DiffPoly]:
-        src = self.forward_dressed if dressed else self.forward
-        return {a + 1: w for a, w in enumerate(src)}
+    def forward_images(self) -> dict[int, DiffPoly]:
+        return {a + 1: w for a, w in enumerate(self.forward)}
 
 
 def rspin_change(ctx: GDContext) -> RSpinChange:
@@ -283,29 +278,13 @@ def gd_flow_via_hamiltonian(ctx: GDContext, m: int) -> list[DiffPoly]:
 # -- dispersionless two-point data --------------------------------------------------------
 
 
-class OmegaTable:
-    """Genus-zero two-point data derived from one Hamiltonian density.
+def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> DiffPoly:
+    """Omega_{alpha,p+1;1,0}: the eps = 0 part of the h^{r-spin}_{alpha,p}
+    density, a jet-free polynomial in the w fields with zero constant term.
 
-    ``density`` is Omega_{alpha,p+1;1,0}: the eps = 0 part of the
-    h^{r-spin}_{alpha,p} density, a jet-free polynomial in the w fields with
-    zero constant term.  The two-index family Omega_{alpha,p;beta,0} is its
-    plain partial derivative in u^beta.
+    The two-index family Omega_{alpha,p;beta,0} is its plain partial
+    derivative in u^beta.
     """
-
-    __slots__ = ("ring", "alpha", "p", "density")
-
-    def __init__(self, ring: Ring, alpha: int, p: int, density: DiffPoly):
-        self.ring = ring
-        self.alpha = alpha
-        self.p = p
-        self.density = density
-
-    def two_index(self, beta: int) -> DiffPoly:
-        return self.density.partial(beta, 0)
-
-
-def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> OmegaTable:
-    """Omega_{alpha,p+1;1,0} plus the derived family, from the gd chain."""
     h = rspin_hamiltonian(ctx, alpha, p)
     density = h.density.eps_coefficient(0)
     if density.has_jets():
@@ -314,4 +293,4 @@ def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> OmegaTable:
     constant = density.constant_term()
     if constant:
         density = density - DiffPoly.const(ctx.ring_w, constant)
-    return OmegaTable(ctx.ring_w, alpha, p, density)
+    return density

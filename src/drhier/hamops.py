@@ -103,13 +103,10 @@ class HamiltonianOperator:
 def bracket(h1: LocalFunctional, h2: LocalFunctional,
             K: HamiltonianOperator) -> LocalFunctional:
     """{h1, h2}_K = int dh1/du^mu K^{mu nu} dh2/du^nu dx."""
-    h1.ring.check_compatible(h2.ring)
     h1.ring.check_compatible(K.ring)
-    n = K.ring.n_fields
-    right = [h2.var_der(b) for b in range(1, n + 1)]
-    applied = K.apply_vector(right)
+    applied = flow(h2, K)
     density = DiffPoly.zero(K.ring)
-    for a in range(n):
+    for a in range(K.ring.n_fields):
         left = h1.var_der(a + 1)
         if not left.is_zero() and not applied[a].is_zero():
             density = density + left * applied[a]

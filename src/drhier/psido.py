@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffpoly import DiffPoly, Ring
-from .scalars import add_term
+from .scalars import add_term, power_by_squaring
 
 
 def gen_binom(k: int, l: int) -> Fraction:
@@ -177,15 +177,7 @@ class PseudoDiffOp:
     def power(self, p: int) -> "PseudoDiffOp":
         if p < 1:
             raise ValueError("power must be >= 1")
-        result = None
-        base = self
-        while p:
-            if p & 1:
-                result = base if result is None else result * base
-            p >>= 1
-            if p:
-                base = base * base
-        return result
+        return power_by_squaring(self, p)
 
     def commutator(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         return self * other - other * self

@@ -201,27 +201,6 @@ class WeylElement:
     def __repr__(self):
         return f"WeylElement({self.render()})"
 
-    def to_json_dict(self, rule=None) -> dict:
-        if rule is None:
-            tag = "none"
-        elif isinstance(rule, StandardRule):
-            tag = "standard"
-        elif isinstance(rule, DeformedRule):
-            tag = "deformed"
-        else:
-            tag = str(rule)
-        return {
-            "N": self.ctx.n_fields,
-            "window": self.ctx.window,
-            "d": self.ctx.d,
-            "rule": tag,
-            "terms": [
-                {"coeff": c.to_json(), "hbar": h, "eps": eps,
-                 "modes": [[a, k, p] for a, k, p in pkey]}
-                for (h, eps, pkey), c in sorted(self.terms.items())
-            ],
-        }
-
 
 def _split_blocks(pkey):
     """Expand a stored monomial into (nonpositive, positive) factor words."""

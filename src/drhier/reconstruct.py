@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, local_eq
+from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
     miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
@@ -93,23 +93,6 @@ class OmegaData:
     def density(self, beta: int, q: int) -> DiffPoly:
         return self.densities[(beta, q)]
 
-    def two_index(self, beta: int, q: int, mu: int) -> DiffPoly:
-        """Omega_{beta,q;mu,0} = d(density_{beta,q})/du^mu."""
-        return self.density(beta, q).partial(mu, 0)
-
-    def genus0_flow(self, beta: int, q: int) -> list[DiffPoly]:
-        """du^alpha/dt^beta_q = eta^{alpha mu} d_x Omega_{beta,q;mu,0}."""
-        n = self.ring.n_fields
-        out = []
-        for a in range(1, n + 1):
-            acc = DiffPoly.zero(self.ring)
-            for mu in range(1, n + 1):
-                if self.eta[a - 1][mu - 1]:
-                    acc = acc + self.two_index(beta, q, mu).dx() \
-                        * self.eta[a - 1][mu - 1]
-            out.append(acc)
-        return out
-
     def check_vanishing(self):
         """d Omega_{beta,q;mu,0}/du^gamma vanishes at u = 0 for q >= 1."""
         n = self.ring.n_fields
@@ -130,18 +113,16 @@ def omega_from_gd(ctx: GDContext, q_max: int) -> OmegaData:
     densities = {}
     for beta in range(1, ctx.r):
         for q in range(q_max + 1):
-            densities[(beta, q)] = dispersionless_omega(ctx, beta, q).density
+            densities[(beta, q)] = dispersionless_omega(ctx, beta, q)
     return OmegaData(ring=ctx.ring_w, eta=eta_matrix(ctx.r), densities=densities)
 
 
 class SpecialSolution:
     """Per-field t-series of the special solution, stored at x = 0."""
 
-    def __init__(self, ring: Ring, eta, bounds: Bounds, flows_p: list[DiffPoly]):
+    def __init__(self, ring: Ring, bounds: Bounds):
         self.ring = ring
-        self.eta = eta
         self.bounds = bounds
-        self.flows_p = flows_p  # the t^1_1 flow, eps included
         n = ring.n_fields
         self.c: list[dict[tuple[TMon, int], Fraction]] = [dict() for _ in range(n)]
         self._jet_memo: dict = {}
@@ -291,11 +272,12 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
             if acc != (1 if a == rho else 0):
                 raise ValueError("Omega data violates eta d2 Omega_{1,1} = id")
 
-    sol = SpecialSolution(ring, eta, bounds, flows_p)
-    genus0_flows = {}
-    for beta in range(1, n_fields + 1):
-        for q in range(bounds.t_max + 1):
-            genus0_flows[(beta, q)] = omega.genus0_flow(beta, q)
+    sol = SpecialSolution(ring, bounds)
+    # du^alpha/dt^beta_q = eta^{alpha mu} d_x dOmega_{beta,q+1;1,0}/du^mu: the
+    # flow of the dispersionless Hamiltonian int Omega_{beta,q+1;1,0} dx
+    genus0_flows = {(beta, q): flow(integrate(omega.density(beta, q)), k_eta)
+                    for beta in range(1, n_fields + 1)
+                    for q in range(bounds.t_max + 1)}
 
     # genus-0 layer: Taylor integration of the dispersionless flows
     sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
@@ -391,7 +373,7 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     so that the jets needed along the way stay inside the table.  The
     integration orders monomials by their non-t^1_0 degree.
     """
-    sol = SpecialSolution(ring, None, bounds, [])
+    sol = SpecialSolution(ring, bounds)
     n_fields = ring.n_fields
     sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
     budget = bounds.t_deg + t10_extra
@@ -549,21 +531,21 @@ class VerdictReport:
         }
 
 
-def verify_dr_dz_equivalence(ctx: GDContext, miura: MiuraMap | None = None,
-                        eps_max: int | None = None) -> VerdictReport:
+def verify_dr_dz_equivalence(ctx: GDContext,
+                             miura: MiuraMap | None = None) -> VerdictReport:
     """Check the three sufficient conditions for DR/DZ equivalence:
 
     (1) dw^alpha/du^1 = delta^{alpha,1};
     (2) the pushforward of eta d_x equals K^{r-spin};
     (3) the pushforward of the double ramification g_{1,1} equals
-        h^{r-spin}_{1,1}.
+        h^{r-spin}_{1,1},
+    each up to eps^{2r+2}.
     """
     r = ctx.r
     g11 = builtin_g11(r, ctx.ring_w)
     if miura is None:
         miura = dz_miura_map(r, ctx.ring_w)
-    if eps_max is None:
-        eps_max = 2 * r + 2
+    eps_max = 2 * r + 2
     ring = ctx.ring_w
 
     cond1 = all(

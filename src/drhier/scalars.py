@@ -163,14 +163,7 @@ class AlgScalar:
     def __pow__(self, n: int) -> "AlgScalar":
         if n < 0:
             return self.inverse() ** (-n)
-        result = AlgScalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n) if n else AlgScalar(1)
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -244,6 +237,22 @@ def add_term(terms: dict, key, value) -> None:
         terms[key] = new
     elif cur is not None:
         del terms[key]
+
+
+def power_by_squaring(base, n: int):
+    """base ** n for n >= 1 by square-and-multiply.
+
+    The one exponentiation loop: it never multiplies by one and never squares
+    after the last bit.  Callers handle n <= 0 themselves.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 # -- Bernoulli numbers and polynomials ----------------------------------------

@@ -211,8 +211,28 @@ def test_malformed_table_file_exit(run, tmp_path, payload):
     ["reconstruct", "--eps-order", "-1"],
     ["quantize-check", "--r", "3", "--window", "0"],
     ["quantize-check", "--r", "3", "--samples", "-1"],
+    ["hain-pair", "--g", "2", "--counts", "a,b", "--table-file", "t.json"],
+    ["hain-pair", "--g", "2", "--counts", "", "--table-file", "t.json"],
+    ["hain-pair", "--g", "2", "--counts", "0,-2", "--table-file", "t.json"],
+    ["hain-pair", "--g", "2", "--counts", "0,0", "--table-file", "t.json"],
+    ["assemble", "--r", "3", "--alpha", "1", "--d", "1", "--g", "2",
+     "--counts", "0,0,2", "--table-file", "t.json"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["hain-pair", "--g", "2", "--counts", "0,3"],
+    ["assemble", "--r", "3", "--alpha", "1", "--d", "1", "--g", "1",
+     "--counts", "0,3"],
+])
+def test_table_n_must_match_counts(run, worked_table, argv):
+    # the worked table is for n = 2; under the zero policy a mismatch would
+    # otherwise match no key and print 0
+    code, out, err = run(*argv, "--table-file", worked_table, "--policy", "zero")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert "n = 2" in err and "n = 3" in err and err.count("\n") == 1

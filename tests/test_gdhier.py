@@ -288,22 +288,22 @@ def test_rspin_operator_r5_matches_reference_value():
 def test_omega_base_is_pairing():
     for r in (2, 3, 4):
         ctx = CTX[r]
-        table = dispersionless_omega(ctx, 1, 0)
+        omega = dispersionless_omega(ctx, 1, 0)
         eta = eta_matrix(r)
         density = DiffPoly.zero(ctx.ring_w)
         for a in range(1, r):
             for b in range(1, r):
                 if eta[a - 1][b - 1]:
                     density = density + ctx.w_var(a) * ctx.w_var(b) / 2
-        assert table.density == density
+        assert omega == density
 
 
 def test_omega_r2_chain():
     ctx = CTX[2]
     u = ctx.w_var(1)
     t11 = dispersionless_omega(ctx, 1, 1)
-    assert t11.density == u ** 3 / 6
-    assert t11.two_index(1) == u ** 2 / 2
+    assert t11 == u ** 3 / 6
+    assert t11.partial(1, 0) == u ** 2 / 2
 
 
 def test_omega_vanishing_property():
@@ -315,7 +315,7 @@ def test_omega_vanishing_property():
                 table = dispersionless_omega(ctx, alpha, p - 1)
                 # table holds Omega_{alpha, p; 1, 0}... derive the family at level p
                 for beta in range(1, r):
-                    deriv = dispersionless_omega(ctx, alpha, p).density.partial(
+                    deriv = dispersionless_omega(ctx, alpha, p).partial(
                         beta, 0)
                     for gamma in range(1, r):
                         assert not deriv.partial(gamma, 0).constant_term()
@@ -327,8 +327,8 @@ def test_omega_symmetry_level_zero():
         ctx = CTX[r]
         for a in range(1, r):
             for b in range(1, r):
-                oa = dispersionless_omega(ctx, a, 0).two_index(b)
-                ob = dispersionless_omega(ctx, b, 0).two_index(a)
+                oa = dispersionless_omega(ctx, a, 0).partial(b, 0)
+                ob = dispersionless_omega(ctx, b, 0).partial(a, 0)
                 assert oa == ob
 
 
@@ -341,15 +341,15 @@ def trr_check(ctx, alpha, p):
     lower = dispersionless_omega(ctx, alpha, p)
     base = {nu: dispersionless_omega(ctx, nu, 0) for nu in range(1, r)}
     for beta in range(1, r):
-        lhs = upper.two_index(beta)
+        lhs = upper.partial(beta, 0)
         for gamma in range(1, r):
             left = lhs.partial(gamma, 0)
             right = DiffPoly.zero(ctx.ring_w)
             for mu in range(1, r):
                 for nu in range(1, r):
                     if eta[mu - 1][nu - 1]:
-                        right = right + lower.two_index(mu) * \
-                            base[nu].two_index(beta).partial(gamma, 0)
+                        right = right + lower.partial(mu, 0) * \
+                            base[nu].partial(beta, 0).partial(gamma, 0)
             assert left == right
 
 

@@ -270,14 +270,3 @@ def test_g11_lift_round_trip():
     assert lifted.terms and all(h == 0 for h, _, _ in lifted.terms)
     back = lifted.classical_limit()
     assert back == lifted
-
-
-def test_weyl_json_shape():
-    el = WeylElement(CTX1, {(1, 2, ((1, -1, 1),)): AlgScalar(0, 1)})
-    data = el.to_json_dict(rule=std_rule(2))
-    assert data["window"] == 3
-    assert data["rule"] == "standard"
-    assert data["terms"][0]["hbar"] == 1
-    assert data["terms"][0]["eps"] == 2
-    assert data["terms"][0]["modes"] == [[1, -1, 1]]
-    assert el.to_json_dict(rule=deformed_rule(4))["rule"] == "deformed"

@@ -7,6 +7,7 @@ from drhier.hamops import HamiltonianOperator, MiuraMap, flow
 from drhier.reconstruct import (
     Bounds,
     OmegaData,
+    SpecialSolution,
     check_string_dilaton,
     dz_miura_map,
     integrate_flows_directly,
@@ -105,6 +106,22 @@ def test_special_solution_matches_direct_flow_integration(kdv):
     flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(3)}
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     sol = special_solution(h11, omega, small)
+    assert solutions_agree(sol, oracle, small)
+
+
+def test_oracle_never_uses_string_jets(kdv, monkeypatch):
+    # the oracle stays independent of the string equation: direct_jet only
+    ctx, omega, h11, _ = kdv
+    small = Bounds(t_max=1, t_deg=3, eps_max=2)
+    sol = special_solution(h11, omega, small)
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
+    flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(2)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle called SpecialSolution.jet")
+
+    monkeypatch.setattr(SpecialSolution, "jet", refuse)
+    oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     assert solutions_agree(sol, oracle, small)
 
 
