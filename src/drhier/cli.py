@@ -23,6 +23,7 @@ from .drspin import (
     TableMissError,
     assemble_hamiltonian,
     builtin_g11,
+    counts_labels,
     enumerate_profiles,
     hain_expand,
     pair_with_table,
@@ -127,17 +128,27 @@ def load_table(args) -> IntegralTable:
         table.default_zero = True
     return table
 
-def paired_expansion(args, n: int):
-    """Load the table, expand Hain's formula for (g, n) and pair the two."""
+def paired_expansion(args, labels: tuple[int, ...]):
+    """Load the table, expand Hain's formula for (g, n) and pair the two.
+
+    The table must be for the command line's genus, number of markings
+    and, when it records them, marking labels.
+    """
     table = load_table(args)
+    n = len(labels)
     if table.n != n:
         raise ValueError(
             f"the table is for n = {table.n} but --counts sums to n = {n}")
+    if table.g != args.g:
+        raise ValueError(f"the table is for g = {table.g} but --g is {args.g}")
+    if table.labels and table.labels != labels:
+        raise ValueError(f"the table has labels {list(table.labels)} but --counts "
+                         f"implies labels {list(labels)}")
     return pair_with_table(hain_expand(args.g, n), table,
                            dilaton=not args.no_dilaton, g=args.g, n=n)
 
 def cmd_hain_pair(args) -> int:
-    poly = paired_expansion(args, sum(args.counts))
+    poly = paired_expansion(args, counts_labels(args.counts))
     lines = [
         "a^({}) : {}".format(",".join(map(str, exps)), value)
         for exps, value in poly.coeffs
@@ -153,7 +164,7 @@ def cmd_assemble(args) -> int:
     if not profile.selection_holds():
         print("profile violates the degree selection rule", file=sys.stderr)
         return EXIT_PRECONDITION
-    poly = paired_expansion(args, profile.n)
+    poly = paired_expansion(args, profile.labels)
     h = assemble_hamiltonian(args.r, [(profile, poly)])
     names = u_names(args.r - 1)
     emit(args, f"int {h.render(names)} dx", h.to_json_dict())

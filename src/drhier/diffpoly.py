@@ -50,7 +50,7 @@ class Ring:
             raise ValueError(f"ring context mismatch: {self} vs {other}")
 
     def scalar(self, value) -> AlgScalar:
-        return AlgScalar.coerce(value, self.d)
+        return AlgScalar.coerce(value)
 
 
 def _mul_jets(j1, j2):

@@ -52,6 +52,11 @@ def apoly_scale(a: APoly, c: Fraction) -> APoly:
 # -- profiles --------------------------------------------------------------------------
 
 
+def counts_labels(counts) -> tuple[int, ...]:
+    """The sorted marking labels: n_k markings labelled k."""
+    return tuple(k for k, nk in enumerate(counts, start=1) for _ in range(nk))
+
+
 @dataclass(frozen=True)
 class Profile:
     """One (g; n_1..n_{r-1}) contribution to g_{alpha,d} for the r-spin theory."""
@@ -68,10 +73,7 @@ class Profile:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        out = []
-        for k, nk in enumerate(self.counts, start=1):
-            out.extend([k] * nk)
-        return tuple(out)
+        return counts_labels(self.counts)
 
     def selection_holds(self) -> bool:
         lhs = sum(k * nk for k, nk in enumerate(self.counts, start=1))

@@ -30,10 +30,16 @@ def eta_matrix(r: int) -> list[list[Fraction]]:
 
 
 class GDContext:
-    """Order r, truncation depth, and the Lax operator with its caches.
+    """Order r, the depth cap, and the Lax operator with its caches.
 
-    The internal memo of Lax-root powers is per-context and unsynchronized;
-    share contexts across threads only behind a lock, or use one per thread.
+    ``depth`` only caps the Lax root: a request that needs a root deeper
+    than ``depth`` is refused, and every root is computed just as deep as
+    the request reads (see ``lax_power``).  The context keeps the deepest
+    root computed so far and restricts it for shallower requests.
+
+    The internal memos of the root and its powers are per-context and
+    unsynchronized; share contexts across threads only behind a lock, or
+    use one per thread.
     """
 
     def __init__(self, r: int, depth: int):
@@ -60,17 +66,23 @@ class GDContext:
     def w_var(self, alpha: int, order: int = 0) -> DiffPoly:
         return DiffPoly.jet(self.ring_w, alpha, order)
 
-    def root(self) -> PseudoDiffOp:
-        if self._root is None:
-            self._root = pdo_root(self.lax, self.r, self.depth)
-        return self._root
-
     def lax_power(self, p: int) -> PseudoDiffOp:
-        """L^{p/r} to the context depth."""
-        if p % self.r == 0:
-            return self.lax.power(p // self.r)
+        """L^{p/r}, read at its residue (order -1) and positive part.
+
+        With p = q r + s, this is the exact L^q composed with S^s for the
+        root S taken to depth D = min(p + 2, depth) (window [2 - D, 1]).
+        The result has window [max(-1, p + 1 - depth), p]: exactly the
+        orders ``residue`` and ``plus_part`` read, and no lower.
+        """
+        q, s = divmod(p, self.r)
+        if s == 0:
+            return self.lax.power(q)
         if p not in self._root_powers:
-            self._root_powers[p] = self.root().power(p)
+            depth = min(p + 2, self.depth)
+            if self._root is None or 2 - self._root.lo < depth:
+                self._root = pdo_root(self.lax, self.r, depth)
+            frac = self._root.restrict(2 - depth).power(s)
+            self._root_powers[p] = self.lax.power(q) * frac if q else frac
         return self._root_powers[p]
 
     def require_residue_depth(self, p: int):

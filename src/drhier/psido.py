@@ -240,6 +240,12 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
     A must be monic of top order m; ``depth`` counts the coefficients of S
     that are determined (window [2 - depth, 1]).  A's window must cover
     [m - depth + 1, m].
+
+    Online recursion, one level per step: the powers S^k, k < m, are kept
+    down to the last solved level.  Step t computes, for each k, only
+    the order k - 1 - t coefficient F_k of S o S^{k-1} with s_{-t} = 0;
+    since [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
+    s_{-t} = (a_{m-1-t} - F_m) / m and completes every power's new level.
     """
     if m < 1:
         raise ValueError("root degree must be >= 1")
@@ -253,25 +259,49 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
             f"input window [{a.lo}, {a.top}] too shallow for depth {depth}")
     if m == 1:
         return a.restrict(m - depth + 1)
-    s = PseudoDiffOp.dx(ring)
+    one = DiffPoly.const(ring, 1)
+    # powers[k], k < m: order -> coefficient of S^k on its solved levels
+    powers = [{}] + [{k: one} for k in range(1, m)]
+    s = powers[1]
+    derivs: dict[tuple[int, int], list[DiffPoly]] = {}
+
+    def deriv(k: int, i: int, l: int) -> DiffPoly:
+        """d_x^l of the solved order-i coefficient of S^k, memoized."""
+        chain = derivs.setdefault((k, i), [powers[k][i]])
+        while len(chain) <= l:
+            chain.append(chain[-1].dx())
+        return chain[l]
+
     for t in range(depth - 1):
-        # extend the window by one unknown order (set to zero), read off the
-        # mismatch at order m - 1 - t, and solve m * s_t = mismatch
-        probe = PseudoDiffOp(ring, 1, -t, dict(s.coeffs))
-        target_order = m - 1 - t
-        mismatch = a.coeff(target_order) - probe.power(m).coeff(target_order)
-        new_coeffs = dict(s.coeffs)
-        if not mismatch.is_zero():
-            new_coeffs[-t] = mismatch / m
-        s = PseudoDiffOp(ring, 1, -t, new_coeffs)
-    return s
+        fresh = [None, {}]  # F_1 = 0: s_{-t} itself is the unknown
+        for k in range(2, m + 1):
+            # F_k is F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus every term
+            # s_j d^j o p_i d^i of S o S^{k-1} that reaches order k - 1 - t
+            # through d_x^l p_i, l = i + j - (k - 1 - t), from a solved
+            # order i <= k - 1 (the binomial vanishes for 0 <= j < l)
+            acc, prev = dict(fresh[k - 1]), powers[k - 1]
+            for j, sj in s.items():
+                for l in range((j if j >= 0 else t + j) + 1):
+                    i = k - 1 - t - j + l
+                    if i in prev:
+                        poly = sj * deriv(k - 1, i, l) * gen_binom(j, l)
+                        for mon, c in poly.terms.items():
+                            add_term(acc, mon, c)
+            fresh.append(acc)
+        level = (a.coeff(m - 1 - t) - DiffPoly(ring, fresh[m])) / m
+        for k in range(1, m):
+            c = DiffPoly(ring, fresh[k]) + level * k
+            if c:
+                powers[k][k - 1 - t] = c
+    return PseudoDiffOp(ring, 1, 2 - depth, s)
 
 
 def root_depth_for_residue(p: int) -> int:
-    """Root depth so that the residue of the p-th power is trustworthy.
+    """A depth cap under which the residue of the p-th root power is allowed.
 
     S to depth D gives S^p the window [p + 1 - D, p]; reaching order -1
-    needs D >= p + 2.  Over-provisioned by two to fail loudly rather than
-    return a wrong residue after further compositions.
+    needs D >= p + 2.  The two extra levels are a cap only and cost
+    nothing: ``GDContext.lax_power`` roots just as deep as each residue
+    reads.
     """
     return p + 4

@@ -143,7 +143,7 @@ class WeylElement:
     @staticmethod
     def mode(ctx: WeylContext, alpha: int, k: int, coeff=1) -> "WeylElement":
         return WeylElement(ctx, {(0, 0, ((alpha, k, 1),)):
-                                 AlgScalar.coerce(coeff, ctx.d)})
+                                 AlgScalar.coerce(coeff)})
 
     # -- linear structure ---------------------------------------------------------------
 
@@ -162,7 +162,7 @@ class WeylElement:
         return self + (-other)
 
     def scale(self, scalar) -> "WeylElement":
-        c = AlgScalar.coerce(scalar, self.ctx.d)
+        c = AlgScalar.coerce(scalar)
         return WeylElement(self.ctx, {k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):

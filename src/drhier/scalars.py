@@ -48,16 +48,20 @@ class AlgScalar:
 
     __slots__ = ("a", "b", "c", "e", "d")
 
-    def __init__(self, a, b=0, c=0, e=0, d=1):
-        a = Fraction(a)
-        b = Fraction(b)
-        c = Fraction(c)
-        e = Fraction(e)
-        if d == 1:
+    def __init__(self, a, b=_ZERO, c=_ZERO, e=_ZERO, d=1):
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if type(e) is not Fraction:
+            e = Fraction(e)
+        if not (c or e):
+            d = 1
+        elif d == 1:
             a, c = a + c, _ZERO
             b, e = b + e, _ZERO
-        elif c == 0 and e == 0:
-            d = 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -80,10 +84,10 @@ class AlgScalar:
         raise ValueError(f"mixed quadratic extensions: sqrt({x.d}) vs sqrt({y.d})")
 
     @staticmethod
-    def coerce(value, d: int = 1) -> "AlgScalar":
+    def coerce(value) -> "AlgScalar":
         if isinstance(value, AlgScalar):
             return value
-        return AlgScalar(Fraction(value), 0, 0, 0, d)
+        return AlgScalar(value)
 
     # -- predicates --------------------------------------------------------
 
@@ -127,7 +131,7 @@ class AlgScalar:
         a2, b2, c2, e2 = other.a, other.b, other.c, other.e
         if not (c1 or e1 or c2 or e2):
             # Q(i) fast path
-            return AlgScalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 0, 0, 1)
+            return AlgScalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
         # i^2 = -1, sqrt(d)^2 = d, (i sqrt(d))^2 = -d
         a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
         b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)

@@ -236,3 +236,17 @@ def test_table_n_must_match_counts(run, worked_table, argv):
     assert code == cli.EXIT_PRECONDITION
     assert out == ""
     assert "n = 2" in err and "n = 3" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["hain-pair", "--g", "2", "--counts", "1,1"], ("[2, 2]", "[1, 2]")),
+    (["hain-pair", "--g", "3", "--counts", "0,2", "--policy", "zero"],
+     ("g = 2", "--g is 3")),
+])
+def test_table_g_and_labels_must_match(run, worked_table, argv, named):
+    # the worked table is for g = 2 with labels (2, 2); a mismatch would
+    # otherwise pair it anyway (7/8640 for labels (1, 2)) or print 0
+    code, out, err = run(*argv, "--table-file", worked_table)
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert all(s in err for s in named) and err.count("\n") == 1

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from drhier import gdhier
 from drhier.diffpoly import DiffPoly, integrate, local_eq
 from drhier.gdhier import (
+    GDContext,
     dispersionless_omega,
     eta_matrix,
     gd_flow,
@@ -17,7 +19,7 @@ from drhier.gdhier import (
     rspin_system,
 )
 from drhier.hamops import bracket
-from drhier.psido import PseudoDiffOp
+from drhier.psido import PseudoDiffOp, pdo_root
 from drhier.scalars import AlgScalar
 
 from conftest import ctx_for
@@ -167,6 +169,54 @@ def test_bracket_antisymmetry_rspin_operators(r):
         h = rand_functional(rng, ctx.ring_w)
         g = rand_functional(rng, ctx.ring_w)
         assert local_eq(bracket(h, g, K), -bracket(g, h, K))
+
+
+# -- Lax-root windows ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r, depth", [(3, 9), (4, 10)])
+def test_lax_power_matches_full_depth_root(r, depth):
+    # residue-sized roots give the residues and positive parts of the full
+    # root, whether the context deepens its root (ascending p) or restricts
+    # it (descending p)
+    full = pdo_root(GDContext(r, depth).lax, r, depth)
+    for order in (range(1, depth - 1), range(depth - 2, 0, -1)):
+        ctx = GDContext(r, depth)
+        for p in order:
+            power, reference = ctx.lax_power(p), full.power(p)
+            assert power.residue() == reference.residue(), (r, p)
+            assert power.plus_part() == reference.plus_part(), (r, p)
+
+
+def test_residue_beyond_the_cap_is_refused():
+    ctx = GDContext(3, 6)
+    with pytest.raises(ValueError):
+        ctx.lax_power(5).residue()
+    with pytest.raises(ValueError):
+        gd_hamiltonian(ctx, 2)  # res L^{5/3} needs depth 7
+
+
+@pytest.fixture()
+def root_depths(monkeypatch):
+    asked = []
+
+    def recording_root(a, m, depth):
+        asked.append(depth)
+        return pdo_root(a, m, depth)
+
+    monkeypatch.setattr(gdhier, "pdo_root", recording_root)
+    return asked
+
+
+def test_rspin_change_roots_only_as_deep_as_its_residues(root_depths):
+    # w^alpha reads res L^{p/4}, p <= 3: a depth-5 root, whatever the cap
+    rspin_change(GDContext(4, 12))
+    assert root_depths and max(root_depths) <= 5
+
+
+def test_gd_hamiltonian_roots_only_as_deep_as_its_residue(root_depths):
+    # h^GD_6 for r = 5 reads res L^{11/5}: a depth-13 root under a cap of 15
+    gd_hamiltonian(GDContext(5, 15), 6)
+    assert root_depths and max(root_depths) <= 13
 
 
 # -- change of variables ---------------------------------------------------------------------

@@ -182,6 +182,36 @@ def test_root_power_roundtrip_all_r():
             assert back.coeff(n) == L.coeff(n)
 
 
+def test_root_window_is_sound():
+    # every level of a shallow root is final: a deeper root restricted to
+    # the shallow window gives it back, down to depth 1
+    for r in range(2, 6):
+        L, _ = lax_operator(r)
+        deep = pdo_root(L, r, 10)
+        for depth in range(1, 10):
+            assert deep.restrict(2 - depth) == pdo_root(L, r, depth), (r, depth)
+
+
+def test_truncated_products_agree_on_window():
+    # products and powers of operators known on W and on W + k agree on the
+    # product window for W, and below it they refuse
+    rng = random.Random(41)
+    for _ in range(30):
+        ops = []
+        for _ in range(2):
+            top, depth, k = rng.randint(-1, 2), rng.randint(1, 4), rng.randint(1, 3)
+            deep = rand_pdo(rng, R1, top, depth + k)
+            ops.append((deep, deep if deep.lo is None else deep.restrict(top - depth + 1)))
+        (a_deep, a), (b_deep, b) = ops
+        for deep, short in ((a_deep * b_deep, a * b), (a_deep.power(3), a.power(3))):
+            if short.lo is None:
+                assert deep == short
+                continue
+            assert deep.restrict(short.lo) == short
+            with pytest.raises(ValueError):
+                short.coeff(short.lo - 1)
+
+
 def test_root_depth_guard():
     L = PseudoDiffOp(R1, 2, 0, {2: DiffPoly.const(R1, 1), 0: f()})
     with pytest.raises(ValueError):

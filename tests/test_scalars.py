@@ -239,6 +239,18 @@ def test_algscalar_context_rules():
     assert (i * s3).d == 3
 
 
+@pytest.mark.parametrize("args, stored", [
+    ((Fraction(1, 2), 3, 0, 0, 5), (Fraction(1, 2), 3, 0, 0, 1)),  # no sqrt part: d = 1
+    ((1, 0, 2, -1, 1), (3, -1, 0, 0, 1)),  # sqrt(1) folds into a and b
+    ((0, 0, Fraction(1, 3), 0, 5), (0, 0, Fraction(1, 3), 0, 5)),
+    (("1/4", 1.5), (Fraction(1, 4), Fraction(3, 2), 0, 0, 1)),
+])
+def test_algscalar_stores_fractions_and_normalises_d(args, stored):
+    x = AlgScalar(*args)
+    assert (x.a, x.b, x.c, x.e, x.d) == stored
+    assert all(type(v) is Fraction for v in (x.a, x.b, x.c, x.e))
+
+
 def test_sqrt_minus_branch():
     # sqrt(-r) = i sqrt(r); for r = 4 this is 2i exactly
     assert sqrt_minus(4) == AlgScalar(0, 2)
