@@ -4,7 +4,8 @@ Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``)
 and malformed ``render`` input, 3 missing, unreadable or malformed table
 file, 4 strict-policy table miss, 5 computation precondition errors (a
-table whose n is not the sum of ``--counts`` among them).
+table whose n is not the sum of ``--counts`` among them), 6 internal
+errors (any other exception, such as a failed assertion in a settled check).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ EXIT_USAGE = 2
 EXIT_TABLE_FILE = 3
 EXIT_TABLE_MISS = 4
 EXIT_PRECONDITION = 5
+EXIT_INTERNAL = 6
 
 def f_names(r):
     return {i + 1: f"f{i}" for i in range(r - 1)}
@@ -304,27 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
 
     p = sub.add_parser("gd", help="K^GD and h^GD_m")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
+    p.add_argument("--m", type=int_at_least(1), required=True)
     add_common(p)
     p.set_defaults(func=cmd_gd)
 
     p = sub.add_parser("rspin", help="K^{r-spin} and h^{r-spin}_{alpha,d}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
+    p.add_argument("--alpha", type=int_at_least(1), required=True)
+    p.add_argument("--d", type=int_at_least(0), required=True)
     add_common(p)
     p.set_defaults(func=cmd_rspin)
 
     p = sub.add_parser("enumerate", help="profiles for g_{alpha,d}")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
+    p.add_argument("--alpha", type=int_at_least(1), required=True)
+    p.add_argument("--d", type=int_at_least(0), required=True)
     add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("hain-pair", help="pair a Hain expansion with a table")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=int_at_least(0), required=True)
     p.add_argument("--counts", type=counts_type, required=True,
                    help="comma-separated n_1,..,n_{r-1}")
     p.add_argument("--table-file", required=True)
@@ -335,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hain_pair)
 
     p = sub.add_parser("assemble", help="assemble one profile contribution")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
+    p.add_argument("--alpha", type=int_at_least(1), required=True)
+    p.add_argument("--d", type=int_at_least(0), required=True)
+    p.add_argument("--g", type=int_at_least(0), required=True)
     p.add_argument("--counts", type=counts_type, required=True)
     p.add_argument("--table-file", required=True)
     p.add_argument("--no-dilaton", action="store_true")
@@ -348,17 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("dr-g11", help="built-in reference g_{1,1}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
     add_common(p)
     p.set_defaults(func=cmd_dr_g11)
 
     p = sub.add_parser("verify-main", help="three-condition DR/DZ check")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
     add_common(p)
     p.set_defaults(func=cmd_verify_main)
 
     p = sub.add_parser("reconstruct", help="special solution and residuals")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int_at_least(2), default=2)
     p.add_argument("--tmax", type=int_at_least(1), default=3)
     p.add_argument("--t-degree", type=int_at_least(1), default=4)
     p.add_argument("--eps-order", type=int_at_least(0), default=4)
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("quantize-check", help="star-product property checks")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int_at_least(2), required=True)
     p.add_argument("--samples", type=int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int_at_least(1), default=3)
@@ -396,6 +398,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 if __name__ == "__main__":
     sys.exit(main())

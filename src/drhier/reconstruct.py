@@ -5,11 +5,13 @@ u^alpha = delta^{alpha,1} x) is built coefficient by coefficient: the
 genus-0 layer by Taylor integration of the dispersionless flows, the
 eps^i layers (i >= 1) through the dilaton-derived recursion
 (i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp] with the layer
-ordering (i, then total t-degree).  All series live at x = 0; the x
-dependence is recovered through the t^1_0 shift (the t^1_0 flow is plain
-translation), and jets of the solution are evaluated through the string
-equation, which lowers t-subscripts instead of raising the degree --
-exactly the reduction that makes the recursion well-founded.
+ordering (i, then total t-degree).  All series live at x = 0 as sparse
+dicts {(t-monomial, i): value}.  The x dependence is recovered through the
+t^1_0 derivative (the t^1_0 flow is plain translation), and jets of the
+solution are series pushed forward from the table by the string equation
+d_x = delta + sum t^rho_{k+1} d/dt^rho_k, which raises t-subscripts instead
+of the degree -- exactly the reduction that makes the recursion
+well-founded.
 
 The honesty of the construction is checked from outside: string/dilaton
 residuals recompute both sides from the stored table, and the r = 2
@@ -19,9 +21,11 @@ that uses neither string nor dilaton.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
@@ -34,19 +38,22 @@ from .scalars import add_term
 TMon = tuple[tuple[tuple[int, int], int], ...]
 
 
-def tmon_mul(m: TMon, var: tuple[int, int], power: int = 1) -> TMon:
+def tmon_mul(m: TMon, var: tuple[int, int], power: int) -> TMon:
+    """m * (t^var)^power; a negative power divides, zero exponents go."""
     acc = dict(m)
     acc[var] = acc.get(var, 0) + power
-    return tuple(sorted(acc.items()))
+    return tuple(sorted((v, p) for v, p in acc.items() if p))
 
 
-def tmon_remove(m: TMon, var: tuple[int, int]) -> TMon:
+def tmon_quotient(m: TMon, m1: TMon) -> TMon | None:
+    """m / m1, or None when m1 does not divide m."""
     acc = dict(m)
-    if acc[var] == 1:
-        del acc[var]
-    else:
-        acc[var] -= 1
-    return tuple(sorted(acc.items()))
+    for var, power in m1:
+        left = acc.get(var, 0) - power
+        if left < 0:
+            return None
+        acc[var] = left
+    return tuple((v, p) for v, p in acc.items() if p)
 
 
 def tmon_degree(m: TMon) -> int:
@@ -57,20 +64,21 @@ def tmon_subscript_sum(m: TMon) -> int:
     return sum(v[1] * p for v, p in m)
 
 
-def tmon_divisors(m: TMon):
-    """All submonomials m1 with m1 * m2 = m, yielding (m1, m2)."""
-    items = list(m)
+def monomials(variables, degree: int):
+    """Every t-monomial of the given total degree in the given variables."""
+    for combo in combinations_with_replacement(variables, degree):
+        yield tuple(sorted(Counter(combo).items()))
 
-    def rec(idx, left, right):
-        if idx == len(items):
-            yield (tuple(v for v in left if v[1] > 0),
-                   tuple(v for v in right if v[1] > 0))
-            return
-        var, power = items[idx]
-        for k in range(power + 1):
-            yield from rec(idx + 1, left + [(var, k)], right + [(var, power - k)])
 
-    yield from rec(0, [], [])
+def t_derivative(series: dict, var: tuple[int, int], k: int) -> dict:
+    """d^k/d(t^var)^k of a sparse t-series {(m, i): value}: the exponent of
+    t^var drops by k and the value gains the falling factorial."""
+    out = {}
+    for (m, i), value in series.items():
+        e = dict(m).get(var, 0)
+        if e >= k:
+            out[(tmon_mul(m, var, -k), i)] = value * prod(range(e - k + 1, e + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,8 @@ class SpecialSolution:
         self.bounds = bounds
         n = ring.n_fields
         self.c: list[dict[tuple[TMon, int], Fraction]] = [dict() for _ in range(n)]
-        self._jet_memo: dict = {}
+        # jet series by (source, gamma, d); valid until the table changes
+        self._jets: dict = {}
 
     # -- raw access ---------------------------------------------------------------
 
@@ -133,55 +142,45 @@ class SpecialSolution:
         return self.c[alpha - 1].get((m, i), Fraction(0))
 
     def set_coeff(self, alpha: int, m: TMon, i: int, value: Fraction):
+        table = self.c[alpha - 1]
+        if table.get((m, i), 0) == value:
+            return
         if value:
-            self.c[alpha - 1][(m, i)] = value
+            table[(m, i)] = value
         else:
-            self.c[alpha - 1].pop((m, i), None)
-        self._jet_memo.clear()
+            del table[(m, i)]
+        self._jets.clear()
 
     def variables(self):
         return [(gamma, n) for gamma in range(1, self.ring.n_fields + 1)
                 for n in range(self.bounds.t_max + 1)]
 
-    def monomials(self, degree: int):
-        for combo in combinations_with_replacement(self.variables(), degree):
-            acc: dict = {}
-            for v in combo:
-                acc[v] = acc.get(v, 0) + 1
-            yield tuple(sorted(acc.items()))
+    # -- the two jet sources: series of d_x^d u^gamma ----------------------------------
 
-    # -- string-reduced jets ----------------------------------------------------------
-
-    def jet(self, gamma: int, d: int, m: TMon, i: int) -> Fraction:
-        """[d_x^d u^gamma]_{(m, eps^i)} via the string-equation reduction."""
+    def jet(self, gamma: int, d: int) -> dict:
+        """d_x^d u^gamma via the string equation: d_x V = delta + sum
+        t^rho_{k+1} dV/dt^rho_k (delta for V = u^1 only), pushed forward from
+        the stored table with subscripts capped at t_max."""
         if d == 0:
-            return self.coeff(gamma, m, i)
-        key = (gamma, d, m, i)
-        if key in self._jet_memo:
-            return self._jet_memo[key]
-        # d_x V = delta (for V = u itself) + sum t^rho_{k+1} dV/dt^rho_k
-        value = Fraction(0)
-        if d == 1 and not m and i == 0 and gamma == 1:
-            value += 1
-        for (rho, k1), _ in m:
-            if k1 == 0:
-                continue
-            lowered_base = tmon_remove(m, (rho, k1))
-            lowered = tmon_mul(lowered_base, (rho, k1 - 1))
-            mult = dict(lowered_base).get((rho, k1 - 1), 0) + 1
-            value += mult * self.jet(gamma, d - 1, lowered, i)
-        self._jet_memo[key] = value
-        return value
+            return self.c[gamma - 1]
+        key = ("string", gamma, d)
+        if key not in self._jets:
+            series = {((), 0): Fraction(1)} if (gamma, d) == (1, 1) else {}
+            for (m, i), value in self.jet(gamma, d - 1).items():
+                for (rho, k), e in m:
+                    if k < self.bounds.t_max:
+                        raised = tmon_mul(tmon_mul(m, (rho, k), -1), (rho, k + 1), 1)
+                        add_term(series, (raised, i), e * value)
+            self._jets[key] = series
+        return self._jets[key]
 
-    def direct_jet(self, gamma: int, d: int, m: TMon, i: int) -> Fraction:
-        """[d_x^d u^gamma] by plain t^1_0-differentiation (needs degree + d
-        inside the stored box)."""
-        e0 = dict(m).get((1, 0), 0)
-        target = tmon_mul(m, (1, 0), d) if d else m
-        rising = 1
-        for s in range(1, d + 1):
-            rising *= e0 + s
-        return rising * self.coeff(gamma, target, i)
+    def direct_jet(self, gamma: int, d: int) -> dict:
+        """d_x^d u^gamma as the plain t^1_0-derivative of the table (exact
+        where the stored box reaches degree + d)."""
+        key = ("direct", gamma, d)
+        if key not in self._jets:
+            self._jets[key] = t_derivative(self.c[gamma - 1], (1, 0), d)
+        return self._jets[key]
 
     # -- evaluation of differential polynomials on the solution ------------------------
 
@@ -200,16 +199,20 @@ class SpecialSolution:
         return total
 
     def _eval_factors(self, factors, m: TMon, i: int, jet_fn) -> Fraction:
+        """Coefficient of t^m eps^i in the product of the factors' jet series:
+        the first factor runs over its stored nonzero entries dividing t^m."""
         if not factors:
             return Fraction(1) if (not m and i == 0) else Fraction(0)
-        gamma, order = factors[0]
+        series = jet_fn(*factors[0])
+        if len(factors) == 1:
+            return series.get((m, i), Fraction(0))
         rest = factors[1:]
         total = Fraction(0)
-        for m1, m2 in tmon_divisors(m):
-            for i1 in range(i + 1):
-                left = jet_fn(gamma, order, m1, i1)
-                if not left:
-                    continue
+        for (m1, i1), left in series.items():
+            if i1 > i:
+                continue
+            m2 = tmon_quotient(m, m1)
+            if m2 is not None:
                 right = self._eval_factors(rest, m2, i - i1, jet_fn)
                 if right:
                     total += left * right
@@ -219,21 +222,10 @@ class SpecialSolution:
 
     def flow_series(self, beta: int, q: int) -> list[dict]:
         """[du^alpha/dt^beta_q] as coefficient tables (degree < t_deg)."""
-        out = []
-        var = (beta, q)
-        for alpha in range(1, self.ring.n_fields + 1):
-            table = {}
-            for (m, i), value in self.c[alpha - 1].items():
-                acc = dict(m)
-                if var not in acc:
-                    continue
-                e = acc[var]
-                lowered = tmon_remove(m, var)
-                if tmon_degree(lowered) >= self.bounds.t_deg:
-                    continue
-                add_term(table, (lowered, i), e * value)
-            out.append(table)
-        return out
+        return [{(m, i): value
+                 for (m, i), value in t_derivative(table, (beta, q), 1).items()
+                 if tmon_degree(m) < self.bounds.t_deg}
+                for table in self.c]
 
 
 def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
@@ -282,7 +274,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
     # genus-0 layer: Taylor integration of the dispersionless flows
     sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
     for degree in range(1, bounds.t_deg + 1):
-        level = sorted(sol.monomials(degree), key=tmon_subscript_sum)
+        level = sorted(monomials(sol.variables(), degree), key=tmon_subscript_sum)
         for m in level:
             non_translation = [v for v, _ in m if v != (1, 0)]
             if not non_translation:
@@ -290,7 +282,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
             var = max(non_translation) if route == "max" else min(non_translation)
             beta, q = var
             e = dict(m)[var]
-            base_mon = tmon_remove(m, var)
+            base_mon = tmon_mul(m, var, -1)
             for alpha in range(1, n_fields + 1):
                 value = sol.eval_poly(genus0_flows[(beta, q)][alpha - 1],
                                       base_mon, 0) / e
@@ -300,7 +292,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
     # right contributing the coefficient itself
     for i in range(1, bounds.eps_max + 1):
         for degree in range(bounds.t_deg + 1):
-            level = sorted(sol.monomials(degree), key=tmon_subscript_sum)
+            level = sorted(monomials(sol.variables(), degree), key=tmon_subscript_sum)
             for m in level:
                 values = {}
                 for alpha in range(1, n_fields + 1):
@@ -336,27 +328,23 @@ class ResidualReport:
 def check_string_dilaton(sol: SpecialSolution) -> ResidualReport:
     """Residuals of the string and dilaton equations over the stored box.
 
-    String: d u/d t^1_0 (direct coefficient shift) minus the subscript-
-    lowering right-hand side; dilaton: d u/d t^1_1 (direct shift) minus
-    (i + n) c.  Both are recomputed from the table, independently of how it
-    was filled.
+    String: d u/d t^1_0 minus the string-equation jet d_x u; dilaton:
+    d u/d t^1_1 minus (i + deg m) c.  Both are recomputed from the table,
+    independently of how it was filled, at every t-degree below t_deg.
     """
     string_res = {}
     dilaton_res = {}
-    b = sol.bounds
     for alpha in range(1, sol.ring.n_fields + 1):
-        for degree in range(b.t_deg):
-            for m in sol.monomials(degree):
-                for i in range(b.eps_max + 1):
-                    direct = sol.direct_jet(alpha, 1, m, i)
-                    reduced = sol.jet(alpha, 1, m, i)
-                    if direct != reduced:
-                        string_res[(alpha, m, i)] = direct - reduced
-                    e11 = dict(m).get((1, 1), 0)
-                    lhs = (e11 + 1) * sol.coeff(alpha, tmon_mul(m, (1, 1)), i)
-                    rhs = (i + degree) * sol.coeff(alpha, m, i)
-                    if lhs != rhs:
-                        dilaton_res[(alpha, m, i)] = lhs - rhs
+        table = sol.c[alpha - 1]
+        string = t_derivative(table, (1, 0), 1)
+        for key, value in sol.jet(alpha, 1).items():
+            add_term(string, key, -value)
+        dilaton = t_derivative(table, (1, 1), 1)
+        for (m, i), value in table.items():
+            add_term(dilaton, (m, i), -(i + tmon_degree(m)) * value)
+        for residuals, series in ((string_res, string), (dilaton_res, dilaton)):
+            residuals.update(((alpha, m, i), value) for (m, i), value in series.items()
+                             if tmon_degree(m) < sol.bounds.t_deg)
     return ResidualReport(string_res, dilaton_res)
 
 
@@ -377,29 +365,18 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     n_fields = ring.n_fields
     sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
     budget = bounds.t_deg + t10_extra
-    variables = [v for v in sol.variables() if v != (1, 0)]
-
-    def monomials_with_rest(rest_degree):
-        for combo in combinations_with_replacement(variables, rest_degree):
-            acc: dict = {}
-            for v in combo:
-                acc[v] = acc.get(v, 0) + 1
-            rest = tuple(sorted(acc.items()))
-            max_t10 = budget - rest_degree
-            for k in range(max_t10 + 1):
-                yield tmon_mul(rest, (1, 0), k) if k else rest
-
+    rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for rest_degree in range(1, bounds.t_deg + 1):
-        for m in monomials_with_rest(rest_degree):
-            var = max(v for v, _ in m if v != (1, 0))
-            beta, q = var
-            e = dict(m)[var]
-            base_mon = tmon_remove(m, var)
-            for alpha in range(1, n_fields + 1):
-                for i in range(bounds.eps_max + 1):
-                    value = sol.eval_poly(flows[(beta, q)][alpha - 1], base_mon,
-                                          i, jet_fn=sol.direct_jet) / e
-                    sol.set_coeff(alpha, m, i, value)
+        for rest in monomials(rest_vars, rest_degree):
+            var, e = rest[-1]  # the largest variable other than t^1_0
+            for k in range(budget - rest_degree + 1):
+                m = tmon_mul(rest, (1, 0), k)
+                base_mon = tmon_mul(m, var, -1)
+                for alpha in range(1, n_fields + 1):
+                    for i in range(bounds.eps_max + 1):
+                        value = sol.eval_poly(flows[var][alpha - 1], base_mon,
+                                              i, jet_fn=sol.direct_jet) / e
+                        sol.set_coeff(alpha, m, i, value)
     return sol
 
 
@@ -432,18 +409,20 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     The input series is trustworthy up to t-degree one less than the
     solution box (as flow series are); levels beyond it are neither peeled
     nor required to cancel.  The result is exact for density terms of
-    z-degree within that bound, and jets of order above the box's t_max
-    are refused.
+    z-degree within that bound and jet order at most the box's t_max.  A
+    jet of higher order has no t-variable in the box, so it is not refused:
+    its term is dropped or absorbed by other monomials (the KdV flow
+    w w_1 + eps^2 w_3 / 12 comes back as w w_1 at t_max = 1).
     """
     ring = sol.ring
     b = sol.bounds
     sdeg = b.t_deg - 1
+    z11 = dict(sol.jet(1, 1))
+    add_term(z11, ((), 0), Fraction(-1))
 
-    def z_series_coeff(gamma, d, m, i):
-        value = sol.jet(gamma, d, m, i)
-        if gamma == 1 and d == 1 and not m and i == 0:
-            value -= 1
-        return value
+    def z_jet(gamma, d):
+        """Series of z^gamma_d: the string jet minus its delta entry."""
+        return z11 if (gamma, d) == (1, 1) else sol.jet(gamma, d)
 
     out = []
     for alpha in range(1, ring.n_fields + 1):
@@ -468,9 +447,8 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
                                     for _ in range(power))
                     for j2 in range(i, b.eps_max + 1):
                         for deg2 in range(degree, sdeg + 1):
-                            for m2 in sol.monomials(deg2):
-                                val = sol._eval_factors(factors, m2, j2 - i,
-                                                        z_series_coeff)
+                            for m2 in monomials(sol.variables(), deg2):
+                                val = sol._eval_factors(factors, m2, j2 - i, z_jet)
                                 if val:
                                     add_term(residual, (m2, j2), -coeff * val)
         if any(v for v in residual.values()):

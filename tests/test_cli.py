@@ -170,6 +170,32 @@ def test_reconstruct_cli(run):
     assert "dilaton residuals: 0" in out
 
 
+@pytest.mark.parametrize("box, golden", [
+    ([], "reconstruct-default"),
+    (["--tmax", "2", "--t-degree", "3", "--eps-order", "2"], "reconstruct-t2-d3-e2"),
+])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_reconstruct_golden(run, box, golden, fmt, suffix):
+    # coefficient count, residual counts and the rewritten t^1_1 flow; at
+    # t_max = 2 the flow's w_3 has no t-variable in the box, so the eps^2
+    # term comes back as w_2^2 (see jet_rewrite)
+    code, out, _ = run("reconstruct", *box, "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
+
+
+def test_internal_error_exit(run, monkeypatch):
+    # a failed assertion inside a stage is a bug, not a failed verdict
+    def broken(*args, **kwargs):
+        raise AssertionError("recursion inconsistent")
+
+    monkeypatch.setattr(cli, "special_solution", broken)
+    code, out, err = run("reconstruct")
+    assert code == cli.EXIT_INTERNAL == 6
+    assert out == ""
+    assert err == "internal error: AssertionError: recursion inconsistent\n"
+
+
 def test_quantize_check_cli(run):
     code, out, _ = run("quantize-check", "--r", "4", "--samples", "6",
                        "--seed", "1")
@@ -211,6 +237,18 @@ def test_malformed_table_file_exit(run, tmp_path, payload):
     ["reconstruct", "--eps-order", "-1"],
     ["quantize-check", "--r", "3", "--window", "0"],
     ["quantize-check", "--r", "3", "--samples", "-1"],
+    ["quantize-check", "--r", "1", "--samples", "1"],
+    ["rspin", "--r", "3", "--alpha", "1", "--d", "-3"],
+    ["rspin", "--r", "3", "--alpha", "0", "--d", "1"],
+    ["gd", "--r", "1", "--m", "1"],
+    ["gd", "--r", "3", "--m", "0"],
+    ["enumerate", "--r", "3", "--alpha", "1", "--d", "-1"],
+    ["dr-g11", "--r", "1"],
+    ["verify-main", "--r", "0"],
+    ["reconstruct", "--r", "1"],
+    ["hain-pair", "--g", "-1", "--counts", "0,2", "--table-file", "t.json"],
+    ["assemble", "--r", "3", "--alpha", "1", "--d", "1", "--g", "-1",
+     "--counts", "0,2", "--table-file", "t.json"],
     ["hain-pair", "--g", "2", "--counts", "a,b", "--table-file", "t.json"],
     ["hain-pair", "--g", "2", "--counts", "", "--table-file", "t.json"],
     ["hain-pair", "--g", "2", "--counts", "0,-2", "--table-file", "t.json"],

@@ -1,4 +1,11 @@
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drhier.diffpoly import DiffPoly, Ring, integrate
 from drhier.drspin import builtin_g11
@@ -12,6 +19,7 @@ from drhier.reconstruct import (
     dz_miura_map,
     integrate_flows_directly,
     jet_rewrite,
+    monomials,
     omega_from_gd,
     solutions_agree,
     special_solution,
@@ -109,6 +117,35 @@ def test_special_solution_matches_direct_flow_integration(kdv):
     assert solutions_agree(sol, oracle, small)
 
 
+def test_evaluator_walks_stored_entries(kdv, monkeypatch):
+    # work count on the small oracle box: recursion steps of the evaluator
+    # and lookups of a jet source.  A walk over every divisor and eps split
+    # makes 3178 steps and 27173 lookups here; the walk over stored nonzero
+    # entries makes under 2000 of each.
+    ctx, omega, h11, _ = kdv
+    small = Bounds(t_max=2, t_deg=3, eps_max=2)
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
+    flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(3)}
+    counts = Counter()
+
+    def counted(name, kind):
+        original = getattr(SpecialSolution, name)
+
+        def wrapper(self, *args):
+            counts[kind] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(SpecialSolution, name, wrapper)
+
+    counted("_eval_factors", "steps")
+    counted("jet", "lookups")
+    counted("direct_jet", "lookups")
+    sol = special_solution(h11, omega, small)
+    oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
+    assert solutions_agree(sol, oracle, small)
+    assert counts["steps"] <= 2500 and counts["lookups"] <= 2500, counts
+
+
 def test_oracle_never_uses_string_jets(kdv, monkeypatch):
     # the oracle stays independent of the string equation: direct_jet only
     ctx, omega, h11, _ = kdv
@@ -123,6 +160,111 @@ def test_oracle_never_uses_string_jets(kdv, monkeypatch):
     monkeypatch.setattr(SpecialSolution, "jet", refuse)
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     assert solutions_agree(sol, oracle, small)
+
+
+# -- the evaluator against a brute-force one on random tables ---------------------------------
+
+
+def divisors(m):
+    """Every (m1, m2) with m1 * m2 = m."""
+    for split in product(*(range(p + 1) for _, p in m)):
+        yield (tuple((v, k) for (v, _), k in zip(m, split) if k),
+               tuple((v, p - k) for (v, p), k in zip(m, split) if p - k))
+
+
+def with_factor(m, var, power):
+    acc = Counter(dict(m))
+    acc[var] += power
+    return tuple(sorted((v, p) for v, p in acc.items() if p))
+
+
+def pulled_jet(sol, gamma, d, m, i):
+    """[d_x^d u^gamma] at t^m eps^i by the string equation, pointwise: each
+    t^rho_k in m is lowered to t^rho_{k-1}, times its new exponent."""
+    if d == 0:
+        return sol.coeff(gamma, m, i)
+    value = Fraction(int((gamma, d, m, i) == (1, 1, (), 0)))
+    for (rho, k), _ in m:
+        if k:
+            lowered = with_factor(with_factor(m, (rho, k), -1), (rho, k - 1), 1)
+            value += dict(lowered)[(rho, k - 1)] * pulled_jet(sol, gamma, d - 1, lowered, i)
+    return value
+
+
+def shifted_jet(sol, gamma, d, m, i):
+    """[d_x^d u^gamma] at t^m eps^i as the t^1_0 shift with its rising factorial."""
+    e0 = dict(m).get((1, 0), 0)
+    return prod(range(e0 + 1, e0 + d + 1)) * sol.coeff(gamma, with_factor(m, (1, 0), d), i)
+
+
+def brute_eval(sol, poly, m, i, jet):
+    """Coefficient of t^m eps^i in poly(u, u_x, ...) over every divisor and eps split."""
+    def factors_value(factors, m, i):
+        if not factors:
+            return Fraction(int(not m and i == 0))
+        (gamma, order), rest = factors[0], factors[1:]
+        total = Fraction(0)
+        for m1, m2 in divisors(m):
+            for i1 in range(i + 1):
+                left = jet(sol, gamma, order, m1, i1)
+                if left:
+                    total += left * factors_value(rest, m2, i - i1)
+        return total
+
+    total = Fraction(0)
+    for (eps, jets), coeff in poly.terms.items():
+        if eps <= i:
+            factors = [(gamma, order) for gamma, order, power in jets for _ in range(power)]
+            total += coeff.rational() * factors_value(factors, m, i - eps)
+    return total
+
+
+RING2 = Ring(2)
+
+
+def box_points(sol):
+    b = sol.bounds
+    return [(m, i) for degree in range(b.t_deg + 1)
+            for m in monomials(sol.variables(), degree) for i in range(b.eps_max + 1)]
+
+
+@st.composite
+def random_tables(draw):
+    """A table on a box with t_max <= 2, degree <= 3, eps <= 2, filled at a
+    random density; entries also carry up to two extra t^1_0 factors, as the
+    oracle's table does."""
+    bounds = Bounds(draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    sol = SpecialSolution(RING2, bounds)
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    for m, i in box_points(sol):
+        for alpha, k in product((1, 2), range(3)):
+            if rng.random() < density:
+                sol.set_coeff(alpha, with_factor(m, (1, 0), k), i,
+                              Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return sol
+
+
+@st.composite
+def random_polys(draw):
+    poly = DiffPoly.zero(RING2)
+    for _ in range(draw(st.integers(1, 3))):
+        term = DiffPoly.const(RING2, draw(st.sampled_from([-2, -1, 1, 3]))) \
+            .eps_shift(draw(st.integers(0, 1)))
+        for gamma, order in draw(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3)),
+                                          max_size=3)):
+            term = term * DiffPoly.jet(RING2, gamma, order)
+        poly = poly + term
+    return poly
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_tables(), random_polys())
+def test_eval_poly_matches_brute_force(sol, poly):
+    for m, i in box_points(sol):
+        assert sol.eval_poly(poly, m, i) == brute_eval(sol, poly, m, i, pulled_jet)
+        assert sol.eval_poly(poly, m, i, jet_fn=sol.direct_jet) \
+            == brute_eval(sol, poly, m, i, shifted_jet)
 
 
 # -- jet rewriting -----------------------------------------------------------------------
@@ -194,3 +336,17 @@ def test_r3_flow_agreement():
     expected = flow(rspin_hamiltonian(ctx, 2, 0), K)
     for a in range(2):
         assert polys[a] == expected[a].truncate_eps(BOUNDS.eps_max)
+
+
+def test_r3_special_solution_matches_direct_flow_integration():
+    # DR/DZ equivalence at r = 3 with the identity Miura map: the special
+    # solution built from the DR g_{1,1} is the solution of the r-spin flows
+    ctx = ctx_for(3)
+    small = Bounds(t_max=2, t_deg=3, eps_max=2)
+    omega = omega_from_gd(ctx, q_max=2)
+    sol = special_solution(builtin_g11(3, ctx.ring_w), omega, small)
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(3))
+    flows = {(beta, q): flow(rspin_hamiltonian(ctx, beta, q), K)
+             for beta in (1, 2) for q in range(3)}
+    oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
+    assert solutions_agree(sol, oracle, small)
