@@ -38,7 +38,7 @@ from .gdhier import (
     rspin_operator,
     rspin_system,
 )
-
+from .hamops import HamiltonianOperator, flow
 from .psido import root_depth_for_residue
 from .quantize import (
     DeformedRule,
@@ -195,9 +195,16 @@ def cmd_reconstruct(args) -> int:
               file=sys.stderr)
         return EXIT_PRECONDITION
     ctx = gd_context(args.r, root_depth_for_residue(1 + 2 * args.tmax + args.r))
+    h11 = rspin_hamiltonian(ctx, 1, 1)
+    # the rewritten flow is exact only if each of its jets has a t-variable
+    flow11 = flow(h11, HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(args.r)))
+    order = max(f.truncate_eps(args.eps_order).max_order() for f in flow11)
+    if order > args.tmax:
+        print(f"the t^1_1 flow up to eps^{args.eps_order} has jet order {order}, "
+              f"above --tmax {args.tmax}", file=sys.stderr)
+        return EXIT_PRECONDITION
     bounds = Bounds(t_max=args.tmax, t_deg=args.t_degree, eps_max=args.eps_order)
     omega = omega_from_gd(ctx, q_max=args.tmax)
-    h11 = rspin_hamiltonian(ctx, 1, 1)
     sol = special_solution(h11, omega, bounds)
     report = check_string_dilaton(sol)
     flows = jet_rewrite(sol.flow_series(1, 1), sol)

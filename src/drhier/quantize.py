@@ -21,8 +21,9 @@ functional keeps the frequency-zero part (``lf_to_p_series``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
@@ -33,8 +34,26 @@ from .scalars import AlgScalar, add_term
 Mode = tuple[int, int]  # (alpha, k)
 
 
+_RULE_TOKENS: dict = {}
+
+
 @dataclass(frozen=True)
-class StandardRule:
+class _Rule:
+    """A commutation rule with the small integer ``token`` of its value.
+
+    Equal rules share a token and different rules never do, so the reorder
+    memo hashes a rule's table once per rule object, not once per lookup.
+    """
+
+    token: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "token",
+                           _RULE_TOKENS.setdefault(self, len(_RULE_TOKENS)))
+
+
+@dataclass(frozen=True)
+class StandardRule(_Rule):
     """[p^a_k, p^b_j] = i hbar k eta^{ab} delta_{k+j,0}."""
 
     n_fields: int
@@ -57,7 +76,7 @@ class StandardRule:
 
 
 @dataclass(frozen=True)
-class DeformedRule:
+class DeformedRule(_Rule):
     """Constants K^{ab}_j of a good-form operator sum_j K_j eps^j d_x^{j+1}."""
 
     n_fields: int
@@ -120,6 +139,14 @@ class WeylElement:
                     self._check_key(key)
                     self.terms[key] = c
 
+    @classmethod
+    def _of(cls, ctx: WeylContext, terms: dict) -> "WeylElement":
+        """Wrap terms whose keys are already checked and values nonzero."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.terms = terms
+        return out
+
     def _check_key(self, key):
         _, _, pkey = key
         for alpha, k, power in pkey:
@@ -150,13 +177,13 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if self.ctx != other.ctx:
             raise ValueError("window/context mismatch")
-        out = WeylElement(self.ctx, dict(self.terms))
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            add_term(out.terms, key, c)
-        return out
+            add_term(terms, key, c)
+        return WeylElement._of(self.ctx, terms)
 
     def __neg__(self):
-        return WeylElement(self.ctx, {k: -c for k, c in self.terms.items()})
+        return WeylElement._of(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -225,11 +252,12 @@ _REORDER_MEMO: dict = {}
 def _reorder(pos, nonpos, rule):
     """Normal-order (product of positive modes) x (product of nonpositive).
 
-    Returns {(hbar, eps, nonpos_word, pos_word): AlgScalar}.
+    Returns {(hbar, eps, nonpos_word, pos_word): AlgScalar}, memoized in
+    ``_REORDER_MEMO`` under (rule token, pos, nonpos).
     """
     if not pos or not nonpos:
         return {(0, 0, nonpos, pos): AlgScalar(1)}
-    key = (rule, pos, nonpos)
+    key = (rule.token, pos, nonpos)
     if key in _REORDER_MEMO:
         return _REORDER_MEMO[key]
     x = pos[-1]
@@ -256,17 +284,22 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
         raise ValueError("window/context mismatch")
     if rule.n_fields != a.ctx.n_fields:
         raise ValueError("rule and element field counts differ")
-    out = WeylElement.zero(a.ctx)
+    right = [(h2, e2, *_split_blocks(pk2), c2)
+             for (h2, e2, pk2), c2 in b.terms.items()]
+    terms: dict = {}
     for (h1, e1, pk1), c1 in a.terms.items():
         np1, pos1 = _split_blocks(pk1)
-        for (h2, e2, pk2), c2 in b.terms.items():
-            np2, pos2 = _split_blocks(pk2)
+        for h2, e2, np2, pos2, c2 in right:
             coeff = c1 * c2
+            if not pos1 or not np2:  # already normal ordered
+                add_term(terms, (h1 + h2, e1 + e2,
+                                 word_to_pkey(np1 + np2 + pos1 + pos2)), coeff)
+                continue
             for (hc, ec, np_mid, pos_mid), cmid in _reorder(pos1, np2, rule).items():
                 word = np1 + np_mid + pos_mid + pos2
                 key = (h1 + h2 + hc, e1 + e2 + ec, word_to_pkey(word))
-                add_term(out.terms, key, coeff * cmid)
-    return out
+                add_term(terms, key, coeff * cmid)
+    return WeylElement._of(a.ctx, terms)
 
 
 def weyl_commutator(a: WeylElement, b: WeylElement, rule) -> WeylElement:
@@ -286,25 +319,25 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
     rule = StandardRule.from_eta(eta_matrix(r))
     ctx = a.ctx
 
+    @cache
     def image(mode: Mode) -> WeylElement:
         alpha, n = mode
         out = WeylElement.mode(ctx, alpha, n)
         shift = shifts.get(alpha)
         if shift:
             beta, c = shift
-            corr = WeylElement(ctx, {(0, 2, ((beta, n, 1),)):
-                                     AlgScalar(-c * n * n)})
-            out = out + corr
+            add_term(out.terms, (0, 2, ((beta, n, 1),)), AlgScalar(-c * n * n))
         return out
 
-    result = WeylElement.zero(ctx)
+    terms: dict = {}
     for (h, eps, pkey), coeff in a.terms.items():
         nonpos, pos = _split_blocks(pkey)
         acc = WeylElement(ctx, {(h, eps, ()): coeff})
         for mode in nonpos + pos:
             acc = weyl_star(acc, image(mode), rule)
-        result = result + acc
-    return result
+        for key, c in acc.terms.items():
+            add_term(terms, key, c)
+    return WeylElement._of(ctx, terms)
 
 
 # -- the Fourier dictionary ------------------------------------------------------------

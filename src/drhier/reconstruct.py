@@ -410,9 +410,10 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     solution box (as flow series are); levels beyond it are neither peeled
     nor required to cancel.  The result is exact for density terms of
     z-degree within that bound and jet order at most the box's t_max.  A
-    jet of higher order has no t-variable in the box, so it is not refused:
-    its term is dropped or absorbed by other monomials (the KdV flow
-    w w_1 + eps^2 w_3 / 12 comes back as w w_1 at t_max = 1).
+    jet of higher order has no t-variable in the box and is not detected
+    here: its term is dropped or absorbed by other monomials (the KdV flow
+    w w_1 + eps^2 w_3 / 12 comes back as w w_1 at t_max = 1).  Callers
+    bound the jet order first; the ``reconstruct`` CLI refuses such boxes.
     """
     ring = sol.ring
     b = sol.bounds

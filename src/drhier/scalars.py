@@ -125,13 +125,31 @@ class AlgScalar:
         return AlgScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = AlgScalar.coerce(other)
-        d = AlgScalar._join(self, other)
+        if type(other) is not AlgScalar:
+            other = AlgScalar.coerce(other)
         a1, b1, c1, e1 = self.a, self.b, self.c, self.e
         a2, b2, c2, e2 = other.a, other.b, other.c, other.e
         if not (c1 or e1 or c2 or e2):
-            # Q(i) fast path
-            return AlgScalar(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+            # Q(i): nearly every factor is rational or purely imaginary, so
+            # form only the products of nonzero parts
+            if not b1:
+                if not b2:
+                    return _gaussian(a1 * a2, _ZERO)
+                if not a2:
+                    return _gaussian(_ZERO, a1 * b2)
+                return _gaussian(a1 * a2, a1 * b2)
+            if not a1:
+                if not b2:
+                    return _gaussian(_ZERO, b1 * a2)
+                if not a2:
+                    return _gaussian(-(b1 * b2), _ZERO)
+                return _gaussian(-(b1 * b2), b1 * a2)
+            if not b2:
+                return _gaussian(a1 * a2, b1 * a2)
+            if not a2:
+                return _gaussian(-(b1 * b2), a1 * b2)
+            return _gaussian(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+        d = AlgScalar._join(self, other)
         # i^2 = -1, sqrt(d)^2 = d, (i sqrt(d))^2 = -d
         a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
         b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)
@@ -213,6 +231,21 @@ class AlgScalar:
     def from_json(data, d: int = 1) -> "AlgScalar":
         a, b, c, e = (Fraction(x) for x in data)
         return AlgScalar(a, b, c, e, d)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _gaussian(a: Fraction, b: Fraction) -> AlgScalar:
+    """a + b*i from two Fractions, without the constructor's coercions."""
+    x = _new(AlgScalar)
+    _set(x, "a", a)
+    _set(x, "b", b)
+    _set(x, "c", _ZERO)
+    _set(x, "e", _ZERO)
+    _set(x, "d", 1)
+    return x
 
 
 def sqrt_minus(r: int) -> AlgScalar:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from drhier import quantize
 from drhier.drspin import builtin_g11
 from drhier.gdhier import eta_matrix, rspin_operator
 from drhier.quantize import (
@@ -106,6 +108,64 @@ def test_star_associativity_random():
         a, b, c = (rand_element(rng, ctx) for _ in range(3))
         assert weyl_star(weyl_star(a, b, rule), c, rule) \
             == weyl_star(a, weyl_star(b, c, rule), rule)
+
+
+STAR_GOLDEN = Path(__file__).parent / "golden" / "star-products.txt"
+
+
+def star_product_lines():
+    """Rendered seeded star products and f_r images, one per line.
+
+    Each left factor is itself a product, so it carries hbar, eps and
+    imaginary coefficients into the second product.
+    """
+    lines = []
+    for label, r, rule in (("std", 3, std_rule(3)), ("std", 4, std_rule(4)),
+                           ("def", 4, deformed_rule(4)), ("def", 5, deformed_rule(5))):
+        rng = random.Random(f"star-golden:{label}:{r}")
+        ctx = WeylContext(n_fields=r - 1, window=3)
+        for i in range(4):
+            a, b, c = (rand_element(rng, ctx) for _ in range(3))
+            ab = weyl_star(a, b, rule)
+            lines.append(f"{label} r={r} #{i} a*b: {ab.render()}")
+            lines.append(f"{label} r={r} #{i} (a*b)*c: {weyl_star(ab, c, rule).render()}")
+    for r in (4, 5):
+        rng = random.Random(f"star-golden:f:{r}")
+        ctx = WeylContext(n_fields=r - 1, window=3)
+        for i in range(3):
+            a, b = rand_element(rng, ctx), rand_element(rng, ctx)
+            lines.append(f"f_{r} #{i} a: {f_r_map(r, a).render()}")
+            lines.append(f"f_{r} #{i} a*b: "
+                         f"{f_r_map(r, weyl_star(a, b, deformed_rule(r))).render()}")
+    return lines
+
+
+def test_star_product_golden():
+    assert star_product_lines() == STAR_GOLDEN.read_text().splitlines()
+
+
+def test_reorder_memo_shared_only_by_equal_rules():
+    ctx = WeylContext(n_fields=3, window=3)
+    a = WeylElement(ctx, {(0, 0, ((1, 1, 1), (2, 1, 1), (3, 2, 1))): AlgScalar(2),
+                          (0, 0, ((1, 2, 2),)): AlgScalar(-1)})
+    b = WeylElement(ctx, {(0, 0, ((1, -2, 1), (1, -1, 1), (3, -2, 1))): AlgScalar(3),
+                          (0, 0, ((3, -1, 1), (3, -2, 1))): AlgScalar(1)})
+    rules = (std_rule(4), deformed_rule(4))
+    assert rules[0].n_fields == rules[1].n_fields == 3
+    cold = []
+    for rule in rules:
+        quantize._REORDER_MEMO.clear()
+        cold.append(weyl_star(a, b, rule))
+    assert cold[0] != cold[1]
+    for order in ((0, 1), (1, 0)):
+        quantize._REORDER_MEMO.clear()
+        for i in order:
+            assert weyl_star(a, b, rules[i]) == cold[i]
+    # an equal rule built from scratch reuses the entries of the first
+    size = len(quantize._REORDER_MEMO)
+    assert size
+    assert weyl_star(a, b, StandardRule.from_eta(eta_matrix(4))) == cold[0]
+    assert len(quantize._REORDER_MEMO) == size
 
 
 def test_window_mismatch_rejected():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drhier.scalars import (
     AlgScalar,
@@ -266,3 +268,63 @@ def test_sqrt_minus_branch():
 def test_algscalar_json_roundtrip():
     x = AlgScalar(Fraction(3, 2), -1, Fraction(1, 3), 0, 5)
     assert AlgScalar.from_json(x.to_json(), 5) == x
+
+
+# -- an independent oracle for products over the basis 1, i, sqrt(d), i*sqrt(d) --
+
+def basis_table(d):
+    """e_u * e_v = coeff * e_w for the basis e = (1, i, sqrt(d), i*sqrt(d))."""
+    upper = {(0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+             (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+             (2, 2): (d, 0), (2, 3): (d, 1), (3, 3): (-d, 0)}
+    return {**upper, **{(v, u): cw for (u, v), cw in upper.items()}}
+
+
+def parts(x):
+    return (x.a, x.b, x.c, x.e)
+
+
+def oracle_product(x, y, d):
+    out = [Fraction(0)] * 4
+    for (u, v), (coeff, w) in basis_table(d).items():
+        out[w] += coeff * parts(x)[u] * parts(y)[v]
+    return AlgScalar(*out, d)
+
+
+part = st.one_of(st.just(Fraction(0)),
+                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def scalar_pairs(draw):
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    x, y = (AlgScalar(*draw(st.tuples(part, part, part, part)), d) for _ in range(2))
+    return x, y, d
+
+
+@settings(max_examples=50, deadline=None)
+@given(scalar_pairs())
+def test_algscalar_products_and_sums_match_basis_table(pair):
+    x, y, d = pair
+    assert x * y == oracle_product(x, y, d)
+    assert y * x == oracle_product(y, x, d)
+    assert x + y == AlgScalar(*(p + q for p, q in zip(parts(x), parts(y))), d)
+
+
+def test_gaussian_products_skip_zero_parts(monkeypatch):
+    calls = []
+    original = Fraction.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    real, imag = AlgScalar(Fraction(3, 2)), AlgScalar(0, Fraction(-2, 5))
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    for x, y, expected in ((real, real, AlgScalar(Fraction(9, 4))),
+                           (real, imag, AlgScalar(0, Fraction(-3, 5))),
+                           (imag, real, AlgScalar(0, Fraction(-3, 5))),
+                           (imag, imag, AlgScalar(Fraction(-4, 25)))):
+        calls.clear()
+        assert x * y == expected
+        assert len(calls) == 1
