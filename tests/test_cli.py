@@ -179,13 +179,19 @@ def test_reconstruct_cli(run):
     assert out.endswith("t^1_1 flow (rewritten): w*w_1\n")
 
 
-@pytest.mark.parametrize("box, golden", [([], "reconstruct-default")])
+@pytest.mark.parametrize("box, golden", [
+    ([], "reconstruct-default"),
+    (["--tmax", "2", "--t-degree", "3", "--eps-order", "2"], "reconstruct-t2-d3-e2"),
+])
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 def test_reconstruct_golden(run, box, golden, fmt, suffix):
-    # coefficient count, residual counts and the rewritten t^1_1 flow
-    code, out, _ = run("reconstruct", *box, "--format", fmt)
-    assert code == 0
-    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
+    # a golden holds what the verb writes: coefficient count, residual counts
+    # and the rewritten t^1_1 flow on stdout, or, for a box below the flow's
+    # jet order (w_3 at t_max = 2), only the refusal on stderr with exit 5
+    code, out, err = run("reconstruct", *box, "--format", fmt)
+    assert code == (cli.EXIT_PRECONDITION if err else 0)
+    assert out == "" or err == ""
+    assert out + err == (GOLDEN / f"{golden}.{suffix}").read_text()
 
 
 def test_internal_error_exit(run, monkeypatch):
