@@ -7,7 +7,8 @@ functional is a differential polynomial considered modulo constants and
 total x-derivatives; equality of local functionals is decided through the
 variational derivative, whose kernel is exactly that quotient.
 
-Representation: sparse dict from monomials to AlgScalar coefficients.  A
+Representation: sparse dict from monomials to coefficients in the ring's
+domain, ``Fraction`` over Q and ``AlgScalar`` over Q(i, sqrt(d)).  A
 monomial is ``(eps_exponent, jets)`` where ``jets`` is a tuple of
 ``(alpha, order, power)`` triples sorted by (alpha, order); zero
 coefficients are never stored.  Coefficients in the underived fields are
@@ -25,32 +26,56 @@ Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 class Ring:
-    """Context for differential polynomials: field count and scalar extension."""
+    """Context for differential polynomials: field count and coefficient domain.
 
-    __slots__ = ("n_fields", "d")
+    The domain is Q(i, sqrt(d)), with ``AlgScalar`` coefficients, or, for
+    ``rational=True``, Q with plain ``Fraction`` coefficients.  A rational
+    ring keeps the d of its context, which its JSON form records.  Rings of
+    different domains are unequal, so their polynomials never mix; a
+    rational polynomial moves into an extension ring only through ``lift``
+    or ``substitute``.
+    """
 
-    def __init__(self, n_fields: int, d: int = 1):
+    __slots__ = ("n_fields", "d", "rational")
+
+    def __init__(self, n_fields: int, d: int = 1, rational: bool = False):
         if n_fields < 1:
             raise ValueError("need at least one field")
         self.n_fields = n_fields
         self.d = d
+        self.rational = rational
 
     def __eq__(self, other):
-        return (isinstance(other, Ring)
-                and self.n_fields == other.n_fields and self.d == other.d)
+        return (isinstance(other, Ring) and self.n_fields == other.n_fields
+                and self.d == other.d and self.rational == other.rational)
 
     def __hash__(self):
-        return hash((self.n_fields, self.d))
+        return hash((self.n_fields, self.d, self.rational))
 
     def __repr__(self):
-        return f"Ring(n_fields={self.n_fields}, d={self.d})"
+        domain = ", rational=True" if self.rational else ""
+        return f"Ring(n_fields={self.n_fields}, d={self.d}{domain})"
 
     def check_compatible(self, other: "Ring"):
         if self != other:
             raise ValueError(f"ring context mismatch: {self} vs {other}")
 
-    def scalar(self, value) -> AlgScalar:
-        return AlgScalar.coerce(value)
+    def scalar(self, value):
+        """value as a coefficient of this ring; Q refuses irrational values."""
+        if not self.rational:
+            return AlgScalar.coerce(value)
+        if type(value) is Fraction:
+            return value
+        if isinstance(value, AlgScalar):
+            if not value.is_rational():
+                raise ValueError(f"{self} has rational coefficients, got {value}")
+            return value.a
+        return Fraction(value)
+
+    def inverse(self, value):
+        """1 / value in the coefficient domain."""
+        c = self.scalar(value)
+        return 1 / c if self.rational else c.inverse()
 
 
 def _mul_jets(j1, j2):
@@ -123,7 +148,7 @@ class DiffPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def constant_term(self) -> AlgScalar:
+    def constant_term(self):
         return self.terms.get((0, ()), self.ring.scalar(0))
 
     def is_constant(self) -> bool:
@@ -184,8 +209,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = self.ring.scalar(other)
-        return self * c.inverse()
+        return self * self.ring.inverse(other)
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -194,7 +218,10 @@ class DiffPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, AlgScalar)):
-            other = DiffPoly.const(self.ring, other)
+            try:
+                other = DiffPoly.const(self.ring, other)
+            except ValueError:  # an irrational constant against a rational ring
+                return False
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -329,6 +356,14 @@ class DiffPoly:
                 add_term(terms, mon, v)
         return DiffPoly(out_ring, terms)
 
+    def lift(self, ring: Ring) -> "DiffPoly":
+        """The same polynomial over ``ring``, whose domain contains this one's."""
+        if ring == self.ring:
+            return self
+        if ring.n_fields != self.ring.n_fields:
+            raise ValueError(f"cannot lift from {self.ring} to {ring}")
+        return DiffPoly(ring, {m: ring.scalar(c) for m, c in self.terms.items()})
+
     def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
         """Relabel field indices (a pure renaming, no calculus)."""
         terms: dict = {}
@@ -358,14 +393,15 @@ class DiffPoly:
                 base = names[alpha] if order == 0 else f"{names[alpha]}_{order}"
                 factors.append(base if power == 1 else f"{base}^{power}")
             body = "*".join(factors)
+            rational = type(c) is Fraction or c.is_rational()
             if not body:
-                chunks.append(str(c) if c.is_rational() else f"({c})")
+                chunks.append(str(c) if rational else f"({c})")
                 continue
-            if c == AlgScalar(1):
+            if c == 1:
                 chunks.append(body)
-            elif c == AlgScalar(-1):
+            elif c == -1:
                 chunks.append(f"-{body}")
-            elif c.is_rational():
+            elif rational:
                 chunks.append(f"{c}*{body}")
             else:
                 chunks.append(f"({c})*{body}")
@@ -376,11 +412,13 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
     def to_json_dict(self) -> dict:
+        """Coefficients in the four-part form of ``AlgScalar.to_json``."""
         return {
             "N": self.ring.n_fields,
             "d": self.ring.d,
             "terms": [
-                {"coeff": c.to_json(), "eps": eps,
+                {"coeff": [str(c), "0", "0", "0"] if type(c) is Fraction else c.to_json(),
+                 "eps": eps,
                  "jets": [[a, o, p] for a, o, p in jets]}
                 for (eps, jets), c in self.sorted_terms()
             ],
@@ -483,7 +521,7 @@ class LocalFunctional:
         get distinct canonical densities within a fixed ring.
         """
         work = {mon: c for mon, c in self.density.terms.items() if mon[1]}
-        out: dict[Monomial, AlgScalar] = {}
+        out: dict = {}
         ring = self.ring
         guard = 0
         while work:
@@ -515,7 +553,7 @@ class LocalFunctional:
             scale = ring.scalar(1)
             if self_coeff is not None:
                 # m appears in its own rewrite: solve (1 - c) m = rest
-                scale = (ring.scalar(1) - self_coeff).inverse()
+                scale = ring.inverse(1 - self_coeff)
             for m2, c2 in repl.terms.items():
                 if not m2[1]:
                     continue

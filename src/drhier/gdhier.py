@@ -6,9 +6,12 @@ Everything is generated from the Lax operator L = d^r + f_{r-2} d^{r-2} +
 -r/(m+r) int res L^{(m+r)/r} dx, the flows dL/dT_m = [(L^{m/r})_+, L], the
 change to normalized variables w^alpha = res L^{(r-alpha)/r} / ((r-alpha)
 (-r)^{(r-alpha-1)/2}) and the rescaled operator/Hamiltonian pair
-(K^{r-spin}, h^{r-spin}_{alpha,d}).  The dispersionless two-point data
-consumed by the reconstruction recursion is the eps = 0 part of those
-Hamiltonian densities.
+(K^{r-spin}, h^{r-spin}_{alpha,d}).  The Lax calculus is rational: L, its
+root, powers, residues, K^GD, h^GD and the flows live in ``ring_f``, over
+Q.  Only the change to w brings in sqrt(-r); its forward images, and
+everything in the w variables, live in ``ring_w``, over Q(i, sqrt(d)).
+The dispersionless two-point data consumed by the reconstruction recursion
+is the eps = 0 part of those Hamiltonian densities.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class GDContext:
         self.r = r
         self.depth = depth
         d, _ = squarefree_part(r)
-        self.ring_f = Ring(r - 1, d)
+        self.ring_f = Ring(r - 1, d, rational=True)
         self.ring_w = Ring(r - 1, d)
         coeffs = {r: DiffPoly.const(self.ring_f, 1)}
         for i in range(r - 1):
@@ -110,7 +113,7 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
     """
     r = ctx.r
     n = r - 1
-    ext = Ring(2 * n, ctx.ring_f.d)
+    ext = Ring(2 * n, ctx.ring_f.d, rational=True)
     lax_ext = PseudoDiffOp(
         ext, r, None,
         {k: c.map_fields({a: a for a in range(1, n + 1)}, ext)
@@ -197,7 +200,10 @@ class RSpinChange:
 
 
 def rspin_change(ctx: GDContext) -> RSpinChange:
-    """w^alpha = res L^{(r-alpha)/r} / ((r-alpha) (-r)^{(r-alpha-1)/2})."""
+    """w^alpha = res L^{(r-alpha)/r} / ((r-alpha) (-r)^{(r-alpha-1)/2}).
+
+    The residues are rational; forward and inverse live in ``ring_w``.
+    """
     if ctx._rspin_change is not None:
         return ctx._rspin_change
     r = ctx.r
@@ -207,7 +213,7 @@ def rspin_change(ctx: GDContext) -> RSpinChange:
         ctx.require_residue_depth(p)
         res = ctx.lax_power(p).residue()
         denom = AlgScalar(r - alpha) * minus_r_half_power(r, r - alpha - 1)
-        forward.append(res * denom.inverse())
+        forward.append(res.lift(ctx.ring_w) * denom.inverse())
     # triangular inversion: every term of w^alpha besides its linear leading
     # term c_alpha f_{alpha-1} involves only f_k with k >= alpha
     inverse: dict[int, DiffPoly] = {}
@@ -217,7 +223,7 @@ def rspin_change(ctx: GDContext) -> RSpinChange:
         c_lead = w.terms.get(lead_mon)
         if c_lead is None:
             raise AssertionError(f"missing linear term f_{alpha-1} in w^{alpha}")
-        rest = DiffPoly(ctx.ring_f,
+        rest = DiffPoly(ctx.ring_w,
                         {mon: c for mon, c in w.terms.items() if mon != lead_mon})
         for _, jets in rest.terms:
             for a, _, _ in jets:

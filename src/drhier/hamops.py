@@ -231,10 +231,12 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
     """Chain-rule conjugation of an operator under w = forward(u):
 
     K_w^{ab} = sum_{p,q} (dw^a/du^mu_p) d_x^p o K^{mu nu} o (-d_x)^q o (dw^b/du^nu_q),
-    with the coefficients re-expressed through the inverse change.
+    with the coefficients re-expressed through the inverse change.  K is
+    lifted into the ring of ``forward``, whose domain may be larger.
     """
-    ring = K.ring
+    ring = forward[0].ring
     n = ring.n_fields
+    K = HamiltonianOperator(ring, [[op.lift(ring) for op in row] for row in K.entries])
     zero = PseudoDiffOp.finite(ring)
     lefts: list[dict[int, PseudoDiffOp]] = []
     rights: list[dict[int, PseudoDiffOp]] = []

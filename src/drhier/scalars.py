@@ -1,10 +1,13 @@
 """Exact coefficient arithmetic.
 
-Everything downstream computes over Q(i, sqrt(d)) for a single squarefree
-d fixed per computation context (d is the squarefree part of r when working
-with the order-r Lax operator; d = 1 degenerates to the Gaussian rationals).
-Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  This module also provides the classical number sequences
+Coefficients live in one of two domains.  Rationals are stdlib
+``fractions.Fraction`` (always reduced, positive denominator); the
+Gelfand-Dickey Lax calculus computes over Q alone.  ``AlgScalar`` is
+Q(i, sqrt(d)) for a single squarefree d fixed per computation context (d is
+the squarefree part of r when working with the order-r Lax operator; d = 1
+degenerates to the Gaussian rationals): the r-spin normalization, which
+scales by powers of sqrt(-r), and everything after it computes there.
+This module also provides the classical number sequences
 (Bernoulli numbers and polynomials, Stirling-type gamma numbers) and the
 tau-polynomial coefficient functions s_l used by the characteristic-class
 machinery.
@@ -43,7 +46,8 @@ class AlgScalar:
     d is a fixed positive squarefree integer.  Values with c = e = 0 live in
     Q(i) and are compatible with any d (their d is normalised to 1); mixing
     two genuinely different extensions is an error.  Instances are immutable
-    and hashable; equality is componentwise.
+    and hashable; equality is componentwise, and a rational value equals and
+    hashes like its ``Fraction``.
     """
 
     __slots__ = ("a", "b", "c", "e", "d")
@@ -108,7 +112,13 @@ class AlgScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = AlgScalar.coerce(other)
+        if type(other) is not AlgScalar:
+            other = AlgScalar.coerce(other)
+        if not (self.c or self.e or other.c or other.e):
+            # Q(i): add only parts that are nonzero on both sides
+            a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            return _gaussian(a1 + a2 if a1 and a2 else a1 or a2,
+                             b1 + b2 if b1 and b2 else b1 or b2)
         d = AlgScalar._join(self, other)
         return AlgScalar(self.a + other.a, self.b + other.b,
                          self.c + other.c, self.e + other.e, d)
@@ -199,6 +209,8 @@ class AlgScalar:
         return (self.a, self.b, self.c, self.e) == (other.a, other.b, other.c, other.e)
 
     def __hash__(self):
+        if not (self.b or self.c or self.e):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.e))
 
     def __repr__(self):

@@ -63,6 +63,27 @@ def test_gd_r5_golden(run, fmt, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+BOUNDARY_GOLDENS = {
+    "rspin-r3-a1-d1": ("rspin", "--r", "3", "--alpha", "1", "--d", "1"),
+    "rspin-r4-a1-d1": ("rspin", "--r", "4", "--alpha", "1", "--d", "1"),
+    "rspin-r5-a1-d1": ("rspin", "--r", "5", "--alpha", "1", "--d", "1"),
+    "gd-r3-m1": ("gd", "--r", "3", "--m", "1"),
+    "gd-r4-m1": ("gd", "--r", "4", "--m", "1"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(BOUNDARY_GOLDENS))
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_rational_and_extension_goldens(run, golden, fmt, suffix):
+    # rspin crosses from the rational Lax calculus into Q(i, sqrt(r)); gd
+    # prints rational coefficients in the four-part JSON form with the
+    # context's "d"
+    argv = BOUNDARY_GOLDENS[golden]
+    code, out, _ = run(*argv, "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
+
+
 def test_enumerate_golden(run):
     code, out, _ = run("enumerate", "--r", "3", "--alpha", "1", "--d", "1")
     assert code == 0

@@ -223,7 +223,8 @@ def test_gd_hamiltonian_roots_only_as_deep_as_its_residue(root_depths):
 
 def test_rspin_change_r2():
     change = rspin_change(CTX[2])
-    assert change.forward[0] == CTX[2].f_var(0) / 2
+    # the forward images live in ring_w: w^alpha carries sqrt(-r) in general
+    assert change.forward[0] == CTX[2].f_var(0).lift(CTX[2].ring_w) / 2
     assert change.inverse[0] == 2 * CTX[2].w_var(1)
 
 
@@ -232,9 +233,10 @@ def test_rspin_change_r3_reference_value():
     change = rspin_change(ctx)
     # reference closed form: w^1 = (1/(2 sqrt(-3))) (2 f_0/3 - f_{1,x}/3), w^2 = f_1/3
     inv_2sqrt = (AlgScalar(2) * AlgScalar(0, 0, 0, 1, 3)).inverse()
-    expected_w1 = (Fraction(2, 3) * ctx.f_var(0) - ctx.f_var(1, 1) / 3) * inv_2sqrt
+    f0, f1, f1x = (ctx.f_var(i, o).lift(ctx.ring_w) for i, o in ((0, 0), (1, 0), (1, 1)))
+    expected_w1 = (Fraction(2, 3) * f0 - f1x / 3) * inv_2sqrt
     assert change.forward[0] == expected_w1
-    assert change.forward[1] == ctx.f_var(1) / 3
+    assert change.forward[1] == f1 / 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -246,8 +248,51 @@ def test_rspin_change_roundtrip(r):
                                                     ctx.ring_w)
         assert back == ctx.w_var(alpha)
     for i in range(r - 1):
-        back = change.inverse[i].substitute(change.forward_images(), ctx.ring_f)
-        assert back == ctx.f_var(i)
+        back = change.inverse[i].substitute(change.forward_images(), ctx.ring_w)
+        assert back == ctx.f_var(i).lift(ctx.ring_w)
+
+
+# -- coefficient domains -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_lax_calculus_stores_plain_fractions(r):
+    ctx = CTX[r]
+    assert ctx.ring_f.rational and not ctx.ring_w.rational
+    residues = [ctx.lax_power(p).residue() for p in range(1, r + 2) if p % r]
+    density = gd_hamiltonian(ctx, 1).density
+    K = gd_operator(ctx)
+    entries = [c for row in K.entries for op in row for c in op.coeffs.values()]
+    stored = [c for poly in (*residues, density, *entries, *gd_flow(ctx, 2))
+              for c in poly.terms.values()]
+    assert stored and all(type(c) is Fraction for c in stored)
+
+
+def test_f_and_w_polynomials_do_not_mix():
+    ctx = CTX[3]
+    assert ctx.ring_f != ctx.ring_w
+    f, w = ctx.f_var(0), ctx.w_var(1)
+    for left, right in ((f, w), (w, f)):
+        with pytest.raises(ValueError):
+            left + right
+        with pytest.raises(ValueError):
+            left - right
+        with pytest.raises(ValueError):
+            left * right
+        with pytest.raises(ValueError):
+            local_eq(integrate(left), integrate(right))
+    assert f != w
+    assert DiffPoly.const(ctx.ring_f, 1) != AlgScalar(0, 1)
+    # the rational ring refuses irrational scalars and keeps rational ones
+    with pytest.raises(ValueError):
+        f * AlgScalar(0, 0, 0, 1, 3)
+    with pytest.raises(ValueError):
+        ctx.ring_f.scalar(AlgScalar(0, 1))
+    half = ctx.ring_f.scalar(AlgScalar(Fraction(1, 2)))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    # lifting keeps every coefficient and changes only the domain
+    lifted = (f * 3 - ctx.f_var(1, 2) / 2).lift(ctx.ring_w)
+    assert lifted == 3 * DiffPoly.jet(ctx.ring_w, 1, 0) - DiffPoly.jet(ctx.ring_w, 2, 2) / 2
+    assert all(type(c) is AlgScalar for c in lifted.terms.values())
 
 
 # -- the r-spin pair ---------------------------------------------------------------------------

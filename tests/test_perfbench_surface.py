@@ -2,13 +2,20 @@
 
 The benchmark wraps, imports and reads drhier names from outside the
 package; a rename there would otherwise break only traced benchmark runs.
+Its CLI goldens are its correctness gate, so they are checked here too:
+a changed output then fails the test suite before anyone benchmarks.
 """
 
+import json
 from pathlib import Path
 
-from drhier import quantize
+import pytest
+
+from drhier import cli, quantize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_GOLDEN = PERFBENCH / "golden"
+BENCH_CASES = json.loads((BENCH_GOLDEN / "index.json").read_text())
 
 
 def test_tracer_targets_and_jobs_resolve(monkeypatch):
@@ -23,3 +30,11 @@ def test_tracer_targets_and_jobs_resolve(monkeypatch):
         tracer.restore()
     assert jobs.JOBS and all(callable(job) for job in jobs.JOBS.values())
     assert isinstance(quantize._REORDER_MEMO, dict)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CASES))
+def test_benchmark_golden(name, capsysbinary):
+    case = BENCH_CASES[name]
+    code = cli.main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsysbinary.readouterr().out == (BENCH_GOLDEN / f"{name}.stdout").read_bytes()

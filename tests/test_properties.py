@@ -114,3 +114,35 @@ def test_p_series_is_linear(a, b, c):
 @given(diffpolys(max_terms=3, coefficients=rationals))
 def test_p_series_kills_total_derivatives(q):
     assert lf_to_p_series(integrate(q.dx()), 2).is_zero()
+
+
+# a rational ring computes exactly what the extension ring computes on the same
+# rational input, with plain Fractions
+
+
+QQ = Ring(2, rational=True)
+
+
+def rational_copy(poly):
+    return DiffPoly(QQ, {mon: c.rational() for mon, c in poly.terms.items()})
+
+
+def assert_same_coefficients(over_q, over_ext):
+    assert over_q.ring == QQ and over_ext.ring == RING
+    assert all(type(c) is Fraction for c in over_q.terms.values())
+    assert {mon: AlgScalar(c) for mon, c in over_q.terms.items()} == over_ext.terms
+
+
+@FEW
+@given(diffpolys(max_terms=3, coefficients=rationals),
+       diffpolys(max_terms=3, coefficients=rationals),
+       diffpolys(max_terms=2, coefficients=rationals), st.integers(1, 2))
+def test_rational_ring_matches_extension_ring(a, b, image, alpha):
+    qa, qb, q_image = (rational_copy(p) for p in (a, b, image))
+    assert_same_coefficients(qa * qb, a * b)
+    assert_same_coefficients(qa.dx(), a.dx())
+    assert_same_coefficients(qa.var_der(alpha), a.var_der(alpha))
+    images = {1: image, 2: b}
+    assert_same_coefficients(qa.substitute({1: q_image, 2: qb}), a.substitute(images))
+    # substituting extension images into a rational polynomial lifts it
+    assert qa.substitute(images, RING) == a.substitute(images)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drhier.scalars import (
@@ -328,3 +328,52 @@ def test_gaussian_products_skip_zero_parts(monkeypatch):
         calls.clear()
         assert x * y == expected
         assert len(calls) == 1
+
+
+def test_gaussian_sums_skip_zero_parts(monkeypatch):
+    calls = []
+    original = Fraction.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    real, imag = AlgScalar(Fraction(3, 2)), AlgScalar(0, Fraction(-2, 5))
+    both = AlgScalar(1, 1)
+    cases = ((real, real, AlgScalar(3), 1),
+             (real, imag, AlgScalar(Fraction(3, 2), Fraction(-2, 5)), 0),
+             (imag, imag, AlgScalar(0, Fraction(-4, 5)), 1),
+             (both, real, AlgScalar(Fraction(5, 2), 1), 1),
+             (both, both, AlgScalar(2, 2), 2))
+    monkeypatch.setattr(Fraction, "__add__", counting)
+    for x, y, expected, additions in cases:
+        calls.clear()
+        assert x + y == expected
+        assert len(calls) == additions
+
+
+small_rationals = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)])
+
+
+@st.composite
+def mixed_scalars(draw):
+    """An AlgScalar, a Fraction or an int, drawn so that equal values are common."""
+    a = draw(small_rationals)
+    kind = draw(st.sampled_from(["alg", "fraction", "int"]))
+    if kind == "fraction":
+        return a
+    if kind == "int" and a.denominator == 1:
+        return int(a)
+    b, c = (draw(st.one_of(st.just(0), small_rationals)) for _ in range(2))
+    return AlgScalar(a, b, c, 0, draw(st.sampled_from([1, 2, 5])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(mixed_scalars(), mixed_scalars())
+@example(AlgScalar(1), 1)
+@example(AlgScalar(Fraction(1, 2)), Fraction(1, 2))
+def test_equal_scalars_hash_equal(x, y):
+    assert (x == y) == (y == x)
+    if x == y:
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1
