@@ -5,12 +5,11 @@ scalars -> diffpoly -> psido -> hamops -> gdhier -> drspin -> quantize ->
 reconstruct -> cli.
 """
 
-from .scalars import AlgScalar, Rational
+from .scalars import AlgScalar
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 
 __all__ = [
     "AlgScalar",
-    "Rational",
     "DiffPoly",
     "LocalFunctional",
     "Ring",

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate
 from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
-from .psido import PseudoDiffOp, pdo_root
+from .psido import PseudoDiffOp, derivatives, pdo_root, product_coeff
 from .scalars import AlgScalar, minus_r_half_power, squarefree_part
 
 
@@ -37,8 +37,11 @@ class GDContext:
 
     ``depth`` only caps the Lax root: a request that needs a root deeper
     than ``depth`` is refused, and every root is computed just as deep as
-    the request reads (see ``lax_power``).  The context keeps the deepest
-    root computed so far and restricts it for shallower requests.
+    the request reads.  The context keeps the deepest root computed so far,
+    restricts it for shallower requests, and memoizes each root power S^s
+    per p.  ``residue(p)`` reads order -1 of L^{p/r} alone, through one
+    ``product_coeff``; ``lax_power(p)`` builds the whole operator, for the
+    positive part of a flow.
 
     The internal memos of the root and its powers are per-context and
     unsynchronized; share contexts across threads only behind a lock, or
@@ -69,30 +72,40 @@ class GDContext:
     def w_var(self, alpha: int, order: int = 0) -> DiffPoly:
         return DiffPoly.jet(self.ring_w, alpha, order)
 
-    def lax_power(self, p: int) -> PseudoDiffOp:
-        """L^{p/r}, read at its residue (order -1) and positive part.
-
-        With p = q r + s, this is the exact L^q composed with S^s for the
-        root S taken to depth D = min(p + 2, depth) (window [2 - D, 1]).
-        The result has window [max(-1, p + 1 - depth), p]: exactly the
-        orders ``residue`` and ``plus_part`` read, and no lower.
-        """
-        q, s = divmod(p, self.r)
-        if s == 0:
-            return self.lax.power(q)
+    def _root_power(self, p: int) -> PseudoDiffOp:
+        """S^s for p = q r + s, with the root S taken to depth
+        D = min(p + 2, depth) (window [2 - D, 1]), memoized per p."""
         if p not in self._root_powers:
             depth = min(p + 2, self.depth)
             if self._root is None or 2 - self._root.lo < depth:
                 self._root = pdo_root(self.lax, self.r, depth)
-            frac = self._root.restrict(2 - depth).power(s)
-            self._root_powers[p] = self.lax.power(q) * frac if q else frac
+            self._root_powers[p] = self._root.restrict(2 - depth).power(p % self.r)
         return self._root_powers[p]
 
-    def require_residue_depth(self, p: int):
+    def lax_power(self, p: int) -> PseudoDiffOp:
+        """L^{p/r} as the exact L^q composed with S^s, p = q r + s.
+
+        The result has window [max(-1, p + 1 - depth), p]: down to the
+        residue (order -1), and no lower.
+        """
+        q, s = divmod(p, self.r)
+        if s == 0:
+            return self.lax.power(q)
+        frac = self._root_power(p)
+        return self.lax.power(q) * frac if q else frac
+
+    def residue(self, p: int) -> DiffPoly:
+        """res L^{p/r}: order -1 of L^q o S^s alone, p = q r + s."""
         if self.depth < p + 2:
             raise ValueError(
                 f"depth {self.depth} insufficient for res L^({p}/{self.r}); "
                 f"need at least {p + 2}")
+        q, s = divmod(p, self.r)
+        if s == 0:
+            return DiffPoly.zero(self.ring_f)
+        lq = self.lax.power(q) if q else PseudoDiffOp.dx(self.ring_f, 0)
+        frac = self._root_power(p).coeffs
+        return product_coeff(lq.coeffs, frac, -1, derivatives(frac))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +138,7 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
                             {-(b + 1): DiffPoly.const(ext, 1)})
         piece = dinv * PseudoDiffOp.from_poly(ext, DiffPoly.jet(ext, n + 1 + b, 0))
         x_op = piece if x_op is None else x_op + piece
-    comm = x_op * lax_ext - lax_ext * x_op
+    comm = x_op.commutator(lax_ext)
     K = HamiltonianOperator.zero(ctx.ring_f)
     field_back = {a: a for a in range(1, n + 1)}
     for order in range(0, comm.top + 1):
@@ -153,10 +166,7 @@ def gd_hamiltonian(ctx: GDContext, m: int) -> LocalFunctional:
         raise ValueError("need m >= 1")
     if m % ctx.r == 0:
         raise ValueError(f"m = {m} is divisible by r = {ctx.r}")
-    p = m + ctx.r
-    ctx.require_residue_depth(p)
-    res = ctx.lax_power(p).residue()
-    return integrate(res * Fraction(-ctx.r, m + ctx.r))
+    return integrate(ctx.residue(m + ctx.r) * Fraction(-ctx.r, m + ctx.r))
 
 
 def gd_flow(ctx: GDContext, m: int) -> list[DiffPoly]:
@@ -168,7 +178,7 @@ def gd_flow(ctx: GDContext, m: int) -> list[DiffPoly]:
     if ctx.depth < m + 1:
         raise ValueError(f"depth {ctx.depth} insufficient for the T_{m} flow")
     lm_plus = ctx.lax_power(m).plus_part()
-    comm = lm_plus * ctx.lax - ctx.lax * lm_plus
+    comm = lm_plus.commutator(ctx.lax)
     for order in range(ctx.r - 1, comm.top + 1):
         if not comm.coeff(order).is_zero():
             raise AssertionError("GD flow does not preserve the Lax shape")
@@ -209,9 +219,7 @@ def rspin_change(ctx: GDContext) -> RSpinChange:
     r = ctx.r
     forward = []
     for alpha in range(1, r):
-        p = r - alpha
-        ctx.require_residue_depth(p)
-        res = ctx.lax_power(p).residue()
+        res = ctx.residue(r - alpha)
         denom = AlgScalar(r - alpha) * minus_r_half_power(r, r - alpha - 1)
         forward.append(res.lift(ctx.ring_w) * denom.inverse())
     # triangular inversion: every term of w^alpha besides its linear leading
@@ -248,12 +256,14 @@ def rspin_operator(ctx: GDContext) -> HamiltonianOperator:
                                change.inverse_images(), ctx.ring_w)
     scaled = moved.scale(minus_r_half_power(ctx.r, ctx.r))
     dressed = op_dress(scaled)
-    for row in dressed.entries:
-        for op in row:
-            for c in op.coeffs.values():
+    for a, row in enumerate(dressed.entries, 1):
+        for b, op in enumerate(row, 1):
+            for n, c in sorted(op.coeffs.items()):
                 if any(jets for _, jets in c.terms):
-                    raise AssertionError(
-                        "K^{r-spin} is expected to have constant coefficients")
+                    names = {i: f"w{i}" for i in range(1, ctx.r)}
+                    raise ValueError(
+                        f"K^{{{ctx.r}-spin}} has no constant coefficients: entry "
+                        f"({a},{b}) has {c.render(names)} at d_x^{n}")
     ctx._rspin_operator = dressed
     return dressed
 

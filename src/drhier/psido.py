@@ -32,6 +32,49 @@ def gen_binom(k: int, l: int) -> Fraction:
     return Fraction(num, den)
 
 
+def derivatives(coeffs: dict[int, DiffPoly]):
+    """deriv(k, l) = d_x^l coeffs[k], each derivative computed once.
+
+    coeffs is read on demand, so entries added to it later are seen.
+    """
+    chains: dict[int, list[DiffPoly]] = {}
+
+    def deriv(k: int, l: int) -> DiffPoly:
+        chain = chains.setdefault(k, [coeffs[k]])
+        while len(chain) <= l:
+            last = chain[-1]
+            chain.append(last.dx() if last else last)  # d_x 0 = 0 without a call
+        return chain[l]
+
+    return deriv
+
+
+def product_coeff(a: dict[int, DiffPoly], b: dict[int, DiffPoly], n: int,
+                  deriv) -> DiffPoly:
+    """[A o B]_n = sum binom(j, l) a_j (d_x^l b_k) over j + k - l = n.
+
+    The one Leibniz rule.  a and b map order -> coefficient (a nonempty);
+    deriv(k, l) gives d_x^l b_k.  Each pair (j, k) contributes once, with
+    l = j + k - n >= 0 and, for a differential power j >= 0, l <= j.
+    """
+    ring = next(iter(a.values())).ring
+    terms: dict = {}
+    for j, aj in a.items():
+        for k in b:
+            l = j + k - n
+            if l < 0 or 0 <= j < l:
+                continue
+            dbk = deriv(k, l)
+            if not dbk:
+                continue
+            poly = aj * dbk
+            if l:
+                poly = poly * gen_binom(j, l)
+            for mon, c in poly.terms.items():
+                add_term(terms, mon, c)
+    return DiffPoly(ring, terms)
+
+
 class PseudoDiffOp:
     """Laurent series in d_x over a differential-polynomial ring.
 
@@ -158,26 +201,20 @@ class PseudoDiffOp:
             lo = max(self.lo + other.top, other.lo + self.top)
         if lo is not None and lo > top:
             raise ValueError("empty validity window in product")
-        acc: dict[int, DiffPoly] = {}
-        for j, a in self.coeffs.items():
-            for k, b in other.coeffs.items():
-                if lo is None and j < 0 and not b.is_constant():
-                    raise ValueError(
-                        "product with negative orders is an infinite series; "
-                        "restrict the window first")
-                db = b
-                l = 0
-                while not db.is_zero():
-                    if lo is not None and j + k - l < lo:
-                        break
-                    w = gen_binom(j, l)
-                    if w:
-                        add_term(acc, j + k - l, a * db * w)
-                    if j >= 0 and l >= j:
-                        break  # finite Leibniz expansion for differential powers
-                    db = db.dx()
-                    l += 1
-        return PseudoDiffOp(self.ring, top, lo, acc)
+        a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return PseudoDiffOp(self.ring, top, lo)
+        if lo is None and min(a) < 0 and not all(c.is_constant() for c in b.values()):
+            raise ValueError(
+                "product with negative orders is an infinite series; "
+                "restrict the window first")
+        # a finite product reaches no lower than min(b), or min(a) + min(b)
+        # when a has negative orders (and b is then constant)
+        bottom = lo if lo is not None else min(b) + min(0, min(a))
+        deriv = derivatives(b)
+        return PseudoDiffOp(self.ring, top, lo,
+                            {n: product_coeff(a, b, n, deriv)
+                             for n in range(bottom, top + 1)})
 
     def power(self, p: int) -> "PseudoDiffOp":
         if p < 1:
@@ -248,8 +285,10 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
 
     Online recursion, one level per step: the powers S^k, k < m, are kept
     down to the last solved level.  Step t computes, for each k, only
-    the order k - 1 - t coefficient F_k of S o S^{k-1} with s_{-t} = 0;
-    since [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
+    the order k - 1 - t coefficient F_k of S o S^{k-1} with s_{-t} = 0:
+    F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus ``product_coeff`` over the
+    solved levels, whose x-derivatives are memoized across steps.  Since
+    [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
     s_{-t} = (a_{m-1-t} - F_m) / m and completes every power's new level.
     """
     if m < 1:
@@ -268,34 +307,15 @@ def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
     # powers[k], k < m: order -> coefficient of S^k on its solved levels
     powers = [{}] + [{k: one} for k in range(1, m)]
     s = powers[1]
-    derivs: dict[tuple[int, int], list[DiffPoly]] = {}
-
-    def deriv(k: int, i: int, l: int) -> DiffPoly:
-        """d_x^l of the solved order-i coefficient of S^k, memoized."""
-        chain = derivs.setdefault((k, i), [powers[k][i]])
-        while len(chain) <= l:
-            chain.append(chain[-1].dx())
-        return chain[l]
-
+    derivs = [derivatives(p) for p in powers]
     for t in range(depth - 1):
-        fresh = [None, {}]  # F_1 = 0: s_{-t} itself is the unknown
+        fresh = [None, DiffPoly.zero(ring)]  # F_1 = 0: s_{-t} itself is the unknown
         for k in range(2, m + 1):
-            # F_k is F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus every term
-            # s_j d^j o p_i d^i of S o S^{k-1} that reaches order k - 1 - t
-            # through d_x^l p_i, l = i + j - (k - 1 - t), from a solved
-            # order i <= k - 1 (the binomial vanishes for 0 <= j < l)
-            acc, prev = dict(fresh[k - 1]), powers[k - 1]
-            for j, sj in s.items():
-                for l in range((j if j >= 0 else t + j) + 1):
-                    i = k - 1 - t - j + l
-                    if i in prev:
-                        poly = sj * deriv(k - 1, i, l) * gen_binom(j, l)
-                        for mon, c in poly.terms.items():
-                            add_term(acc, mon, c)
-            fresh.append(acc)
-        level = (a.coeff(m - 1 - t) - DiffPoly(ring, fresh[m])) / m
+            fresh.append(fresh[k - 1] + product_coeff(
+                s, powers[k - 1], k - 1 - t, derivs[k - 1]))
+        level = (a.coeff(m - 1 - t) - fresh[m]) / m
         for k in range(1, m):
-            c = DiffPoly(ring, fresh[k]) + level * k
+            c = fresh[k] + level * k
             if c:
                 powers[k][k - 1 - t] = c
     return PseudoDiffOp(ring, 1, 2 - depth, s)
@@ -306,7 +326,7 @@ def root_depth_for_residue(p: int) -> int:
 
     S to depth D gives S^p the window [p + 1 - D, p]; reaching order -1
     needs D >= p + 2.  The two extra levels are a cap only and cost
-    nothing: ``GDContext.lax_power`` roots just as deep as each residue
+    nothing: ``GDContext.residue`` roots just as deep as each residue
     reads.
     """
     return p + 4

@@ -7,20 +7,15 @@ Q(i, sqrt(d)) for a single squarefree d fixed per computation context (d is
 the squarefree part of r when working with the order-r Lax operator; d = 1
 degenerates to the Gaussian rationals): the r-spin normalization, which
 scales by powers of sqrt(-r), and everything after it computes there.
-This module also provides the classical number sequences
-(Bernoulli numbers and polynomials, Stirling-type gamma numbers) and the
-tau-polynomial coefficient functions s_l used by the characteristic-class
-machinery.
+This module also provides the classical number sequences (Bernoulli
+numbers and polynomials, Stirling-type gamma numbers).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -345,50 +340,3 @@ def stirling_gamma(l: int, k: int) -> Fraction:
         return _ZERO
     # gamma(l+1, k) = k*gamma(l, k) + gamma(l, k-1)
     return k * stirling_gamma(l - 1, k) + stirling_gamma(l - 1, k - 1)
-
-
-# -- the coefficient functions s_l(t) ------------------------------------------
-
-
-@dataclass(frozen=True)
-class SCoeffRep:
-    """s_l as an exact polynomial in tau = t/(1-t).
-
-    ``tau_coeffs[k]`` is the coefficient of tau^k; for l = 0 the function is
-    -log(1-t), carried only as the ``logarithmic`` flag.
-    """
-
-    l: int
-    tau_coeffs: tuple[Fraction, ...]
-    logarithmic: bool = False
-
-    def degree(self) -> int:
-        return len(self.tau_coeffs) - 1
-
-
-def s_coefficient(l: int) -> SCoeffRep:
-    """s_l = B_l/l + (-1)^l sum_{k=1}^{l} (k-1)! tau^k gamma(l, k) for l >= 1."""
-    if l < 0:
-        raise ValueError("index must be >= 0")
-    if l == 0:
-        return SCoeffRep(0, (), logarithmic=True)
-    coeffs = [_ZERO] * (l + 1)
-    coeffs[0] = bernoulli_number(l) / l
-    sign = 1 if l % 2 == 0 else -1
-    for k in range(1, l + 1):
-        coeffs[k] = sign * math.factorial(k - 1) * stirling_gamma(l, k)
-    return SCoeffRep(l, tuple(coeffs))
-
-
-def evaluate_s(rep: SCoeffRep, t: Fraction) -> Fraction:
-    """Evaluate s_l at a rational t != 1 (pole of tau = t/(1-t))."""
-    t = Fraction(t)
-    if t == 1:
-        raise ValueError("s_l has a pole at t = 1")
-    if rep.logarithmic:
-        raise ValueError("s_0 is logarithmic and has no rational closed form")
-    tau = t / (1 - t)
-    acc = _ZERO
-    for k in range(rep.degree(), -1, -1):
-        acc = acc * tau + rep.tau_coeffs[k]
-    return acc

@@ -69,6 +69,14 @@ BOUNDARY_GOLDENS = {
     "rspin-r5-a1-d1": ("rspin", "--r", "5", "--alpha", "1", "--d", "1"),
     "gd-r3-m1": ("gd", "--r", "3", "--m", "1"),
     "gd-r4-m1": ("gd", "--r", "4", "--m", "1"),
+    # L^q o S^s with s >= 2 in the final product (p = 11 in each)
+    "gd-r4-m7": ("gd", "--r", "4", "--m", "7"),
+    "rspin-r3-a2-d2": ("rspin", "--r", "3", "--alpha", "2", "--d", "2"),
+    "rspin-r4-a3-d1": ("rspin", "--r", "4", "--alpha", "3", "--d", "1"),
+    # the built-in reference g_{1,1}
+    "dr-g11-r3": ("dr-g11", "--r", "3"),
+    "dr-g11-r4": ("dr-g11", "--r", "4"),
+    "dr-g11-r5": ("dr-g11", "--r", "5"),
 }
 
 
@@ -225,6 +233,15 @@ def test_internal_error_exit(run, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 6
     assert out == ""
     assert err == "internal error: AssertionError: recursion inconsistent\n"
+
+
+def test_rspin_without_constant_coefficients_is_refused(run):
+    # the exact K^{6-spin} has a jet in its (1,1) entry at d_x
+    code, out, err = run("rspin", "--r", "6", "--alpha", "1", "--d", "0")
+    assert code == cli.EXIT_PRECONDITION == 5
+    assert out == ""
+    assert err == ("error: K^{6-spin} has no constant coefficients: "
+                   "entry (1,1) has 1/432*eps^2*w5_2 at d_x^1\n")
 
 
 def test_quantize_check_cli(run):

@@ -193,6 +193,40 @@ def test_residue_beyond_the_cap_is_refused():
         ctx.lax_power(5).residue()
     with pytest.raises(ValueError):
         gd_hamiltonian(ctx, 2)  # res L^{5/3} needs depth 7
+    with pytest.raises(ValueError, match=r"^depth 6 insufficient for "
+                       r"res L\^\(5/3\); need at least 7$"):
+        ctx.residue(5)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_residue_only_read_matches_the_full_power(r):
+    # order -1 alone, from one product_coeff on L^q and S^s, against the
+    # residue of the whole L^q o S^s, for every p the depth cap allows
+    ctx = CTX[r]
+    for p in range(1, ctx.depth - 1):
+        if p % r:
+            assert ctx.residue(p) == ctx.lax_power(p).residue(), (r, p)
+
+
+def test_product_differentiates_each_coefficient_once(monkeypatch):
+    # work count: a product computes each d_x^l b_k once, however many
+    # orders of the left factor read it
+    ctx = GDContext(5, 13)
+    root = pdo_root(ctx.lax, 5, 13)
+    lax_sq = ctx.lax.power(2)
+    differentiated = []
+    dx = DiffPoly.dx
+
+    def recording_dx(poly):
+        differentiated.append(poly)
+        return dx(poly)
+
+    monkeypatch.setattr(DiffPoly, "dx", recording_dx)
+    for left, right in ((lax_sq, root), (root, root)):
+        differentiated.clear()
+        left * right
+        assert differentiated
+        assert len(differentiated) == len(set(differentiated))
 
 
 @pytest.fixture()

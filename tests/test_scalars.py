@@ -9,9 +9,7 @@ from drhier.scalars import (
     AlgScalar,
     bernoulli_number,
     bernoulli_poly,
-    evaluate_s,
     minus_r_half_power,
-    s_coefficient,
     sqrt_minus,
     squarefree_part,
     stirling_gamma,
@@ -147,50 +145,6 @@ def test_gamma_recurrence():
     for l in range(10):
         for k in range(1, l + 2):
             assert stirling_gamma(l + 1, k) == k * stirling_gamma(l, k) + stirling_gamma(l, k - 1)
-
-
-# -- s_l -----------------------------------------------------------------------------
-
-def test_s1_values():
-    rep = s_coefficient(1)
-    assert evaluate_s(rep, Fraction(0)) == Fraction(-1, 2)
-    assert evaluate_s(rep, Fraction(1, 2)) == Fraction(-3, 2)
-
-
-def test_s2_at_zero():
-    # tau = 0 leaves the constant B_2/2 = 1/12 (gamma(2,1) = gamma(2,2) = 1
-    # only enter through tau powers)
-    rep = s_coefficient(2)
-    assert evaluate_s(rep, Fraction(0)) == Fraction(1, 12)
-    assert rep.tau_coeffs[1] == 1  # 0! * gamma(2,1)
-    assert rep.tau_coeffs[2] == 1  # 1! * gamma(2,2)
-
-
-def test_s_degree_bound():
-    for l in range(1, 9):
-        rep = s_coefficient(l)
-        assert rep.degree() <= l
-
-
-def test_s_pole_and_log_flag():
-    with pytest.raises(ValueError):
-        evaluate_s(s_coefficient(2), Fraction(1))
-    rep0 = s_coefficient(0)
-    assert rep0.logarithmic
-    with pytest.raises(ValueError):
-        evaluate_s(rep0, Fraction(0))
-
-
-def test_s_against_direct_formula():
-    # independent evaluation of B_l/l + (-1)^l sum_k (k-1)! tau^k gamma(l,k)
-    fact = factorials(9)
-    for l in range(1, 9):
-        rep = s_coefficient(l)
-        for t in (Fraction(1, 3), Fraction(-2), Fraction(4, 5)):
-            tau = t / (1 - t)
-            direct = bernoulli_number(l) / l + (-1) ** l * sum(
-                fact[k - 1] * tau ** k * stirling_gamma(l, k) for k in range(1, l + 1))
-            assert evaluate_s(rep, t) == direct
 
 
 # -- AlgScalar -------------------------------------------------------------------------
