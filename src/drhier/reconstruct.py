@@ -38,11 +38,17 @@ from .scalars import add_term
 TMon = tuple[tuple[tuple[int, int], int], ...]
 
 
-def tmon_mul(m: TMon, var: tuple[int, int], power: int) -> TMon:
-    """m * (t^var)^power; a negative power divides, zero exponents go."""
-    acc = dict(m)
-    acc[var] = acc.get(var, 0) + power
+def tmon_times(m1: TMon, m2: TMon) -> TMon:
+    """m1 * m2; a negative power in m2 divides, zero exponents go."""
+    acc = dict(m1)
+    for var, power in m2:
+        acc[var] = acc.get(var, 0) + power
     return tuple(sorted((v, p) for v, p in acc.items() if p))
+
+
+def tmon_mul(m: TMon, var: tuple[int, int], power: int) -> TMon:
+    """m * (t^var)^power."""
+    return tmon_times(m, ((var, power),))
 
 
 def tmon_quotient(m: TMon, m1: TMon) -> TMon | None:
@@ -58,6 +64,11 @@ def tmon_quotient(m: TMon, m1: TMon) -> TMon | None:
 
 def tmon_degree(m: TMon) -> int:
     return sum(p for _, p in m)
+
+
+def tmon_rest_degree(m: TMon) -> int:
+    """Degree in the variables other than t^1_0."""
+    return sum(p for v, p in m if v != (1, 0))
 
 
 def tmon_subscript_sum(m: TMon) -> int:
@@ -133,7 +144,7 @@ class SpecialSolution:
         self.bounds = bounds
         n = ring.n_fields
         self.c: list[dict[tuple[TMon, int], Fraction]] = [dict() for _ in range(n)]
-        # jet series by (source, gamma, d); valid until the table changes
+        # jet series by (source, gamma, d), kept equal to the table by set_coeff
         self._jets: dict = {}
 
     # -- raw access ---------------------------------------------------------------
@@ -142,14 +153,25 @@ class SpecialSolution:
         return self.c[alpha - 1].get((m, i), Fraction(0))
 
     def set_coeff(self, alpha: int, m: TMon, i: int, value: Fraction):
+        """Write one entry and push the change into every cached jet of
+        field alpha: both jet sources are linear in the table."""
         table = self.c[alpha - 1]
-        if table.get((m, i), 0) == value:
+        change = value - table.get((m, i), 0)
+        if not change:
             return
-        if value:
-            table[(m, i)] = value
-        else:
-            del table[(m, i)]
-        self._jets.clear()
+        add_term(table, (m, i), change)
+        raised = [{(m, i): change}]
+        for (source, gamma, d), series in self._jets.items():
+            if gamma != alpha:
+                continue
+            if source == "direct":
+                delta = t_derivative(raised[0], (1, 0), d)
+            else:
+                while len(raised) <= d:
+                    raised.append(self._raise(raised[-1]))
+                delta = raised[d]
+            for key, v in delta.items():
+                add_term(series, key, v)
 
     def variables(self):
         return [(gamma, n) for gamma in range(1, self.ring.n_fields + 1)
@@ -157,26 +179,34 @@ class SpecialSolution:
 
     # -- the two jet sources: series of d_x^d u^gamma ----------------------------------
 
+    def _raise(self, series: dict) -> dict:
+        """sum t^rho_{k+1} dV/dt^rho_k of a series V, subscripts capped at
+        t_max: the string push-forward, linear in V."""
+        out = {}
+        for (m, i), value in series.items():
+            for (rho, k), e in m:
+                if k < self.bounds.t_max:
+                    raised = tmon_mul(tmon_mul(m, (rho, k), -1), (rho, k + 1), 1)
+                    add_term(out, (raised, i), e * value)
+        return out
+
     def jet(self, gamma: int, d: int) -> dict:
         """d_x^d u^gamma via the string equation: d_x V = delta + sum
         t^rho_{k+1} dV/dt^rho_k (delta for V = u^1 only), pushed forward from
-        the stored table with subscripts capped at t_max."""
+        the stored table.  The series is live: later writes update it."""
         if d == 0:
             return self.c[gamma - 1]
         key = ("string", gamma, d)
         if key not in self._jets:
-            series = {((), 0): Fraction(1)} if (gamma, d) == (1, 1) else {}
-            for (m, i), value in self.jet(gamma, d - 1).items():
-                for (rho, k), e in m:
-                    if k < self.bounds.t_max:
-                        raised = tmon_mul(tmon_mul(m, (rho, k), -1), (rho, k + 1), 1)
-                        add_term(series, (raised, i), e * value)
+            series = self._raise(self.jet(gamma, d - 1))
+            if (gamma, d) == (1, 1):
+                add_term(series, ((), 0), Fraction(1))
             self._jets[key] = series
         return self._jets[key]
 
     def direct_jet(self, gamma: int, d: int) -> dict:
         """d_x^d u^gamma as the plain t^1_0-derivative of the table (exact
-        where the stored box reaches degree + d)."""
+        where the stored box reaches degree + d); live like ``jet``."""
         key = ("direct", gamma, d)
         if key not in self._jets:
             self._jets[key] = t_derivative(self.c[gamma - 1], (1, 0), d)
@@ -217,6 +247,44 @@ class SpecialSolution:
                 if right:
                     total += left * right
         return total
+
+    # -- whole series of products: every coefficient of a level at once -------------------
+
+    def series_product(self, factors, jet_fn, eps_max: int, deg_max: int,
+                       rest_max: int | None = None) -> dict:
+        """Product of the factors' jet series, cut at eps <= eps_max, t-degree
+        <= deg_max and degree without t^1_0 <= rest_max (default deg_max).
+        Each cut is exact: no factor lowers a degree."""
+        rest_max = deg_max if rest_max is None else rest_max
+        acc = {((), 0): Fraction(1)}
+        for gamma, d in factors:
+            right = [(m, i, v, tmon_degree(m), tmon_rest_degree(m))
+                     for (m, i), v in jet_fn(gamma, d).items() if i <= eps_max]
+            out = {}
+            for (m1, i1), v1 in acc.items():
+                deg1, rest1 = tmon_degree(m1), tmon_rest_degree(m1)
+                for m2, i2, v2, deg2, rest2 in right:
+                    if i1 + i2 <= eps_max and deg1 + deg2 <= deg_max \
+                            and rest1 + rest2 <= rest_max:
+                        add_term(out, (tmon_times(m1, m2), i1 + i2), v1 * v2)
+            acc = out
+        return acc
+
+    def poly_series(self, p: DiffPoly, jet_fn, eps_max: int, deg_max: int,
+                    rest_max: int | None = None) -> dict:
+        """p(u^sp, u^sp_x, ...) as a series, cut like ``series_product``."""
+        out = {}
+        for (eps, jets), coeff in p.terms.items():
+            if eps > eps_max:
+                continue
+            coeff_q = coeff.rational()
+            factors = [(gamma, order) for gamma, order, power in jets
+                       for _ in range(power)]
+            product = self.series_product(factors, jet_fn, eps_max - eps,
+                                          deg_max, rest_max)
+            for (m, i), value in product.items():
+                add_term(out, (m, i + eps), coeff_q * value)
+        return out
 
     # -- derived series ------------------------------------------------------------------
 
@@ -359,7 +427,11 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     Jets are plain t^1_0 shifts (no string equation, no dilaton): the
     t^1_0 exponent is allowed to exceed the t-degree box by ``t10_extra``
     so that the jets needed along the way stay inside the table.  The
-    integration orders monomials by their non-t^1_0 degree.
+    integration orders monomials by their non-t^1_0 degree (the rest
+    degree): the coefficient of t^m is the flow of the largest variable of m
+    other than t^1_0, read at rest degree one less.  Every entry below the
+    level being written is final, so each flow is evaluated once per level
+    as a whole series, and each write is a lookup in it.
     """
     sol = SpecialSolution(ring, bounds)
     n_fields = ring.n_fields
@@ -367,16 +439,18 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     budget = bounds.t_deg + t10_extra
     rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for rest_degree in range(1, bounds.t_deg + 1):
-        for rest in monomials(rest_vars, rest_degree):
-            var, e = rest[-1]  # the largest variable other than t^1_0
-            for k in range(budget - rest_degree + 1):
-                m = tmon_mul(rest, (1, 0), k)
-                base_mon = tmon_mul(m, var, -1)
-                for alpha in range(1, n_fields + 1):
-                    for i in range(bounds.eps_max + 1):
-                        value = sol.eval_poly(flows[var][alpha - 1], base_mon,
-                                              i, jet_fn=sol.direct_jet) / e
-                        sol.set_coeff(alpha, m, i, value)
+        level = {(var, alpha): sol.poly_series(flows[var][alpha - 1], sol.direct_jet,
+                                               bounds.eps_max, budget - 1,
+                                               rest_degree - 1)
+                 for var in rest_vars for alpha in range(1, n_fields + 1)}
+        for (var, alpha), series in level.items():
+            for (base_mon, i), value in series.items():
+                # t^m = t^var * t^base_mon is written only through its
+                # largest variable other than t^1_0
+                if tmon_rest_degree(base_mon) == rest_degree - 1 \
+                        and (not base_mon or base_mon[-1][0] <= var):
+                    m = tmon_mul(base_mon, var, 1)
+                    sol.set_coeff(alpha, m, i, value / dict(m)[var])
     return sol
 
 
@@ -444,14 +518,11 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
                                 f"series needs jet order {d} > bound {b.t_max}")
                     q_terms.append((coeff, i, m))
                     # subtract coeff * eps^i * prod z^gamma_d over the box
-                    factors = tuple((gamma, d) for (gamma, d), power in m
-                                    for _ in range(power))
-                    for j2 in range(i, b.eps_max + 1):
-                        for deg2 in range(degree, sdeg + 1):
-                            for m2 in monomials(sol.variables(), deg2):
-                                val = sol._eval_factors(factors, m2, j2 - i, z_jet)
-                                if val:
-                                    add_term(residual, (m2, j2), -coeff * val)
+                    factors = [(gamma, d) for (gamma, d), power in m
+                               for _ in range(power)]
+                    product = sol.series_product(factors, z_jet, b.eps_max - i, sdeg)
+                    for (m2, j), value in product.items():
+                        add_term(residual, (m2, i + j), -coeff * value)
         if any(v for v in residual.values()):
             raise ValueError("series is not closed by jets within the bounds")
         poly = DiffPoly.zero(ring)

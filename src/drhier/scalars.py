@@ -7,18 +7,13 @@ Q(i, sqrt(d)) for a single squarefree d fixed per computation context (d is
 the squarefree part of r when working with the order-r Lax operator; d = 1
 degenerates to the Gaussian rationals): the r-spin normalization, which
 scales by powers of sqrt(-r), and everything after it computes there.
-This module also provides the classical number sequences (Bernoulli
-numbers and polynomials, Stirling-type gamma numbers).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -297,46 +292,3 @@ def power_by_squaring(base, n: int):
         if n:
             base = base * base
     return result
-
-
-# -- Bernoulli numbers and polynomials ----------------------------------------
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(l: int) -> Fraction:
-    """B_l with the B_1 = -1/2 convention (B_l := B_l(0))."""
-    if l < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if l == 0:
-        return _ONE
-    # sum_{j=0}^{l} C(l+1, j) B_j = 0 for l >= 1
-    acc = _ZERO
-    for j in range(l):
-        acc += math.comb(l + 1, j) * bernoulli_number(j)
-    return -acc / (l + 1)
-
-
-def bernoulli_poly(l: int, x: Fraction) -> Fraction:
-    """B_l(x) from the generating series t e^{xt}/(e^t - 1)."""
-    if l < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
-    return sum((math.comb(l, k) * bernoulli_number(k) * x ** (l - k)
-                for k in range(l + 1)), start=_ZERO)
-
-
-@lru_cache(maxsize=None)
-def stirling_gamma(l: int, k: int) -> Fraction:
-    """gamma(l, k) defined by sum_l gamma(l,k) z^l/l! = (e^z - 1)^k / k!.
-
-    These are the Stirling numbers of the second kind; gamma(l, k) = 0
-    for k > l.
-    """
-    if l < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
-    if k == 0:
-        return _ONE if l == 0 else _ZERO
-    if k > l:
-        return _ZERO
-    # gamma(l+1, k) = k*gamma(l, k) + gamma(l, k-1)
-    return k * stirling_gamma(l - 1, k) + stirling_gamma(l - 1, k - 1)

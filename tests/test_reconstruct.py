@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,10 +119,13 @@ def test_special_solution_matches_direct_flow_integration(kdv):
 
 
 def test_evaluator_walks_stored_entries(kdv, monkeypatch):
-    # work count on the small oracle box: recursion steps of the evaluator
-    # and lookups of a jet source.  A walk over every divisor and eps split
-    # makes 3178 steps and 27173 lookups here; the walk over stored nonzero
-    # entries makes under 2000 of each.
+    # work count on the small oracle box: recursion steps of the pointwise
+    # evaluator and lookups of a jet source.  A walk over every divisor and
+    # eps split makes 3178 steps and 27173 lookups here; the walk over stored
+    # nonzero entries, run by the oracle too, made 1891 and 1903.  Now only
+    # the special solution's eps recursion evaluates pointwise (121 steps,
+    # 124 lookups) and the oracle reads one jet per factor of each
+    # level's series products (30 lookups).
     ctx, omega, h11, _ = kdv
     small = Bounds(t_max=2, t_deg=3, eps_max=2)
     K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
@@ -143,7 +147,58 @@ def test_evaluator_walks_stored_entries(kdv, monkeypatch):
     sol = special_solution(h11, omega, small)
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     assert solutions_agree(sol, oracle, small)
-    assert counts["steps"] <= 2500 and counts["lookups"] <= 2500, counts
+    assert counts["steps"] <= 150 and counts["lookups"] <= 200, counts
+
+
+def test_oracle_evaluates_each_flow_once_per_level(kdv, monkeypatch):
+    # the oracle makes no pointwise evaluation: at each rest degree it
+    # multiplies out each flow of each field once, as a whole series
+    ctx, _, _, _ = kdv
+    small = Bounds(t_max=2, t_deg=3, eps_max=2)
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
+    flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(3)}
+    pointwise = Counter()
+    products = Counter()
+    poly_series = SpecialSolution.poly_series
+
+    def counted_eval(self, *args, **kwargs):
+        pointwise["eval_poly"] += 1
+
+    def counted_series(self, p, jet_fn, eps_max, deg_max, rest_max=None):
+        products[(id(p), rest_max)] += 1
+        return poly_series(self, p, jet_fn, eps_max, deg_max, rest_max)
+
+    monkeypatch.setattr(SpecialSolution, "eval_poly", counted_eval)
+    monkeypatch.setattr(SpecialSolution, "poly_series", counted_series)
+    integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
+    assert not pointwise
+    expected = Counter((id(flows[(1, q)][0]), level) for q in (1, 2)
+                       for level in range(small.t_deg))
+    assert products == expected
+
+
+def test_jet_rewrite_makes_no_pointwise_evaluation(kdv, monkeypatch):
+    # jet_rewrite subtracts one series product per peeled monomial
+    ctx, _, h11, sol = kdv
+    series = sol.flow_series(1, 1)
+    products = Counter()
+    series_product = SpecialSolution.series_product
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("jet_rewrite evaluated one coefficient")
+
+    def counted(self, factors, *args):
+        products[tuple(factors)] += 1
+        return series_product(self, factors, *args)
+
+    monkeypatch.setattr(SpecialSolution, "eval_poly", refuse)
+    monkeypatch.setattr(SpecialSolution, "_eval_factors", refuse)
+    monkeypatch.setattr(SpecialSolution, "series_product", counted)
+    polys = jet_rewrite(series, sol)
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
+    assert polys[0] == flow(h11, K)[0].truncate_eps(BOUNDS.eps_max)
+    # w w_1 + eps^2 w_3 / 12 = z_0 z_1 + z_0 + eps^2 z_3 / 12 (z_1 = w_1 - 1)
+    assert products == Counter({((1, 0), (1, 1)): 1, ((1, 0),): 1, ((1, 3),): 1})
 
 
 def test_oracle_never_uses_string_jets(kdv, monkeypatch):
@@ -160,6 +215,37 @@ def test_oracle_never_uses_string_jets(kdv, monkeypatch):
     monkeypatch.setattr(SpecialSolution, "jet", refuse)
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     assert solutions_agree(sol, oracle, small)
+
+
+# -- the oracle's whole table, against the tables the pointwise oracle wrote -----------------
+
+ORACLE_GOLDEN = Path(__file__).parent / "golden" / "oracle-tables.txt"
+ORACLE_BOXES = [(2, Bounds(3, 4, 4), 12), (2, Bounds(2, 3, 2), 8),
+                (2, Bounds(1, 3, 2), 8), (3, Bounds(2, 3, 2), 8)]
+
+
+def oracle_tables_text():
+    """Every entry of integrate_flows_directly(...).c on the pinned boxes,
+    t^1_0-extended ones included (solutions_agree sees only the box)."""
+    lines = []
+    for r, bounds, extra in ORACLE_BOXES:
+        ctx = ctx_for(r)
+        K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(r))
+        flows = {(beta, q): flow(rspin_hamiltonian(ctx, beta, q), K)
+                 for beta in range(1, r) for q in range(bounds.t_max + 1)}
+        oracle = integrate_flows_directly(flows, ctx.ring_w, bounds, t10_extra=extra)
+        lines.append(f"# r={r} Bounds({bounds.t_max}, {bounds.t_deg}, "
+                     f"{bounds.eps_max}) t10_extra={extra}")
+        for alpha, table in enumerate(oracle.c, start=1):
+            for (m, i), value in sorted(table.items()):
+                mon = "*".join(f"t{g}_{k}" + (f"^{p}" if p > 1 else "")
+                               for (g, k), p in m) or "1"
+                lines.append(f"u^{alpha} eps^{i} {mon} {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_oracle_tables_golden():
+    assert oracle_tables_text() == ORACLE_GOLDEN.read_text()
 
 
 # -- the evaluator against a brute-force one on random tables ---------------------------------
@@ -265,6 +351,83 @@ def test_eval_poly_matches_brute_force(sol, poly):
         assert sol.eval_poly(poly, m, i) == brute_eval(sol, poly, m, i, pulled_jet)
         assert sol.eval_poly(poly, m, i, jet_fn=sol.direct_jet) \
             == brute_eval(sol, poly, m, i, shifted_jet)
+
+
+def pointwise_integration(flows, bounds, t10_extra):
+    """The direct integration one coefficient at a time: each t^m is read off
+    the flow of its largest variable other than t^1_0, at t^m over it."""
+    sol = SpecialSolution(RING2, bounds)
+    sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
+    rest_vars = [v for v in sol.variables() if v != (1, 0)]
+    for rest_degree in range(1, bounds.t_deg + 1):
+        for rest in monomials(rest_vars, rest_degree):
+            var, e = rest[-1]
+            for k in range(bounds.t_deg + t10_extra - rest_degree + 1):
+                m = with_factor(rest, (1, 0), k)
+                for alpha, i in product((1, 2), range(bounds.eps_max + 1)):
+                    value = sol.eval_poly(flows[var][alpha - 1], with_factor(m, var, -1),
+                                          i, jet_fn=sol.direct_jet)
+                    sol.set_coeff(alpha, m, i, value / e)
+    return sol
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_oracle_matches_pointwise_integration(data):
+    # arbitrary (non-commuting) flows, so the route through the largest
+    # variable is pinned too, not only its value on a true hierarchy
+    bounds = Bounds(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)),
+                    data.draw(st.integers(0, 2)))
+    t10_extra = data.draw(st.integers(0, 2))
+    rest_vars = [v for v in SpecialSolution(RING2, bounds).variables() if v != (1, 0)]
+    flows = {var: [data.draw(random_polys()) for _ in range(2)] for var in rest_vars}
+    oracle = integrate_flows_directly(flows, RING2, bounds, t10_extra)
+    assert oracle.c == pointwise_integration(flows, bounds, t10_extra).c
+
+
+# -- jet caches follow interleaved writes ------------------------------------------------------
+
+
+def fresh_copy(sol):
+    fresh = SpecialSolution(sol.ring, sol.bounds)
+    for alpha, table in enumerate(sol.c, start=1):
+        for (m, i), value in table.items():
+            fresh.set_coeff(alpha, m, i, value)
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_jet_caches_follow_writes(data):
+    # writes (to zero, and back to an earlier value) between reads of both
+    # jet sources: every cached series stays equal to a fresh recomputation
+    bounds = Bounds(data.draw(st.integers(1, 3)), 3, data.draw(st.integers(0, 2)))
+    sol = SpecialSolution(RING2, bounds)
+    keys = [(with_factor(m, (1, 0), k), i) for m, i in box_points(sol) for k in range(2)]
+    history: dict = {}
+    live = {}
+    for _ in range(data.draw(st.integers(1, 25))):
+        if data.draw(st.booleans()):
+            alpha = data.draw(st.integers(1, 2))
+            m, i = data.draw(st.sampled_from(keys))
+            earlier = history.get((alpha, m, i), [])
+            if earlier and data.draw(st.booleans()):
+                value = data.draw(st.sampled_from(earlier))
+            else:
+                value = Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
+            history.setdefault((alpha, m, i), []).append(sol.coeff(alpha, m, i))
+            sol.set_coeff(alpha, m, i, value)
+        else:
+            source = data.draw(st.sampled_from(["jet", "direct_jet"]))
+            gamma, d = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
+            live[(source, gamma, d)] = getattr(sol, source)(gamma, d)
+        fresh = fresh_copy(sol)
+        for (source, gamma, d), series in sol._jets.items():
+            expected = (fresh.jet if source == "string" else fresh.direct_jet)(gamma, d)
+            assert series == expected, (source, gamma, d)
+        for (source, gamma, d), series in live.items():
+            assert series is getattr(sol, source)(gamma, d)
+            assert series == getattr(fresh, source)(gamma, d)
 
 
 # -- jet rewriting -----------------------------------------------------------------------

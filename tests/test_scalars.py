@@ -7,144 +7,10 @@ from hypothesis import strategies as st
 
 from drhier.scalars import (
     AlgScalar,
-    bernoulli_number,
-    bernoulli_poly,
     minus_r_half_power,
     sqrt_minus,
     squarefree_part,
-    stirling_gamma,
 )
-
-
-# -- independent series oracles -------------------------------------------------
-
-def series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def series_div(num, den, order):
-    """num/den as power series; den[0] must be nonzero."""
-    out = [Fraction(0)] * (order + 1)
-    inv0 = 1 / den[0]
-    for n in range(order + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(den):
-                acc -= den[k] * out[n - k]
-        out[n] = acc * inv0
-    return out
-
-
-def exp_series(c, order):
-    """e^{c t} coefficients."""
-    out = [Fraction(0)] * (order + 1)
-    term = Fraction(1)
-    for n in range(order + 1):
-        out[n] = term
-        term = term * c / (n + 1)
-    return out
-
-
-def bernoulli_poly_series_oracle(x, order):
-    """Coefficients B_d(x)/d! of t e^{xt}/(e^t - 1), by direct series division."""
-    order += 1
-    num = [Fraction(0)] + exp_series(Fraction(x), order)[:-1]  # t * e^{xt}
-    den_full = exp_series(Fraction(1), order)
-    den = [den_full[k + 1] for k in range(order)]  # (e^t - 1)/t
-    num_over_t = num[1:]
-    return series_div(num_over_t, den, order - 1)
-
-
-def gamma_series_oracle(k, order):
-    """Coefficients gamma(l, k)/l! of (e^z - 1)^k / k!."""
-    base = exp_series(Fraction(1), order)
-    base[0] = Fraction(0)
-    acc = [Fraction(1)] + [Fraction(0)] * order
-    for _ in range(k):
-        acc = series_mul(acc, base, order)
-    fact = 1
-    for j in range(2, k + 1):
-        fact *= j
-    return [c / fact for c in acc]
-
-
-def factorials(n):
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * i)
-    return out
-
-
-# -- Bernoulli -------------------------------------------------------------------
-
-def test_bernoulli_basic_values():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(2) == Fraction(1, 6)
-
-
-def test_bernoulli_against_series_oracle():
-    fact = factorials(13)
-    oracle = bernoulli_poly_series_oracle(0, 12)
-    for l in range(13):
-        assert bernoulli_number(l) == oracle[l] * fact[l]
-
-
-def test_odd_bernoulli_vanish():
-    for k in range(1, 11):
-        assert bernoulli_number(2 * k + 1) == 0
-
-
-def test_bernoulli_poly_examples():
-    assert bernoulli_poly(1, Fraction(0)) == Fraction(-1, 2)
-    assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
-    for q in (Fraction(3, 7), Fraction(-2), Fraction(11, 4)):
-        assert bernoulli_poly(0, q) == 1
-
-
-def test_bernoulli_poly_against_series_oracle():
-    fact = factorials(13)
-    for x in (Fraction(0), Fraction(1, 2), Fraction(1, 5), Fraction(-3, 2)):
-        oracle = bernoulli_poly_series_oracle(x, 12)
-        for l in range(13):
-            assert bernoulli_poly(l, x) == oracle[l] * fact[l]
-
-
-# -- Stirling gamma ----------------------------------------------------------------
-
-def test_gamma_vanishes_above_diagonal():
-    assert stirling_gamma(3, 5) == 0
-    for l in range(8):
-        for k in range(l + 1, l + 4):
-            assert stirling_gamma(l, k) == 0
-
-
-def test_gamma_diagonal_and_simple():
-    for k in range(7):
-        assert stirling_gamma(k, k) == 1
-    assert stirling_gamma(2, 1) == 1
-
-
-def test_gamma_against_generating_function():
-    fact = factorials(11)
-    for k in range(6):
-        oracle = gamma_series_oracle(k, 10)
-        for l in range(11):
-            assert stirling_gamma(l, k) == oracle[l] * fact[l]
-
-
-def test_gamma_recurrence():
-    for l in range(10):
-        for k in range(1, l + 2):
-            assert stirling_gamma(l + 1, k) == k * stirling_gamma(l, k) + stirling_gamma(l, k - 1)
 
 
 # -- AlgScalar -------------------------------------------------------------------------
