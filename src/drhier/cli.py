@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``)
-and malformed ``render`` input, 3 missing, unreadable or malformed table
-file, 4 strict-policy table miss, 5 computation precondition errors (a
-table whose n is not the sum of ``--counts`` among them), 6 internal
-errors (any other exception, such as a failed assertion in a settled check).
+and malformed ``render`` input (a coefficient outside Q among it), 3
+missing, unreadable or malformed table file, 4 strict-policy table miss, 5
+computation precondition errors (a table whose n is not the sum of
+``--counts`` among them), 6 internal errors (any other exception, such as
+a failed assertion in a settled check).
 """
 
 from __future__ import annotations

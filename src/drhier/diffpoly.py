@@ -7,75 +7,62 @@ functional is a differential polynomial considered modulo constants and
 total x-derivatives; equality of local functionals is decided through the
 variational derivative, whose kernel is exactly that quotient.
 
-Representation: sparse dict from monomials to coefficients in the ring's
-domain, ``Fraction`` over Q and ``AlgScalar`` over Q(i, sqrt(d)).  A
-monomial is ``(eps_exponent, jets)`` where ``jets`` is a tuple of
-``(alpha, order, power)`` triples sorted by (alpha, order); zero
-coefficients are never stored.  Coefficients in the underived fields are
-polynomial, not formal power series: an operation that would need a series
-inverse fails loudly instead of truncating.
+Representation: sparse dict from monomials to rational coefficients,
+plain ``Fraction``; every ring computes over Q.  A monomial is
+``(eps_exponent, jets)`` where ``jets`` is a tuple of ``(alpha, order,
+power)`` triples sorted by (alpha, order); zero coefficients are never
+stored.  Coefficients in the underived fields are polynomial, not formal
+power series: an operation that would need a series inverse fails loudly
+instead of truncating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import AlgScalar, add_term, power_by_squaring
+from .scalars import add_term, power_by_squaring
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 class Ring:
-    """Context for differential polynomials: field count and coefficient domain.
+    """Context for differential polynomials over Q: the number of fields.
 
-    The domain is Q(i, sqrt(d)), with ``AlgScalar`` coefficients, or, for
-    ``rational=True``, Q with plain ``Fraction`` coefficients.  A rational
-    ring keeps the d of its context, which its JSON form records.  Rings of
-    different domains are unequal, so their polynomials never mix; a
-    rational polynomial moves into an extension ring only through ``lift``
-    or ``substitute``.
+    d, the squarefree part of r in an r-spin context, is recorded in the
+    JSON form; rings with different field counts or d are unequal, so their
+    polynomials never mix.
     """
 
-    __slots__ = ("n_fields", "d", "rational")
+    __slots__ = ("n_fields", "d")
 
-    def __init__(self, n_fields: int, d: int = 1, rational: bool = False):
+    def __init__(self, n_fields: int, d: int = 1):
         if n_fields < 1:
             raise ValueError("need at least one field")
         self.n_fields = n_fields
         self.d = d
-        self.rational = rational
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.n_fields == other.n_fields
-                and self.d == other.d and self.rational == other.rational)
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.n_fields, self.d, self.rational))
+        return hash((self.n_fields, self.d))
 
     def __repr__(self):
-        domain = ", rational=True" if self.rational else ""
-        return f"Ring(n_fields={self.n_fields}, d={self.d}{domain})"
+        return f"Ring(n_fields={self.n_fields}, d={self.d})"
 
     def check_compatible(self, other: "Ring"):
         if self != other:
             raise ValueError(f"ring context mismatch: {self} vs {other}")
 
-    def scalar(self, value):
-        """value as a coefficient of this ring; Q refuses irrational values."""
-        if not self.rational:
-            return AlgScalar.coerce(value)
+    def scalar(self, value) -> Fraction:
+        """value as a coefficient; a value outside Q is refused."""
         if type(value) is Fraction:
             return value
-        if isinstance(value, AlgScalar):
-            if not value.is_rational():
-                raise ValueError(f"{self} has rational coefficients, got {value}")
-            return value.a
-        return Fraction(value)
-
-    def inverse(self, value):
-        """1 / value in the coefficient domain."""
-        c = self.scalar(value)
-        return 1 / c if self.rational else c.inverse()
+        try:
+            return Fraction(value)
+        except TypeError:
+            raise ValueError(f"{self} has rational coefficients, got {value}") from None
 
 
 def _mul_jets(j1, j2):
@@ -149,7 +136,7 @@ class DiffPoly:
         return bool(self.terms)
 
     def constant_term(self):
-        return self.terms.get((0, ()), self.ring.scalar(0))
+        return self.terms.get((0, ()), Fraction(0))
 
     def is_constant(self) -> bool:
         return all(not jets and eps == 0 for eps, jets in self.terms)
@@ -168,7 +155,7 @@ class DiffPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, AlgScalar)):
+        if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
         self.ring.check_compatible(other.ring)
         terms = dict(self.terms)
@@ -182,7 +169,7 @@ class DiffPoly:
         return DiffPoly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, AlgScalar)):
+        if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
         return self + (-other)
 
@@ -190,7 +177,7 @@ class DiffPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, AlgScalar)):
+        if not isinstance(other, DiffPoly):
             c = self.ring.scalar(other)
             if not c:
                 return DiffPoly(self.ring)
@@ -209,7 +196,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self.ring.inverse(other)
+        return self * (1 / self.ring.scalar(other))
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -217,11 +204,8 @@ class DiffPoly:
         return power_by_squaring(self, n) if n else DiffPoly.const(self.ring, 1)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, AlgScalar)):
-            try:
-                other = DiffPoly.const(self.ring, other)
-            except ValueError:  # an irrational constant against a rational ring
-                return False
+        if isinstance(other, (int, Fraction)):
+            other = DiffPoly.const(self.ring, other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -328,11 +312,8 @@ class DiffPoly:
 
     # -- evaluation / substitution ---------------------------------------------
 
-    def substitute(self, images: dict[int, "DiffPoly"], out_ring: Ring | None = None) -> "DiffPoly":
+    def substitute(self, images: dict[int, "DiffPoly"]) -> "DiffPoly":
         """Replace u^alpha_j by dx^j(images[alpha]); fields must be covered."""
-        if out_ring is None:
-            some = next(iter(images.values()), None)
-            out_ring = some.ring if some is not None else self.ring
         cache: dict[tuple[int, int], DiffPoly] = {}
 
         def image_jet(alpha: int, order: int) -> DiffPoly:
@@ -348,28 +329,20 @@ class DiffPoly:
 
         terms: dict = {}
         for (eps, jets), c in self.terms.items():
-            prod = DiffPoly.const(out_ring, 1)
+            prod = DiffPoly.const(self.ring, 1)
             for alpha, order, power in jets:
                 prod = prod * image_jet(alpha, order) ** power
-            contribution = (prod * out_ring.scalar(c)).eps_shift(eps)
+            contribution = (prod * c).eps_shift(eps)
             for mon, v in contribution.terms.items():
                 add_term(terms, mon, v)
-        return DiffPoly(out_ring, terms)
-
-    def lift(self, ring: Ring) -> "DiffPoly":
-        """The same polynomial over ``ring``, whose domain contains this one's."""
-        if ring == self.ring:
-            return self
-        if ring.n_fields != self.ring.n_fields:
-            raise ValueError(f"cannot lift from {self.ring} to {ring}")
-        return DiffPoly(ring, {m: ring.scalar(c) for m, c in self.terms.items()})
+        return DiffPoly(self.ring, terms)
 
     def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
         """Relabel field indices (a pure renaming, no calculus)."""
         terms: dict = {}
         for (eps, jets), c in self.terms.items():
             new = tuple(sorted((field_map[a], o, p) for a, o, p in jets))
-            add_term(terms, (eps, new), out_ring.scalar(c))
+            add_term(terms, (eps, new), c)
         return DiffPoly(out_ring, terms)
 
     # -- rendering / serialization ------------------------------------------------
@@ -393,18 +366,14 @@ class DiffPoly:
                 base = names[alpha] if order == 0 else f"{names[alpha]}_{order}"
                 factors.append(base if power == 1 else f"{base}^{power}")
             body = "*".join(factors)
-            rational = type(c) is Fraction or c.is_rational()
             if not body:
-                chunks.append(str(c) if rational else f"({c})")
-                continue
-            if c == 1:
+                chunks.append(str(c))
+            elif c == 1:
                 chunks.append(body)
             elif c == -1:
                 chunks.append(f"-{body}")
-            elif rational:
-                chunks.append(f"{c}*{body}")
             else:
-                chunks.append(f"({c})*{body}")
+                chunks.append(f"{c}*{body}")
         text = " + ".join(chunks)
         return text.replace("+ -", "- ")
 
@@ -412,12 +381,13 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
     def to_json_dict(self) -> dict:
-        """Coefficients in the four-part form of ``AlgScalar.to_json``."""
+        """Coefficients in the four-part form [a, b, c, e] of
+        a + b*i + c*sqrt(d) + e*i*sqrt(d); over Q, b = c = e = 0."""
         return {
             "N": self.ring.n_fields,
             "d": self.ring.d,
             "terms": [
-                {"coeff": [str(c), "0", "0", "0"] if type(c) is Fraction else c.to_json(),
+                {"coeff": [str(c), "0", "0", "0"],
                  "eps": eps,
                  "jets": [[a, o, p] for a, o, p in jets]}
                 for (eps, jets), c in self.sorted_terms()
@@ -426,7 +396,8 @@ class DiffPoly:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiffPoly":
-        """Inverse of to_json_dict; a malformed payload raises ValueError."""
+        """Inverse of to_json_dict; a malformed payload, or a coefficient
+        outside Q, raises ValueError."""
         def integer(value, what, least=None):
             if type(value) is not int or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
@@ -442,9 +413,11 @@ class DiffPoly:
                     and isinstance(term.get("coeff"), list) and len(term["coeff"]) == 4):
                 raise ValueError(f"malformed term {term!r}")
             try:
-                coeff = AlgScalar.from_json(term["coeff"], ring.d)
+                coeff, *irrational = (Fraction(x) for x in term["coeff"])
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"malformed coefficient {term['coeff']!r}") from None
+            if any(irrational):
+                raise ValueError(f"coefficient {term['coeff']!r} is not rational")
             poly = DiffPoly.const(ring, coeff).eps_shift(integer(term.get("eps", 0), "eps"))
             for jet in term["jets"]:
                 if not isinstance(jet, list) or len(jet) != 3:
@@ -547,13 +520,13 @@ class LocalFunctional:
                 continue
             # m = A * u^{a}_{o}: replace by -dx(A) * u^{a}_{o-1} mod im(dx)
             rest = tuple(t for t in jets if t != (a_max, o_max, 1))
-            a_poly = DiffPoly(ring, {(eps, rest): ring.scalar(1)})
+            a_poly = DiffPoly(ring, {(eps, rest): Fraction(1)})
             repl = -(a_poly.dx()) * DiffPoly.jet(ring, a_max, o_max - 1)
             self_coeff = repl.terms.pop(mon, None)
-            scale = ring.scalar(1)
+            scale = Fraction(1)
             if self_coeff is not None:
                 # m appears in its own rewrite: solve (1 - c) m = rest
-                scale = ring.inverse(1 - self_coeff)
+                scale = 1 / (1 - self_coeff)
             for m2, c2 in repl.terms.items():
                 if not m2[1]:
                     continue

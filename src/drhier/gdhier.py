@@ -6,12 +6,14 @@ Everything is generated from the Lax operator L = d^r + f_{r-2} d^{r-2} +
 -r/(m+r) int res L^{(m+r)/r} dx, the flows dL/dT_m = [(L^{m/r})_+, L], the
 change to normalized variables w^alpha = res L^{(r-alpha)/r} / ((r-alpha)
 (-r)^{(r-alpha-1)/2}) and the rescaled operator/Hamiltonian pair
-(K^{r-spin}, h^{r-spin}_{alpha,d}).  The Lax calculus is rational: L, its
-root, powers, residues, K^GD, h^GD and the flows live in ``ring_f``, over
-Q.  Only the change to w brings in sqrt(-r); its forward images, and
-everything in the w variables, live in ``ring_w``, over Q(i, sqrt(d)).
-The dispersionless two-point data consumed by the reconstruction recursion
-is the eps = 0 part of those Hamiltonian densities.
+(K^{r-spin}, h^{r-spin}_{alpha,d}).  Everything is computed over Q, in one
+ring (``ring_f`` and ``ring_w`` name it).  The change to w is the rational
+change f -> u, u^alpha = res L^{(r-alpha)/r} / (r-alpha), followed by the
+diagonal rescaling w^alpha = u^alpha / (-r)^{(r-alpha-1)/2}.  The pair is
+computed in u and reaches w only at the output, where every monomial gains
+an even power of sqrt(-r), a rational (-r)^n.  The dispersionless two-point
+data consumed by the reconstruction recursion is the eps = 0 part of those
+Hamiltonian densities.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate
 from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
 from .psido import PseudoDiffOp, derivatives, pdo_root, product_coeff
-from .scalars import AlgScalar, minus_r_half_power, squarefree_part
+from .scalars import squarefree_part
 
 
 def eta_matrix(r: int) -> list[list[Fraction]]:
@@ -54,8 +56,7 @@ class GDContext:
         self.r = r
         self.depth = depth
         d, _ = squarefree_part(r)
-        self.ring_f = Ring(r - 1, d, rational=True)
-        self.ring_w = Ring(r - 1, d)
+        self.ring_f = self.ring_w = Ring(r - 1, d)
         coeffs = {r: DiffPoly.const(self.ring_f, 1)}
         for i in range(r - 1):
             coeffs[i] = DiffPoly.jet(self.ring_f, i + 1, 0)
@@ -126,7 +127,7 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
     """
     r = ctx.r
     n = r - 1
-    ext = Ring(2 * n, ctx.ring_f.d, rational=True)
+    ext = Ring(2 * n, ctx.ring_f.d)
     lax_ext = PseudoDiffOp(
         ext, r, None,
         {k: c.map_fields({a: a for a in range(1, n + 1)}, ext)
@@ -189,10 +190,11 @@ def gd_flow(ctx: GDContext, m: int) -> list[DiffPoly]:
 
 
 class RSpinChange:
-    """The change f -> w and its triangular inverse.
+    """The rational change f -> u and its triangular inverse.
 
-    forward[alpha-1] is w^alpha as a differential polynomial in the f's;
-    inverse[i] is f_i in the w's.
+    forward[alpha-1] is u^alpha = res L^{(r-alpha)/r} / (r-alpha) as a
+    differential polynomial in the f's; inverse[i] is f_i in the u's.  The
+    normalized variable is w^alpha = u^alpha / (-r)^{(r-alpha-1)/2}.
     """
 
     __slots__ = ("r", "forward", "inverse")
@@ -210,59 +212,76 @@ class RSpinChange:
 
 
 def rspin_change(ctx: GDContext) -> RSpinChange:
-    """w^alpha = res L^{(r-alpha)/r} / ((r-alpha) (-r)^{(r-alpha-1)/2}).
-
-    The residues are rational; forward and inverse live in ``ring_w``.
-    """
+    """u^alpha = res L^{(r-alpha)/r} / (r-alpha), inverted triangularly."""
     if ctx._rspin_change is not None:
         return ctx._rspin_change
     r = ctx.r
-    forward = []
-    for alpha in range(1, r):
-        res = ctx.residue(r - alpha)
-        denom = AlgScalar(r - alpha) * minus_r_half_power(r, r - alpha - 1)
-        forward.append(res.lift(ctx.ring_w) * denom.inverse())
-    # triangular inversion: every term of w^alpha besides its linear leading
+    forward = [ctx.residue(r - alpha) / (r - alpha) for alpha in range(1, r)]
+    # triangular inversion: every term of u^alpha besides its linear leading
     # term c_alpha f_{alpha-1} involves only f_k with k >= alpha
     inverse: dict[int, DiffPoly] = {}
     for alpha in range(r - 1, 0, -1):
-        w = forward[alpha - 1]
+        u = forward[alpha - 1]
         lead_mon = (0, ((alpha, 0, 1),))
-        c_lead = w.terms.get(lead_mon)
+        c_lead = u.terms.get(lead_mon)
         if c_lead is None:
-            raise AssertionError(f"missing linear term f_{alpha-1} in w^{alpha}")
-        rest = DiffPoly(ctx.ring_w,
-                        {mon: c for mon, c in w.terms.items() if mon != lead_mon})
+            raise AssertionError(f"missing linear term f_{alpha-1} in u^{alpha}")
+        rest = DiffPoly(ctx.ring_f,
+                        {mon: c for mon, c in u.terms.items() if mon != lead_mon})
         for _, jets in rest.terms:
             for a, _, _ in jets:
                 if a <= alpha:
                     raise AssertionError(
-                        f"w^{alpha} is not triangular: contains f_{a-1}")
-        substituted = rest.substitute(
-            {a: inverse[a] for a in range(alpha + 1, r)}, ctx.ring_w) \
-            if rest else DiffPoly.zero(ctx.ring_w)
-        inverse[alpha] = (ctx.w_var(alpha) - substituted) * c_lead.inverse()
+                        f"u^{alpha} is not triangular: contains f_{a-1}")
+        substituted = rest.substitute({a: inverse[a] for a in range(alpha + 1, r)})
+        inverse[alpha] = (ctx.f_var(alpha - 1) - substituted) / c_lead
     ctx._rspin_change = RSpinChange(
         r, forward, [inverse[i + 1] for i in range(r - 1)])
     return ctx._rspin_change
 
 
+def _to_w(poly: DiffPoly, r: int, s: int) -> DiffPoly:
+    """(-r)^{s/2} poly, with poly's u variables rewritten in w.
+
+    u^gamma = (-r)^{(r-gamma-1)/2} w^gamma, so the monomial
+    prod (u^gamma_k)^p gains (-r)^{(s + sum (r-gamma-1) p)/2}.  An odd
+    exponent would leave sqrt(-r) in the coefficient; it is refused.
+    """
+    terms = {}
+    for mon, c in poly.terms.items():
+        exponent = s + sum((r - gamma - 1) * p for gamma, _, p in mon[1])
+        if exponent % 2:
+            names = {a: f"u{a}" for a in range(1, r)}
+            raise ValueError(
+                f"r = {r}: the monomial {DiffPoly(poly.ring, {mon: 1}).render(names)} "
+                f"would carry sqrt(-{r})^{exponent}, an odd power")
+        terms[mon] = c * Fraction(-r) ** (exponent // 2)
+    return DiffPoly(poly.ring, terms)
+
+
 def rspin_operator(ctx: GDContext) -> HamiltonianOperator:
-    """K^{r-spin} = (-r)^{r/2} (K^GD transported to the w variables), dressed."""
+    """K^{r-spin} = (-r)^{r/2} (K^GD transported to the w variables), dressed.
+
+    Entry (a, b) is transported in u and rescaled by (-r)^{(a+b+2-r)/2}.
+    """
     if ctx._rspin_operator is not None:
         return ctx._rspin_operator
+    r = ctx.r
     change = rspin_change(ctx)
-    moved = transport_operator(gd_operator(ctx), change.forward,
-                               change.inverse_images(), ctx.ring_w)
-    scaled = moved.scale(minus_r_half_power(ctx.r, ctx.r))
+    moved = transport_operator(gd_operator(ctx), change.forward, change.inverse_images())
+    scaled = HamiltonianOperator(ctx.ring_w, [
+        [PseudoDiffOp.finite(ctx.ring_w, {j: _to_w(c, r, a + b + 2 - r)
+                                          for j, c in op.coeffs.items()})
+         for b, op in enumerate(row, 1)]
+        for a, row in enumerate(moved.entries, 1)])
     dressed = op_dress(scaled)
     for a, row in enumerate(dressed.entries, 1):
         for b, op in enumerate(row, 1):
             for n, c in sorted(op.coeffs.items()):
                 if any(jets for _, jets in c.terms):
-                    names = {i: f"w{i}" for i in range(1, ctx.r)}
+                    names = {i: f"w{i}" for i in range(1, r)}
                     raise ValueError(
-                        f"K^{{{ctx.r}-spin}} has no constant coefficients: entry "
+                        f"K^{{{r}-spin}} has no constant coefficients: entry "
                         f"({a},{b}) has {c.render(names)} at d_x^{n}")
     ctx._rspin_operator = dressed
     return dressed
@@ -285,11 +304,9 @@ def rspin_hamiltonian(ctx: GDContext, alpha: int, d: int) -> LocalFunctional:
         raise ValueError("d must be >= 0")
     k = alpha + r * d
     h_gd = gd_hamiltonian(ctx, k)
-    change = rspin_change(ctx)
-    density_w = h_gd.density.substitute(change.inverse_images(), ctx.ring_w)
-    scalar = (minus_r_half_power(r, r + k - 1 - 2 * d)
-              * AlgScalar(rspin_factorial(r, alpha, d))).inverse()
-    return eps_dress(integrate(density_w * scalar))
+    density = h_gd.density.substitute(rspin_change(ctx).inverse_images())
+    density_w = _to_w(density, r, -(r + k - 1 - 2 * d)) / rspin_factorial(r, alpha, d)
+    return eps_dress(integrate(density_w))
 
 
 def rspin_system(ctx: GDContext, alpha: int, d: int) -> tuple[HamiltonianOperator,

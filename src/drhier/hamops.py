@@ -63,10 +63,6 @@ class HamiltonianOperator:
             out.append(acc)
         return out
 
-    def scale(self, scalar) -> "HamiltonianOperator":
-        return HamiltonianOperator(
-            self.ring, [[op.scale(scalar) for op in row] for row in self.entries])
-
     def __sub__(self, other: "HamiltonianOperator") -> "HamiltonianOperator":
         return HamiltonianOperator(
             self.ring,
@@ -194,7 +190,7 @@ def miura_compose(outer: MiuraMap, inner_images: list[DiffPoly],
                   emax: int) -> list[DiffPoly]:
     """Entries of outer with u^alpha replaced by inner_images, truncated."""
     images = {a + 1: img for a, img in enumerate(inner_images)}
-    return [w.substitute(images, outer.ring).truncate_eps(emax)
+    return [w.substitute(images).truncate_eps(emax)
             for w in outer.entries]
 
 
@@ -221,22 +217,19 @@ def miura_push_poly(f, m: MiuraMap, emax: int):
     images = {a + 1: img for a, img in enumerate(inverse.entries)}
     if isinstance(f, LocalFunctional):
         return LocalFunctional(
-            f.density.substitute(images, m.ring).truncate_eps(emax))
-    return f.substitute(images, m.ring).truncate_eps(emax)
+            f.density.substitute(images).truncate_eps(emax))
+    return f.substitute(images).truncate_eps(emax)
 
 
 def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
-                       inverse_images: dict[int, DiffPoly],
-                       out_ring: Ring) -> HamiltonianOperator:
+                       inverse_images: dict[int, DiffPoly]) -> HamiltonianOperator:
     """Chain-rule conjugation of an operator under w = forward(u):
 
     K_w^{ab} = sum_{p,q} (dw^a/du^mu_p) d_x^p o K^{mu nu} o (-d_x)^q o (dw^b/du^nu_q),
-    with the coefficients re-expressed through the inverse change.  K is
-    lifted into the ring of ``forward``, whose domain may be larger.
+    with the coefficients re-expressed through the inverse change.
     """
-    ring = forward[0].ring
+    ring = K.ring
     n = ring.n_fields
-    K = HamiltonianOperator(ring, [[op.lift(ring) for op in row] for row in K.entries])
     zero = PseudoDiffOp.finite(ring)
     lefts: list[dict[int, PseudoDiffOp]] = []
     rights: list[dict[int, PseudoDiffOp]] = []
@@ -253,7 +246,7 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
                     ring, p, (-1) ** p) * PseudoDiffOp.from_poly(ring, dw)
         lefts.append(left)
         rights.append(right)
-    out = HamiltonianOperator.zero(out_ring)
+    out = HamiltonianOperator.zero(ring)
     for a in range(n):
         for b in range(n):
             acc = zero
@@ -264,8 +257,7 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
                         continue
                     acc = acc + lop * mid * rop
             out.entries[a][b] = PseudoDiffOp.finite(
-                out_ring, {j: c.substitute(inverse_images, out_ring)
-                           for j, c in acc.coeffs.items()})
+                ring, {j: c.substitute(inverse_images) for j, c in acc.coeffs.items()})
     return out
 
 
@@ -274,5 +266,5 @@ def miura_push_operator(K: HamiltonianOperator, m: MiuraMap,
     """Operator transport under a Miura map, truncated at eps^emax."""
     inverse = miura_invert(m, emax)
     images = {a + 1: img for a, img in enumerate(inverse.entries)}
-    moved = transport_operator(K, m.entries, images, m.ring)
+    moved = transport_operator(K, m.entries, images)
     return moved.truncate_eps(emax)

@@ -129,11 +129,6 @@ class PseudoDiffOp:
             raise ValueError(f"order {n} is below the validity window [{self.lo}, {self.top}]")
         return self.coeffs.get(n, DiffPoly.zero(self.ring))
 
-    def lift(self, ring: Ring) -> "PseudoDiffOp":
-        """The same operator over ``ring``, whose domain contains this one's."""
-        return PseudoDiffOp(ring, self.top, self.lo,
-                            {n: c.lift(ring) for n, c in self.coeffs.items()})
-
     def restrict(self, lo: int) -> "PseudoDiffOp":
         """Narrow the window from below (coefficients under lo are dropped)."""
         if self.lo is not None and lo < self.lo:
@@ -164,10 +159,6 @@ class PseudoDiffOp:
 
     def __sub__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         return self + (-other)
-
-    def scale(self, scalar) -> "PseudoDiffOp":
-        return PseudoDiffOp(self.ring, self.top, self.lo,
-                            {n: c * scalar for n, c in self.coeffs.items()})
 
     def truncate_eps(self, emax: int) -> "PseudoDiffOp":
         return PseudoDiffOp(self.ring, self.top, self.lo,

@@ -94,7 +94,7 @@ class DeformedRule(_Rule):
                         if jets or eps != power - 1:
                             raise ValueError(
                                 "operator is not of the constant good form")
-                        consts.append((a, b, eps, value.rational()))
+                        consts.append((a, b, eps, value))
         return DeformedRule(n, tuple(sorted(consts)))
 
     def bracket(self, x: Mode, y: Mode):
@@ -383,5 +383,5 @@ def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
                 expand(idx + 1, mode_total + k, acc_coeff * factor,
                        acc_modes + ((alpha, k),))
 
-        expand(0, 0, ring.scalar(coeff), ())
+        expand(0, 0, AlgScalar(coeff), ())
     return WeylElement(ctx, terms)

@@ -221,11 +221,10 @@ class SpecialSolution:
         for (eps, jets), coeff in p.terms.items():
             if eps > i:
                 continue
-            coeff_q = coeff.rational()
             factors = []
             for gamma, order, power in jets:
                 factors.extend([(gamma, order)] * power)
-            total += coeff_q * self._eval_factors(tuple(factors), m, i - eps, jet_fn)
+            total += coeff * self._eval_factors(tuple(factors), m, i - eps, jet_fn)
         return total
 
     def _eval_factors(self, factors, m: TMon, i: int, jet_fn) -> Fraction:
@@ -277,13 +276,12 @@ class SpecialSolution:
         for (eps, jets), coeff in p.terms.items():
             if eps > eps_max:
                 continue
-            coeff_q = coeff.rational()
             factors = [(gamma, order) for gamma, order, power in jets
                        for _ in range(power)]
             product = self.series_product(factors, jet_fn, eps_max - eps,
                                           deg_max, rest_max)
             for (m, i), value in product.items():
-                add_term(out, (m, i + eps), coeff_q * value)
+                add_term(out, (m, i + eps), coeff * value)
         return out
 
     # -- derived series ------------------------------------------------------------------
@@ -328,7 +326,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
             for mu in range(1, n_fields + 1):
                 if eta[a - 1][mu - 1]:
                     second = base.partial(mu, 0).partial(1, 0).partial(rho, 0)
-                    acc += eta[a - 1][mu - 1] * second.constant_term().rational()
+                    acc += eta[a - 1][mu - 1] * second.constant_term()
             if acc != (1 if a == rho else 0):
                 raise ValueError("Omega data violates eta d2 Omega_{1,1} = id")
 

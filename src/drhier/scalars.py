@@ -1,12 +1,11 @@
 """Exact coefficient arithmetic.
 
-Coefficients live in one of two domains.  Rationals are stdlib
-``fractions.Fraction`` (always reduced, positive denominator); the
-Gelfand-Dickey Lax calculus computes over Q alone.  ``AlgScalar`` is
-Q(i, sqrt(d)) for a single squarefree d fixed per computation context (d is
-the squarefree part of r when working with the order-r Lax operator; d = 1
-degenerates to the Gaussian rationals): the r-spin normalization, which
-scales by powers of sqrt(-r), and everything after it computes there.
+Differential polynomials, operators, Hamiltonians and t-series have
+rational coefficients, stdlib ``fractions.Fraction`` (always reduced,
+positive denominator).  The r-spin normalization brings in sqrt(-r) only
+as even powers, (-r)^n, so it stays over Q too.  ``AlgScalar`` is
+Q(i, sqrt(d)) for a single squarefree d; the Weyl-algebra star products of
+``quantize`` compute over its Gaussian part Q(i).
 """
 
 from __future__ import annotations
@@ -90,11 +89,6 @@ class AlgScalar:
 
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.e)
-
-    def rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self.a
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -224,16 +218,6 @@ class AlgScalar:
                 parts.append(f"{coef}*{unit}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return [str(self.a), str(self.b), str(self.c), str(self.e)]
-
-    @staticmethod
-    def from_json(data, d: int = 1) -> "AlgScalar":
-        a, b, c, e = (Fraction(x) for x in data)
-        return AlgScalar(a, b, c, e, d)
-
 
 _new = object.__new__
 _set = object.__setattr__
@@ -248,19 +232,6 @@ def _gaussian(a: Fraction, b: Fraction) -> AlgScalar:
     _set(x, "e", _ZERO)
     _set(x, "d", 1)
     return x
-
-
-def sqrt_minus(r: int) -> AlgScalar:
-    """The fixed branch sqrt(-r) := i*sqrt(r) with sqrt(r) > 0."""
-    d, s = squarefree_part(r)
-    if d == 1:
-        return AlgScalar(0, s)
-    return AlgScalar(0, 0, 0, s, d)
-
-
-def minus_r_half_power(r: int, m: int) -> AlgScalar:
-    """(-r)^(m/2) computed as (i*sqrt(r))^m; m may be any integer."""
-    return sqrt_minus(r) ** m
 
 
 def add_term(terms: dict, key, value) -> None:

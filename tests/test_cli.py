@@ -8,6 +8,7 @@ import pytest
 from drhier import cli
 from drhier.diffpoly import DiffPoly, LocalFunctional, Ring
 from drhier.drspin import IntegralTable, TautMonomial, hain_expand
+from drhier.gdhier import gd_context, gd_hamiltonian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,16 +78,28 @@ BOUNDARY_GOLDENS = {
     "dr-g11-r3": ("dr-g11", "--r", "3"),
     "dr-g11-r4": ("dr-g11", "--r", "4"),
     "dr-g11-r5": ("dr-g11", "--r", "5"),
+    "rspin-r5-a4-d0": ("rspin", "--r", "5", "--alpha", "4", "--d", "0"),
+    "rspin-r5-a2-d1": ("rspin", "--r", "5", "--alpha", "2", "--d", "1"),
+    # the default seed, samples and window; r = 4, 5 also check f_r
+    "quantize-check-r4": ("quantize-check", "--r", "4"),
+    "quantize-check-r5": ("quantize-check", "--r", "5"),
+    "render-rspin-r5-a1-d1": ("render",),
 }
+
+# a verb that reads stdin gets the "hamiltonian" object of this golden
+GOLDEN_STDIN = {"render-rspin-r5-a1-d1": "rspin-r5-a1-d1.json"}
 
 
 @pytest.mark.parametrize("golden", sorted(BOUNDARY_GOLDENS))
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_rational_and_extension_goldens(run, golden, fmt, suffix):
-    # rspin crosses from the rational Lax calculus into Q(i, sqrt(r)); gd
+def test_rational_and_extension_goldens(run, monkeypatch, golden, fmt, suffix):
+    # rspin rescales by even powers of sqrt(-r) at the output; every verb
     # prints rational coefficients in the four-part JSON form with the
     # context's "d"
     argv = BOUNDARY_GOLDENS[golden]
+    if golden in GOLDEN_STDIN:
+        data = json.loads((GOLDEN / GOLDEN_STDIN[golden]).read_text())
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data["hamiltonian"])))
     code, out, _ = run(*argv, "--format", fmt)
     assert code == 0
     assert out == (GOLDEN / f"{golden}.{suffix}").read_text()
@@ -118,6 +131,17 @@ def test_gd_json_round_trips(run):
     h = LocalFunctional.from_json_dict(data["hamiltonian"])
     f = DiffPoly.jet(h.ring, 1, 0)
     assert h.var_der(1) == -3 * f ** 2 / 8 - f.dx_pow(2) / 8
+
+
+def test_gd_json_reads_back_into_the_context_ring(run):
+    code, out, _ = run("gd", "--r", "3", "--m", "1", "--format", "json")
+    assert code == 0
+    h = DiffPoly.from_json_dict(json.loads(out)["hamiltonian"])
+    ctx = gd_context(3, 8)
+    # the JSON holds the canonical density: the raw one up to total derivatives
+    assert h == gd_hamiltonian(ctx, 1).canonical_density()
+    assert LocalFunctional(h) == gd_hamiltonian(ctx, 1)
+    assert h + ctx.f_var(0) == ctx.f_var(0) + h
 
 
 def test_dr_g11_json_round_trips(run):
@@ -255,6 +279,8 @@ def test_quantize_check_cli(run):
     '{"N": 1}',
     "not json",
     '{"N": 1, "terms": [{"coeff": [1, 0, 0, 0], "eps": 0, "jets": [[2, 0, 1]]}]}',
+    # i*sqrt(3): coefficients are rational
+    '{"N":1,"d":3,"terms":[{"coeff":["0","0","0","1"],"eps":0,"jets":[[1,0,1]]}]}',
 ])
 def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

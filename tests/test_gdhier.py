@@ -255,21 +255,25 @@ def test_gd_hamiltonian_roots_only_as_deep_as_its_residue(root_depths):
 
 # -- change of variables ---------------------------------------------------------------------
 
+def u_var(ctx, alpha):
+    """u^alpha = (-r)^{(r-alpha-1)/2} w^alpha, the rational r-spin variable."""
+    return DiffPoly.jet(ctx.ring_f, alpha, 0)
+
+
 def test_rspin_change_r2():
     change = rspin_change(CTX[2])
-    # the forward images live in ring_w: w^alpha carries sqrt(-r) in general
-    assert change.forward[0] == CTX[2].f_var(0).lift(CTX[2].ring_w) / 2
-    assert change.inverse[0] == 2 * CTX[2].w_var(1)
+    # u^1 = w^1 at r = 2: the scale (-2)^0 is 1
+    assert change.forward[0] == CTX[2].f_var(0) / 2
+    assert change.inverse[0] == 2 * u_var(CTX[2], 1)
 
 
 def test_rspin_change_r3_reference_value():
     ctx = CTX[3]
     change = rspin_change(ctx)
-    # reference closed form: w^1 = (1/(2 sqrt(-3))) (2 f_0/3 - f_{1,x}/3), w^2 = f_1/3
-    inv_2sqrt = (AlgScalar(2) * AlgScalar(0, 0, 0, 1, 3)).inverse()
-    f0, f1, f1x = (ctx.f_var(i, o).lift(ctx.ring_w) for i, o in ((0, 0), (1, 0), (1, 1)))
-    expected_w1 = (Fraction(2, 3) * f0 - f1x / 3) * inv_2sqrt
-    assert change.forward[0] == expected_w1
+    # the closed form w^1 = (2 f_0/3 - f_{1,x}/3) / (2 sqrt(-3)), w^2 = f_1/3,
+    # times u^alpha / w^alpha = sqrt(-3)^{r-alpha-1}
+    f0, f1, f1x = (ctx.f_var(i, o) for i, o in ((0, 0), (1, 0), (1, 1)))
+    assert change.forward[0] == (Fraction(2, 3) * f0 - f1x / 3) / 2
     assert change.forward[1] == f1 / 3
 
 
@@ -278,55 +282,54 @@ def test_rspin_change_roundtrip(r):
     ctx = CTX[r]
     change = rspin_change(ctx)
     for alpha in range(1, r):
-        back = change.forward[alpha - 1].substitute(change.inverse_images(),
-                                                    ctx.ring_w)
-        assert back == ctx.w_var(alpha)
+        back = change.forward[alpha - 1].substitute(change.inverse_images())
+        assert back == u_var(ctx, alpha)
     for i in range(r - 1):
-        back = change.inverse[i].substitute(change.forward_images(), ctx.ring_w)
-        assert back == ctx.f_var(i).lift(ctx.ring_w)
+        back = change.inverse[i].substitute(change.forward_images())
+        assert back == ctx.f_var(i)
+
+
+def test_rescaling_to_w_refuses_an_odd_power_of_sqrt_minus_r():
+    ctx = CTX[3]
+    u1, u2 = u_var(ctx, 1), u_var(ctx, 2)
+    # at r = 3, u^1 = sqrt(-3) w^1 and u^2 = w^2
+    assert gdhier._to_w(u1 ** 2 + u2, 3, 0) == -3 * u1 ** 2 + u2
+    assert gdhier._to_w(u1 * u2, 3, -1) == u1 * u2
+    with pytest.raises(ValueError, match=r"r = 3: the monomial u1\*u2 .*sqrt\(-3\)\^1,"):
+        gdhier._to_w(u1 ** 2 + u1 * u2, 3, 0)
 
 
 # -- coefficient domains -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_lax_calculus_stores_plain_fractions(r):
+    # the Lax calculus, the change f -> u and the r-spin pair all run over Q
     ctx = CTX[r]
-    assert ctx.ring_f.rational and not ctx.ring_w.rational
+    assert ctx.ring_f == ctx.ring_w
     residues = [ctx.lax_power(p).residue() for p in range(1, r + 2) if p % r]
     density = gd_hamiltonian(ctx, 1).density
-    K = gd_operator(ctx)
-    entries = [c for row in K.entries for op in row for c in op.coeffs.values()]
-    stored = [c for poly in (*residues, density, *entries, *gd_flow(ctx, 2))
+    change = rspin_change(ctx)
+
+    def coefficients(K):
+        return [c for row in K.entries for op in row for c in op.coeffs.values()]
+
+    stored = [c for poly in (*residues, density, *coefficients(gd_operator(ctx)),
+                             *gd_flow(ctx, 2), *change.forward, *change.inverse,
+                             *coefficients(rspin_operator(ctx)),
+                             rspin_hamiltonian(ctx, 1, 1).density)
               for c in poly.terms.values()]
     assert stored and all(type(c) is Fraction for c in stored)
 
 
 def test_f_and_w_polynomials_do_not_mix():
     ctx = CTX[3]
-    assert ctx.ring_f != ctx.ring_w
-    f, w = ctx.f_var(0), ctx.w_var(1)
-    for left, right in ((f, w), (w, f)):
-        with pytest.raises(ValueError):
-            left + right
-        with pytest.raises(ValueError):
-            left - right
-        with pytest.raises(ValueError):
-            left * right
-        with pytest.raises(ValueError):
-            local_eq(integrate(left), integrate(right))
-    assert f != w
+    f = ctx.f_var(0)
     assert DiffPoly.const(ctx.ring_f, 1) != AlgScalar(0, 1)
-    # the rational ring refuses irrational scalars and keeps rational ones
+    # the ring is over Q and refuses irrational scalars
     with pytest.raises(ValueError):
         f * AlgScalar(0, 0, 0, 1, 3)
     with pytest.raises(ValueError):
         ctx.ring_f.scalar(AlgScalar(0, 1))
-    half = ctx.ring_f.scalar(AlgScalar(Fraction(1, 2)))
-    assert half == Fraction(1, 2) and type(half) is Fraction
-    # lifting keeps every coefficient and changes only the domain
-    lifted = (f * 3 - ctx.f_var(1, 2) / 2).lift(ctx.ring_w)
-    assert lifted == 3 * DiffPoly.jet(ctx.ring_w, 1, 0) - DiffPoly.jet(ctx.ring_w, 2, 2) / 2
-    assert all(type(c) is AlgScalar for c in lifted.terms.values())
 
 
 # -- the r-spin pair ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ def test_runtime_is_pure_stdlib(module):
             f"{module} imports {name}, which is neither stdlib nor relative"
 
 
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_only_the_weyl_algebra_layers_name_algscalar(module):
+    # differential polynomials, operators and t-series are over Q; Q(i) is
+    # left to the star products and the CLI that feeds them
+    text = (PACKAGE / f"{module}.py").read_text()
+    if module not in ("scalars", "quantize", "cli", "__init__"):
+        assert "AlgScalar" not in text, f"{module} names AlgScalar"
+
+
 @pytest.mark.parametrize("module", ORDER)
 def test_imports_follow_the_layer_order(module):
     earlier = ORDER[:ORDER.index(module)]

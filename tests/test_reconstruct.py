@@ -301,7 +301,7 @@ def brute_eval(sol, poly, m, i, jet):
     for (eps, jets), coeff in poly.terms.items():
         if eps <= i:
             factors = [(gamma, order) for gamma, order, power in jets for _ in range(power)]
-            total += coeff.rational() * factors_value(factors, m, i - eps)
+            total += coeff * factors_value(factors, m, i - eps)
     return total
 
 

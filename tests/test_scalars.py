@@ -5,12 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drhier.scalars import (
-    AlgScalar,
-    minus_r_half_power,
-    sqrt_minus,
-    squarefree_part,
-)
+from drhier.scalars import AlgScalar, squarefree_part
 
 
 # -- AlgScalar -------------------------------------------------------------------------
@@ -71,23 +66,6 @@ def test_algscalar_stores_fractions_and_normalises_d(args, stored):
     x = AlgScalar(*args)
     assert (x.a, x.b, x.c, x.e, x.d) == stored
     assert all(type(v) is Fraction for v in (x.a, x.b, x.c, x.e))
-
-
-def test_sqrt_minus_branch():
-    # sqrt(-r) = i sqrt(r); for r = 4 this is 2i exactly
-    assert sqrt_minus(4) == AlgScalar(0, 2)
-    assert sqrt_minus(3) * sqrt_minus(3) == AlgScalar(-3)
-    # (-3)^(3/2) = (i sqrt 3)^3 = -3 sqrt(3) i
-    assert minus_r_half_power(3, 3) == AlgScalar(0, 0, 0, -3, 3)
-    # even powers are plain rationals: (-2)^(4/2) = 4
-    assert minus_r_half_power(2, 4) == AlgScalar(4)
-    # negative exponents invert: (-2)^(-1) = -1/2
-    assert minus_r_half_power(2, -2) == AlgScalar(Fraction(-1, 2))
-
-
-def test_algscalar_json_roundtrip():
-    x = AlgScalar(Fraction(3, 2), -1, Fraction(1, 3), 0, 5)
-    assert AlgScalar.from_json(x.to_json(), 5) == x
 
 
 # -- an independent oracle for products over the basis 1, i, sqrt(d), i*sqrt(d) --
