@@ -14,6 +14,15 @@ with the deformed constants read off a constant-coefficient hamiltonian
 operator (entries sum_j K_j eps^j d_x^{j+1}) rather than hard-coded.
 Within the finite window everything is exact.
 
+A coefficient c of hbar^h eps^e is always i^{h+e} times a rational, so a
+term stores the ``Fraction`` q = c / i^{h+e} (hbar = i hbar', eps = i eps'):
+the brackets read k eta^{ab} and m^{j+1} K^{ab}_j.  Its key is (h, e, word),
+the word listing the modes as (k, alpha) in ascending order with repeats,
+which is normal order; a product key is one sort of three sorted runs.  The
+constructor, ``mode``, ``scale`` and ``lf_to_p_series`` refuse a c outside
+i^{h+e} Q with ``ValueError``; ``items`` and ``render`` give c back.  The
+reorder memo stays module-level, as the benchmark reads its size.
+
 The classical (hbar^0) part is the Fourier dictionary of local functionals:
 u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
 functional keeps the frequency-zero part (``lf_to_p_series``).
@@ -21,9 +30,11 @@ functional keeps the frequency-zero part (``lf_to_p_series``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
@@ -31,7 +42,11 @@ from .gdhier import eta_matrix
 from .hamops import HamiltonianOperator
 from .scalars import AlgScalar, add_term
 
-Mode = tuple[int, int]  # (alpha, k)
+Mode = tuple[int, int]  # (k, alpha): tuple order is normal order
+
+_ONE = Fraction(1)
+_I_POWERS = (AlgScalar(1), AlgScalar(0, 1), AlgScalar(-1), AlgScalar(0, -1))
+_FIRST_POSITIVE = (1,)  # sorts before every mode with k >= 1
 
 
 _RULE_TOKENS: dict = {}
@@ -65,14 +80,10 @@ class StandardRule(_Rule):
         return StandardRule(len(rows), rows)
 
     def bracket(self, x: Mode, y: Mode):
-        """[(p_x, p_y)] as a list of (hbar_exp, eps_exp, AlgScalar)."""
-        (a, k), (b, j) = x, y
-        if k + j != 0:
-            return []
-        coeff = self.eta[a - 1][b - 1]
-        if not coeff:
-            return []
-        return [(1, 0, AlgScalar(0, coeff * k))]
+        """[p_x, p_y] as a list of (hbar_exp, eps_exp, q)."""
+        (k, a), (j, b) = x, y
+        coeff = self.eta[a - 1][b - 1] if k + j == 0 else 0
+        return [(1, 0, coeff * k)] if coeff else []
 
 
 @dataclass(frozen=True)
@@ -98,34 +109,51 @@ class DeformedRule(_Rule):
         return DeformedRule(n, tuple(sorted(consts)))
 
     def bracket(self, x: Mode, y: Mode):
-        (a, m), (b, n) = x, y
+        (m, a), (n, b) = x, y
         if m + n != 0:
             return []
-        out = []
-        im = AlgScalar(0, m)
-        for aa, bb, j, const in self.constants:
-            if (aa, bb) != (a, b) or not const:
-                continue
-            out.append((1, j, im ** (j + 1) * const))
-        return out
+        return [(1, j, m ** (j + 1) * const)
+                for aa, bb, j, const in self.constants
+                if (aa, bb) == (a, b) and const]
 
 
 @dataclass(frozen=True)
 class WeylContext:
     n_fields: int
     window: int
-    d: int = 1
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("mode window must be >= 1")
 
 
+def monomial(pkey) -> str:
+    """A mode monomial as render prints it, "1" when empty."""
+    return "*".join(f"p{alpha}[{k}]" + (f"^{power}" if power > 1 else "")
+                    for alpha, k, power in pkey) or "1"
+
+
+def _pkey(word) -> tuple:
+    """The (alpha, k, power) factors of a word, sorted."""
+    return tuple(sorted((alpha, k, len(list(run))) for (k, alpha), run in groupby(word)))
+
+
+def _to_q(c, h: int, e: int, pkey) -> Fraction:
+    """q = c / i^(h+e); refuses a c outside i^(h+e) Q."""
+    q = _I_POWERS[-(h + e) % 4] * c
+    if not q.is_rational():
+        raise ValueError(f"coefficient {c} of hbar^{h} eps^{e} {monomial(pkey)} "
+                         f"is not in i^{h + e}*Q")
+    return q.a
+
+
 class WeylElement:
     """Normal-ordered polynomial in the modes with hbar/eps coefficients.
 
-    terms: (hbar_exp, eps_exp, pkey) -> AlgScalar with pkey a sorted tuple
-    of (alpha, k, power).
+    terms: (hbar_exp, eps_exp, word) -> q, with the word a sorted tuple of
+    (k, alpha) modes and q = c / i^(hbar_exp + eps_exp) a nonzero Fraction.
+    The constructor takes {(hbar_exp, eps_exp, pkey): c} with pkey a tuple
+    of (alpha, k, power) factors and c a Fraction, int or AlgScalar.
     """
 
     __slots__ = ("ctx", "terms")
@@ -133,22 +161,20 @@ class WeylElement:
     def __init__(self, ctx: WeylContext, terms: dict | None = None):
         self.ctx = ctx
         self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self._check_key(key)
-                    self.terms[key] = c
+        for (h, e, pkey), c in (terms or {}).items():
+            if c:
+                add_term(self.terms, (h, e, self._word(pkey)), _to_q(c, h, e, pkey))
 
     @classmethod
     def _of(cls, ctx: WeylContext, terms: dict) -> "WeylElement":
-        """Wrap terms whose keys are already checked and values nonzero."""
+        """Wrap word-keyed terms whose values are nonzero q."""
         out = cls.__new__(cls)
         out.ctx = ctx
         out.terms = terms
         return out
 
-    def _check_key(self, key):
-        _, _, pkey = key
+    def _word(self, pkey) -> tuple:
+        word = []
         for alpha, k, power in pkey:
             if not 1 <= alpha <= self.ctx.n_fields:
                 raise ValueError(f"field index {alpha} out of range")
@@ -156,21 +182,12 @@ class WeylElement:
                 raise ValueError(f"mode {k} outside window {self.ctx.window}")
             if power < 1:
                 raise ValueError("powers must be positive")
-
-    # -- constructors ----------------------------------------------------------------
-
-    @staticmethod
-    def zero(ctx: WeylContext) -> "WeylElement":
-        return WeylElement(ctx)
-
-    @staticmethod
-    def one(ctx: WeylContext) -> "WeylElement":
-        return WeylElement(ctx, {(0, 0, ()): AlgScalar(1)})
+            word.extend([(k, alpha)] * power)
+        return tuple(sorted(word))
 
     @staticmethod
     def mode(ctx: WeylContext, alpha: int, k: int, coeff=1) -> "WeylElement":
-        return WeylElement(ctx, {(0, 0, ((alpha, k, 1),)):
-                                 AlgScalar.coerce(coeff)})
+        return WeylElement(ctx, {(0, 0, ((alpha, k, 1),)): coeff})
 
     # -- linear structure ---------------------------------------------------------------
 
@@ -178,19 +195,21 @@ class WeylElement:
         if self.ctx != other.ctx:
             raise ValueError("window/context mismatch")
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(terms, key, c)
+        for key, q in other.terms.items():
+            add_term(terms, key, q)
         return WeylElement._of(self.ctx, terms)
 
     def __neg__(self):
-        return WeylElement._of(self.ctx, {k: -c for k, c in self.terms.items()})
+        return WeylElement._of(self.ctx, {k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar) -> "WeylElement":
-        c = AlgScalar.coerce(scalar)
-        return WeylElement(self.ctx, {k: v * c for k, v in self.terms.items()})
+        """Multiply by a rational scalar (Fraction, int or AlgScalar)."""
+        s = _to_q(scalar, 0, 0, ())
+        return WeylElement._of(self.ctx, {k: q * s for k, q in self.terms.items()}
+                               if s else {})
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -205,45 +224,26 @@ class WeylElement:
 
     def classical_limit(self) -> "WeylElement":
         """Set hbar = 0: the hbar^0 part, a commutative mode polynomial."""
-        return WeylElement(self.ctx, {key: c for key, c in self.terms.items()
-                                      if key[0] == 0})
+        return WeylElement._of(self.ctx, {key: q for key, q in self.terms.items()
+                                          if key[0] == 0})
+
+    def items(self) -> list:
+        """[((hbar_exp, eps_exp, pkey), c)] in render order, c an AlgScalar."""
+        return sorted(((h, e, _pkey(word)), _I_POWERS[(h + e) % 4] * q)
+                      for (h, e, word), q in self.terms.items())
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         chunks = []
-        for (h, eps, pkey), c in sorted(self.terms.items()):
-            factors = []
-            if h:
-                factors.append("hbar" if h == 1 else f"hbar^{h}")
-            if eps:
-                factors.append("eps" if eps == 1 else f"eps^{eps}")
-            for alpha, k, power in pkey:
-                base = f"p{alpha}[{k}]"
-                factors.append(base if power == 1 else f"{base}^{power}")
-            body = "*".join(factors) or "1"
-            chunks.append(f"({c})*{body}")
-        return " + ".join(chunks)
+        for (h, eps, pkey), c in self.items():
+            factors = [name if n == 1 else f"{name}^{n}"
+                       for name, n in (("hbar", h), ("eps", eps)) if n]
+            if pkey:
+                factors.append(monomial(pkey))
+            chunks.append(f"({c})*{'*'.join(factors) or '1'}")
+        return " + ".join(chunks) or "0"
 
     def __repr__(self):
         return f"WeylElement({self.render()})"
-
-
-def _split_blocks(pkey):
-    """Expand a stored monomial into (nonpositive, positive) factor words."""
-    nonpos, pos = [], []
-    for alpha, k, power in pkey:
-        target = nonpos if k <= 0 else pos
-        target.extend([(alpha, k)] * power)
-    return tuple(sorted(nonpos, key=lambda m: (m[1], m[0]))), \
-        tuple(sorted(pos, key=lambda m: (m[1], m[0])))
-
-
-def word_to_pkey(word) -> tuple:
-    counts: dict = {}
-    for mode in word:
-        counts[mode] = counts.get(mode, 0) + 1
-    return tuple(sorted((a, k, p) for (a, k), p in counts.items()))
 
 
 _REORDER_MEMO: dict = {}
@@ -252,28 +252,28 @@ _REORDER_MEMO: dict = {}
 def _reorder(pos, nonpos, rule):
     """Normal-order (product of positive modes) x (product of nonpositive).
 
-    Returns {(hbar, eps, nonpos_word, pos_word): AlgScalar}, memoized in
-    ``_REORDER_MEMO`` under (rule token, pos, nonpos).
+    Returns {(hbar, eps, word): q}, memoized in ``_REORDER_MEMO`` under
+    (rule token, pos, nonpos).
     """
     if not pos or not nonpos:
-        return {(0, 0, nonpos, pos): AlgScalar(1)}
+        return {(0, 0, nonpos + pos): _ONE}
     key = (rule.token, pos, nonpos)
-    if key in _REORDER_MEMO:
-        return _REORDER_MEMO[key]
+    out = _REORDER_MEMO.get(key)
+    if out is not None:
+        return out
     x = pos[-1]
     head = pos[:-1]
-    out: dict = {}
+    out = {}
 
     # x through the whole nonpositive word: commutator terms first
     for s, y in enumerate(nonpos):
-        for h, e, c in rule.bracket(x, y):
+        for h, e, q in rule.bracket(x, y):
             reduced = nonpos[:s] + nonpos[s + 1:]
-            for (h2, e2, np2, p2), c2 in _reorder(head, reduced, rule).items():
-                add_term(out, (h + h2, e + e2, np2, p2), c * c2)
-    # and the fully commuted term with x appended on the right
-    for (h2, e2, np2, p2), c2 in _reorder(head, nonpos, rule).items():
-        add_term(out, (h2, e2, np2,
-                       tuple(sorted(p2 + (x,), key=lambda m: (m[1], m[0])))), c2)
+            for (h2, e2, w2), q2 in _reorder(head, reduced, rule).items():
+                add_term(out, (h + h2, e + e2, w2), q * q2)
+    # and the fully commuted term with x, the largest mode, appended
+    for (h2, e2, w2), q2 in _reorder(head, nonpos, rule).items():
+        add_term(out, (h2, e2, w2 + (x,)), q2)
     _REORDER_MEMO[key] = out
     return out
 
@@ -284,21 +284,22 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
         raise ValueError("window/context mismatch")
     if rule.n_fields != a.ctx.n_fields:
         raise ValueError("rule and element field counts differ")
-    right = [(h2, e2, *_split_blocks(pk2), c2)
-             for (h2, e2, pk2), c2 in b.terms.items()]
+    right = []
+    for (h2, e2, w2), q2 in b.terms.items():
+        cut = bisect_left(w2, _FIRST_POSITIVE)
+        right.append((h2, e2, w2, w2[:cut], w2[cut:], q2))
     terms: dict = {}
-    for (h1, e1, pk1), c1 in a.terms.items():
-        np1, pos1 = _split_blocks(pk1)
-        for h2, e2, np2, pos2, c2 in right:
-            coeff = c1 * c2
+    for (h1, e1, w1), q1 in a.terms.items():
+        cut = bisect_left(w1, _FIRST_POSITIVE)
+        np1, pos1 = w1[:cut], w1[cut:]
+        for h2, e2, w2, np2, pos2, q2 in right:
             if not pos1 or not np2:  # already normal ordered
-                add_term(terms, (h1 + h2, e1 + e2,
-                                 word_to_pkey(np1 + np2 + pos1 + pos2)), coeff)
+                add_term(terms, (h1 + h2, e1 + e2, tuple(sorted(w1 + w2))), q1 * q2)
                 continue
-            for (hc, ec, np_mid, pos_mid), cmid in _reorder(pos1, np2, rule).items():
-                word = np1 + np_mid + pos_mid + pos2
-                key = (h1 + h2 + hc, e1 + e2 + ec, word_to_pkey(word))
-                add_term(terms, key, coeff * cmid)
+            q = q1 * q2
+            for (hc, ec, mid), qc in _reorder(pos1, np2, rule).items():
+                key = (h1 + h2 + hc, e1 + e2 + ec, tuple(sorted(np1 + mid + pos2)))
+                add_term(terms, key, q * qc)
     return WeylElement._of(a.ctx, terms)
 
 
@@ -321,19 +322,18 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
 
     @cache
     def image(mode: Mode) -> WeylElement:
-        alpha, n = mode
-        out = WeylElement.mode(ctx, alpha, n)
+        n, alpha = mode
+        out = {(0, 0, (mode,)): _ONE}
         shift = shifts.get(alpha)
-        if shift:
+        if shift and n:
             beta, c = shift
-            add_term(out.terms, (0, 2, ((beta, n, 1),)), AlgScalar(-c * n * n))
-        return out
+            out[(0, 2, ((n, beta),))] = c * n * n  # -c n^2 eps^2 at q = c / i^2
+        return WeylElement._of(ctx, out)
 
     terms: dict = {}
-    for (h, eps, pkey), coeff in a.terms.items():
-        nonpos, pos = _split_blocks(pkey)
-        acc = WeylElement(ctx, {(h, eps, ()): coeff})
-        for mode in nonpos + pos:
+    for (h, eps, word), q in a.terms.items():
+        acc = WeylElement._of(ctx, {(h, eps, ()): q})
+        for mode in word:
             acc = weyl_star(acc, image(mode), rule)
         for key, c in acc.terms.items():
             add_term(terms, key, c)
@@ -343,45 +343,36 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
 # -- the Fourier dictionary ------------------------------------------------------------
 
 
-def mode_sum(pkey) -> int:
-    """Total frequency sum k * power of a mode monomial."""
-    return sum(k * p for _, k, p in pkey)
-
-
 def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
     """Mode-zero Fourier image of a local functional, as an hbar^0 element.
 
     Substitutes u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx} and
-    keeps the frequency-zero part; exact for every retained monomial.
+    keeps the frequency-zero part; exact for every retained monomial.  A
+    monomial of eps order e and derivative degree D gains i^D, which lies in
+    i^e Q when D - e is even; an image with a nonzero part off i^e Q is refused.
     """
-    ring = h.ring
-    ctx = WeylContext(ring.n_fields, window, ring.d)
-    terms: dict = {}
-    i_unit = AlgScalar(0, 1)
-    mode_range = range(-window, window + 1)
+    # q = c / i^e of the monomials of even D - e; c / i^(e+1) of the odd ones
+    images: tuple[dict, dict] = ({}, {})
     for (eps, jets), coeff in h.density.terms.items():
-        factors = []
-        for alpha, order, power in jets:
-            factors.extend([(alpha, order)] * power)
-        if not factors:
-            continue  # constants are quotiented away
+        factors = [(alpha, order) for alpha, order, power in jets for _ in range(power)]
+        twist = sum(order for _, order in factors) - eps
+        target = images[twist % 2]
 
-        def expand(idx, mode_total, acc_coeff, acc_modes):
-            if idx == len(factors):
-                if mode_total == 0:
-                    add_term(terms, (0, eps, word_to_pkey(acc_modes)), acc_coeff)
+        def expand(modes, total, c):
+            if len(modes) == len(factors):
+                if total == 0:
+                    add_term(target, (0, eps, tuple(sorted(modes))), c)
                 return
-            alpha, order = factors[idx]
-            remaining = len(factors) - idx - 1
-            for k in mode_range:
-                if k == 0 and order > 0:
-                    continue
-                # prune: remaining factors can shift the sum by at most window each
-                if abs(mode_total + k) > remaining * window:
-                    continue
-                factor = (i_unit * k) ** order if order else AlgScalar(1)
-                expand(idx + 1, mode_total + k, acc_coeff * factor,
-                       acc_modes + ((alpha, k),))
+            alpha, order = factors[len(modes)]
+            # the factors left can shift the sum by at most window each
+            slack = (len(factors) - len(modes) - 1) * window
+            for k in range(max(-window, -slack - total), min(window, slack - total) + 1):
+                if k or not order:
+                    expand(modes + ((k, alpha),), total + k, c * k ** order)
 
-        expand(0, 0, AlgScalar(coeff), ())
-    return WeylElement(ctx, terms)
+        if factors:  # constants are quotiented away
+            expand((), 0, -coeff if twist % 4 >= 2 else coeff)
+    for (_, eps, word), q in images[1].items():
+        raise ValueError(f"the coefficient of hbar^0 eps^{eps} {monomial(_pkey(word))} "
+                         f"has a part {_I_POWERS[(eps + 1) % 4] * q} outside i^{eps}*Q")
+    return WeylElement._of(WeylContext(h.ring.n_fields, window), images[0])

@@ -4,8 +4,8 @@ Differential polynomials, operators, Hamiltonians and t-series have
 rational coefficients, stdlib ``fractions.Fraction`` (always reduced,
 positive denominator).  The r-spin normalization brings in sqrt(-r) only
 as even powers, (-r)^n, so it stays over Q too.  ``AlgScalar`` is
-Q(i, sqrt(d)) for a single squarefree d; the Weyl-algebra star products of
-``quantize`` compute over its Gaussian part Q(i).
+Q(i, sqrt(d)) for a single squarefree d; ``quantize`` takes and prints
+Weyl-algebra coefficients in its Gaussian part Q(i) and computes over Q.
 """
 
 from __future__ import annotations

@@ -347,19 +347,19 @@ def test_criterion_9_quantization_properties():
     for m in (1, 2, 3):
         comm = weyl_commutator(WeylElement.mode(ctx4, 1, m),
                                WeylElement.mode(ctx4, 1, -m), rule4)
-        assert comm.terms == {(1, 2, ()): (i * m) ** 3 * Fraction(1, 48)}
+        assert comm == WeylElement(ctx4, {(1, 2, ()): (i * m) ** 3 * Fraction(1, 48)})
         comm = weyl_commutator(WeylElement.mode(ctx4, 1, m),
                                WeylElement.mode(ctx4, 3, -m), rule4)
-        assert comm.terms == {(1, 0, ()): i * m}
+        assert comm == WeylElement(ctx4, {(1, 0, ()): i * m})
     ctx5 = WeylContext(n_fields=4, window=3)
     rule5 = DeformedRule.from_operator(rspin_operator(ctx_for(5)))
     for m in (1, 2):
         comm = weyl_commutator(WeylElement.mode(ctx5, 1, m),
                                WeylElement.mode(ctx5, 2, -m), rule5)
-        assert comm.terms == {(1, 2, ()): (i * m) ** 3 * Fraction(1, 30)}
+        assert comm == WeylElement(ctx5, {(1, 2, ()): (i * m) ** 3 * Fraction(1, 30)})
         comm = weyl_commutator(WeylElement.mode(ctx5, 1, m),
                                WeylElement.mode(ctx5, 4, -m), rule5)
-        assert comm.terms == {(1, 0, ()): i * m}
+        assert comm == WeylElement(ctx5, {(1, 0, ()): i * m})
         assert weyl_commutator(WeylElement.mode(ctx5, 1, m),
                                WeylElement.mode(ctx5, 3, -m),
                                rule5).is_zero()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from drhier import cli
+from drhier import cli, quantize
 from drhier.diffpoly import DiffPoly, LocalFunctional, Ring
 from drhier.drspin import IntegralTable, TautMonomial, hain_expand
 from drhier.gdhier import gd_context, gd_hamiltonian
@@ -84,6 +84,12 @@ BOUNDARY_GOLDENS = {
     "quantize-check-r4": ("quantize-check", "--r", "4"),
     "quantize-check-r5": ("quantize-check", "--r", "5"),
     "render-rspin-r5-a1-d1": ("render",),
+    # the worked g = 2 table of the fixture below
+    "hain-pair-g2-c02": ("hain-pair", "--g", "2", "--counts", "0,2",
+                         "--table-file", "WORKED_TABLE"),
+    "assemble-r3-a1-d1-g2-c02": ("assemble", "--r", "3", "--alpha", "1", "--d", "1",
+                                 "--g", "2", "--counts", "0,2",
+                                 "--table-file", "WORKED_TABLE"),
 }
 
 # a verb that reads stdin gets the "hamiltonian" object of this golden
@@ -92,11 +98,12 @@ GOLDEN_STDIN = {"render-rspin-r5-a1-d1": "rspin-r5-a1-d1.json"}
 
 @pytest.mark.parametrize("golden", sorted(BOUNDARY_GOLDENS))
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_rational_and_extension_goldens(run, monkeypatch, golden, fmt, suffix):
+def test_rational_and_extension_goldens(run, monkeypatch, worked_table, golden, fmt,
+                                        suffix):
     # rspin rescales by even powers of sqrt(-r) at the output; every verb
     # prints rational coefficients in the four-part JSON form with the
     # context's "d"
-    argv = BOUNDARY_GOLDENS[golden]
+    argv = [worked_table if a == "WORKED_TABLE" else a for a in BOUNDARY_GOLDENS[golden]]
     if golden in GOLDEN_STDIN:
         data = json.loads((GOLDEN / GOLDEN_STDIN[golden]).read_text())
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data["hamiltonian"])))
@@ -266,6 +273,19 @@ def test_rspin_without_constant_coefficients_is_refused(run):
     assert out == ""
     assert err == ("error: K^{6-spin} has no constant coefficients: "
                    "entry (1,1) has 1/432*eps^2*w5_2 at d_x^1\n")
+
+
+def test_quantize_check_names_the_first_differing_term(run, monkeypatch):
+    # a deformed bracket off by a factor 2 breaks f_4 as a homomorphism
+    bracket = quantize.DeformedRule.bracket
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    monkeypatch.setattr(quantize.DeformedRule, "bracket",
+                        lambda rule, x, y: [(h, e, 2 * q) for h, e, q in bracket(rule, x, y)])
+    code, out, err = run("quantize-check", "--r", "4")
+    assert code == cli.EXIT_FAIL
+    assert out == ""
+    assert err == ("homomorphism failure at sample 6: lhs - rhs has coefficient 27*i "
+                   "at hbar^1 eps^0 p1[0]*p2[1]\n")
 
 
 def test_quantize_check_cli(run):

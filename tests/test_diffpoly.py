@@ -12,7 +12,7 @@ from drhier.diffpoly import (
     integrate,
     local_eq,
 )
-from drhier.quantize import lf_to_p_series, mode_sum
+from drhier.quantize import WeylContext, WeylElement, lf_to_p_series
 
 R1 = Ring(1)
 R2 = Ring(2)
@@ -173,13 +173,14 @@ def test_p_series_quadratic():
         (0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1),
         (0, 0, ((1, -2, 1), (1, 2, 1))): AlgScalar(1),
     }
-    assert ps.terms == expected
+    assert ps == WeylElement(WeylContext(1, 2), expected)
 
 
 def test_p_series_u_u2():
     # int u u_2: modes (k, -k) give (i(-k))^2 + (ik)^2 = -2k^2
     ps = lf_to_p_series(integrate(u() * u(1, 2)), 1)
-    assert ps.terms == {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(-2)}
+    assert ps == WeylElement(WeylContext(1, 1),
+                             {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(-2)})
 
 
 def test_p_series_total_derivative_vanishes():
@@ -189,10 +190,11 @@ def test_p_series_total_derivative_vanishes():
 def test_p_series_mode_sums_are_zero():
     rng = random.Random(23)
     for _ in range(10):
-        h = integrate(rand_poly(rng, R2, max_order=2, max_power=1))
+        h = eps_dress(integrate(rand_poly(rng, R2, max_order=2, max_power=1)))
         ps = lf_to_p_series(h, 2)
-        for (_, _, pkey) in ps.terms:
-            assert mode_sum(pkey) == 0
+        assert ps.terms
+        for (_, _, word) in ps.terms:
+            assert sum(k for k, _ in word) == 0
 
 
 # -- round trip: p-series back to a local functional (arity <= 2) --------------------------
@@ -227,16 +229,22 @@ def solve_exact(matrix, rhs):
 
 
 def reconstruct_two_field(ps, window, max_total_order):
-    """Invert lf_to_p_series on the IBP-reduced basis int u^1 u^2_n dx."""
+    """Invert lf_to_p_series on the IBP-reduced basis int u^1 u^2_n dx.
+
+    ps is the image of an eps-dressed functional; it is read at eps = 1.
+    """
     basis = list(range(max_total_order + 1))
     i_unit = AlgScalar(0, 1)
+    at_eps_one = {}
+    for (_, _, pkey), c in ps.items():
+        at_eps_one[pkey] = at_eps_one.get(pkey, AlgScalar(0)) + c
     rows, rhs = [], []
     for k in range(-window, window + 1):
         if k == 0:
             continue
         key = tuple(sorted([(1, k, 1), (2, -k, 1)]))
         rows.append([(i_unit * (-k)) ** n for n in basis])
-        rhs.append(ps.terms.get((0, 0, key), AlgScalar(0)))
+        rhs.append(at_eps_one.get(key, AlgScalar(0)))
     coeffs = solve_exact(rows, rhs)
     density = DiffPoly.zero(R2)
     for n, c in zip(basis, coeffs):
@@ -255,7 +263,7 @@ def test_p_series_round_trip_arity_two():
                                  * DiffPoly.jet(R2, 2, rng.randint(0, 2))
                                  * Fraction(rng.randint(-4, 4)))
         h = integrate(density)
-        ps = lf_to_p_series(h, window)
+        ps = lf_to_p_series(eps_dress(h), window)
         h_back = reconstruct_two_field(ps, window, 4)
         assert local_eq(h, h_back)
 

@@ -16,7 +16,7 @@ from drhier.drspin import (
     hain_expand,
     pair_with_table,
 )
-from drhier.quantize import lf_to_p_series
+from drhier.quantize import WeylContext, WeylElement, lf_to_p_series
 from drhier.scalars import AlgScalar
 
 
@@ -188,7 +188,7 @@ def test_assemble_distinct_labels_p_series_oracle():
         # (ik)(i(-k)) = k^2: matches (-eps^2) P(a,-a) = eps^2 a^2 directly
         key = (0, 2, tuple(sorted([(1, k, 1), (2, -k, 1)])))
         expected[key] = AlgScalar(Fraction(k * k))
-    assert ps.terms == expected
+    assert ps == WeylElement(WeylContext(2, window), expected)
 
 
 def test_assemble_equal_labels_symmetry_factor():

@@ -47,10 +47,10 @@ def test_runtime_is_pure_stdlib(module):
 
 @pytest.mark.parametrize("module", ORDER + ["__init__"])
 def test_only_the_weyl_algebra_layers_name_algscalar(module):
-    # differential polynomials, operators and t-series are over Q; Q(i) is
-    # left to the star products and the CLI that feeds them
+    # differential polynomials, operators, t-series and star products are
+    # over Q; Q(i) is left to the Weyl-algebra boundary
     text = (PACKAGE / f"{module}.py").read_text()
-    if module not in ("scalars", "quantize", "cli", "__init__"):
+    if module not in ("scalars", "quantize", "__init__"):
         assert "AlgScalar" not in text, f"{module} names AlgScalar"
 
 

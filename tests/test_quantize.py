@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from drhier import quantize
+from drhier.diffpoly import DiffPoly, Ring, integrate
 from drhier.drspin import builtin_g11
-from drhier.gdhier import eta_matrix, rspin_operator
+from drhier.gdhier import eta_matrix, rspin_hamiltonian, rspin_operator
 from drhier.quantize import (
     DeformedRule,
     StandardRule,
@@ -57,10 +58,10 @@ def test_star_one_commutation():
     a = WeylElement.mode(CTX1, 1, 1)
     b = WeylElement.mode(CTX1, 1, -1)
     prod = weyl_star(a, b, rule)
-    assert prod.terms == {
+    assert prod == WeylElement(CTX1, {
         (0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1),
         (1, 0, ()): AlgScalar(0, 1),
-    }
+    })
 
 
 def test_star_already_normal():
@@ -68,7 +69,7 @@ def test_star_already_normal():
     a = WeylElement.mode(CTX1, 1, -1)
     b = WeylElement.mode(CTX1, 1, 1)
     prod = weyl_star(a, b, rule)
-    assert prod.terms == {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)}
+    assert prod == WeylElement(CTX1, {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)})
 
 
 def test_star_associativity_instance():
@@ -87,17 +88,11 @@ def test_star_reduces_to_product_at_hbar_zero():
         a = rand_element(rng, CTX1)
         b = rand_element(rng, CTX1)
         classical = weyl_star(a, b, rule).classical_limit()
-        direct = {}
-        for (_, e1, k1), c1 in a.classical_limit().terms.items():
-            for (_, e2, k2), c2 in b.classical_limit().terms.items():
-                counts = {}
-                for alpha, k, p in k1 + k2:
-                    counts[(alpha, k)] = counts.get((alpha, k), 0) + p
-                key = (0, e1 + e2,
-                       tuple(sorted((a_, k_, p_) for (a_, k_), p_ in counts.items())))
-                direct[key] = direct.get(key, AlgScalar(0)) + c1 * c2
-        direct = {k: v for k, v in direct.items() if v}
-        assert classical.terms == direct
+        direct = WeylElement(CTX1)
+        for (_, e1, k1), c1 in a.classical_limit().items():
+            for (_, e2, k2), c2 in b.classical_limit().items():
+                direct = direct + WeylElement(CTX1, {(0, e1 + e2, k1 + k2): c1 * c2})
+        assert classical == direct
 
 
 def test_star_associativity_random():
@@ -189,7 +184,7 @@ def test_commutator_standard_r3():
     a = WeylElement.mode(ctx, 1, 1)
     b = WeylElement.mode(ctx, 2, -1)
     comm = weyl_commutator(a, b, rule)
-    assert comm.terms == {(1, 0, ()): AlgScalar(0, 1)}
+    assert comm == WeylElement(ctx, {(1, 0, ()): AlgScalar(0, 1)})
 
 
 def test_commutator_deformed_r4_dispersionless_entry():
@@ -198,7 +193,7 @@ def test_commutator_deformed_r4_dispersionless_entry():
     for m in (1, 2, 3):
         comm = weyl_commutator(WeylElement.mode(ctx, 1, m),
                                WeylElement.mode(ctx, 3, -m), rule)
-        assert comm.terms == {(1, 0, ()): AlgScalar(0, m)}
+        assert comm == WeylElement(ctx, {(1, 0, ()): AlgScalar(0, m)})
 
 
 def test_commutator_deformed_r4_dispersive_entry():
@@ -209,7 +204,7 @@ def test_commutator_deformed_r4_dispersive_entry():
         comm = weyl_commutator(WeylElement.mode(ctx, 1, m),
                                WeylElement.mode(ctx, 1, -m), rule)
         expected = AlgScalar(0, 1) ** 3 * Fraction(m ** 3, 48)
-        assert comm.terms == {(1, 2, ()): expected}
+        assert comm == WeylElement(ctx, {(1, 2, ()): expected})
 
 
 def test_commutator_deformed_r5_entries():
@@ -218,10 +213,10 @@ def test_commutator_deformed_r5_entries():
     comm = weyl_commutator(WeylElement.mode(ctx, 1, 2),
                            WeylElement.mode(ctx, 2, -2), rule)
     expected = AlgScalar(0, 1) ** 3 * Fraction(8, 30)
-    assert comm.terms == {(1, 2, ()): expected}
+    assert comm == WeylElement(ctx, {(1, 2, ()): expected})
     comm2 = weyl_commutator(WeylElement.mode(ctx, 2, 1),
                             WeylElement.mode(ctx, 3, -1), rule)
-    assert comm2.terms == {(1, 0, ()): AlgScalar(0, 1)}
+    assert comm2 == WeylElement(ctx, {(1, 0, ()): AlgScalar(0, 1)})
 
 
 def test_commutator_antisymmetry_and_hbar_bound():
@@ -253,10 +248,10 @@ def test_commutator_jacobi_sampled():
 def test_f4_generator_images():
     ctx = WeylContext(n_fields=3, window=3)
     img = f_r_map(4, WeylElement.mode(ctx, 1, 2))
-    assert img.terms == {
+    assert img == WeylElement(ctx, {
         (0, 0, ((1, 2, 1),)): AlgScalar(1),
         (0, 2, ((3, 2, 1),)): AlgScalar(Fraction(-4, 96)),
-    }
+    })
     assert f_r_map(4, WeylElement.mode(ctx, 2, 1)) == WeylElement.mode(ctx, 2, 1)
 
 
@@ -264,10 +259,10 @@ def test_f5_generator_images():
     ctx = WeylContext(n_fields=4, window=2)
     assert f_r_map(5, WeylElement.mode(ctx, 3, 1)) == WeylElement.mode(ctx, 3, 1)
     img = f_r_map(5, WeylElement.mode(ctx, 2, 2))
-    assert img.terms == {
+    assert img == WeylElement(ctx, {
         (0, 0, ((2, 2, 1),)): AlgScalar(1),
         (0, 2, ((4, 2, 1),)): AlgScalar(Fraction(-4, 60)),
-    }
+    })
 
 
 def test_f4_commutator_instance():
@@ -281,7 +276,7 @@ def test_f4_commutator_instance():
     rhs = weyl_commutator(f_r_map(4, WeylElement.mode(ctx, 1, m)),
                           f_r_map(4, WeylElement.mode(ctx, 1, -m)), rule_std)
     expected = AlgScalar(0, 1) ** 3 * Fraction(m ** 3, 48)
-    assert lhs.terms == {(1, 2, ()): expected}
+    assert lhs == WeylElement(ctx, {(1, 2, ()): expected})
     assert rhs == lhs
 
 
@@ -308,7 +303,7 @@ def test_classical_limit_drops_hbar():
         (1, 0, ()): AlgScalar(0, 1),
     })
     ps = el.classical_limit()
-    assert ps.terms == {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)}
+    assert ps == WeylElement(ctx, {(0, 0, ((1, -1, 1), (1, 1, 1))): AlgScalar(1)})
 
 
 def test_classical_limit_multiplicative():
@@ -318,15 +313,81 @@ def test_classical_limit_multiplicative():
         a = rand_element(rng, CTX1, max_degree=2)
         b = rand_element(rng, CTX1, max_degree=2)
         lhs = weyl_star(a, b, rule).classical_limit()
-        a0 = WeylElement(CTX1, {k: v for k, v in a.terms.items() if k[0] == 0})
-        b0 = WeylElement(CTX1, {k: v for k, v in b.terms.items() if k[0] == 0})
+        a0 = WeylElement(CTX1, {k: v for k, v in a.items() if k[0] == 0})
+        b0 = WeylElement(CTX1, {k: v for k, v in b.items() if k[0] == 0})
         rhs = weyl_star(a0, b0, rule).classical_limit()
-        assert lhs.terms == rhs.terms
+        assert lhs == rhs
 
 
 def test_g11_lift_round_trip():
     lifted = lf_to_p_series(builtin_g11(3), 2)
-    assert lifted.ctx == WeylContext(n_fields=2, window=2, d=3)
+    assert lifted.ctx == WeylContext(n_fields=2, window=2)
     assert lifted.terms and all(h == 0 for h, _, _ in lifted.terms)
     back = lifted.classical_limit()
     assert back == lifted
+
+
+def test_images_from_rings_of_different_d_add():
+    # the Fourier images are over Q(i) whatever d the ring records
+    images = [lf_to_p_series(integrate(DiffPoly.jet(Ring(2, d), 1, 0)
+                                       * DiffPoly.jet(Ring(2, d), 2, 0)), 2)
+              for d in (1, 3)]
+    assert images[0] == images[1]
+    assert images[0] + images[1] == images[0].scale(2)
+
+
+# -- the boundary: coefficients of hbar^h eps^e lie in i^(h+e) Q -----------------------
+
+def test_constructor_and_mode_refuse_coefficients_off_the_lattice():
+    i = AlgScalar(0, 1)
+    pkey = ((1, -1, 1), (1, 1, 1))
+    for h, e, c in ((0, 0, i), (1, 0, AlgScalar(1)), (1, 1, i), (0, 1, 1 + i),
+                    (0, 0, AlgScalar(0, 0, 1, 0, 3))):
+        with pytest.raises(ValueError, match=rf"hbar\^{h} eps\^{e} p1\[-1\]\*p1\[1\]"):
+            WeylElement(CTX1, {(h, e, pkey): c})
+    with pytest.raises(ValueError, match=r"hbar\^0 eps\^0 p1\[2\]"):
+        WeylElement.mode(CTX1, 1, 2, i)
+    with pytest.raises(ValueError):
+        WeylElement.mode(CTX1, 1, 2).scale(i)
+    # on the lattice, c = q i^(h+e) is stored as q and rendered back as c
+    for h, e, c in ((1, 0, i), (1, 1, -1), (1, 2, -2 * i), (2, 2, Fraction(1, 3))):
+        el = WeylElement(CTX1, {(h, e, pkey): c})
+        assert el.items() == [((h, e, pkey), c)]
+
+
+def test_p_series_refuses_odd_twist():
+    # u u_1 u_1 has derivative degree 2: its image i^2 Q lies on the lattice
+    # i^e Q at e = 0 but not at e = 1
+    ring = Ring(1)
+    u, u1 = DiffPoly.jet(ring, 1, 0), DiffPoly.jet(ring, 1, 1)
+    assert not lf_to_p_series(integrate(u * u1 * u1), 2).is_zero()
+    with pytest.raises(ValueError, match=r"hbar\^0 eps\^1 p1\[-2\]\*p1\[1\]\^2"):
+        lf_to_p_series(integrate((u * u1 * u1).eps_shift(1)), 2)
+    # a total derivative of odd twist cancels to zero and is not refused
+    assert lf_to_p_series(integrate((u * u * u).dx()), 2).is_zero()
+
+
+P_SERIES_GOLDEN = Path(__file__).parent / "golden" / "p-series.txt"
+
+
+def test_p_series_golden():
+    lines = []
+    for r in (3, 4, 5):
+        lines += [f"r={r}", lf_to_p_series(rspin_hamiltonian(ctx_for(r), 1, 1), 2).render()]
+    assert lines == P_SERIES_GOLDEN.read_text().splitlines()
+
+
+def test_star_products_do_no_algscalar_arithmetic(monkeypatch):
+    rng = random.Random(83)
+    ctx = WeylContext(n_fields=3, window=3)
+    pairs = [(rand_element(rng, ctx), rand_element(rng, ctx)) for _ in range(5)]
+
+    def refuse(*args):
+        raise AssertionError("AlgScalar arithmetic in the star product")
+
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__pow__", "inverse"):
+        monkeypatch.setattr(AlgScalar, name, refuse)
+    for a, b in pairs:
+        assert f_r_map(4, weyl_star(a, b, deformed_rule(4))) \
+            == weyl_star(f_r_map(4, a), f_r_map(4, b), std_rule(4))
