@@ -181,11 +181,12 @@ def cmd_verify_main(args) -> int:
     k = 1 + args.r
     ctx = gd_context(args.r, root_depth_for_residue(k + args.r))
     report = verify_dr_dz_equivalence(ctx)
-    conds = report.conditions
-    text = ("conditions: [dw/du1 = delta: {}, push(eta dx) = K: {}, "
-            "g11[w] = h11: {}]\nverdict: {}").format(
-        *(str(c).lower() for c in conds), "PASS" if report.verdict else "FAIL")
+    conds = ", ".join(f"{name}: {str(c).lower()}"
+                      for name, c in zip(report.CONDITION_NAMES, report.conditions))
+    text = f"conditions: [{conds}]\nverdict: {'PASS' if report.verdict else 'FAIL'}"
     emit(args, text, report.to_json_dict())
+    if not report.verdict:
+        print(report.failure(w_names(args.r)), file=sys.stderr)
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 def cmd_reconstruct(args) -> int:

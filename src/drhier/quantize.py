@@ -12,13 +12,17 @@ the chosen commutation rule:
 
 with the deformed constants read off a constant-coefficient hamiltonian
 operator (entries sum_j K_j eps^j d_x^{j+1}) rather than hard-coded.
+Both brackets vanish unless the momenta add to zero, so only the modes
+whose momentum meets an opposite one on the other side are contracted;
+the rest commute through.  The f_r images keep each generator's momentum,
+so f_r is a commutative substitution that needs no star product.
 Within the finite window everything is exact.
 
 A coefficient c of hbar^h eps^e is always i^{h+e} times a rational, so a
 term stores the ``Fraction`` q = c / i^{h+e} (hbar = i hbar', eps = i eps'):
 the brackets read k eta^{ab} and m^{j+1} K^{ab}_j.  Its key is (h, e, word),
 the word listing the modes as (k, alpha) in ascending order with repeats,
-which is normal order; a product key is one sort of three sorted runs.  The
+which is normal order; a product key is one sort of sorted runs.  The
 constructor, ``mode``, ``scale`` and ``lf_to_p_series`` refuse a c outside
 i^{h+e} Q with ``ValueError``; ``items`` and ``render`` give c back.  The
 reorder memo stays module-level, as the benchmark reads its size.
@@ -33,19 +37,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
+from math import comb
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
-from .gdhier import eta_matrix
 from .hamops import HamiltonianOperator
 from .scalars import AlgScalar, add_term
 
 Mode = tuple[int, int]  # (k, alpha): tuple order is normal order
 
 _ONE = Fraction(1)
-_I_POWERS = (AlgScalar(1), AlgScalar(0, 1), AlgScalar(-1), AlgScalar(0, -1))
 _FIRST_POSITIVE = (1,)  # sorts before every mode with k >= 1
 
 
@@ -139,12 +141,25 @@ def _pkey(word) -> tuple:
 
 
 def _to_q(c, h: int, e: int, pkey) -> Fraction:
-    """q = c / i^(h+e); refuses a c outside i^(h+e) Q."""
-    q = _I_POWERS[-(h + e) % 4] * c
-    if not q.is_rational():
+    """q = c / i^(h+e), read off c's parts: +-a when h+e is even, +-b when it
+    is odd; refuses a c outside i^(h+e) Q."""
+    if isinstance(c, AlgScalar):
+        re, im, off = c.a, c.b, c.c or c.e
+    else:
+        re, im, off = Fraction(c), 0, 0
+    n = (h + e) % 4
+    q, other = (im, re) if n % 2 else (re, im)
+    if other or off:
         raise ValueError(f"coefficient {c} of hbar^{h} eps^{e} {monomial(pkey)} "
                          f"is not in i^{h + e}*Q")
-    return q.a
+    return -q if n >= 2 else q
+
+
+def _to_c(q: Fraction, h: int, e: int) -> AlgScalar:
+    """c = q i^(h+e)."""
+    n = (h + e) % 4
+    part = -q if n >= 2 else q
+    return AlgScalar(0, part) if n % 2 else AlgScalar(part)
 
 
 class WeylElement:
@@ -229,7 +244,7 @@ class WeylElement:
 
     def items(self) -> list:
         """[((hbar_exp, eps_exp, pkey), c)] in render order, c an AlgScalar."""
-        return sorted(((h, e, _pkey(word)), _I_POWERS[(h + e) % 4] * q)
+        return sorted(((h, e, _pkey(word)), _to_c(q, h, e))
                       for (h, e, word), q in self.terms.items())
 
     def render(self) -> str:
@@ -249,14 +264,41 @@ class WeylElement:
 _REORDER_MEMO: dict = {}
 
 
-def _reorder(pos, nonpos, rule):
+def _split(pos, nonpos, cancel) -> tuple:
+    """(pos modes whose momentum k is in cancel, nonpos modes whose -k is, the rest).
+
+    The rest commutes with every mode of the other word, because both rules'
+    brackets vanish unless the momenta add to zero; it is normal ordered.
+    """
+    return (tuple(m for m in pos if m[0] in cancel),
+            tuple(m for m in nonpos if -m[0] in cancel),
+            tuple(m for m in nonpos if -m[0] not in cancel)
+            + tuple(m for m in pos if m[0] not in cancel))
+
+
+def _normal_order(pos, nonpos, rule) -> dict:
     """Normal-order (product of positive modes) x (product of nonpositive).
 
-    Returns {(hbar, eps, word): q}, memoized in ``_REORDER_MEMO`` under
-    (rule token, pos, nonpos).
+    Returns {(hbar, eps, word): q}.  Only the modes whose momenta cancel go
+    to ``_reorder``; the rest is sorted into each of its words.
     """
-    if not pos or not nonpos:
+    cancel = {k for k, _ in pos}.intersection([-k for k, _ in nonpos])
+    if not cancel:
         return {(0, 0, nonpos + pos): _ONE}
+    c_pos, c_nonpos, rest = _split(pos, nonpos, cancel)
+    inner = _reorder(c_pos, c_nonpos, rule)
+    if not rest:
+        return inner
+    return {(h, e, tuple(sorted(rest + mid))): q for (h, e, mid), q in inner.items()}
+
+
+def _reorder(pos, nonpos, rule) -> dict:
+    """``_normal_order`` of two words in which every mode contracts.
+
+    Each positive mode's momentum k meets a -k in ``nonpos`` and vice versa.
+    Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos), so a key
+    holds contracting modes alone.
+    """
     key = (rule.token, pos, nonpos)
     out = _REORDER_MEMO.get(key)
     if out is not None:
@@ -267,19 +309,29 @@ def _reorder(pos, nonpos, rule):
 
     # x through the whole nonpositive word: commutator terms first
     for s, y in enumerate(nonpos):
+        if x[0] + y[0]:
+            continue
         for h, e, q in rule.bracket(x, y):
             reduced = nonpos[:s] + nonpos[s + 1:]
-            for (h2, e2, w2), q2 in _reorder(head, reduced, rule).items():
+            for (h2, e2, w2), q2 in _normal_order(head, reduced, rule).items():
                 add_term(out, (h + h2, e + e2, w2), q * q2)
     # and the fully commuted term with x, the largest mode, appended
-    for (h2, e2, w2), q2 in _reorder(head, nonpos, rule).items():
+    for (h2, e2, w2), q2 in _normal_order(head, nonpos, rule).items():
         add_term(out, (h2, e2, w2 + (x,)), q2)
     _REORDER_MEMO[key] = out
     return out
 
 
 def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
-    """The star product under the given commutation rule."""
+    """The star product under the given commutation rule.
+
+    For each pair of terms, the left positive modes meet the right
+    nonpositive ones.  Only the modes whose momenta cancel contract, and
+    only they go to the memoized ``_reorder``; the others commute through
+    and join the sorted key directly.  A pair with no cancelling momentum is
+    already normal ordered, and a fully commuted term (q = 1) costs no
+    ``Fraction`` product.
+    """
     if a.ctx != b.ctx:
         raise ValueError("window/context mismatch")
     if rule.n_fields != a.ctx.n_fields:
@@ -287,19 +339,24 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     right = []
     for (h2, e2, w2), q2 in b.terms.items():
         cut = bisect_left(w2, _FIRST_POSITIVE)
-        right.append((h2, e2, w2, w2[:cut], w2[cut:], q2))
+        np2 = w2[:cut]
+        right.append((h2, e2, w2, np2, w2[cut:], frozenset(-k for k, _ in np2), q2))
     terms: dict = {}
     for (h1, e1, w1), q1 in a.terms.items():
         cut = bisect_left(w1, _FIRST_POSITIVE)
         np1, pos1 = w1[:cut], w1[cut:]
-        for h2, e2, w2, np2, pos2, q2 in right:
-            if not pos1 or not np2:  # already normal ordered
-                add_term(terms, (h1 + h2, e1 + e2, tuple(sorted(w1 + w2))), q1 * q2)
-                continue
+        momenta = frozenset(k for k, _ in pos1)
+        for h2, e2, w2, np2, pos2, opposite, q2 in right:
             q = q1 * q2
-            for (hc, ec, mid), qc in _reorder(pos1, np2, rule).items():
-                key = (h1 + h2 + hc, e1 + e2 + ec, tuple(sorted(np1 + mid + pos2)))
-                add_term(terms, key, q * qc)
+            cancel = momenta & opposite
+            if not cancel:  # already normal ordered
+                add_term(terms, (h1 + h2, e1 + e2, tuple(sorted(w1 + w2))), q)
+                continue
+            c_pos, c_nonpos, rest = _split(pos1, np2, cancel)
+            rest = np1 + rest + pos2
+            for (hc, ec, mid), qc in _reorder(c_pos, c_nonpos, rule).items():
+                add_term(terms, (h1 + h2 + hc, e1 + e2 + ec, tuple(sorted(rest + mid))),
+                         q if qc is _ONE else q * qc)
     return WeylElement._of(a.ctx, terms)
 
 
@@ -312,32 +369,35 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
 
     On generators it mirrors the hierarchy-comparison Miura map, e.g.
     f_4(p~^1_n) = p^1_n - (eps^2/96) n^2 p^3_n, extended multiplicatively
-    on normal-form monomials (images multiply with the standard star).
+    on normal-form monomials.  Each image keeps the momentum n of its
+    generator, so the images of a normal-ordered word come in normal order:
+    their standard star product contracts nothing and is the commutative
+    product, expanded here with one binomial per run of equal modes.
     """
     if r not in (4, 5) or r not in DR_DZ_SHIFTS:
         raise ValueError("f_r is defined for r = 4, 5")
     shifts = DR_DZ_SHIFTS[r]
-    rule = StandardRule.from_eta(eta_matrix(r))
-    ctx = a.ctx
-
-    @cache
-    def image(mode: Mode) -> WeylElement:
-        n, alpha = mode
-        out = {(0, 0, (mode,)): _ONE}
-        shift = shifts.get(alpha)
-        if shift and n:
-            beta, c = shift
-            out[(0, 2, ((n, beta),))] = c * n * n  # -c n^2 eps^2 at q = c / i^2
-        return WeylElement._of(ctx, out)
-
     terms: dict = {}
-    for (h, eps, word), q in a.terms.items():
-        acc = WeylElement._of(ctx, {(h, eps, ()): q})
-        for mode in word:
-            acc = weyl_star(acc, image(mode), rule)
-        for key, c in acc.terms.items():
-            add_term(terms, key, c)
-    return WeylElement._of(ctx, terms)
+    for (h, e, word), q in a.terms.items():
+        partial = {(e, ()): q}  # (eps_exp, modes so far) -> q
+        for mode, run in groupby(word):
+            power = len(list(run))
+            n, alpha = mode
+            shift = shifts.get(alpha) if n else None
+            if shift is None:
+                partial = {(e2, w + (mode,) * power): q2 for (e2, w), q2 in partial.items()}
+                continue
+            # in q form f_r(p^alpha_n) = p^alpha_n + c n^2 eps^2 p^beta_n (the
+            # coefficient -c n^2 over i^2); its power is a binomial sum
+            beta, c = shift
+            step = c * (n * n)
+            choices = [(2 * j, (mode,) * (power - j) + ((n, beta),) * j,
+                        comb(power, j) * step ** j) for j in range(power + 1)]
+            partial = {(e2 + de, w + dw): q2 * f if de else q2
+                       for (e2, w), q2 in partial.items() for de, dw, f in choices}
+        for (e2, w), q2 in partial.items():
+            add_term(terms, (h, e2, tuple(sorted(w))), q2)
+    return WeylElement._of(a.ctx, terms)
 
 
 # -- the Fourier dictionary ------------------------------------------------------------
@@ -374,5 +434,5 @@ def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
             expand((), 0, -coeff if twist % 4 >= 2 else coeff)
     for (_, eps, word), q in images[1].items():
         raise ValueError(f"the coefficient of hbar^0 eps^{eps} {monomial(_pkey(word))} "
-                         f"has a part {_I_POWERS[(eps + 1) % 4] * q} outside i^{eps}*Q")
+                         f"has a part {_to_c(q, 0, eps + 1)} outside i^{eps}*Q")
     return WeylElement._of(WeylContext(h.ring.n_fields, window), images[0])

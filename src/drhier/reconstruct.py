@@ -561,10 +561,37 @@ class VerdictReport:
     operator_diff: HamiltonianOperator
     hamiltonian_diff: DiffPoly
     eps_max: int
+    miura_diff: tuple[DiffPoly, ...]  # dw^alpha/du^1 - delta^{alpha,1}
+
+    CONDITION_NAMES = ("dw/du1 = delta", "push(eta dx) = K", "g11[w] = h11")
 
     @property
     def verdict(self) -> bool:
         return all(self.conditions)
+
+    def failure(self, names) -> str | None:
+        """One line on the first failed condition, None on a pass.
+
+        It names the condition, the lowest eps order of lhs - rhs and the
+        first differing term there, with the entry it sits in.
+        """
+        diffs = (
+            [(f"dw{a}/du1 - delta^{{{a},1}}", "", d)
+             for a, d in enumerate(self.miura_diff, 1)],
+            [(f"entry ({a},{b}) of lhs - rhs", f" at d_x^{n}", c)
+             for a, row in enumerate(self.operator_diff.entries, 1)
+             for b, op in enumerate(row, 1) for n, c in sorted(op.coeffs.items())],
+            [("the density of lhs - rhs", "", self.hamiltonian_diff)],
+        )
+        for name, ok, parts in zip(self.CONDITION_NAMES, self.conditions, diffs):
+            if ok:
+                continue
+            terms = [(eps, jets, c, place, where) for place, where, poly in parts
+                     for (eps, jets), c in poly.sorted_terms()]
+            eps, jets, c, place, where = min(terms, key=lambda t: t[0])
+            term = DiffPoly(self.hamiltonian_diff.ring, {(eps, jets): c})
+            return f"{name} failure at eps^{eps}: {place} has {term.render(names)}{where}"
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -596,9 +623,9 @@ def verify_dr_dz_equivalence(ctx: GDContext,
     eps_max = 2 * r + 2
     ring = ctx.ring_w
 
-    cond1 = all(
-        w.partial(1, 0) == DiffPoly.const(ring, 1 if a == 1 else 0)
-        for a, w in enumerate(miura.entries, start=1))
+    miura_diff = tuple(w.partial(1, 0) - DiffPoly.const(ring, 1 if a == 1 else 0)
+                       for a, w in enumerate(miura.entries, start=1))
+    cond1 = all(d.is_zero() for d in miura_diff)
 
     k_spin, h_spin = rspin_system(ctx, 1, 1)
     eta = eta_matrix(r)
@@ -614,4 +641,4 @@ def verify_dr_dz_equivalence(ctx: GDContext,
 
     return VerdictReport(r=r, conditions=(cond1, cond2, cond3),
                          operator_diff=op_diff, hamiltonian_diff=h_diff,
-                         eps_max=eps_max)
+                         eps_max=eps_max, miura_diff=miura_diff)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from drhier import cli, quantize
-from drhier.diffpoly import DiffPoly, LocalFunctional, Ring
+from drhier import cli, quantize, reconstruct
+from drhier.diffpoly import DiffPoly, LocalFunctional, Ring, integrate
 from drhier.drspin import IntegralTable, TautMonomial, hain_expand
 from drhier.gdhier import gd_context, gd_hamiltonian
+from drhier.hamops import MiuraMap
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,9 +168,40 @@ def test_latex_format(run):
 
 
 def test_verify_main_exit_codes(run):
-    code, out, _ = run("verify-main", "--r", "3")
+    code, out, err = run("verify-main", "--r", "3")
     assert code == 0
     assert "verdict: PASS" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_main_names_the_first_failed_condition(run, monkeypatch, fmt):
+    # a g_{1,1} off by eps^2 w1_1^2 / 7 breaks condition (3) alone
+    builtin_g11 = reconstruct.builtin_g11
+
+    def faulty(r, ring=None):
+        h = builtin_g11(r, ring)
+        return integrate(h.density + DiffPoly.jet(h.ring, 1, 1, 2, Fraction(1, 7)).eps_shift(2))
+
+    code, good, _ = run("verify-main", "--r", "4", "--format", fmt)
+    monkeypatch.setattr(reconstruct, "builtin_g11", faulty)
+    code, out, err = run("verify-main", "--r", "4", "--format", fmt)
+    assert code == cli.EXIT_FAIL
+    if fmt == "text":
+        assert out == good.replace("h11: true]", "h11: false]").replace("PASS", "FAIL")
+    assert err == ("g11[w] = h11 failure at eps^2: the density of lhs - rhs has "
+                   "1/7*eps^2*w1_1^2\n")
+
+
+def test_verify_main_names_the_failed_entry(run, monkeypatch):
+    # without the eps^2 shift of w1, eta d_x pushes forward to K^{4-spin}
+    # minus its dispersive (1,1) entry
+    monkeypatch.setattr(reconstruct, "dz_miura_map", lambda r, ring: MiuraMap.identity(ring))
+    code, out, err = run("verify-main", "--r", "4")
+    assert code == cli.EXIT_FAIL
+    assert out.startswith("conditions: [dw/du1 = delta: true, push(eta dx) = K: false, ")
+    assert err == ("push(eta dx) = K failure at eps^2: entry (1,1) of lhs - rhs has "
+                   "-1/48*eps^2 at d_x^3\n")
 
 
 def test_assemble_worked_example(run, worked_table):

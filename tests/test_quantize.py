@@ -3,10 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drhier import quantize
 from drhier.diffpoly import DiffPoly, Ring, integrate
-from drhier.drspin import builtin_g11
+from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
 from drhier.gdhier import eta_matrix, rspin_hamiltonian, rspin_operator
 from drhier.quantize import (
     DeformedRule,
@@ -391,3 +393,152 @@ def test_star_products_do_no_algscalar_arithmetic(monkeypatch):
     for a, b in pairs:
         assert f_r_map(4, weyl_star(a, b, deformed_rule(4))) \
             == weyl_star(f_r_map(4, a), f_r_map(4, b), std_rule(4))
+
+
+# -- independent oracles: adjacent swaps and the star fold of f_r -----------------------
+
+FEW = settings(max_examples=40, deadline=None)
+CTX3 = WeylContext(n_fields=3, window=2)
+I = AlgScalar(0, 1)
+
+
+@st.composite
+def weyl_elements(draw, ctx=CTX3):
+    """Up to three terms of up to four modes, k = 0 included, with hbar and eps."""
+    modes = st.tuples(st.integers(1, ctx.n_fields), st.integers(-ctx.window, ctx.window))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        counts: dict = {}
+        for mode in draw(st.lists(modes, max_size=4)):
+            counts[mode] = counts.get(mode, 0) + 1
+        h, e = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+        key = (h, e, tuple(sorted((a, k, p) for (a, k), p in counts.items())))
+        terms[key] = I ** (h + e) * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return WeylElement(ctx, terms)
+
+
+def normal_order_by_swaps(word, rule, out, h=0, e=0, q=Fraction(1)):
+    """Add q hbar^h eps^e times the word, in any order, to out in normal order.
+
+    Swaps the first adjacent pair (positive, nonpositive) and adds its bracket,
+    x y = y x + [x, y], until no positive mode stands left of a nonpositive one.
+    """
+    for i in range(len(word) - 1):
+        x, y = word[i], word[i + 1]
+        if x[0] >= 1 and y[0] <= 0:
+            normal_order_by_swaps(word[:i] + (y, x) + word[i + 2:], rule, out, h, e, q)
+            for hb, eb, qb in rule.bracket(x, y):
+                normal_order_by_swaps(word[:i] + word[i + 2:], rule, out,
+                                      h + hb, e + eb, q * qb)
+            return
+    key = (h, e, tuple(sorted(word)))
+    out[key] = out.get(key, 0) + q
+
+
+def star_by_swaps(a, b, rule):
+    out: dict = {}
+    for (h1, e1, w1), q1 in a.terms.items():
+        for (h2, e2, w2), q2 in b.terms.items():
+            normal_order_by_swaps(w1 + w2, rule, out, h1 + h2, e1 + e2, q1 * q2)
+    return {key: q for key, q in out.items() if q}
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@FEW
+@given(a=weyl_elements(), b=weyl_elements())
+def test_star_matches_adjacent_swaps(make_rule, a, b):
+    rule = make_rule(4)
+    assert weyl_star(a, b, rule).terms == star_by_swaps(a, b, rule)
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@pytest.mark.parametrize("r", [4, 5])
+@FEW
+@given(x=st.tuples(st.integers(-5, 5), st.integers(1, 3)),
+       y=st.tuples(st.integers(-5, 5), st.integers(1, 3)))
+def test_brackets_vanish_off_cancelling_momenta(make_rule, r, x, y):
+    # weyl_star contracts only modes whose momenta cancel; this is why
+    if x[0] + y[0]:
+        assert make_rule(r).bracket(x, y) == []
+
+
+def f_r_by_star_fold(r, a):
+    """f_r as first defined: the standard star product of the generator
+    images, folded over each word in normal order."""
+    ctx, rule = a.ctx, std_rule(r)
+
+    def image(k, alpha):
+        out = WeylElement.mode(ctx, alpha, k)
+        if alpha in DR_DZ_SHIFTS[r] and k:
+            beta, c = DR_DZ_SHIFTS[r][alpha]
+            out = out + WeylElement(ctx, {(0, 2, ((beta, k, 1),)): -c * k * k})
+        return out
+
+    total = WeylElement(ctx)
+    for (h, e, pkey), c in a.items():
+        acc = WeylElement(ctx, {(h, e, ()): c})
+        for k, alpha in sorted((k, alpha) for alpha, k, p in pkey for _ in range(p)):
+            acc = weyl_star(acc, image(k, alpha), rule)
+        total = total + acc
+    return total
+
+
+@pytest.mark.parametrize("r, window", [(4, 2), (4, 3), (5, 2), (5, 3)])
+def test_f_r_matches_the_star_fold(r, window, monkeypatch):
+    rng = random.Random(f"f_r-fold:{r}:{window}")
+    ctx = WeylContext(n_fields=r - 1, window=window)
+    rule = deformed_rule(r)
+    samples = []
+    for _ in range(8):
+        a, b = rand_element(rng, ctx, max_degree=4), rand_element(rng, ctx, max_degree=4)
+        samples += [a, weyl_star(a, b, rule)]  # products carry hbar, eps and i
+    expected = [f_r_by_star_fold(r, x) for x in samples]
+
+    def refuse(*args):
+        raise AssertionError("f_r multiplied with a star product")
+
+    monkeypatch.setattr(quantize, "weyl_star", refuse)
+    monkeypatch.setattr(quantize, "_reorder", refuse)
+    assert [f_r_map(r, x) for x in samples] == expected
+
+
+# -- work counts: only the modes whose momenta cancel are contracted ------------------------
+
+
+def test_products_without_cancelling_momenta_do_no_reordering(monkeypatch):
+    ctx = WeylContext(n_fields=3, window=3)
+    rules = (std_rule(4), deformed_rule(4))
+    a = WeylElement(ctx, {(0, 0, ((1, 1, 1), (2, 2, 2), (3, -1, 1))): AlgScalar(2),
+                          (1, 0, ((1, 3, 1),)): AlgScalar(0, 1)})
+    # a's positive momenta are 1, 2 and 3: p3[-3] cancels p1[3], p3[0] cancels none
+    b = WeylElement(ctx, {(0, 0, ((1, 0, 1), (2, 2, 1), (3, -3, 1))): AlgScalar(3)})
+    b_far = WeylElement(ctx, {(0, 0, ((1, 0, 1), (2, 2, 1), (3, 0, 1))): AlgScalar(3)})
+
+    def refuse(*args):
+        raise AssertionError("bracket of modes whose momenta do not cancel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantize, "_REORDER_MEMO", {})
+        for rule in rules:
+            patch.setattr(type(rule), "bracket", refuse)
+        for rule in rules:
+            assert weyl_star(a, b_far, rule) == weyl_star(b_far, a, rule)
+        assert quantize._REORDER_MEMO == {}
+
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    assert weyl_star(a, b, rules[0]) != weyl_star(b, a, rules[0])
+    assert set(quantize._REORDER_MEMO) == {(rules[0].token, ((3, 1),), ((-3, 3),))}
+
+
+def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
+    rng = random.Random(89)
+    ctx = WeylContext(n_fields=3, window=2)
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    for rule in (std_rule(4), deformed_rule(4)):
+        for _ in range(20):
+            a, b = rand_element(rng, ctx, max_degree=5), rand_element(rng, ctx, max_degree=5)
+            assert weyl_star(a, b, rule).terms == star_by_swaps(a, b, rule)
+    assert quantize._REORDER_MEMO
+    for _, pos, nonpos in quantize._REORDER_MEMO:
+        assert all(k >= 1 for k, _ in pos) and all(k <= 0 for k, _ in nonpos)
+        assert {k for k, _ in pos} == {-k for k, _ in nonpos}

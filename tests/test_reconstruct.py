@@ -12,6 +12,7 @@ from drhier.diffpoly import DiffPoly, Ring, integrate
 from drhier.drspin import builtin_g11
 from drhier.gdhier import eta_matrix, rspin_hamiltonian
 from drhier.hamops import HamiltonianOperator, MiuraMap, flow
+from drhier.psido import PseudoDiffOp
 from drhier.reconstruct import (
     Bounds,
     OmegaData,
@@ -24,6 +25,7 @@ from drhier.reconstruct import (
     omega_from_gd,
     solutions_agree,
     special_solution,
+    VerdictReport,
     verify_dr_dz_equivalence,
 )
 
@@ -473,6 +475,26 @@ def test_verify_r4_identity_fails_condition_two():
     assert not report.verdict
     data = report.to_json_dict()
     assert data["conditions"] == [True, False, False]
+
+
+def test_failure_names_the_lowest_eps_order_of_the_first_failed_condition():
+    ring = Ring(2, 1)
+    u = lambda alpha, order: DiffPoly.jet(ring, alpha, order)
+    operator_diff = HamiltonianOperator.zero(ring)
+    operator_diff.entries[0][1] = PseudoDiffOp.dx(ring, 1, Fraction(1, 5))
+    report = VerdictReport(
+        r=3, conditions=(False, False, True), operator_diff=operator_diff,
+        hamiltonian_diff=DiffPoly.zero(ring), eps_max=8,
+        miura_diff=(DiffPoly.zero(ring),
+                    (u(2, 4) * 3).eps_shift(4) + (u(1, 2) * u(2, 0)).eps_shift(2)))
+    names = {1: "w1", 2: "w2"}
+    assert report.failure(names) == \
+        "dw/du1 = delta failure at eps^2: dw2/du1 - delta^{2,1} has eps^2*w1_2*w2"
+    report.conditions = (True, False, True)
+    assert report.failure(names) == \
+        "push(eta dx) = K failure at eps^0: entry (1,2) of lhs - rhs has 1/5 at d_x^1"
+    report.conditions = (True, True, True)
+    assert report.failure(names) is None
 
 
 def test_dz_miura_map_shapes():
