@@ -5,11 +5,9 @@ scalars -> diffpoly -> psido -> hamops -> gdhier -> drspin -> quantize ->
 reconstruct -> cli.
 """
 
-from .scalars import AlgScalar
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 
 __all__ = [
-    "AlgScalar",
     "DiffPoly",
     "LocalFunctional",
     "Ring",

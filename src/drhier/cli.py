@@ -197,11 +197,20 @@ def cmd_reconstruct(args) -> int:
     ctx = gd_context(args.r, root_depth_for_residue(1 + 2 * args.tmax + args.r))
     h11 = rspin_hamiltonian(ctx, 1, 1)
     # the rewritten flow is exact only if each of its jets has a t-variable
+    # and each of its terms has at most t_deg - 1 jet factors
     flow11 = flow(h11, HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(args.r)))
-    order = max(f.truncate_eps(args.eps_order).max_order() for f in flow11)
+    flow11 = [f.truncate_eps(args.eps_order) for f in flow11]
+    order = max(f.max_order() for f in flow11)
     if order > args.tmax:
         print(f"the t^1_1 flow up to eps^{args.eps_order} has jet order {order}, "
               f"above --tmax {args.tmax}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    factors = max((sum(p for _, _, p in jets) for f in flow11 for _, jets in f.terms),
+                  default=0)
+    if factors > args.t_degree - 1:
+        print(f"the t^1_1 flow up to eps^{args.eps_order} has a term with {factors} "
+              f"jet factors; --t-degree {args.t_degree} allows at most "
+              f"{args.t_degree - 1}", file=sys.stderr)
         return EXIT_PRECONDITION
     bounds = Bounds(t_max=args.tmax, t_deg=args.t_degree, eps_max=args.eps_order)
     omega = omega_from_gd(ctx, q_max=args.tmax)

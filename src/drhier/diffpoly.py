@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import add_term, power_by_squaring
+from .scalars import add_term, power_by_squaring, squarefree_part
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -63,6 +63,11 @@ class Ring:
             return Fraction(value)
         except TypeError:
             raise ValueError(f"{self} has rational coefficients, got {value}") from None
+
+
+def rspin_ring(r: int) -> Ring:
+    """The ring of an r-spin context: r - 1 fields, d the squarefree part of r."""
+    return Ring(r - 1, squarefree_part(r))
 
 
 def _mul_jets(j1, j2):
@@ -418,7 +423,7 @@ class DiffPoly:
                 raise ValueError(f"malformed coefficient {term['coeff']!r}") from None
             if any(irrational):
                 raise ValueError(f"coefficient {term['coeff']!r} is not rational")
-            poly = DiffPoly.const(ring, coeff).eps_shift(integer(term.get("eps", 0), "eps"))
+            poly = DiffPoly.const(ring, coeff).eps_shift(integer(term.get("eps", 0), "eps", 0))
             for jet in term["jets"]:
                 if not isinstance(jet, list) or len(jet) != 3:
                     raise ValueError(f"a jet is [field, order, power], got {jet!r}")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate
-from .scalars import add_term, squarefree_part
+from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring
+from .scalars import add_term
 
 # a-polynomials: exponent tuple (over markings carrying weights) -> Fraction
 APoly = dict[tuple[int, ...], Fraction]
@@ -421,8 +421,7 @@ def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
     insertions).
     """
     if ring is None:
-        d, _ = squarefree_part(r)
-        ring = Ring(r - 1, d)
+        ring = rspin_ring(r)
     density = DiffPoly.zero(ring)
     for profile, poly in contributions:
         if profile.r != r:
@@ -519,8 +518,7 @@ def builtin_g11(r: int, ring: Ring | None = None) -> LocalFunctional:
     if r not in _G11_DATA:
         raise ValueError(f"no built-in g_{{1,1}} data for r = {r}")
     if ring is None:
-        d, _ = squarefree_part(r)
-        ring = Ring(r - 1, d)
+        ring = rspin_ring(r)
     density = DiffPoly.zero(ring)
     for coeff, eps, jets in _G11_DATA[r]:
         term = DiffPoly.const(ring, coeff)

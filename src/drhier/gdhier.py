@@ -21,10 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate
+from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate, rspin_ring
 from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
 from .psido import PseudoDiffOp, derivatives, pdo_root, product_coeff
-from .scalars import squarefree_part
 
 
 def eta_matrix(r: int) -> list[list[Fraction]]:
@@ -55,8 +54,7 @@ class GDContext:
             raise ValueError("need r >= 2")
         self.r = r
         self.depth = depth
-        d, _ = squarefree_part(r)
-        self.ring_f = self.ring_w = Ring(r - 1, d)
+        self.ring_f = self.ring_w = rspin_ring(r)
         coeffs = {r: DiffPoly.const(self.ring_f, 1)}
         for i in range(r - 1):
             coeffs[i] = DiffPoly.jet(self.ring_f, i + 1, 0)

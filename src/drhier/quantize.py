@@ -143,13 +143,10 @@ def _pkey(word) -> tuple:
 def _to_q(c, h: int, e: int, pkey) -> Fraction:
     """q = c / i^(h+e), read off c's parts: +-a when h+e is even, +-b when it
     is odd; refuses a c outside i^(h+e) Q."""
-    if isinstance(c, AlgScalar):
-        re, im, off = c.a, c.b, c.c or c.e
-    else:
-        re, im, off = Fraction(c), 0, 0
+    re, im = (c.a, c.b) if isinstance(c, AlgScalar) else (Fraction(c), 0)
     n = (h + e) % 4
     q, other = (im, re) if n % 2 else (re, im)
-    if other or off:
+    if other:
         raise ValueError(f"coefficient {c} of hbar^{h} eps^{e} {monomial(pkey)} "
                          f"is not in i^{h + e}*Q")
     return -q if n >= 2 else q

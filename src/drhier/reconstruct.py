@@ -482,10 +482,12 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     solution box (as flow series are); levels beyond it are neither peeled
     nor required to cancel.  The result is exact for density terms of
     z-degree within that bound and jet order at most the box's t_max.  A
-    jet of higher order has no t-variable in the box and is not detected
-    here: its term is dropped or absorbed by other monomials (the KdV flow
-    w w_1 + eps^2 w_3 / 12 comes back as w w_1 at t_max = 1).  Callers
-    bound the jet order first; the ``reconstruct`` CLI refuses such boxes.
+    jet of higher order has no t-variable in the box, and a term of higher
+    degree is cut with the series; neither is detected here, and the term
+    is dropped or absorbed by other monomials (the KdV flow
+    w w_1 + eps^2 w_3 / 12 comes back as w w_1 at t_max = 1, and its
+    w w_1 as w at t_deg = 2).  Callers bound the jet order and the term
+    degree first; the ``reconstruct`` CLI refuses such boxes.
     """
     ring = sol.ring
     b = sol.bounds

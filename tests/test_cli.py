@@ -264,6 +264,17 @@ def test_reconstruct_cli(run):
         assert out == ""
         assert err == (f"the t^1_1 flow up to eps^2 has jet order 3, "
                        f"above --tmax {tmax}\n")
+    # its w*w_1 needs t_deg >= 3: at t_deg = 2 it would come back as w
+    code, out, err = run("reconstruct", "--r", "2", "--tmax", "3",
+                         "--t-degree", "2", "--eps-order", "2")
+    assert code == cli.EXIT_PRECONDITION
+    assert out == ""
+    assert err == ("the t^1_1 flow up to eps^2 has a term with 2 jet factors; "
+                   "--t-degree 2 allows at most 1\n")
+    code, out, _ = run("reconstruct", "--r", "2", "--tmax", "3",
+                       "--t-degree", "3", "--eps-order", "2")
+    assert code == 0
+    assert out.endswith("t^1_1 flow (rewritten): w*w_1 + 1/12*eps^2*w_3\n")
     code, out, _ = run("reconstruct", "--r", "2", "--tmax", "1", "--eps-order", "0")
     assert code == 0
     assert "string residuals: 0" in out
@@ -333,6 +344,8 @@ def test_quantize_check_cli(run):
     '{"N": 1, "terms": [{"coeff": [1, 0, 0, 0], "eps": 0, "jets": [[2, 0, 1]]}]}',
     # i*sqrt(3): coefficients are rational
     '{"N":1,"d":3,"terms":[{"coeff":["0","0","0","1"],"eps":0,"jets":[[1,0,1]]}]}',
+    # eps carries degree -1; a negative exponent is no differential polynomial
+    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":-1,"jets":[[1,0,1]]}]}',
 ])
 def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
