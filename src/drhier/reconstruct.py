@@ -1,12 +1,14 @@
 """Reconstruction of a hierarchy from one Hamiltonian and its genus-0 part.
 
 The special solution u^sp of the deformed hierarchy (initial datum
-u^alpha = delta^{alpha,1} x) is built coefficient by coefficient: the
-genus-0 layer by Taylor integration of the dispersionless flows, the
-eps^i layers (i >= 1) through the dilaton-derived recursion
-(i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp] with the layer
-ordering (i, then total t-degree).  All series live at x = 0 as sparse
-dicts {(t-monomial, i): value}.  The x dependence is recovered through the
+u^alpha = delta^{alpha,1} x) is built one level at a time: the genus-0
+layer by Taylor integration of the dispersionless flows, one t-degree per
+level, and the eps^i layers (i >= 1) through the dilaton-derived recursion
+(i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp], one level per
+(i, total t-degree n).  Each level is the exact (eps, degree) part of
+whole series products over the finished lower levels, divided and then
+written.  All series live at x = 0 as sparse dicts
+{(t-monomial, i): value}.  The x dependence is recovered through the
 t^1_0 derivative (the t^1_0 flow is plain translation), and jets of the
 solution are series pushed forward from the table by the string equation
 d_x = delta + sum t^rho_{k+1} d/dt^rho_k, which raises t-subscripts instead
@@ -21,10 +23,8 @@ that uses neither string nor dilaton.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
@@ -69,16 +69,6 @@ def tmon_degree(m: TMon) -> int:
 def tmon_rest_degree(m: TMon) -> int:
     """Degree in the variables other than t^1_0."""
     return sum(p for v, p in m if v != (1, 0))
-
-
-def tmon_subscript_sum(m: TMon) -> int:
-    return sum(v[1] * p for v, p in m)
-
-
-def monomials(variables, degree: int):
-    """Every t-monomial of the given total degree in the given variables."""
-    for combo in combinations_with_replacement(variables, degree):
-        yield tuple(sorted(Counter(combo).items()))
 
 
 def t_derivative(series: dict, var: tuple[int, int], k: int) -> dict:
@@ -250,16 +240,30 @@ class SpecialSolution:
     # -- whole series of products: every coefficient of a level at once -------------------
 
     def series_product(self, factors, jet_fn, eps_max: int, deg_max: int,
-                       rest_max: int | None = None) -> dict:
+                       rest_max: int | None = None, exact: bool = False) -> dict:
         """Product of the factors' jet series, cut at eps <= eps_max, t-degree
         <= deg_max and degree without t^1_0 <= rest_max (default deg_max).
-        Each cut is exact: no factor lowers a degree."""
+        Each cut is exact: no factor lowers a degree.  With ``exact`` only
+        the part at eps = eps_max and t-degree = deg_max is kept: the last
+        factor meets only its matching (eps, degree) bucket."""
         rest_max = deg_max if rest_max is None else rest_max
         acc = {((), 0): Fraction(1)}
-        for gamma, d in factors:
+        last = len(factors) - 1 if exact else -1
+        for k, (gamma, d) in enumerate(factors):
             right = [(m, i, v, tmon_degree(m), tmon_rest_degree(m))
                      for (m, i), v in jet_fn(gamma, d).items() if i <= eps_max]
             out = {}
+            if k == last:
+                buckets = {}
+                for m2, i2, v2, deg2, rest2 in right:
+                    buckets.setdefault((i2, deg2), []).append((m2, v2, rest2))
+                for (m1, i1), v1 in acc.items():
+                    rest1 = tmon_rest_degree(m1)
+                    for m2, v2, rest2 in buckets.get(
+                            (eps_max - i1, deg_max - tmon_degree(m1)), ()):
+                        if rest1 + rest2 <= rest_max:
+                            add_term(out, (tmon_times(m1, m2), eps_max), v1 * v2)
+                return out
             for (m1, i1), v1 in acc.items():
                 deg1, rest1 = tmon_degree(m1), tmon_rest_degree(m1)
                 for m2, i2, v2, deg2, rest2 in right:
@@ -267,10 +271,12 @@ class SpecialSolution:
                             and rest1 + rest2 <= rest_max:
                         add_term(out, (tmon_times(m1, m2), i1 + i2), v1 * v2)
             acc = out
+        if exact and (eps_max or deg_max):
+            return {}  # no factors: the product is 1 at (t^0, eps^0)
         return acc
 
     def poly_series(self, p: DiffPoly, jet_fn, eps_max: int, deg_max: int,
-                    rest_max: int | None = None) -> dict:
+                    rest_max: int | None = None, exact: bool = False) -> dict:
         """p(u^sp, u^sp_x, ...) as a series, cut like ``series_product``."""
         out = {}
         for (eps, jets), coeff in p.terms.items():
@@ -279,7 +285,7 @@ class SpecialSolution:
             factors = [(gamma, order) for gamma, order, power in jets
                        for _ in range(power)]
             product = self.series_product(factors, jet_fn, eps_max - eps,
-                                          deg_max, rest_max)
+                                          deg_max, rest_max, exact)
             for (m, i), value in product.items():
                 add_term(out, (m, i + eps), coeff * value)
         return out
@@ -300,7 +306,25 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
 
     ``route`` selects which flow integrates each genus-0 monomial ("max" or
     "min" over the available variables); the result must not depend on it.
+
+    The table is filled one level at a time: the genus-0 layer by t-degree
+    n, then each eps^i layer by (i, n).  A level's right-hand sides are the
+    exact (eps^i, t-degree n) parts of whole series products; they are
+    divided and written once all of them are known.  The order inside a
+    level does not matter, because a level reads no entry of its own level
+    except its own coefficient.  A genus-0 level n reads the flows at
+    t-degree n - 1.  In an eps layer, jets keep the t-degree and eps order
+    of the entries they come from, and the only jet with a nonzero
+    (t^0, eps^0) entry is u^1_1 = 1.  The eps^e piece of the flow has
+    derivative degree e + 1, so a term that reaches level (i, n) has e = 0
+    and every other factor at (t^0, eps^0): it is u^gamma_0 u^1_1 or a
+    linear u^gamma_1.  ``check_vanishing`` rules out the linear terms, and
+    eta d^2 Omega_{1,1} = id gives u^gamma_0 u^1_1 the coefficient
+    delta^{alpha,gamma}, so the level reads only its own coefficient, which
+    the divisor i + n - 1 absorbs.
     """
+    if route not in ("max", "min"):
+        raise ValueError(f"unknown route {route!r}: expected 'max' or 'min'")
     ring = h11.ring
     ring.check_compatible(omega.ring)
     n_fields = ring.n_fields
@@ -339,42 +363,32 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
 
     # genus-0 layer: Taylor integration of the dispersionless flows
     sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
+    pick = max if route == "max" else min
+    rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for degree in range(1, bounds.t_deg + 1):
-        level = sorted(monomials(sol.variables(), degree), key=tmon_subscript_sum)
-        for m in level:
-            non_translation = [v for v, _ in m if v != (1, 0)]
-            if not non_translation:
-                continue  # pure t^1_0 powers come from the initial condition
-            var = max(non_translation) if route == "max" else min(non_translation)
-            beta, q = var
-            e = dict(m)[var]
-            base_mon = tmon_mul(m, var, -1)
-            for alpha in range(1, n_fields + 1):
-                value = sol.eval_poly(genus0_flows[(beta, q)][alpha - 1],
-                                      base_mon, 0) / e
-                sol.set_coeff(alpha, m, 0, value)
+        level = {(var, alpha): sol.poly_series(genus0_flows[var][alpha - 1], sol.jet,
+                                               0, degree - 1, exact=True)
+                 for var in rest_vars for alpha in range(1, n_fields + 1)}
+        for (var, alpha), series in level.items():
+            for (base_mon, _), value in series.items():
+                m = tmon_mul(base_mon, var, 1)
+                if pick(v for v, _ in m if v != (1, 0)) == var:
+                    sol.set_coeff(alpha, m, 0, value / dict(m)[var])
 
     # eps layers: (i + n) c = [flow of h11](u^sp), the u^alpha term on the
     # right contributing the coefficient itself
     for i in range(1, bounds.eps_max + 1):
         for degree in range(bounds.t_deg + 1):
-            level = sorted(monomials(sol.variables(), degree), key=tmon_subscript_sum)
-            for m in level:
-                values = {}
-                for alpha in range(1, n_fields + 1):
-                    rhs = sol.eval_poly(flows_p[alpha - 1], m, i)
+            level = [sol.poly_series(p, sol.jet, i, degree, exact=True) for p in flows_p]
+            for alpha, rhs in enumerate(level, start=1):
+                for (m, _), value in rhs.items():
                     if degree == 0 and i == 1:
-                        if rhs:
-                            raise AssertionError(
-                                "recursion inconsistent at the empty monomial")
-                        continue
-                    values[alpha] = rhs / (i + degree - 1)
-                for alpha, value in values.items():
-                    is_pure_jet = all(v == (1, 0) for v, _ in m)
-                    if is_pure_jet and value:
+                        raise AssertionError(
+                            "recursion inconsistent at the empty monomial")
+                    if all(v == (1, 0) for v, _ in m):
                         raise AssertionError(
                             f"recursion breaks the initial condition at {m}")
-                    sol.set_coeff(alpha, m, i, value)
+                    sol.set_coeff(alpha, m, i, value / (i + degree - 1))
     return sol
 
 

@@ -3,10 +3,13 @@
 The benchmark wraps, imports and reads drhier names from outside the
 package; a rename there would otherwise break only traced benchmark runs.
 Its CLI goldens are its correctness gate, so they are checked here too:
-a changed output then fails the test suite before anyone benchmarks.
+a changed output then fails the test suite before anyone benchmarks.  So
+are the harness's own self-tests.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,10 @@ def test_benchmark_golden(name, capsysbinary):
     code = cli.main(list(case["argv"]))
     assert code == case["exit"]
     assert capsysbinary.readouterr().out == (BENCH_GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_perfbench_selftest_passes():
+    # the harness's own self-tests start job processes, so they run apart
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr[-4000:]

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations_with_replacement, product
 from math import prod
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from drhier.diffpoly import DiffPoly, Ring, integrate
 from drhier.drspin import builtin_g11
-from drhier.gdhier import eta_matrix, rspin_hamiltonian
+from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian
 from drhier.hamops import HamiltonianOperator, MiuraMap, flow
 from drhier.psido import PseudoDiffOp
 from drhier.reconstruct import (
@@ -21,7 +22,6 @@ from drhier.reconstruct import (
     dz_miura_map,
     integrate_flows_directly,
     jet_rewrite,
-    monomials,
     omega_from_gd,
     solutions_agree,
     special_solution,
@@ -33,6 +33,12 @@ BOUNDS = Bounds(t_max=3, t_deg=4, eps_max=4)
 
 
 from conftest import ctx_for
+
+
+def monomials(variables, degree):
+    """Every t-monomial of the given total degree in the given variables."""
+    for combo in combinations_with_replacement(variables, degree):
+        yield tuple(sorted(Counter(combo).items()))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,8 @@ def test_uniqueness_under_evaluation_order(kdv):
     ctx, omega, h11, sol = kdv
     other = special_solution(h11, omega, BOUNDS, route="min")
     assert all(a == b for a, b in zip(sol.c, other.c))
+    with pytest.raises(ValueError, match="unknown route 'mid'"):
+        special_solution(h11, omega, BOUNDS, route="mid")
 
 
 def test_precondition_mismatch_detected(kdv):
@@ -121,18 +129,15 @@ def test_special_solution_matches_direct_flow_integration(kdv):
 
 
 def test_evaluator_walks_stored_entries(kdv, monkeypatch):
-    # work count on the small oracle box: recursion steps of the pointwise
-    # evaluator and lookups of a jet source.  A walk over every divisor and
-    # eps split makes 3178 steps and 27173 lookups here; the walk over stored
-    # nonzero entries, run by the oracle too, made 1891 and 1903.  Now only
-    # the special solution's eps recursion evaluates pointwise (121 steps,
-    # 124 lookups) and the oracle reads one jet per factor of each
-    # level's series products (30 lookups).
-    ctx, omega, h11, _ = kdv
+    # work count on the small oracle box: the special solution makes no
+    # pointwise step (the coefficient-at-a-time recursion makes 121 steps
+    # and 124 jet lookups here) but one series product per flow and level,
+    # and each product reads one jet per factor of each term
+    _, omega, h11, _ = kdv
     small = Bounds(t_max=2, t_deg=3, eps_max=2)
-    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
-    flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(3)}
     counts = Counter()
+    levels = Counter()
+    poly_series = SpecialSolution.poly_series
 
     def counted(name, kind):
         original = getattr(SpecialSolution, name)
@@ -143,13 +148,20 @@ def test_evaluator_walks_stored_entries(kdv, monkeypatch):
 
         monkeypatch.setattr(SpecialSolution, name, wrapper)
 
+    def counted_series(self, p, jet_fn, eps_max, deg_max, rest_max=None, exact=False):
+        levels[(eps_max, deg_max, exact)] += 1
+        return poly_series(self, p, jet_fn, eps_max, deg_max, rest_max, exact)
+
     counted("_eval_factors", "steps")
     counted("jet", "lookups")
-    counted("direct_jet", "lookups")
-    sol = special_solution(h11, omega, small)
-    oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
-    assert solutions_agree(sol, oracle, small)
-    assert counts["steps"] <= 150 and counts["lookups"] <= 200, counts
+    monkeypatch.setattr(SpecialSolution, "poly_series", counted_series)
+    special_solution(h11, omega, small)
+    # genus 0: one product per flow t^1_1, t^1_2 at degree n - 1 for level n
+    expected = Counter({(0, n - 1, True): 2 for n in range(1, small.t_deg + 1)})
+    expected.update({(i, n, True): 1 for i in range(1, small.eps_max + 1)
+                     for n in range(small.t_deg + 1)})
+    assert levels == expected
+    assert counts["steps"] == 0 and counts["lookups"] <= 40, counts
 
 
 def test_oracle_evaluates_each_flow_once_per_level(kdv, monkeypatch):
@@ -217,6 +229,85 @@ def test_oracle_never_uses_string_jets(kdv, monkeypatch):
     monkeypatch.setattr(SpecialSolution, "jet", refuse)
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     assert solutions_agree(sol, oracle, small)
+
+
+# -- the level-at-a-time special solution against the pointwise recursion ------------------
+
+
+def pointwise_special_solution(h11, omega, bounds):
+    """The special solution one coefficient at a time: each entry is its flow
+    evaluated at one monomial and written at once, in subscript order within
+    a level, so later entries of the level read the earlier ones."""
+    ring = h11.ring
+    k_eta = HamiltonianOperator.eta_dx(ring, omega.eta)
+    flows_p = flow(h11, k_eta)
+    genus0_flows = {(beta, q): flow(integrate(omega.density(beta, q)), k_eta)
+                    for beta in range(1, ring.n_fields + 1)
+                    for q in range(bounds.t_max + 1)}
+    sol = SpecialSolution(ring, bounds)
+
+    def level(degree):
+        return sorted(monomials(sol.variables(), degree),
+                      key=lambda m: sum(k * p for (_, k), p in m))
+
+    sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
+    for degree in range(1, bounds.t_deg + 1):
+        for m in level(degree):
+            rest = [v for v, _ in m if v != (1, 0)]
+            if rest:
+                var = max(rest)
+                for alpha in range(1, ring.n_fields + 1):
+                    value = sol.eval_poly(genus0_flows[var][alpha - 1],
+                                          with_factor(m, var, -1), 0)
+                    sol.set_coeff(alpha, m, 0, value / dict(m)[var])
+    for i in range(1, bounds.eps_max + 1):
+        for degree in range(bounds.t_deg + 1):
+            for m in level(degree):
+                values = [sol.eval_poly(p, m, i) for p in flows_p]
+                if degree == 0 and i == 1:
+                    assert not any(values)
+                    continue
+                for alpha, value in enumerate(values, start=1):
+                    sol.set_coeff(alpha, m, i, value / (i + degree - 1))
+    return sol
+
+
+# r = 4 at t_max = 2 needs Lax root powers to depth 17 (about 8 s on 2 vCPUs),
+# so its box stays at t_max = 1
+LEVEL_BOXES = [(2, Bounds(4, 5, 6)), (2, Bounds(3, 4, 4)), (3, Bounds(2, 3, 2)),
+               (3, Bounds(3, 4, 4)), (4, Bounds(1, 3, 2))]
+
+
+@cache
+def level_inputs(r):
+    """(h_{1,1}, omega) at r for every box of LEVEL_BOXES: r-spin h_{1,1} at
+    r = 2, the DR g_{1,1} above.  The r = 4 depth is the one of the CLI's
+    ``rspin --r 4 --alpha 3 --d 1``, so both share their root powers."""
+    ctx = gd_context(4, 15) if r == 4 else ctx_for(r)
+    q_max = max(bounds.t_max for s, bounds in LEVEL_BOXES if s == r)
+    h11 = rspin_hamiltonian(ctx, 1, 1) if r == 2 else builtin_g11(r, ctx.ring_w)
+    return h11, omega_from_gd(ctx, q_max)
+
+
+@pytest.mark.parametrize("r, bounds", LEVEL_BOXES)
+def test_special_solution_matches_pointwise_recursion(r, bounds):
+    h11, omega = level_inputs(r)
+    reference = pointwise_special_solution(h11, omega, bounds).c
+    for route in ("max", "min") if r == 3 else ("max",):
+        assert special_solution(h11, omega, bounds, route=route).c == reference
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_special_solution_makes_no_pointwise_evaluation(r, monkeypatch):
+    h11, omega = level_inputs(r)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("special_solution evaluated one coefficient")
+
+    monkeypatch.setattr(SpecialSolution, "eval_poly", refuse)
+    monkeypatch.setattr(SpecialSolution, "_eval_factors", refuse)
+    sol = special_solution(h11, omega, Bounds(t_max=2, t_deg=3, eps_max=2))
+    assert check_string_dilaton(sol).clean
 
 
 # -- the oracle's whole table, against the tables the pointwise oracle wrote -----------------
@@ -513,8 +604,7 @@ def test_dz_miura_map_shapes():
 
 def test_r3_flow_agreement():
     ctx = ctx_for(3)
-    omega = omega_from_gd(ctx, q_max=3)
-    sol = special_solution(builtin_g11(3, ctx.ring_w), omega, BOUNDS)
+    sol = special_solution(*level_inputs(3), BOUNDS)
     assert check_string_dilaton(sol).clean
     polys = jet_rewrite(sol.flow_series(2, 0), sol)
     K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(3))
