@@ -205,8 +205,8 @@ def cmd_reconstruct(args) -> int:
         print(f"the t^1_1 flow up to eps^{args.eps_order} has jet order {order}, "
               f"above --tmax {args.tmax}", file=sys.stderr)
         return EXIT_PRECONDITION
-    factors = max((sum(p for _, _, p in jets) for f in flow11 for _, jets in f.terms),
-                  default=0)
+    factors = max((sum(p for _, _, p in jets)
+                   for f in flow11 for (_, jets), _ in f.items()), default=0)
     if factors > args.t_degree - 1:
         print(f"the t^1_1 flow up to eps^{args.eps_order} has a term with {factors} "
               f"jet factors; --t-degree {args.t_degree} allows at most "

@@ -7,22 +7,43 @@ functional is a differential polynomial considered modulo constants and
 total x-derivatives; equality of local functionals is decided through the
 variational derivative, whose kernel is exactly that quotient.
 
-Representation: sparse dict from monomials to rational coefficients,
-plain ``Fraction``; every ring computes over Q.  A monomial is
-``(eps_exponent, jets)`` where ``jets`` is a tuple of ``(alpha, order,
-power)`` triples sorted by (alpha, order); zero coefficients are never
-stored.  Coefficients in the underived fields are polynomial, not formal
-power series: an operation that would need a series inverse fails loudly
-instead of truncating.
+Representation: every ring computes over Q.  A polynomial stores integer
+numerators over one common denominator: ``terms`` maps a packed monomial
+to a nonzero int numerator, ``den`` > 0, and gcd(den, numerators) = 1, so
+equal polynomials are equal structurally.  A packed monomial is one int of
+16-bit slots (packed exponent vectors; Monagan-Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+slot 0 holds the eps exponent, slot 1 the derivative degree sum
+order * power, and slot 1 + order * N + alpha the power of u^alpha_order.
+A product of monomials is the sum of their keys, and d_x moves one unit N
+slots up.  The top bit of every slot is a guard: an exponent that would
+overflow its slot, or an eps exponent that would go negative, sets it and is
+refused with ``ValueError``.
+
+Code outside this module reads a polynomial through ``items()``, which
+yields ``((eps, jets), Fraction)`` with ``jets`` a tuple of ``(alpha, order,
+power)`` triples sorted by (alpha, order), and builds one from such pairs
+with ``from_items``.  Coefficients in the underived fields are polynomial,
+not formal power series: an operation that would need a series inverse
+fails loudly instead of truncating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
-from .scalars import add_term, power_by_squaring, squarefree_part
+from .scalars import add_term, exact_rational, power_by_squaring, squarefree_part
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
+
+_W = 16                 # bits per slot; the top one is the guard
+_MASK = (1 << _W) - 1
+_MAX = _MASK >> 1       # the largest exponent a slot holds
+_DEG = 1 << _W          # one unit of derivative degree
+_JETS = 2 * _W          # bit offset of the first jet slot
+_EPS_GUARD = 1 << (_W - 1)
 
 
 class Ring:
@@ -56,13 +77,14 @@ class Ring:
             raise ValueError(f"ring context mismatch: {self} vs {other}")
 
     def scalar(self, value) -> Fraction:
-        """value as a coefficient; a value outside Q is refused."""
+        """value as a coefficient; a float, or a value outside Q, is refused."""
         if type(value) is Fraction:
             return value
         try:
-            return Fraction(value)
-        except TypeError:
-            raise ValueError(f"{self} has rational coefficients, got {value}") from None
+            return exact_rational(value)
+        except ValueError:
+            raise ValueError(
+                f"{self} has exact rational coefficients, got {value!r}") from None
 
 
 def rspin_ring(r: int) -> Ring:
@@ -70,18 +92,69 @@ def rspin_ring(r: int) -> Ring:
     return Ring(r - 1, squarefree_part(r))
 
 
-def _mul_jets(j1, j2):
-    if not j1:
-        return j2
-    if not j2:
-        return j1
-    acc = dict()
-    for alpha, order, power in j1:
-        acc[(alpha, order)] = power
-    for alpha, order, power in j2:
-        key = (alpha, order)
-        acc[key] = acc.get(key, 0) + power
-    return tuple((a, o, p) for (a, o), p in sorted(acc.items()))
+# -- packed monomials ------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _guard_slots(n_slots: int) -> int:
+    return _EPS_GUARD * (((1 << (_W * n_slots)) - 1) // _MASK)
+
+
+def _check_slots(terms: dict) -> None:
+    """Refuse packed monomials with a guard bit set: an exponent that overflowed.
+
+    A sum of two in-range slots stays below 2^16, so it never carries into
+    the next slot: an overflowed key is distinct from every in-range one,
+    and one AND per stored key finds it.
+    """
+    if terms:
+        guard = _guard_slots(max(terms).bit_length() // _W + 1)
+        if any(key & guard for key in terms):
+            raise ValueError(f"a monomial exponent exceeds {_MAX}")
+
+
+def _pack(ring: Ring, eps: int, jets) -> int:
+    """The packed key of eps^eps prod (u^alpha_order)^power over jets."""
+    n = ring.n_fields
+    powers: dict[tuple[int, int], int] = {}
+    for alpha, order, power in jets:
+        if not 1 <= alpha <= n:
+            raise ValueError(f"field index {alpha} out of range 1..{n}")
+        if order < 0 or power < 0:
+            raise ValueError("order and power must be >= 0")
+        powers[alpha, order] = powers.get((alpha, order), 0) + power
+    if eps < 0:
+        raise ValueError(f"negative eps exponent {eps}")
+    degree = sum(order * power for (_, order), power in powers.items())
+    if max(eps, degree, *powers.values()) > _MAX:
+        raise ValueError(f"a monomial exponent exceeds {_MAX}")
+    key = eps + (degree << _W)
+    for (alpha, order), power in powers.items():
+        key += power << (_W * (1 + order * n + alpha))
+    return key
+
+
+def _jet_slots(key: int) -> list[tuple[int, int]]:
+    """(bit offset, power) of every nonzero jet slot of a packed monomial."""
+    out = []
+    rest = key >> _JETS
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        shift = low - low % _W
+        power = (rest >> shift) & _MASK
+        rest ^= power << shift
+        out.append((shift + _JETS, power))
+    return out
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    """(eps, jets) of a packed monomial in an n-field ring."""
+    jets = []
+    for shift, power in _jet_slots(key):
+        order, alpha = divmod(shift // _W - 2, n)
+        jets.append((alpha + 1, order, power))
+    jets.sort()
+    return key & _MASK, tuple(jets)
 
 
 def monomial_sort_key(mon: Monomial):
@@ -91,13 +164,32 @@ def monomial_sort_key(mon: Monomial):
 
 
 class DiffPoly:
-    """Sparse differential polynomial over a fixed ring context."""
+    """Sparse differential polynomial over a fixed ring context.
 
-    __slots__ = ("ring", "terms")
+    ``terms`` maps packed monomials to nonzero int numerators over ``den``,
+    in lowest terms; the constructor takes that form as it is.  Build a
+    polynomial from decoded terms with ``from_items``.
+    """
 
-    def __init__(self, ring: Ring, terms: dict | None = None):
+    __slots__ = ("ring", "terms", "den")
+
+    def __init__(self, ring: Ring, terms: dict | None = None, den: int = 1):
         self.ring = ring
         self.terms = terms if terms is not None else {}
+        self.den = den
+
+    @staticmethod
+    def _normal(ring: Ring, acc: dict, den: int) -> "DiffPoly":
+        """sum acc[key] / den in canonical form: zeros dropped, content divided out."""
+        terms = {key: v for key, v in acc.items() if v}
+        if not terms:
+            return DiffPoly(ring)
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {key: v // g for key, v in terms.items()}
+        return DiffPoly(ring, terms, den)
 
     # -- constructors --------------------------------------------------------
 
@@ -110,27 +202,42 @@ class DiffPoly:
         c = ring.scalar(value)
         if not c:
             return DiffPoly(ring)
-        return DiffPoly(ring, {(0, ()): c})
+        return DiffPoly(ring, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def jet(ring: Ring, alpha: int, order: int, power: int = 1, coeff=1) -> "DiffPoly":
-        if not 1 <= alpha <= ring.n_fields:
-            raise ValueError(f"field index {alpha} out of range 1..{ring.n_fields}")
-        if order < 0 or power < 0:
-            raise ValueError("order and power must be >= 0")
+        key = _pack(ring, 0, ((alpha, order, power),))
         c = ring.scalar(coeff)
         if not c:
             return DiffPoly(ring)
-        if power == 0:
-            return DiffPoly(ring, {(0, ()): c})
-        return DiffPoly(ring, {(0, ((alpha, order, power),)): c})
+        return DiffPoly(ring, {key: c.numerator}, c.denominator)
 
     @staticmethod
     def eps(ring: Ring, k: int = 1, coeff=1) -> "DiffPoly":
+        key = _pack(ring, k, ())
         c = ring.scalar(coeff)
         if not c:
             return DiffPoly(ring)
-        return DiffPoly(ring, {(k, ()): c})
+        return DiffPoly(ring, {key: c.numerator}, c.denominator)
+
+    @staticmethod
+    def from_items(ring: Ring, items) -> "DiffPoly":
+        """sum c eps^e prod (u^alpha_order)^power over ((e, jets), c) pairs;
+        the jets need not be sorted, and repeated monomials add up."""
+        coeffs: dict = {}
+        for (eps, jets), c in items:
+            add_term(coeffs, _pack(ring, eps, jets), ring.scalar(c))
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return DiffPoly(ring, {key: c.numerator * (den // c.denominator)
+                               for key, c in coeffs.items()}, den)
+
+    # -- the decoded view ----------------------------------------------------
+
+    def items(self):
+        """((eps, jets), Fraction) per term, jets sorted by (alpha, order)."""
+        n, den = self.ring.n_fields, self.den
+        for key, v in self.terms.items():
+            yield _unpack(key, n), Fraction(v, den)
 
     # -- predicates ----------------------------------------------------------
 
@@ -140,63 +247,48 @@ class DiffPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def constant_term(self):
-        return self.terms.get((0, ()), Fraction(0))
+    def constant_term(self) -> Fraction:
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def is_constant(self) -> bool:
-        return all(not jets and eps == 0 for eps, jets in self.terms)
+        return not any(self.terms)
 
     def max_order(self, alpha: int | None = None) -> int:
-        orders = [o for _, jets in self.terms for a, o, _ in jets
+        n = self.ring.n_fields
+        orders = [o for key in self.terms for a, o, _ in _unpack(key, n)[1]
                   if alpha is None or a == alpha]
         return max(orders, default=-1)
 
     def max_eps(self) -> int:
-        return max((eps for eps, _ in self.terms), default=0)
+        return max((key & _MASK for key in self.terms), default=0)
 
     def has_jets(self) -> bool:
-        return any(o > 0 for _, jets in self.terms for _, o, _ in jets)
+        return any((key >> _W) & _MASK for key in self.terms)
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
-        self.ring.check_compatible(other.ring)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            add_term(terms, mon, c)
-        return DiffPoly(self.ring, terms)
+        return _linear_combination(self.ring, ((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        return DiffPoly(self.ring, {key: -v for key, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
-        return self + (-other)
+        return _linear_combination(self.ring, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, DiffPoly):
-            c = self.ring.scalar(other)
-            if not c:
-                return DiffPoly(self.ring)
-            return DiffPoly(self.ring, {m: v * c for m, v in self.terms.items()})
-        self.ring.check_compatible(other.ring)
-        terms: dict = {}
-        if len(self.terms) > len(other.terms):
-            left, right = other, self
-        else:
-            left, right = self, other
-        for (e1, j1), c1 in left.terms.items():
-            for (e2, j2), c2 in right.terms.items():
-                add_term(terms, (e1 + e2, _mul_jets(j1, j2)), c1 * c2)
-        return DiffPoly(self.ring, terms)
+            return _linear_combination(self.ring, ((self.ring.scalar(other), self),))
+        return sum_of_products(self.ring, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -213,27 +305,26 @@ class DiffPoly:
             other = DiffPoly.const(self.ring, other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items(),
-                                             key=lambda kv: monomial_sort_key(kv[0])))))
+        return hash((self.ring, self.den, frozenset(self.terms.items())))
 
     # -- calculus ---------------------------------------------------------------
 
     def dx(self) -> "DiffPoly":
         """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i."""
-        terms: dict = {}
-        for (eps, jets), c in self.terms.items():
-            for idx, (alpha, order, power) in enumerate(jets):
-                lowered = list(jets)
-                if power == 1:
-                    del lowered[idx]
-                else:
-                    lowered[idx] = (alpha, order, power - 1)
-                mon = (eps, _mul_jets(tuple(lowered), ((alpha, order + 1, 1),)))
-                add_term(terms, mon, c * power)
-        return DiffPoly(self.ring, terms)
+        up = (1 << (_W * self.ring.n_fields)) - 1  # times a slot's unit: one order up
+        acc: dict = {}
+        get = acc.get
+        for key, v in self.terms.items():
+            base = key + _DEG
+            for shift, power in _jet_slots(key):
+                k = base + (up << shift)
+                acc[k] = get(k, 0) + v * power
+        _check_slots(acc)
+        return DiffPoly._normal(self.ring, acc, self.den)
 
     def dx_pow(self, k: int) -> "DiffPoly":
         f = self
@@ -243,47 +334,37 @@ class DiffPoly:
 
     def partial(self, alpha: int, order: int) -> "DiffPoly":
         """Plain partial derivative with respect to the jet variable u^alpha_order."""
-        terms: dict = {}
-        for (eps, jets), c in self.terms.items():
-            for idx, (a, o, power) in enumerate(jets):
-                if a == alpha and o == order:
-                    lowered = list(jets)
-                    if power == 1:
-                        del lowered[idx]
-                    else:
-                        lowered[idx] = (a, o, power - 1)
-                    add_term(terms, (eps, tuple(lowered)), c * power)
-                    break
-        return DiffPoly(self.ring, terms)
+        shift = _W * (1 + order * self.ring.n_fields + alpha)
+        lower = (1 << shift) + order * _DEG
+        acc = {}
+        for key, v in self.terms.items():
+            power = (key >> shift) & _MASK
+            if power:
+                acc[key - lower] = v * power
+        return DiffPoly._normal(self.ring, acc, self.den)
 
     def var_der(self, alpha: int) -> "DiffPoly":
         """Variational derivative sum_i (-d_x)^i d/du^alpha_i."""
-        out = DiffPoly(self.ring)
-        for i in range(self.max_order(alpha) + 1):
-            p = self.partial(alpha, i)
-            if p.is_zero():
-                continue
-            q = p.dx_pow(i)
-            out = out + (q if i % 2 == 0 else -q)
-        return out
+        return _linear_combination(self.ring, (
+            (-1 if i % 2 else 1, self.partial(alpha, i).dx_pow(i))
+            for i in range(self.max_order(alpha) + 1)))
 
     # -- grading ------------------------------------------------------------------
 
-    @staticmethod
-    def monomial_degree(mon: Monomial) -> int:
-        """Differential degree: sum of jet orders times powers, minus eps exponent."""
-        eps, jets = mon
-        return sum(o * p for _, o, p in jets) - eps
+    def _split(self, label) -> dict[int, "DiffPoly"]:
+        """The pieces of self grouped by label(key) -> (group, new key)."""
+        groups: dict[int, dict] = {}
+        for key, v in self.terms.items():
+            group, new = label(key)
+            groups.setdefault(group, {})[new] = v
+        return {g: DiffPoly._normal(self.ring, acc, self.den) for g, acc in groups.items()}
 
     def degree_decompose(self) -> dict[int, "DiffPoly"]:
-        pieces: dict[int, DiffPoly] = {}
-        for mon, c in self.terms.items():
-            deg = DiffPoly.monomial_degree(mon)
-            pieces.setdefault(deg, DiffPoly(self.ring)).terms[mon] = c
-        return pieces
+        """Split by differential degree: sum of jet orders times powers, minus eps."""
+        return self._split(lambda key: (((key >> _W) & _MASK) - (key & _MASK), key))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {DiffPoly.monomial_degree(m) for m in self.terms}
+        degs = {((key >> _W) & _MASK) - (key & _MASK) for key in self.terms}
         if not degs:
             return True
         if degree is None:
@@ -292,28 +373,27 @@ class DiffPoly:
 
     def eps_decompose(self) -> dict[int, "DiffPoly"]:
         """Split by eps exponent; the pieces carry no eps factor."""
-        pieces: dict[int, DiffPoly] = {}
-        for (eps, jets), c in self.terms.items():
-            pieces.setdefault(eps, DiffPoly(self.ring)).terms[(0, jets)] = c
-        return pieces
+        return self._split(lambda key: (key & _MASK, key & ~_MASK))
 
     def eps_coefficient(self, k: int) -> "DiffPoly":
-        out = DiffPoly(self.ring)
-        for (eps, jets), c in self.terms.items():
-            if eps == k:
-                out.terms[(0, jets)] = c
-        return out
+        acc = {key & ~_MASK: v for key, v in self.terms.items() if key & _MASK == k}
+        return DiffPoly._normal(self.ring, acc, self.den)
 
     def eps_shift(self, k: int) -> "DiffPoly":
+        """eps^k self; an eps exponent pushed below 0 or above the slot is refused."""
         if k == 0:
             return self
-        return DiffPoly(self.ring, {(eps + k, jets): c
-                                    for (eps, jets), c in self.terms.items()})
+        if abs(k) > _MAX:
+            raise ValueError(f"eps shift {k} exceeds {_MAX}")
+        terms = {key + k: v for key, v in self.terms.items()}
+        # a negative exponent borrows from slot 1 and leaves slot 0's guard set
+        if any(key & _EPS_GUARD for key in terms):
+            raise ValueError(f"eps shift {k} leaves the eps exponents 0..{_MAX}")
+        return DiffPoly(self.ring, terms, self.den)
 
     def truncate_eps(self, emax: int) -> "DiffPoly":
-        return DiffPoly(self.ring, {(eps, jets): c
-                                    for (eps, jets), c in self.terms.items()
-                                    if eps <= emax})
+        acc = {key: v for key, v in self.terms.items() if key & _MASK <= emax}
+        return DiffPoly._normal(self.ring, acc, self.den)
 
     # -- evaluation / substitution ---------------------------------------------
 
@@ -332,28 +412,28 @@ class DiffPoly:
                     cache[key] = image_jet(alpha, order - 1).dx()
             return cache[key]
 
-        terms: dict = {}
-        for (eps, jets), c in self.terms.items():
+        parts = []
+        for (eps, jets), c in self.items():
             prod = DiffPoly.const(self.ring, 1)
             for alpha, order, power in jets:
                 prod = prod * image_jet(alpha, order) ** power
-            contribution = (prod * c).eps_shift(eps)
-            for mon, v in contribution.terms.items():
-                add_term(terms, mon, v)
-        return DiffPoly(self.ring, terms)
+            parts.append((c, prod.eps_shift(eps)))
+        return _linear_combination(self.ring, parts)
 
     def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
         """Relabel field indices (a pure renaming, no calculus)."""
-        terms: dict = {}
-        for (eps, jets), c in self.terms.items():
-            new = tuple(sorted((field_map[a], o, p) for a, o, p in jets))
-            add_term(terms, (eps, new), c)
-        return DiffPoly(out_ring, terms)
+        acc: dict = {}
+        n = self.ring.n_fields
+        for key, v in self.terms.items():
+            eps, jets = _unpack(key, n)
+            new = _pack(out_ring, eps, [(field_map[a], o, p) for a, o, p in jets])
+            acc[new] = acc.get(new, 0) + v
+        return DiffPoly._normal(out_ring, acc, self.den)
 
     # -- rendering / serialization ------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
+        return sorted(self.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
     def render(self, names=None, eps_name: str = "eps") -> str:
         """Deterministic plain-text rendering; names maps field index to symbol."""
@@ -402,7 +482,7 @@ class DiffPoly:
     @staticmethod
     def from_json_dict(data: dict) -> "DiffPoly":
         """Inverse of to_json_dict; a malformed payload, or a coefficient
-        outside Q, raises ValueError."""
+        outside Q or written as a float, raises ValueError."""
         def integer(value, what, least=None):
             if type(value) is not int or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
@@ -412,27 +492,72 @@ class DiffPoly:
         if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
             raise ValueError("expected an object with a 'terms' list")
         ring = Ring(integer(data.get("N"), "N", 1), integer(data.get("d", 1), "d", 1))
-        out = DiffPoly(ring)
+        items = []
         for term in data["terms"]:
             if not (isinstance(term, dict) and isinstance(term.get("jets"), list)
                     and isinstance(term.get("coeff"), list) and len(term["coeff"]) == 4):
                 raise ValueError(f"malformed term {term!r}")
             try:
-                coeff, *irrational = (Fraction(x) for x in term["coeff"])
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"malformed coefficient {term['coeff']!r}") from None
+                coeff, *irrational = (exact_rational(x) for x in term["coeff"])
+            except ValueError as exc:
+                raise ValueError(f"malformed coefficient {term['coeff']!r}: {exc}") from None
             if any(irrational):
                 raise ValueError(f"coefficient {term['coeff']!r} is not rational")
-            poly = DiffPoly.const(ring, coeff).eps_shift(integer(term.get("eps", 0), "eps", 0))
+            jets = []
             for jet in term["jets"]:
                 if not isinstance(jet, list) or len(jet) != 3:
                     raise ValueError(f"a jet is [field, order, power], got {jet!r}")
                 alpha, order, power = jet
-                poly = poly * DiffPoly.jet(ring, integer(alpha, "field index"),
-                                           integer(order, "order", 0),
-                                           integer(power, "power", 1))
-            out = out + poly
-        return out
+                jets.append((integer(alpha, "field index"), integer(order, "order", 0),
+                             integer(power, "power", 1)))
+            items.append(((integer(term.get("eps", 0), "eps", 0), jets), coeff))
+        return DiffPoly.from_items(ring, items)
+
+
+def _linear_combination(ring: Ring, pairs) -> DiffPoly:
+    """sum c f over (c, f) pairs, c rational and f in ring, accumulated in
+    integer numerators over the least common denominator."""
+    pairs = list(pairs)
+    for _, f in pairs:
+        ring.check_compatible(f.ring)
+    pairs = [(c, f) for c, f in pairs if c and f.terms]
+    acc: dict = {}
+    get = acc.get
+    den = lcm(*(c.denominator * f.den for c, f in pairs))
+    for c, f in pairs:
+        scale = den // (c.denominator * f.den) * c.numerator
+        for key, v in f.terms.items():
+            acc[key] = get(key, 0) + v * scale
+    return DiffPoly._normal(ring, acc, den)
+
+
+def sum_of_products(ring: Ring, triples) -> DiffPoly:
+    """sum c f g over (c, f, g) triples, c rational and f, g in ring.
+
+    The one product loop: a product of monomials is the sum of their packed
+    keys, and every term goes straight into one accumulator of integer
+    numerators over the least common denominator of all the triples.
+    """
+    triples = list(triples)
+    for _, f, g in triples:
+        ring.check_compatible(f.ring)
+        ring.check_compatible(g.ring)
+    triples = [(c, f, g) for c, f, g in triples if c and f.terms and g.terms]
+    acc: dict = {}
+    get = acc.get
+    den = lcm(*(c.denominator * f.den * g.den for c, f, g in triples))
+    for c, f, g in triples:
+        if len(f.terms) > len(g.terms):
+            f, g = g, f
+        scale = den // (c.denominator * f.den * g.den) * c.numerator
+        right = list(g.terms.items())
+        for k1, v1 in f.terms.items():
+            v1 *= scale
+            for k2, v2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+    _check_slots(acc)
+    return DiffPoly._normal(ring, acc, den)
 
 
 class LocalFunctional:
@@ -498,18 +623,29 @@ class LocalFunctional:
         a larger monomial; pure constants are dropped.  Distinct functionals
         get distinct canonical densities within a fixed ring.
         """
-        work = {mon: c for mon, c in self.density.terms.items() if mon[1]}
-        out: dict = {}
         ring = self.ring
+        n = ring.n_fields
+        up = (1 << (_W * n)) - 1
+        density = self.density
+        work = {key: Fraction(v, density.den)
+                for key, v in density.terms.items() if key >> _JETS}
+        decoded: dict[int, Monomial] = {}
+
+        def sort_key(key):
+            mon = decoded.get(key)
+            if mon is None:
+                mon = decoded[key] = _unpack(key, n)
+            return monomial_sort_key(mon)
+
+        out: dict = {}
         guard = 0
         while work:
             guard += 1
             if guard > 200000:
                 raise RuntimeError("canonical_density failed to terminate")
-            mon = max(work, key=monomial_sort_key)
-            coeff = work.pop(mon)
-            eps, jets = mon
-            occurrences = [(o, a, p) for a, o, p in jets]
+            key = max(work, key=sort_key)
+            coeff = work.pop(key)
+            occurrences = [(o, a, p) for a, o, p in decoded[key][1]]
             o_max, a_max, p_max = max(occurrences)
             reducible = o_max > 0 and p_max == 1
             if reducible:
@@ -521,22 +657,22 @@ class LocalFunctional:
                     reducible = False
                     break
             if not reducible:
-                add_term(out, mon, coeff)
+                add_term(out, key, coeff)
                 continue
             # m = A * u^{a}_{o}: replace by -dx(A) * u^{a}_{o-1} mod im(dx)
-            rest = tuple(t for t in jets if t != (a_max, o_max, 1))
-            a_poly = DiffPoly(ring, {(eps, rest): Fraction(1)})
-            repl = -(a_poly.dx()) * DiffPoly.jet(ring, a_max, o_max - 1)
-            self_coeff = repl.terms.pop(mon, None)
+            shift = _W * (1 + o_max * n + a_max)
+            rest = key - (1 << shift) - o_max * _DEG
+            base = rest + _DEG + (1 << (shift - _W * n)) + (o_max - 1) * _DEG
+            repl = {base + (up << s): -p for s, p in _jet_slots(rest)}
+            self_coeff = repl.pop(key, None)
             scale = Fraction(1)
             if self_coeff is not None:
                 # m appears in its own rewrite: solve (1 - c) m = rest
-                scale = 1 / (1 - self_coeff)
-            for m2, c2 in repl.terms.items():
-                if not m2[1]:
-                    continue
+                scale = Fraction(1, 1 - self_coeff)
+            for m2, c2 in repl.items():
                 add_term(work, m2, coeff * c2 * scale)
-        return DiffPoly(ring, out)
+        _check_slots(out)
+        return DiffPoly.from_items(ring, ((decoded[key], c) for key, c in out.items()))
 
     def render(self, names=None, eps_name: str = "eps") -> str:
         return self.canonical_density().render(names, eps_name)
@@ -570,9 +706,6 @@ def eps_dress(h: LocalFunctional | DiffPoly):
     density = h.density if isinstance(h, LocalFunctional) else h
     if density.max_eps() > 0:
         raise ValueError("eps dressing expects an eps-free input")
-    terms: dict = {}
-    for (_, jets), c in density.terms.items():
-        add_term(terms, (sum(o * p for _, o, p in jets), jets), c)
-    out = DiffPoly(density.ring, terms)
+    out = DiffPoly(density.ring, {key + ((key >> _W) & _MASK): v
+                                  for key, v in density.terms.items()}, density.den)
     return LocalFunctional(out) if isinstance(h, LocalFunctional) else out
-

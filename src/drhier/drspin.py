@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring
-from .scalars import add_term
+from .scalars import add_term, exact_rational
 
 # a-polynomials: exponent tuple (over markings carrying weights) -> Fraction
 APoly = dict[tuple[int, ...], Fraction]
@@ -324,11 +324,10 @@ class IntegralTable:
 
         def rational(value):
             try:
-                if type(value) in (int, str):
-                    return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
-            raise TableFileError(f"value must be an exact rational, got {value!r}")
+                return exact_rational(value)
+            except ValueError:
+                raise TableFileError(
+                    f"value must be an exact rational, got {value!r}") from None
 
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise TableFileError("expected an object with an 'entries' list")

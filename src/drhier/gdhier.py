@@ -41,12 +41,12 @@ class GDContext:
     the request reads.  The context keeps the deepest root computed so far,
     restricts it for shallower requests, and memoizes each root power S^s
     per p.  ``residue(p)`` reads order -1 of L^{p/r} alone, through one
-    ``product_coeff``; ``lax_power(p)`` builds the whole operator, for the
-    positive part of a flow.
+    ``product_coeff``, and is memoized per p; ``lax_power(p)`` builds the
+    whole operator, for the positive part of a flow.
 
-    The internal memos of the root and its powers are per-context and
-    unsynchronized; share contexts across threads only behind a lock, or
-    use one per thread.
+    The internal memos of the root, its powers and the residues are
+    per-context and unsynchronized; share contexts across threads only
+    behind a lock, or use one per thread.
     """
 
     def __init__(self, r: int, depth: int):
@@ -61,6 +61,7 @@ class GDContext:
         self.lax = PseudoDiffOp(self.ring_f, r, None, coeffs)
         self._root: PseudoDiffOp | None = None
         self._root_powers: dict[int, PseudoDiffOp] = {}
+        self._residues: dict[int, DiffPoly] = {}
         self._rspin_change = None
         self._rspin_operator = None
 
@@ -99,12 +100,16 @@ class GDContext:
             raise ValueError(
                 f"depth {self.depth} insufficient for res L^({p}/{self.r}); "
                 f"need at least {p + 2}")
-        q, s = divmod(p, self.r)
-        if s == 0:
-            return DiffPoly.zero(self.ring_f)
-        lq = self.lax.power(q) if q else PseudoDiffOp.dx(self.ring_f, 0)
-        frac = self._root_power(p).coeffs
-        return product_coeff(lq.coeffs, frac, -1, derivatives(frac))
+        if p not in self._residues:
+            q, s = divmod(p, self.r)
+            if s == 0:
+                res = DiffPoly.zero(self.ring_f)
+            else:
+                lq = self.lax.power(q) if q else PseudoDiffOp.dx(self.ring_f, 0)
+                frac = self._root_power(p).coeffs
+                res = product_coeff(lq.coeffs, frac, -1, derivatives(frac))
+            self._residues[p] = res
+        return self._residues[p]
 
 
 @lru_cache(maxsize=None)
@@ -146,14 +151,15 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
             if not coeff.is_zero():
                 raise AssertionError(f"[X, L]_+ has unexpected order {order}")
             continue
-        for (eps, jets), c in coeff.terms.items():
+        for (eps, jets), c in coeff.items():
             x_jets = [(a, o, p) for a, o, p in jets if a > n]
             if len(x_jets) != 1 or x_jets[0][2] != 1:
                 raise AssertionError("commutator is not linear in the temporaries")
             (xa, xo, _), = x_jets
             b = xa - (n + 1)
             rest = tuple(t for t in jets if t[0] <= n)
-            rest_poly = DiffPoly(ext, {(eps, rest): c}).map_fields(field_back, ctx.ring_f)
+            rest_poly = DiffPoly.from_items(ext, [((eps, rest), c)]).map_fields(
+                field_back, ctx.ring_f)
             entry = K.entries[order][b]
             K.entries[order][b] = entry + PseudoDiffOp.finite(ctx.ring_f, {xo: rest_poly})
     return K
@@ -220,17 +226,16 @@ def rspin_change(ctx: GDContext) -> RSpinChange:
     inverse: dict[int, DiffPoly] = {}
     for alpha in range(r - 1, 0, -1):
         u = forward[alpha - 1]
-        lead_mon = (0, ((alpha, 0, 1),))
-        c_lead = u.terms.get(lead_mon)
+        terms = dict(u.items())
+        c_lead = terms.pop((0, ((alpha, 0, 1),)), None)
         if c_lead is None:
             raise AssertionError(f"missing linear term f_{alpha-1} in u^{alpha}")
-        rest = DiffPoly(ctx.ring_f,
-                        {mon: c for mon, c in u.terms.items() if mon != lead_mon})
-        for _, jets in rest.terms:
+        for _, jets in terms:
             for a, _, _ in jets:
                 if a <= alpha:
                     raise AssertionError(
                         f"u^{alpha} is not triangular: contains f_{a-1}")
+        rest = DiffPoly.from_items(ctx.ring_f, terms.items())
         substituted = rest.substitute({a: inverse[a] for a in range(alpha + 1, r)})
         inverse[alpha] = (ctx.f_var(alpha - 1) - substituted) / c_lead
     ctx._rspin_change = RSpinChange(
@@ -245,16 +250,17 @@ def _to_w(poly: DiffPoly, r: int, s: int) -> DiffPoly:
     prod (u^gamma_k)^p gains (-r)^{(s + sum (r-gamma-1) p)/2}.  An odd
     exponent would leave sqrt(-r) in the coefficient; it is refused.
     """
-    terms = {}
-    for mon, c in poly.terms.items():
+    terms = []
+    for mon, c in poly.items():
         exponent = s + sum((r - gamma - 1) * p for gamma, _, p in mon[1])
         if exponent % 2:
             names = {a: f"u{a}" for a in range(1, r)}
+            monomial = DiffPoly.from_items(poly.ring, [(mon, 1)]).render(names)
             raise ValueError(
-                f"r = {r}: the monomial {DiffPoly(poly.ring, {mon: 1}).render(names)} "
+                f"r = {r}: the monomial {monomial} "
                 f"would carry sqrt(-{r})^{exponent}, an odd power")
-        terms[mon] = c * Fraction(-r) ** (exponent // 2)
-    return DiffPoly(poly.ring, terms)
+        terms.append((mon, c * Fraction(-r) ** (exponent // 2)))
+    return DiffPoly.from_items(poly.ring, terms)
 
 
 def rspin_operator(ctx: GDContext) -> HamiltonianOperator:
@@ -276,7 +282,7 @@ def rspin_operator(ctx: GDContext) -> HamiltonianOperator:
     for a, row in enumerate(dressed.entries, 1):
         for b, op in enumerate(row, 1):
             for n, c in sorted(op.coeffs.items()):
-                if any(jets for _, jets in c.terms):
+                if any(jets for (_, jets), _ in c.items()):
                     names = {i: f"w{i}" for i in range(1, r)}
                     raise ValueError(
                         f"K^{{{r}-spin}} has no constant coefficients: entry "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, Ring
+from .diffpoly import DiffPoly, Ring, sum_of_products
 from .scalars import add_term, power_by_squaring
 
 
@@ -55,24 +55,19 @@ def product_coeff(a: dict[int, DiffPoly], b: dict[int, DiffPoly], n: int,
 
     The one Leibniz rule.  a and b map order -> coefficient (a nonempty);
     deriv(k, l) gives d_x^l b_k.  Each pair (j, k) contributes once, with
-    l = j + k - n >= 0 and, for a differential power j >= 0, l <= j.
+    l = j + k - n >= 0 and, for a differential power j >= 0, l <= j.  The
+    terms go into one ``sum_of_products``, with no intermediate products.
     """
-    ring = next(iter(a.values())).ring
-    terms: dict = {}
+    triples = []
     for j, aj in a.items():
         for k in b:
             l = j + k - n
             if l < 0 or 0 <= j < l:
                 continue
             dbk = deriv(k, l)
-            if not dbk:
-                continue
-            poly = aj * dbk
-            if l:
-                poly = poly * gen_binom(j, l)
-            for mon, c in poly.terms.items():
-                add_term(terms, mon, c)
-    return DiffPoly(ring, terms)
+            if dbk:
+                triples.append((gen_binom(j, l), aj, dbk))
+    return sum_of_products(next(iter(a.values())).ring, triples)
 
 
 class PseudoDiffOp:

@@ -43,7 +43,7 @@ from math import comb
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
 from .hamops import HamiltonianOperator
-from .scalars import AlgScalar, add_term
+from .scalars import AlgScalar, add_term, exact_rational
 
 Mode = tuple[int, int]  # (k, alpha): tuple order is normal order
 
@@ -103,7 +103,7 @@ class DeformedRule(_Rule):
             for b in range(1, n + 1):
                 entry = K.entries[a - 1][b - 1]
                 for power, coeff in entry.coeffs.items():
-                    for (eps, jets), value in coeff.terms.items():
+                    for (eps, jets), value in coeff.items():
                         if jets or eps != power - 1:
                             raise ValueError(
                                 "operator is not of the constant good form")
@@ -143,7 +143,7 @@ def _pkey(word) -> tuple:
 def _to_q(c, h: int, e: int, pkey) -> Fraction:
     """q = c / i^(h+e), read off c's parts: +-a when h+e is even, +-b when it
     is odd; refuses a c outside i^(h+e) Q."""
-    re, im = (c.a, c.b) if isinstance(c, AlgScalar) else (Fraction(c), 0)
+    re, im = (c.a, c.b) if isinstance(c, AlgScalar) else (exact_rational(c), 0)
     n = (h + e) % 4
     q, other = (im, re) if n % 2 else (re, im)
     if other:
@@ -410,7 +410,7 @@ def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
     """
     # q = c / i^e of the monomials of even D - e; c / i^(e+1) of the odd ones
     images: tuple[dict, dict] = ({}, {})
-    for (eps, jets), coeff in h.density.terms.items():
+    for (eps, jets), coeff in h.density.items():
         factors = [(alpha, order) for alpha, order, power in jets for _ in range(power)]
         twist = sum(order for _, order in factors) - eps
         target = images[twist % 2]

@@ -208,7 +208,7 @@ class SpecialSolution:
         """Coefficient of t^m eps^i in p(u^sp, u^sp_x, ...)."""
         jet_fn = jet_fn or self.jet
         total = Fraction(0)
-        for (eps, jets), coeff in p.terms.items():
+        for (eps, jets), coeff in p.items():
             if eps > i:
                 continue
             factors = []
@@ -279,7 +279,7 @@ class SpecialSolution:
                     rest_max: int | None = None, exact: bool = False) -> dict:
         """p(u^sp, u^sp_x, ...) as a series, cut like ``series_product``."""
         out = {}
-        for (eps, jets), coeff in p.terms.items():
+        for (eps, jets), coeff in p.items():
             if eps > eps_max:
                 continue
             factors = [(gamma, order) for gamma, order, power in jets
@@ -605,7 +605,7 @@ class VerdictReport:
             terms = [(eps, jets, c, place, where) for place, where, poly in parts
                      for (eps, jets), c in poly.sorted_terms()]
             eps, jets, c, place, where = min(terms, key=lambda t: t[0])
-            term = DiffPoly(self.hamiltonian_diff.ring, {(eps, jets): c})
+            term = DiffPoly.from_items(self.hamiltonian_diff.ring, [((eps, jets), c)])
             return f"{name} failure at eps^{eps}: {place} has {term.render(names)}{where}"
         return None
 

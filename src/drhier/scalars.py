@@ -1,8 +1,10 @@
 """Exact coefficient arithmetic.
 
-Differential polynomials, operators, Hamiltonians and t-series have
-rational coefficients, stdlib ``fractions.Fraction`` (always reduced,
-positive denominator).  The r-spin normalization brings in sqrt(-r) only
+Operators, Hamiltonians and t-series have rational coefficients, stdlib
+``fractions.Fraction`` (always reduced, positive denominator); differential
+polynomials store integer numerators over one denominator and hand out
+``Fraction``s.  ``exact_rational`` is where a value from outside becomes a
+rational, and it refuses floats.  The r-spin normalization brings in sqrt(-r) only
 as even powers, (-r)^n, so it stays over Q too.  ``AlgScalar`` is the
 Gaussian rationals Q(i), in which ``quantize`` takes and prints
 Weyl-algebra coefficients; it computes over Q.
@@ -26,6 +28,19 @@ def squarefree_part(n: int) -> int:
             d //= k * k
         k += 1
     return d
+
+
+def exact_rational(value) -> Fraction:
+    """value as a Fraction: an int, a Fraction, or a string such as "3/7" or
+    "1e-1".  Anything else raises ValueError, bools and floats included: the
+    binary value of 0.1 is 3602879701896397/36028797018963968, not 1/10.
+    """
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected an exact rational, got {value!r}")
 
 
 class AlgScalar:

@@ -185,8 +185,8 @@ def test_criterion_2_reference_tables(r):
     K, h = rspin_system(ctx, 1, 1)
     assert K == reference_k_spin(r, ctx.ring_w)
     reference = reference_h_spin(r, ctx.ring_w)
-    eps_orders = sorted({eps for eps, _ in h.density.terms}
-                        | {eps for eps, _ in reference.density.terms})
+    eps_orders = sorted({eps for (eps, _), _ in h.density.items()}
+                        | {eps for (eps, _), _ in reference.density.items()})
     for eps in eps_orders:
         ours = integrate(h.density.eps_coefficient(eps).eps_shift(eps))
         theirs = integrate(reference.density.eps_coefficient(eps).eps_shift(eps))

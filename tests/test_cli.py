@@ -254,6 +254,14 @@ def test_render_stdin(run, monkeypatch):
     assert out == "3/2*u1_2\n"
 
 
+def test_render_reads_exact_decimal_strings(run, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"N":1,"d":1,"terms":[{"coeff":["1e-1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}'))
+    code, out, _ = run("render")
+    assert code == 0
+    assert out == "1/10*u1\n"
+
+
 def test_reconstruct_cli(run):
     # the KdV flow w*w_1 + 1/12*eps^2*w_3 needs t_max >= 3 once eps^2 is in
     # the box; below that the rewritten flow would be wrong, so it is refused
@@ -346,6 +354,11 @@ def test_quantize_check_cli(run):
     '{"N":1,"d":3,"terms":[{"coeff":["0","0","0","1"],"eps":0,"jets":[[1,0,1]]}]}',
     # eps carries degree -1; a negative exponent is no differential polynomial
     '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":-1,"jets":[[1,0,1]]}]}',
+    # a float is refused, not read as its binary value 3602879701896397/2^55
+    '{"N":1,"d":1,"terms":[{"coeff":[0.1,"0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["1","0","0",0.0],"eps":0,"jets":[[1,0,1]]}]}',
+    # a power beyond the 15-bit exponent slot
+    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,40000]]}]}',
 ])
 def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

@@ -277,6 +277,37 @@ def test_diffpoly_json_roundtrip():
     assert back == f
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True])
+def test_floats_are_refused_as_coefficients(value):
+    # the binary value of 0.1 is 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="exact rational"):
+        DiffPoly.const(R2, value)
+    with pytest.raises(ValueError, match="exact rational"):
+        DiffPoly.jet(R2, 1, 0, coeff=value)
+    with pytest.raises(ValueError, match="exact rational"):
+        u(1, 0, R2) * value
+    data = (u(1, 0, R1) * 3).to_json_dict()
+    data["terms"][0]["coeff"][0] = value
+    with pytest.raises(ValueError, match="exact rational"):
+        DiffPoly.from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [1, Fraction(1, 10), "1/10", "1e-1", "0.1"])
+def test_exact_coefficients_are_accepted(value):
+    assert DiffPoly.const(R2, value) == DiffPoly.const(R2, Fraction(value))
+    data = u(1, 0, R1).to_json_dict()
+    data["terms"][0]["coeff"][0] = value if isinstance(value, (int, str)) else str(value)
+    assert DiffPoly.from_json_dict(data) == u(1, 0, R1) * Fraction(value)
+
+
+def test_json_terms_with_one_monomial_add_up():
+    data = (u(1, 0, R1) * 3).to_json_dict()
+    data["terms"] *= 2
+    assert DiffPoly.from_json_dict(data) == u(1, 0, R1) * 6
+    data["terms"].append(dict(data["terms"][0], coeff=["-6", "0", "0", "0"]))
+    assert DiffPoly.from_json_dict(data).is_zero()
+
+
 def test_local_functional_json_has_flag():
     data = integrate(u() * u(1, 2)).to_json_dict()
     assert data["integrated"] is True

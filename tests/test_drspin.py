@@ -291,7 +291,7 @@ def test_builtin_g11_gradings():
     for r in (3, 4, 5):
         h = builtin_g11(r)
         assert h.density.is_homogeneous(0)
-        for (eps, jets), _ in h.density.terms.items():
+        for (eps, jets), _ in h.density.items():
             n = sum(p for _, _, p in jets)
             label_sum = sum(a * p for a, _, p in jets)
             assert sum(o * p for _, o, p in jets) == eps  # 2g twice over

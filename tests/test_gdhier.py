@@ -253,6 +253,29 @@ def test_gd_hamiltonian_roots_only_as_deep_as_its_residue(root_depths):
     assert root_depths and max(root_depths) <= 13
 
 
+def test_residue_is_computed_once_per_p_and_context(monkeypatch):
+    # work count: the order -1 product behind res L^{p/r} runs once per p,
+    # however often the Hamiltonians that read it are asked for
+    reads = []
+    product_coeff = gdhier.product_coeff
+
+    def recording_product_coeff(a, b, n, deriv):
+        if n == -1:
+            reads.append(n)
+        return product_coeff(a, b, n, deriv)
+
+    monkeypatch.setattr(gdhier, "product_coeff", recording_product_coeff)
+    ctx = GDContext(3, 16)
+    first = [rspin_hamiltonian(ctx, 1, 1), rspin_hamiltonian(ctx, 2, 0)]
+    again = [rspin_hamiltonian(ctx, 1, 1), rspin_hamiltonian(ctx, 2, 0)]
+    # p = 1, 2 for the change of variables, p = 7 and 5 for the two densities
+    assert len(reads) == 4
+    assert all(local_eq(h, h2) for h, h2 in zip(first, again))
+    # the memo belongs to its context: a new one computes afresh
+    rspin_hamiltonian(GDContext(3, 16), 1, 1)
+    assert len(reads) == 7
+
+
 # -- change of variables ---------------------------------------------------------------------
 
 def u_var(ctx, alpha):
@@ -313,12 +336,14 @@ def test_lax_calculus_stores_plain_fractions(r):
     def coefficients(K):
         return [c for row in K.entries for op in row for c in op.coeffs.values()]
 
-    stored = [c for poly in (*residues, density, *coefficients(gd_operator(ctx)),
-                             *gd_flow(ctx, 2), *change.forward, *change.inverse,
-                             *coefficients(rspin_operator(ctx)),
-                             rspin_hamiltonian(ctx, 1, 1).density)
-              for c in poly.terms.values()]
-    assert stored and all(type(c) is Fraction for c in stored)
+    polys = (*residues, density, *coefficients(gd_operator(ctx)),
+             *gd_flow(ctx, 2), *change.forward, *change.inverse,
+             *coefficients(rspin_operator(ctx)), rspin_hamiltonian(ctx, 1, 1).density)
+    # stored as integer numerators over one integer denominator, read as Fractions
+    assert all(type(poly.den) is int and all(type(v) is int for v in poly.terms.values())
+               for poly in polys)
+    read = [c for poly in polys for _, c in poly.items()]
+    assert read and all(type(c) is Fraction for c in read)
 
 
 def test_f_and_w_polynomials_do_not_mix():

@@ -356,6 +356,17 @@ def test_constructor_and_mode_refuse_coefficients_off_the_lattice():
         assert el.items() == [((h, e, pkey), c)]
 
 
+def test_constructor_and_scale_refuse_floats():
+    # a float keeps its binary value, 0.1 = 3602879701896397/2^55: refused
+    pkey = ((1, 1, 1),)
+    with pytest.raises(ValueError, match="exact rational"):
+        WeylElement(CTX1, {(0, 0, pkey): 0.1})
+    with pytest.raises(ValueError, match="exact rational"):
+        WeylElement.mode(CTX1, 1, 1).scale(0.5)
+    assert WeylElement(CTX1, {(0, 0, pkey): "1e-1"}) == \
+        WeylElement(CTX1, {(0, 0, pkey): Fraction(1, 10)})
+
+
 def test_p_series_refuses_odd_twist():
     # u u_1 u_1 has derivative degree 2: its image i^2 Q lies on the lattice
     # i^e Q at e = 0 but not at e = 1

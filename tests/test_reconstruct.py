@@ -391,7 +391,7 @@ def brute_eval(sol, poly, m, i, jet):
         return total
 
     total = Fraction(0)
-    for (eps, jets), coeff in poly.terms.items():
+    for (eps, jets), coeff in poly.items():
         if eps <= i:
             factors = [(gamma, order) for gamma, order, power in jets for _ in range(power)]
             total += coeff * factors_value(factors, m, i - eps)
