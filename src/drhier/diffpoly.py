@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import add_term, exact_rational, power_by_squaring, squarefree_part
+from .scalars import add_term, exact_rational, over_one_den, power_by_squaring, squarefree_part
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -227,9 +228,7 @@ class DiffPoly:
         coeffs: dict = {}
         for (eps, jets), c in items:
             add_term(coeffs, _pack(ring, eps, jets), ring.scalar(c))
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        return DiffPoly(ring, {key: c.numerator * (den // c.denominator)
-                               for key, c in coeffs.items()}, den)
+        return DiffPoly(ring, *over_one_den(coeffs))
 
     # -- the decoded view ----------------------------------------------------
 
@@ -631,20 +630,29 @@ class LocalFunctional:
                 for key, v in density.terms.items() if key >> _JETS}
         decoded: dict[int, Monomial] = {}
 
-        def sort_key(key):
-            mon = decoded.get(key)
-            if mon is None:
-                mon = decoded[key] = _unpack(key, n)
-            return monomial_sort_key(mon)
+        def entry(key):
+            """(descending sort key, key): negating every part reverses
+            ``monomial_sort_key``, because two monomials of one eps and total
+            power never have jets of which one is a proper prefix."""
+            mon = decoded[key] = _unpack(key, n)
+            eps, jets = mon
+            return ((-eps, -sum(p for _, _, p in jets),
+                     tuple((-a, -o, -p) for a, o, p in jets)), key)
 
+        # a max-heap of the pending monomials; an entry whose key has been
+        # popped, or has cancelled away, since it was pushed is skipped
+        heap = [entry(key) for key in work]
+        heapify(heap)
         out: dict = {}
         guard = 0
-        while work:
+        while heap:
+            key = heappop(heap)[1]
+            coeff = work.pop(key, None)
+            if coeff is None:
+                continue
             guard += 1
             if guard > 200000:
                 raise RuntimeError("canonical_density failed to terminate")
-            key = max(work, key=sort_key)
-            coeff = work.pop(key)
             occurrences = [(o, a, p) for a, o, p in decoded[key][1]]
             o_max, a_max, p_max = max(occurrences)
             reducible = o_max > 0 and p_max == 1
@@ -670,6 +678,8 @@ class LocalFunctional:
                 # m appears in its own rewrite: solve (1 - c) m = rest
                 scale = Fraction(1, 1 - self_coeff)
             for m2, c2 in repl.items():
+                if m2 not in work:
+                    heappush(heap, entry(m2))
                 add_term(work, m2, coeff * c2 * scale)
         _check_slots(out)
         return DiffPoly.from_items(ring, ((decoded[key], c) for key, c in out.items()))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drhier import quantize
-from drhier.diffpoly import DiffPoly, Ring, integrate
+from drhier.diffpoly import DiffPoly, Ring, eps_dress, integrate
 from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
 from drhier.gdhier import eta_matrix, rspin_hamiltonian, rspin_operator
 from drhier.quantize import (
@@ -282,6 +283,14 @@ def test_f4_commutator_instance():
     assert rhs == lhs
 
 
+def test_f_r_refuses_an_algebra_of_the_wrong_size():
+    # f_r maps the r - 1 fields of the r-spin algebra; field 3 of f_4's
+    # shift does not exist in two fields, and f_5's shifts differ from f_4's
+    for r, n_fields in ((4, 2), (4, 4), (5, 3), (5, 5)):
+        with pytest.raises(ValueError, match=f"f_{r} acts on {r - 1} fields"):
+            f_r_map(r, WeylElement.mode(WeylContext(n_fields, 3), 1, 2))
+
+
 @pytest.mark.parametrize("r", [4, 5])
 def test_f_r_homomorphism_sampled(r):
     rng = random.Random(100 + r)
@@ -445,10 +454,15 @@ def normal_order_by_swaps(word, rule, out, h=0, e=0, q=Fraction(1)):
     out[key] = out.get(key, 0) + q
 
 
+def q_terms(el) -> dict:
+    """The decoded view of an element: (h, e, word) -> q as a Fraction."""
+    return {key: Fraction(n, el.den) for key, n in el.terms.items()}
+
+
 def star_by_swaps(a, b, rule):
     out: dict = {}
-    for (h1, e1, w1), q1 in a.terms.items():
-        for (h2, e2, w2), q2 in b.terms.items():
+    for (h1, e1, w1), q1 in q_terms(a).items():
+        for (h2, e2, w2), q2 in q_terms(b).items():
             normal_order_by_swaps(w1 + w2, rule, out, h1 + h2, e1 + e2, q1 * q2)
     return {key: q for key, q in out.items() if q}
 
@@ -458,7 +472,7 @@ def star_by_swaps(a, b, rule):
 @given(a=weyl_elements(), b=weyl_elements())
 def test_star_matches_adjacent_swaps(make_rule, a, b):
     rule = make_rule(4)
-    assert weyl_star(a, b, rule).terms == star_by_swaps(a, b, rule)
+    assert q_terms(weyl_star(a, b, rule)) == star_by_swaps(a, b, rule)
 
 
 @pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
@@ -547,8 +561,97 @@ def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
     for rule in (std_rule(4), deformed_rule(4)):
         for _ in range(20):
             a, b = rand_element(rng, ctx, max_degree=5), rand_element(rng, ctx, max_degree=5)
-            assert weyl_star(a, b, rule).terms == star_by_swaps(a, b, rule)
+            assert q_terms(weyl_star(a, b, rule)) == star_by_swaps(a, b, rule)
     assert quantize._REORDER_MEMO
     for _, pos, nonpos in quantize._REORDER_MEMO:
         assert all(k >= 1 for k, _ in pos) and all(k <= 0 for k, _ in nonpos)
         assert {k for k, _ in pos} == {-k for k, _ in nonpos}
+
+
+# -- the canonical form: int numerators over one denominator in lowest terms ---------------
+
+
+@st.composite
+def densities(draw, ring=Ring(CTX3.n_fields)):
+    """eps-free rational densities of up to three monomials in u^alpha_order."""
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        jets = draw(st.lists(st.tuples(st.integers(1, ring.n_fields), st.integers(0, 2),
+                                       st.integers(1, 2)), min_size=1, max_size=3))
+        items.append(((0, tuple(jets)), Fraction(draw(st.integers(-3, 3)),
+                                                 draw(st.integers(1, 4)))))
+    return DiffPoly.from_items(ring, items)
+
+
+def assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(n) is int and n for n in x.terms.values())
+    assert gcd(x.den, *x.terms.values()) == 1  # den == 1 for zero
+
+
+def test_constructor_adds_terms_that_meet_on_one_word():
+    # p1[1]*p1[1] and p1[1]^2 are one word: 1/2 + 1/2 leaves no factor 2
+    twice, squared, half = ((1, 1, 1), (1, 1, 1)), ((1, 1, 2),), Fraction(1, 2)
+    x = WeylElement(CTX1, {(0, 0, twice): half, (0, 0, squared): half,
+                           (0, 0, ((1, -1, 1),)): 3})
+    assert (x.den, x.terms) == (1, {(0, 0, ((1, 1), (1, 1))): 1, (0, 0, ((-1, 1),)): 3})
+    zero = WeylElement(CTX1, {(0, 0, twice): half, (0, 0, squared): -half})
+    assert (zero.den, zero.terms) == (1, {})
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@FEW
+@given(a=weyl_elements(), b=weyl_elements(),
+       s=st.fractions(min_value=-4, max_value=4, max_denominator=6), density=densities())
+def test_every_route_gives_the_canonical_form(make_rule, a, b, s, density):
+    rule = make_rule(4)
+    image = lf_to_p_series(integrate(eps_dress(density)), CTX3.window)
+    made = [a, b, a + b, a - b, -a, a - a, a.scale(s), weyl_star(a, b, rule),
+            weyl_star(weyl_star(a, b, rule), a, rule), f_r_map(4, a),
+            f_r_map(4, weyl_star(a, b, deformed_rule(4))), a.classical_limit(),
+            weyl_star(a, b, rule).classical_limit(), image, image.scale(s)]
+    for x in made:
+        assert_canonical(x)
+    # equal values built by different routes are equal structurally
+    routes = [((a + b) - b, a), (a + a, a.scale(2)), (a - a, WeylElement(CTX3)),
+              (weyl_star(a, b, rule).scale(s), weyl_star(a.scale(s), b, rule)),
+              (f_r_map(4, weyl_star(a, b, deformed_rule(4))),
+               weyl_star(f_r_map(4, a), f_r_map(4, b), std_rule(4))),
+              (image.scale(s) + image, image.scale(s + 1))]
+    routes += [(WeylElement(x.ctx, dict(x.items())), x) for x in made]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+
+
+def test_warm_star_products_do_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(97)
+    ctx = WeylContext(n_fields=3, window=3)
+    pairs = [(rand_element(rng, ctx, max_degree=4), rand_element(rng, ctx, max_degree=4))
+             for _ in range(6)]
+    rules = (std_rule(4), deformed_rule(4))
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+
+    def products():
+        return [(weyl_star(a, b, rules[0]), weyl_star(a, b, rules[1]), f_r_map(4, b))
+                for a, b in pairs]
+
+    warm = products()  # fills the memo: brackets are Fractions, read once
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the warm star path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert products() == warm
+
+
+def test_a_bracket_the_scale_does_not_clear_is_refused(monkeypatch):
+    # the memo holds numerators over a power of the rule's scale (48 for the
+    # deformed r = 4 rule); a bracket value off that lattice is no numerator
+    bracket = quantize.DeformedRule.bracket
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    monkeypatch.setattr(quantize.DeformedRule, "bracket",
+                        lambda rule, x, y: [(h, e, q / 7) for h, e, q in bracket(rule, x, y)])
+    ctx = WeylContext(n_fields=3, window=3)
+    with pytest.raises(ValueError, match="does not divide the scale 48"):
+        weyl_star(WeylElement.mode(ctx, 1, 2), WeylElement.mode(ctx, 3, -2), deformed_rule(4))
