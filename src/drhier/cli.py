@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``)
-and malformed ``render`` input (a coefficient outside Q among it), 3
-missing, unreadable or malformed table file, 4 strict-policy table miss, 5
+and malformed ``render`` input (a coefficient outside Q, a jet beyond the
+packed slots or a non-boolean ``integrated`` among it), 3 missing,
+unreadable or malformed table file, 4 strict-policy table miss, 5
 computation precondition errors (a table whose n is not the sum of
 ``--counts`` among them), 6 internal errors (any other exception, such as
 a failed assertion in a settled check).
@@ -281,11 +282,14 @@ def cmd_render(args) -> int:
     try:
         data = json.load(sys.stdin)  # JSONDecodeError is a ValueError
         poly = DiffPoly.from_json_dict(data)
+        integrated = data.get("integrated", False)
+        if not isinstance(integrated, bool):
+            raise ValueError(f"integrated must be true or false, got {integrated!r}")
     except ValueError as exc:
         print(f"malformed render input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     names = u_names(poly.ring.n_fields)
-    if data.get("integrated"):
+    if integrated:
         emit(args, f"int {LocalFunctional(poly).render(names)} dx",
              LocalFunctional(poly).to_json_dict())
     else:

@@ -45,6 +45,12 @@ _MAX = _MASK >> 1       # the largest exponent a slot holds
 _DEG = 1 << _W          # one unit of derivative degree
 _JETS = 2 * _W          # bit offset of the first jet slot
 _EPS_GUARD = 1 << (_W - 1)
+# The highest slot index a key built from outside may use.  A key of s slots
+# is an int of 16 s bits that every product and d_x copies, so the slot index
+# 1 + order * N + alpha bounds the memory one monomial takes: 4095 keeps a
+# key within 8 KiB, against slot 121 at the most in ``gd --r 8 --m 2`` and
+# 67 in the test suite.
+_MAX_SLOT = (1 << 12) - 1
 
 
 class Ring:
@@ -115,24 +121,37 @@ def _check_slots(terms: dict) -> None:
 
 
 def _pack(ring: Ring, eps: int, jets) -> int:
-    """The packed key of eps^eps prod (u^alpha_order)^power over jets."""
+    """The packed key of eps^eps prod (u^alpha_order)^power over jets.
+
+    A field outside 1..N, a negative exponent, a slot above ``_MAX_SLOT`` or
+    an exponent above ``_MAX`` is refused with ValueError before any shift.
+    """
     n = ring.n_fields
-    powers: dict[tuple[int, int], int] = {}
+    key = degree = total = 0
     for alpha, order, power in jets:
         if not 1 <= alpha <= n:
             raise ValueError(f"field index {alpha} out of range 1..{n}")
         if order < 0 or power < 0:
             raise ValueError("order and power must be >= 0")
-        powers[alpha, order] = powers.get((alpha, order), 0) + power
+        slot = 1 + order * n + alpha
+        if slot > _MAX_SLOT:
+            raise ValueError(f"u^{alpha}_{order} needs packed slot {slot}, "
+                             f"above {_MAX_SLOT}")
+        if power > _MAX:
+            raise ValueError(f"a monomial exponent exceeds {_MAX}")
+        key += power << (_W * slot)
+        degree += order * power
+        total += power
     if eps < 0:
         raise ValueError(f"negative eps exponent {eps}")
-    degree = sum(order * power for (_, order), power in powers.items())
-    if max(eps, degree, *powers.values()) > _MAX:
-        raise ValueError(f"a monomial exponent exceeds {_MAX}")
-    key = eps + (degree << _W)
-    for (alpha, order), power in powers.items():
-        key += power << (_W * (1 + order * n + alpha))
-    return key
+    if max(eps, degree, total) > _MAX:
+        # a repeated jet may have overflowed its slot: add its powers up
+        powers: dict[tuple[int, int], int] = {}
+        for alpha, order, power in jets:
+            powers[alpha, order] = powers.get((alpha, order), 0) + power
+        if max(eps, degree, *powers.values()) > _MAX:
+            raise ValueError(f"a monomial exponent exceeds {_MAX}")
+    return key + eps + (degree << _W)
 
 
 def _jet_slots(key: int) -> list[tuple[int, int]]:
@@ -181,8 +200,9 @@ class DiffPoly:
 
     @staticmethod
     def _normal(ring: Ring, acc: dict, den: int) -> "DiffPoly":
-        """sum acc[key] / den in canonical form: zeros dropped, content divided out."""
-        terms = {key: v for key, v in acc.items() if v}
+        """sum acc[key] / den in canonical form: zeros dropped, content divided
+        out.  acc itself becomes the terms when it holds no zero."""
+        terms = {key: v for key, v in acc.items() if v} if 0 in acc.values() else acc
         if not terms:
             return DiffPoly(ring)
         if den != 1:
@@ -199,27 +219,26 @@ class DiffPoly:
         return DiffPoly(ring)
 
     @staticmethod
+    def _term(ring: Ring, key: int, coeff) -> "DiffPoly":
+        """coeff times the packed monomial key."""
+        if type(coeff) is int:
+            num, den = coeff, 1
+        else:
+            c = ring.scalar(coeff)
+            num, den = c.numerator, c.denominator
+        return DiffPoly(ring, {key: num}, den) if num else DiffPoly(ring)
+
+    @staticmethod
     def const(ring: Ring, value) -> "DiffPoly":
-        c = ring.scalar(value)
-        if not c:
-            return DiffPoly(ring)
-        return DiffPoly(ring, {0: c.numerator}, c.denominator)
+        return DiffPoly._term(ring, 0, value)
 
     @staticmethod
     def jet(ring: Ring, alpha: int, order: int, power: int = 1, coeff=1) -> "DiffPoly":
-        key = _pack(ring, 0, ((alpha, order, power),))
-        c = ring.scalar(coeff)
-        if not c:
-            return DiffPoly(ring)
-        return DiffPoly(ring, {key: c.numerator}, c.denominator)
+        return DiffPoly._term(ring, _pack(ring, 0, ((alpha, order, power),)), coeff)
 
     @staticmethod
     def eps(ring: Ring, k: int = 1, coeff=1) -> "DiffPoly":
-        key = _pack(ring, k, ())
-        c = ring.scalar(coeff)
-        if not c:
-            return DiffPoly(ring)
-        return DiffPoly(ring, {key: c.numerator}, c.denominator)
+        return DiffPoly._term(ring, _pack(ring, k, ()), coeff)
 
     @staticmethod
     def from_items(ring: Ring, items) -> "DiffPoly":
@@ -269,7 +288,7 @@ class DiffPoly:
     def __add__(self, other):
         if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
-        return _linear_combination(self.ring, ((1, self), (1, other)))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -279,7 +298,7 @@ class DiffPoly:
     def __sub__(self, other):
         if not isinstance(other, DiffPoly):
             other = DiffPoly.const(self.ring, other)
-        return _linear_combination(self.ring, ((1, self), (-1, other)))
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -511,6 +530,30 @@ class DiffPoly:
                              integer(power, "power", 1)))
             items.append(((integer(term.get("eps", 0), "eps", 0), jets), coeff))
         return DiffPoly.from_items(ring, items)
+
+
+def _sum(f: DiffPoly, g: DiffPoly, sign: int) -> DiffPoly:
+    """f + sign * g for sign = +-1: ``_linear_combination`` of two terms
+    without its lists and lcm, for the many small sums."""
+    ring = f.ring
+    if g.ring is not ring:
+        ring.check_compatible(g.ring)
+    if not g.terms:
+        return f
+    if not f.terms:
+        return g if sign == 1 else -g
+    d1, d2 = f.den, g.den
+    if d1 == d2:
+        acc, den = f.terms.copy(), d1
+    else:
+        common = gcd(d1, d2)
+        lift, d1 = d2 // common, d1 // common
+        acc, den = {key: v * lift for key, v in f.terms.items()}, d1 * d2
+        sign *= d1
+    get = acc.get
+    for key, v in g.terms.items():
+        acc[key] = get(key, 0) + v * sign
+    return DiffPoly._normal(ring, acc, den)
 
 
 def _linear_combination(ring: Ring, pairs) -> DiffPoly:

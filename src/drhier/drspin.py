@@ -17,12 +17,11 @@ data for the hierarchy-comparison checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring
-from .scalars import add_term, exact_rational
+from .scalars import Frozen, add_term, exact_rational
 
 # a-polynomials: exponent tuple (over markings carrying weights) -> Fraction
 APoly = dict[tuple[int, ...], Fraction]
@@ -57,15 +56,13 @@ def counts_labels(counts) -> tuple[int, ...]:
     return tuple(k for k, nk in enumerate(counts, start=1) for _ in range(nk))
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """One (g; n_1..n_{r-1}) contribution to g_{alpha,d} for the r-spin theory."""
 
-    r: int
-    alpha: int
-    d: int
-    g: int
-    counts: tuple[int, ...]
+    __slots__ = ("r", "alpha", "d", "g", "counts")
+
+    def __init__(self, r: int, alpha: int, d: int, g: int, counts: tuple[int, ...]):
+        self._init(r, alpha, d, g, counts)
 
     @property
     def n(self) -> int:
@@ -121,8 +118,7 @@ def enumerate_profiles(r: int, alpha: int, d: int) -> list[Profile]:
 # -- tautological monomials and Hain's expansion --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TautMonomial:
+class TautMonomial(Frozen):
     """psi-exponents per marking plus a multiset of boundary divisors.
 
     ``psi`` is indexed by marking position; ``boundary`` is a sorted tuple
@@ -130,8 +126,11 @@ class TautMonomial:
     identification delta_h^J = delta_{g-h} ^ {complement of J}.
     """
 
-    psi: tuple[int, ...]
-    boundary: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    __slots__ = ("psi", "boundary")
+
+    def __init__(self, psi: tuple[int, ...],
+                 boundary: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+        self._init(psi, boundary)
 
     def degree(self) -> int:
         return sum(self.psi) + len(self.boundary)
@@ -262,7 +261,6 @@ class TableFileError(ValueError):
     """A table file cannot be read or does not hold a well-formed table."""
 
 
-@dataclass
 class IntegralTable:
     """Map from tautological monomials to exact intersection numbers.
 
@@ -272,11 +270,15 @@ class IntegralTable:
     raise TableMissError otherwise.
     """
 
-    g: int
-    n: int
-    labels: tuple[int, ...]
-    entries: dict[TautMonomial, Fraction]
-    default_zero: bool = False
+    __slots__ = ("g", "n", "labels", "entries", "default_zero")
+
+    def __init__(self, g: int, n: int, labels: tuple[int, ...],
+                 entries: dict[TautMonomial, Fraction], default_zero: bool = False):
+        self.g = g
+        self.n = n
+        self.labels = labels
+        self.entries = entries
+        self.default_zero = default_zero
 
     def canonicalize(self):
         markings = tuple(range(1, self.n + 1))
@@ -369,14 +371,14 @@ class IntegralTable:
 # -- pairing and assembly ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DRPolynomial:
+class DRPolynomial(Frozen):
     """Homogeneous degree-2g polynomial in the weights a_1..a_n, modulo
     the ideal generated by sum a_i."""
 
-    g: int
-    n: int
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("g", "n", "coeffs")
+
+    def __init__(self, g: int, n: int, coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]):
+        self._init(g, n, coeffs)
 
     @staticmethod
     def from_apoly(g: int, n: int, poly: APoly) -> "DRPolynomial":

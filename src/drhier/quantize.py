@@ -44,7 +44,6 @@ functional keeps the frequency-zero part (``lf_to_p_series``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from math import comb, gcd, lcm
@@ -52,7 +51,7 @@ from math import comb, gcd, lcm
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
 from .hamops import HamiltonianOperator
-from .scalars import AlgScalar, add_term, exact_rational, over_one_den
+from .scalars import AlgScalar, Frozen, add_term, exact_rational, over_one_den
 
 Mode = tuple[int, int]  # (k, alpha): tuple order is normal order
 
@@ -62,8 +61,7 @@ _FIRST_POSITIVE = (1,)  # sorts before every mode with k >= 1
 _RULE_TOKENS: dict = {}
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Frozen):
     """A commutation rule with the small integer ``token`` of its value and
     its ``scale``, the lcm of the denominators of its constants.
 
@@ -71,22 +69,23 @@ class _Rule:
     memo hashes a rule's table once per rule object, not once per lookup.
     """
 
-    token: int = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("token", "scale")
 
-    def __post_init__(self):
+    def _init(self, *values):
+        super()._init(*values)
         object.__setattr__(self, "token",
                            _RULE_TOKENS.setdefault(self, len(_RULE_TOKENS)))
         object.__setattr__(self, "scale",
                            lcm(*(c.denominator for c in self._constants())))
 
 
-@dataclass(frozen=True)
 class StandardRule(_Rule):
     """[p^a_k, p^b_j] = i hbar k eta^{ab} delta_{k+j,0}."""
 
-    n_fields: int
-    eta: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n_fields", "eta")
+
+    def __init__(self, n_fields: int, eta: tuple[tuple[Fraction, ...], ...]):
+        self._init(n_fields, eta)
 
     @staticmethod
     def from_eta(eta) -> "StandardRule":
@@ -103,12 +102,14 @@ class StandardRule(_Rule):
         return [(1, 0, coeff * k)] if coeff else []
 
 
-@dataclass(frozen=True)
 class DeformedRule(_Rule):
     """Constants K^{ab}_j of a good-form operator sum_j K_j eps^j d_x^{j+1}."""
 
-    n_fields: int
-    constants: tuple[tuple[int, int, int, Fraction], ...]  # (a, b, j, K_j)
+    __slots__ = ("n_fields", "constants")
+
+    def __init__(self, n_fields: int,
+                 constants: tuple[tuple[int, int, int, Fraction], ...]):  # (a, b, j, K_j)
+        self._init(n_fields, constants)
 
     @staticmethod
     def from_operator(K: HamiltonianOperator) -> "DeformedRule":
@@ -137,14 +138,13 @@ class DeformedRule(_Rule):
                 if (aa, bb) == (a, b) and const]
 
 
-@dataclass(frozen=True)
-class WeylContext:
-    n_fields: int
-    window: int
+class WeylContext(Frozen):
+    __slots__ = ("n_fields", "window")
 
-    def __post_init__(self):
-        if self.window < 1:
+    def __init__(self, n_fields: int, window: int):
+        if window < 1:
             raise ValueError("mode window must be >= 1")
+        self._init(n_fields, window)
 
 
 def monomial(pkey) -> str:

@@ -23,7 +23,6 @@ that uses neither string nor dilaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -32,7 +31,7 @@ from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
     miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
-from .scalars import add_term
+from .scalars import Frozen, add_term
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
@@ -82,22 +81,25 @@ def t_derivative(series: dict, var: tuple[int, int], k: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Frozen):
     """Truncation box: max t-subscript, max total t-degree, max eps order."""
 
-    t_max: int
-    t_deg: int
-    eps_max: int
+    __slots__ = ("t_max", "t_deg", "eps_max")
+
+    def __init__(self, t_max: int, t_deg: int, eps_max: int):
+        self._init(t_max, t_deg, eps_max)
 
 
-@dataclass
 class OmegaData:
     """Genus-0 input: densities[(beta, q)] = Omega_{beta,q+1;1,0} plus eta."""
 
-    ring: Ring
-    eta: list[list[Fraction]]
-    densities: dict[tuple[int, int], DiffPoly]
+    __slots__ = ("ring", "eta", "densities")
+
+    def __init__(self, ring: Ring, eta: list[list[Fraction]],
+                 densities: dict[tuple[int, int], DiffPoly]):
+        self.ring = ring
+        self.eta = eta
+        self.densities = densities
 
     def density(self, beta: int, q: int) -> DiffPoly:
         return self.densities[(beta, q)]
@@ -395,10 +397,12 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
 # -- residual checks ------------------------------------------------------------------
 
 
-@dataclass
 class ResidualReport:
-    string_residuals: dict
-    dilaton_residuals: dict
+    __slots__ = ("string_residuals", "dilaton_residuals")
+
+    def __init__(self, string_residuals: dict, dilaton_residuals: dict):
+        self.string_residuals = string_residuals
+        self.dilaton_residuals = dilaton_residuals
 
     @property
     def clean(self) -> bool:
@@ -570,14 +574,19 @@ def dz_miura_map(r: int, ring: Ring) -> MiuraMap:
     return MiuraMap(ring, entries)
 
 
-@dataclass
 class VerdictReport:
-    r: int
-    conditions: tuple[bool, bool, bool]
-    operator_diff: HamiltonianOperator
-    hamiltonian_diff: DiffPoly
-    eps_max: int
-    miura_diff: tuple[DiffPoly, ...]  # dw^alpha/du^1 - delta^{alpha,1}
+    __slots__ = ("r", "conditions", "operator_diff", "hamiltonian_diff", "eps_max",
+                 "miura_diff")
+
+    def __init__(self, r: int, conditions: tuple[bool, bool, bool],
+                 operator_diff: HamiltonianOperator, hamiltonian_diff: DiffPoly,
+                 eps_max: int, miura_diff: tuple[DiffPoly, ...]):
+        self.r = r
+        self.conditions = conditions
+        self.operator_diff = operator_diff
+        self.hamiltonian_diff = hamiltonian_diff
+        self.eps_max = eps_max
+        self.miura_diff = miura_diff  # dw^alpha/du^1 - delta^{alpha,1}
 
     CONDITION_NAMES = ("dw/du1 = delta", "push(eta dx) = K", "g11[w] = h11")
 

@@ -7,7 +7,8 @@ polynomials store integer numerators over one denominator and hand out
 rational, and it refuses floats.  The r-spin normalization brings in sqrt(-r) only
 as even powers, (-r)^n, so it stays over Q too.  ``AlgScalar`` is the
 Gaussian rationals Q(i), in which ``quantize`` takes and prints
-Weyl-algebra coefficients; it computes over Q.
+Weyl-algebra coefficients; it computes over Q.  ``Frozen`` is the base of
+the package's small immutable records.
 """
 
 from __future__ import annotations
@@ -16,6 +17,53 @@ from fractions import Fraction
 from math import lcm
 
 _ZERO = Fraction(0)
+
+
+class Frozen:
+    """An immutable record whose fields are its class's own ``__slots__``.
+
+    Two records are equal when they have the same class and equal fields,
+    and they then hash alike; assignment raises AttributeError.  A subclass
+    writes its ``__init__`` with its fields as parameters and passes them to
+    ``_init`` in slot order, which also keeps them as one tuple, ``_key``, for
+    ``==`` and ``hash``.  Slots declared by a base class are not fields:
+    they are derived from the fields and neither compared nor printed.
+
+    The runtime uses this instead of ``dataclasses``, whose import and
+    per-class code generation cost each process more than the rest of
+    importing drhier.
+    """
+
+    __slots__ = ("_key",)
+
+    def _init(self, *values):
+        for name, value in zip(type(self).__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(type(self).__slots__, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key
 
 
 def squarefree_part(n: int) -> int:

@@ -254,6 +254,16 @@ def test_render_stdin(run, monkeypatch):
     assert out == "3/2*u1_2\n"
 
 
+@pytest.mark.parametrize("integrated, out", [
+    (True, "int u1^2 dx\n"), (False, "u1^2\n"), (None, "u1^2\n")])
+def test_render_integrated_flag(run, monkeypatch, integrated, out):
+    payload = (DiffPoly.jet(Ring(1), 1, 0) ** 2).to_json_dict()
+    if integrated is not None:
+        payload["integrated"] = integrated
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    assert run("render") == (0, out, "")
+
+
 def test_render_reads_exact_decimal_strings(run, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(
         '{"N":1,"d":1,"terms":[{"coeff":["1e-1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}'))
@@ -359,6 +369,12 @@ def test_quantize_check_cli(run):
     '{"N":1,"terms":[{"coeff":["1","0","0",0.0],"eps":0,"jets":[[1,0,1]]}]}',
     # a power beyond the 15-bit exponent slot
     '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,40000]]}]}',
+    # slot 30010001: a 60 MB key, refused before it is built
+    '{"N":10000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[10000,3000,2]]}]}',
+    # "false" is a string, not a boolean
+    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],'
+    '"integrated":"false"}',
+    '{"N":1,"terms":[],"integrated":1}',
 ])
 def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

@@ -155,6 +155,25 @@ def test_a_power_beyond_its_slot_is_refused():
     assert (big * DiffPoly.jet(ring, 2, 0, SLOT_MAX - 20000)).render() == f"u2^{SLOT_MAX}"
 
 
+def test_repeated_jets_are_checked_slot_by_slot():
+    ring = Ring(2)
+    # three powers of 20000 in one slot would carry into the next one
+    with pytest.raises(ValueError, match="exceeds"):
+        DiffPoly.from_items(ring, [((0, ((1, 0, 20000),) * 3), 1)])
+    # 40000 factors in total, but no slot above its bound
+    split = DiffPoly.from_items(ring, [((0, ((1, 0, 20000), (2, 0, 20000))), 1)])
+    assert split.render() == "u1^20000*u2^20000"
+
+
+def test_a_jet_beyond_the_slot_bound_is_refused():
+    # slot 1 + order * N + alpha; a key of s slots is a 16 s-bit int
+    assert DiffPoly.jet(Ring(1), 1, 4093).render() == "u_4093"  # slot 4095
+    with pytest.raises(ValueError, match="packed slot 4096, above 4095"):
+        DiffPoly.jet(Ring(1), 1, 4094)
+    with pytest.raises(ValueError, match="packed slot 30010001"):
+        DiffPoly.from_items(Ring(10000), [((0, ((10000, 3000, 2),)), 1)])
+
+
 def test_a_derivative_degree_beyond_its_slot_is_refused():
     ring = Ring(1)
     top = DiffPoly.jet(ring, 1, 1, SLOT_MAX)  # derivative degree SLOT_MAX

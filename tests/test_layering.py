@@ -2,10 +2,12 @@
 
 Each module may import only modules earlier in the chain, so the lower
 layers never depend on the higher ones (the order the package docstring
-states).
+states).  Every CLI call is a fresh process, so the runtime also keeps
+clear of modules that are slow to import.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +33,11 @@ def imports(module: str):
                     yield from ((True, alias.name) for alias in node.names)
             else:
                 yield False, node.module.split(".")[0]
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize: together they took
+# more of a process's start than the rest of importing drhier.cli
+SLOW_IMPORTS = {"dataclasses", "inspect", "typing"}
 
 
 def test_every_module_is_in_the_order():
@@ -59,3 +66,18 @@ def test_imports_follow_the_layer_order(module):
     earlier = ORDER[:ORDER.index(module)]
     for relative, name in imports(module):
         assert not relative or name in earlier, f"{module} imports {name}, not below it"
+
+
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_runtime_avoids_slow_imports(module):
+    for relative, name in imports(module):
+        assert relative or name not in SLOW_IMPORTS, f"{module} imports {name}"
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    # -S: no site hooks, whose own imports are not drhier's
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import drhier.cli; "
+             f"print(sorted(sys.modules.keys() & {sorted(SLOW_IMPORTS)!r}))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
