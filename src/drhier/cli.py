@@ -51,6 +51,7 @@ from .quantize import (
     weyl_star,
 )
 from .reconstruct import (
+    SLOT_MAX,
     Bounds,
     check_string_dilaton,
     jet_rewrite,
@@ -221,10 +222,10 @@ def cmd_reconstruct(args) -> int:
     names = w_names(args.r)
     text = ("coefficients: {}\nstring residuals: {}\ndilaton residuals: {}\n"
             "t^1_1 flow (rewritten): {}").format(
-        sum(len(t) for t in sol.c), len(report.string_residuals),
+        sol.entry_count(), len(report.string_residuals),
         len(report.dilaton_residuals), flows[0].render({1: "w"}))
     emit(args, text, {
-        "coefficients": sum(len(t) for t in sol.c),
+        "coefficients": sol.entry_count(),
         "string_residuals": len(report.string_residuals),
         "dilaton_residuals": len(report.dilaton_residuals),
         "t11_flow": flows[0].to_json_dict(),
@@ -296,16 +297,18 @@ def cmd_render(args) -> int:
         emit(args, poly.render(names), poly.to_json_dict())
     return EXIT_OK
 
-def int_at_least(least: int):
-    """argparse type for an integer >= least; anything else is a usage error."""
+def int_at_least(least: int, most: int | None = None):
+    """argparse type for an integer >= least (and <= most, if given);
+    anything else is a usage error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < least:
+        if value is None or value < least or (most is not None and value > most):
+            wanted = f">= {least}" if most is None else f"in {least}..{most}"
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {least}, got {text!r}")
+                f"expected an integer {wanted}, got {text!r}")
         return value
     return parse
 
@@ -388,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="special solution and residuals")
     p.add_argument("--r", type=int_at_least(2), default=2)
     p.add_argument("--tmax", type=int_at_least(1), default=3)
-    p.add_argument("--t-degree", type=int_at_least(1), default=4)
-    p.add_argument("--eps-order", type=int_at_least(0), default=4)
+    # a t-degree or eps order above SLOT_MAX does not fit the packed t-series keys
+    p.add_argument("--t-degree", type=int_at_least(1, SLOT_MAX), default=4)
+    p.add_argument("--eps-order", type=int_at_least(0, SLOT_MAX), default=4)
     add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -304,14 +304,36 @@ class DiffPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, DiffPoly):
-            return _linear_combination(self.ring, ((self.ring.scalar(other), self),))
-        return sum_of_products(self.ring, ((1, self, other),))
+        if isinstance(other, DiffPoly):
+            return sum_of_products(self.ring, ((1, self, other),))
+        if type(other) is int:
+            return self._scale(other, 1)
+        c = self.ring.scalar(other)
+        return self._scale(c.numerator, c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (1 / self.ring.scalar(other))
+        if type(other) is int:
+            num, den = 1, other
+        else:
+            c = self.ring.scalar(other)
+            num, den = c.denominator, c.numerator
+        if not den:
+            raise ZeroDivisionError("division of a differential polynomial by zero")
+        return self._scale(num, den) if den > 0 else self._scale(-num, -den)
+
+    def _scale(self, num: int, den: int) -> "DiffPoly":
+        """self * num / den for coprime ints, den > 0.  The result is in
+        lowest terms once gcd(num, self.den) and gcd(den, numerators) are
+        divided out: no other prime can divide it."""
+        if not num or not self.terms:
+            return DiffPoly(self.ring)
+        g = gcd(num, self.den)
+        h = gcd(den, *self.terms.values()) if den != 1 else 1
+        num //= g
+        return DiffPoly(self.ring, {key: v // h * num for key, v in self.terms.items()},
+                        self.den // g * (den // h))
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:

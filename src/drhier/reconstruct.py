@@ -7,13 +7,31 @@ level, and the eps^i layers (i >= 1) through the dilaton-derived recursion
 (i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp], one level per
 (i, total t-degree n).  Each level is the exact (eps, degree) part of
 whole series products over the finished lower levels, divided and then
-written.  All series live at x = 0 as sparse dicts
-{(t-monomial, i): value}.  The x dependence is recovered through the
-t^1_0 derivative (the t^1_0 flow is plain translation), and jets of the
+written.  All series live at x = 0.  The x dependence is recovered through
+the t^1_0 derivative (the t^1_0 flow is plain translation), and jets of the
 solution are series pushed forward from the table by the string equation
 d_x = delta + sum t^rho_{k+1} d/dt^rho_k, which raises t-subscripts instead
 of the degree -- exactly the reduction that makes the recursion
 well-founded.
+
+Representation, as in ``diffpoly``: a series is a sparse dict from a packed
+key to a nonzero int numerator over a denominator kept beside it.  A key
+packs the monomial t^m eps^i into one int of 16-bit slots: slot 0 holds i,
+slot 1 the total t-degree, slot 2 the degree without t^1_0, and slot
+3 + k N + gamma - 1 the power of t^gamma_k (N fields).  A product of
+monomials is the sum of their keys, and every degree cut is a shift and a
+mask.  Every slot holds at most ``SLOT_MAX`` = 32767, and a key uses no
+slot above 4095; the top bit of a slot is a guard, so m1 divides m exactly
+when m - m1 borrows into no guard bit.  ``special_solution`` and
+``integrate_flows_directly`` refuse a box whose degree, eps order or
+largest subscript the slots cannot hold.  A solution keeps one
+denominator, ``den``, for its tables and its cached jets; a write whose
+value it does not clear multiplies all of them up to the lcm.  Series
+products return (numerators, denominator) pairs.  Code
+outside the module reads a solution through the decoded view: ``coeff``,
+``tables``, ``cached_jets`` and ``decode`` give t-monomials as sorted
+tuples of ((gamma, k), power) and values as ``Fraction``s, and
+``set_coeff`` takes that form.
 
 The honesty of the construction is checked from outside: string/dilaton
 residuals recompute both sides from the stored table, and the r = 2
@@ -24,61 +42,165 @@ that uses neither string nor dilaton.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
+# the slots of diffpoly's packed monomials: 16 bits, the top one a guard
+from .diffpoly import _MASK, _MAX as SLOT_MAX, _MAX_SLOT, _W, _guard_slots
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
     miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
-from .scalars import Frozen, add_term
+from .scalars import Frozen, add_term, exact_rational
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
 
-
-def tmon_times(m1: TMon, m2: TMon) -> TMon:
-    """m1 * m2; a negative power in m2 divides, zero exponents go."""
-    acc = dict(m1)
-    for var, power in m2:
-        acc[var] = acc.get(var, 0) + power
-    return tuple(sorted((v, p) for v, p in acc.items() if p))
+_DEG = 1 << _W              # one unit of total t-degree
+_REST = 1 << (2 * _W)       # one unit of degree without t^1_0
+_VARS = 3 * _W              # bit offset of the slot of t^1_0
+_ZERO = Fraction(0)
 
 
-def tmon_mul(m: TMon, var: tuple[int, int], power: int) -> TMon:
-    """m * (t^var)^power."""
-    return tmon_times(m, ((var, power),))
+def _var_shift(n: int, var: tuple[int, int]) -> int:
+    """Bit offset of the slot of t^var in an n-field key."""
+    gamma, k = var
+    if not 1 <= gamma <= n or k < 0:
+        raise ValueError(f"t-variable {var} out of range for {n} fields")
+    slot = 3 + k * n + gamma - 1
+    if slot > _MAX_SLOT:
+        raise ValueError(f"t^{gamma}_{k} needs packed slot {slot}, above {_MAX_SLOT}")
+    return _W * slot
 
 
-def tmon_quotient(m: TMon, m1: TMon) -> TMon | None:
-    """m / m1, or None when m1 does not divide m."""
-    acc = dict(m)
-    for var, power in m1:
-        left = acc.get(var, 0) - power
-        if left < 0:
-            return None
-        acc[var] = left
-    return tuple((v, p) for v, p in acc.items() if p)
+def _unit(shift: int) -> int:
+    """The key of t^var for the variable whose slot starts at bit ``shift``."""
+    return (1 << shift) + _DEG + (_REST if shift != _VARS else 0)
 
 
-def tmon_degree(m: TMon) -> int:
-    return sum(p for _, p in m)
+def pack_key(n: int, m: TMon, i: int) -> int:
+    """The packed key of t^m eps^i over n fields; a power, degree or eps order
+    above ``SLOT_MAX``, or a negative one, is refused with ValueError."""
+    key = degree = rest = 0
+    for (gamma, k), power in m:
+        slot = 3 + k * n + gamma - 1
+        if not (0 < gamma <= n and 0 <= k and slot <= _MAX_SLOT and power >= 0):
+            _var_shift(n, (gamma, k))
+            raise ValueError(f"negative power of t^{gamma}_{k}")
+        key += power << (_W * slot)
+        degree += power
+        if slot != 3:
+            rest += power
+    if not 0 <= i <= SLOT_MAX or degree > SLOT_MAX:
+        raise ValueError(f"a t-degree or eps order exceeds {SLOT_MAX}")
+    return key + i + (degree << _W) + (rest << (2 * _W))
 
 
-def tmon_rest_degree(m: TMon) -> int:
-    """Degree in the variables other than t^1_0."""
-    return sum(p for v, p in m if v != (1, 0))
+def unpack_key(key: int, n: int) -> tuple[TMon, int]:
+    """(t-monomial, eps order) of a packed key over n fields."""
+    m = []
+    rest, slot = key >> _VARS, 0
+    while rest:
+        power = rest & _MASK
+        if power:
+            k, gamma = divmod(slot, n)
+            m.append(((gamma + 1, k), power))
+        rest >>= _W
+        slot += 1
+    m.sort()
+    return tuple(m), key & _MASK
 
 
-def t_derivative(series: dict, var: tuple[int, int], k: int) -> dict:
-    """d^k/d(t^var)^k of a sparse t-series {(m, i): value}: the exponent of
-    t^var drops by k and the value gains the falling factorial."""
+def _degree(key: int) -> int:
+    return (key >> _W) & _MASK
+
+
+def _variables(key: int, n: int) -> list[tuple[int, int]]:
+    """The variables (gamma, k) of a key's t-monomial, t^1_0 included."""
+    return [var for var, _ in unpack_key(key, n)[0]]
+
+
+def t_derivative(series: dict, n: int, var: tuple[int, int], k: int) -> dict:
+    """d^k/d(t^var)^k of a packed series over n fields: the power of t^var
+    drops by k and the value gains the falling factorial."""
+    shift = _var_shift(n, var)
+    step = k * _unit(shift)
     out = {}
-    for (m, i), value in series.items():
-        e = dict(m).get(var, 0)
+    for key, value in series.items():
+        e = (key >> shift) & _MASK
         if e >= k:
-            out[(tmon_mul(m, var, -k), i)] = value * prod(range(e - k + 1, e + 1))
+            out[key - step] = value * prod(range(e - k + 1, e + 1))
     return out
+
+
+def raise_subscripts(series: dict, n: int, t_max: int) -> dict:
+    """sum t^rho_{k+1} dV/dt^rho_k of a packed series V over n fields,
+    subscripts capped at t_max: the string push-forward, linear in V."""
+    out = {}
+    lift = _W * n  # from subscript k to k + 1
+    below = (1 << (lift * t_max)) - 1  # the slots of subscripts below t_max
+    for key, value in series.items():
+        rest, shift = (key >> _VARS) & below, _VARS
+        while rest:
+            e = rest & _MASK
+            if e:
+                step = (1 << (shift + lift)) - (1 << shift)
+                add_term(out, key + step + (_REST if shift == _VARS else 0), e * value)
+            rest >>= _W
+            shift += _W
+    return out
+
+
+def multiply_series(factors: list[dict], eps_max: int, deg_max: int,
+                    rest_max: int | None = None, exact: bool = False) -> dict:
+    """Product of packed series, cut at eps <= eps_max, t-degree <= deg_max
+    and degree without t^1_0 <= rest_max (default deg_max).
+
+    The values are numerators: the product's denominator is the product of
+    the factors'.  Each cut is exact: no factor lowers a degree.  With
+    ``exact`` only the part at eps = eps_max and t-degree = deg_max is kept.
+    Each factor, and the running product, is split into buckets by (eps,
+    degree), and by rest degree when that cut is below the degree cut; the
+    product of two buckets lands in one bucket, and a pair of buckets outside
+    the cut is never opened.
+    """
+    if rest_max is None or rest_max >= deg_max:
+        rest_max, rest_mask = deg_max, 0
+    else:
+        rest_mask = _MASK
+    acc = {(0, 0, 0): {0: 1}}
+    last = len(factors) - 1 if exact else -1
+    split = {}
+    for idx, series in enumerate(factors):
+        right = split.get(id(series))
+        if right is None:
+            buckets = {}
+            for key, v in series.items():
+                i2, d2 = key & _MASK, (key >> _W) & _MASK
+                if i2 <= eps_max and d2 <= deg_max:
+                    buckets.setdefault((i2, d2, (key >> (2 * _W)) & rest_mask),
+                                       []).append((key, v))
+            right = split[id(series)] = list(buckets.items())
+        out = {}
+        for (i1, d1, r1), left in acc.items():
+            left = list(left.items())
+            for (i2, d2, r2), pairs in right:
+                i, d, r = i1 + i2, d1 + d2, r1 + r2
+                if ((i != eps_max or d != deg_max) if idx == last
+                        else (i > eps_max or d > deg_max)) or r > rest_max:
+                    continue
+                bucket = out.get((i, d, r))
+                if bucket is None:
+                    bucket = out[(i, d, r)] = {}
+                get = bucket.get
+                for k1, v1 in left:
+                    for k2, v2 in pairs:
+                        k = k1 + k2
+                        bucket[k] = get(k, 0) + v1 * v2
+        acc = out
+    if exact and not factors and (eps_max or deg_max):
+        return {}  # no factors: the product is 1 at (t^0, eps^0)
+    return {k: v for bucket in acc.values() for k, v in bucket.items() if v}
 
 
 class Bounds(Frozen):
@@ -128,71 +250,109 @@ def omega_from_gd(ctx: GDContext, q_max: int) -> OmegaData:
     return OmegaData(ring=ctx.ring_w, eta=eta_matrix(ctx.r), densities=densities)
 
 
+def _check_box(ring: Ring, bounds: Bounds, degree: int):
+    """Refuse a box whose t-degree ``degree``, eps order or largest
+    t-subscript the packed slots cannot hold."""
+    if degree > SLOT_MAX or bounds.eps_max > SLOT_MAX:
+        raise ValueError(f"a t-degree of {degree} or an eps order of {bounds.eps_max} "
+                         f"is above the slot limit {SLOT_MAX}")
+    _var_shift(ring.n_fields, (ring.n_fields, bounds.t_max))
+
+
 class SpecialSolution:
-    """Per-field t-series of the special solution, stored at x = 0."""
+    """Per-field t-series of the special solution, stored at x = 0: packed
+    tables of numerators over the one denominator ``den``."""
 
     def __init__(self, ring: Ring, bounds: Bounds):
         self.ring = ring
         self.bounds = bounds
-        n = ring.n_fields
-        self.c: list[dict[tuple[TMon, int], Fraction]] = [dict() for _ in range(n)]
-        # jet series by (source, gamma, d), kept equal to the table by set_coeff
+        self._n = ring.n_fields
+        self.den = 1
+        self._tables: list[dict[int, int]] = [dict() for _ in range(self._n)]
+        # jet series by (source, gamma, d), kept equal to the table by writes
         self._jets: dict = {}
 
-    # -- raw access ---------------------------------------------------------------
+    # -- the decoded view ---------------------------------------------------------
+
+    def decode(self, series: dict) -> dict:
+        """{(m, i): Fraction} of a packed series over ``den``: a table, a
+        cached jet or a flow series."""
+        den = self.den
+        return {unpack_key(key, self._n): Fraction(v, den) for key, v in series.items()}
+
+    def tables(self) -> list[dict]:
+        """Per field, every stored entry as {(m, i): Fraction}."""
+        return [self.decode(table) for table in self._tables]
+
+    def cached_jets(self) -> dict:
+        """Every cached jet series, decoded, by (source, gamma, d)."""
+        return {label: self.decode(series) for label, series in self._jets.items()}
+
+    def entry_count(self) -> int:
+        """The number of nonzero entries stored over all fields."""
+        return sum(map(len, self._tables))
 
     def coeff(self, alpha: int, m: TMon, i: int) -> Fraction:
-        return self.c[alpha - 1].get((m, i), Fraction(0))
+        num = self._tables[alpha - 1].get(pack_key(self._n, m, i))
+        return Fraction(num, self.den) if num else _ZERO
 
-    def set_coeff(self, alpha: int, m: TMon, i: int, value: Fraction):
-        """Write one entry and push the change into every cached jet of
-        field alpha: both jet sources are linear in the table."""
-        table = self.c[alpha - 1]
-        change = value - table.get((m, i), 0)
+    def set_coeff(self, alpha: int, m: TMon, i: int, value):
+        """Write the coefficient of t^m eps^i in u^alpha; a float is refused."""
+        value = exact_rational(value)
+        self._write(alpha, pack_key(self._n, m, i), value.numerator, value.denominator)
+
+    # -- writes -------------------------------------------------------------------
+
+    def _write(self, alpha: int, key: int, num: int, den: int):
+        """Set one entry to num / den and push the change into every cached
+        jet of field alpha: both jet sources are linear in the table."""
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if self.den % den:
+            self._lift(den // gcd(self.den, den))
+        table = self._tables[alpha - 1]
+        change = num * (self.den // den) - table.get(key, 0)
         if not change:
             return
-        add_term(table, (m, i), change)
-        raised = [{(m, i): change}]
+        add_term(table, key, change)
+        raised = [{key: change}]
         for (source, gamma, d), series in self._jets.items():
             if gamma != alpha:
                 continue
             if source == "direct":
-                delta = t_derivative(raised[0], (1, 0), d)
+                delta = t_derivative(raised[0], self._n, (1, 0), d)
             else:
                 while len(raised) <= d:
-                    raised.append(self._raise(raised[-1]))
+                    raised.append(raise_subscripts(raised[-1], self._n, self.bounds.t_max))
                 delta = raised[d]
-            for key, v in delta.items():
-                add_term(series, key, v)
+            for k, v in delta.items():
+                add_term(series, k, v)
+
+    def _lift(self, scale: int):
+        """Multiply the denominator by scale, and every numerator with it, in
+        place: a live jet series stays the same object."""
+        self.den *= scale
+        for series in (*self._tables, *self._jets.values()):
+            for key, v in series.items():
+                series[key] = v * scale
 
     def variables(self):
-        return [(gamma, n) for gamma in range(1, self.ring.n_fields + 1)
+        return [(gamma, n) for gamma in range(1, self._n + 1)
                 for n in range(self.bounds.t_max + 1)]
 
-    # -- the two jet sources: series of d_x^d u^gamma ----------------------------------
-
-    def _raise(self, series: dict) -> dict:
-        """sum t^rho_{k+1} dV/dt^rho_k of a series V, subscripts capped at
-        t_max: the string push-forward, linear in V."""
-        out = {}
-        for (m, i), value in series.items():
-            for (rho, k), e in m:
-                if k < self.bounds.t_max:
-                    raised = tmon_mul(tmon_mul(m, (rho, k), -1), (rho, k + 1), 1)
-                    add_term(out, (raised, i), e * value)
-        return out
+    # -- the two jet sources: series of d_x^d u^gamma over den ---------------------------
 
     def jet(self, gamma: int, d: int) -> dict:
         """d_x^d u^gamma via the string equation: d_x V = delta + sum
         t^rho_{k+1} dV/dt^rho_k (delta for V = u^1 only), pushed forward from
         the stored table.  The series is live: later writes update it."""
         if d == 0:
-            return self.c[gamma - 1]
+            return self._tables[gamma - 1]
         key = ("string", gamma, d)
         if key not in self._jets:
-            series = self._raise(self.jet(gamma, d - 1))
+            series = raise_subscripts(self.jet(gamma, d - 1), self._n, self.bounds.t_max)
             if (gamma, d) == (1, 1):
-                add_term(series, ((), 0), Fraction(1))
+                add_term(series, 0, self.den)
             self._jets[key] = series
         return self._jets[key]
 
@@ -201,7 +361,7 @@ class SpecialSolution:
         where the stored box reaches degree + d); live like ``jet``."""
         key = ("direct", gamma, d)
         if key not in self._jets:
-            self._jets[key] = t_derivative(self.c[gamma - 1], (1, 0), d)
+            self._jets[key] = t_derivative(self._tables[gamma - 1], self._n, (1, 0), d)
         return self._jets[key]
 
     # -- evaluation of differential polynomials on the solution ------------------------
@@ -209,6 +369,7 @@ class SpecialSolution:
     def eval_poly(self, p: DiffPoly, m: TMon, i: int, jet_fn=None) -> Fraction:
         """Coefficient of t^m eps^i in p(u^sp, u^sp_x, ...)."""
         jet_fn = jet_fn or self.jet
+        key = pack_key(self._n, m, i)
         total = Fraction(0)
         for (eps, jets), coeff in p.items():
             if eps > i:
@@ -216,25 +377,27 @@ class SpecialSolution:
             factors = []
             for gamma, order, power in jets:
                 factors.extend([(gamma, order)] * power)
-            total += coeff * self._eval_factors(tuple(factors), m, i - eps, jet_fn)
+            value = self._eval_factors(tuple(factors), key - eps, jet_fn)
+            if value:
+                total += coeff * Fraction(value, self.den ** len(factors))
         return total
 
-    def _eval_factors(self, factors, m: TMon, i: int, jet_fn) -> Fraction:
-        """Coefficient of t^m eps^i in the product of the factors' jet series:
-        the first factor runs over its stored nonzero entries dividing t^m."""
+    def _eval_factors(self, factors, key: int, jet_fn) -> int:
+        """Numerator over den^len(factors) of the coefficient at key of the
+        product of the factors' jet series: the first factor runs over its
+        stored entries dividing t^m eps^i."""
         if not factors:
-            return Fraction(1) if (not m and i == 0) else Fraction(0)
+            return int(key == 0)
         series = jet_fn(*factors[0])
         if len(factors) == 1:
-            return series.get((m, i), Fraction(0))
+            return series.get(key, 0)
         rest = factors[1:]
-        total = Fraction(0)
-        for (m1, i1), left in series.items():
-            if i1 > i:
-                continue
-            m2 = tmon_quotient(m, m1)
-            if m2 is not None:
-                right = self._eval_factors(rest, m2, i - i1, jet_fn)
+        guard = _guard_slots(key.bit_length() // _W + 1)
+        total = 0
+        for k1, left in series.items():
+            k2 = key - k1
+            if k2 >= 0 and not k2 & guard:
+                right = self._eval_factors(rest, k2, jet_fn)
                 if right:
                     total += left * right
         return total
@@ -242,64 +405,42 @@ class SpecialSolution:
     # -- whole series of products: every coefficient of a level at once -------------------
 
     def series_product(self, factors, jet_fn, eps_max: int, deg_max: int,
-                       rest_max: int | None = None, exact: bool = False) -> dict:
-        """Product of the factors' jet series, cut at eps <= eps_max, t-degree
-        <= deg_max and degree without t^1_0 <= rest_max (default deg_max).
-        Each cut is exact: no factor lowers a degree.  With ``exact`` only
-        the part at eps = eps_max and t-degree = deg_max is kept: the last
-        factor meets only its matching (eps, degree) bucket."""
-        rest_max = deg_max if rest_max is None else rest_max
-        acc = {((), 0): Fraction(1)}
-        last = len(factors) - 1 if exact else -1
-        for k, (gamma, d) in enumerate(factors):
-            right = [(m, i, v, tmon_degree(m), tmon_rest_degree(m))
-                     for (m, i), v in jet_fn(gamma, d).items() if i <= eps_max]
-            out = {}
-            if k == last:
-                buckets = {}
-                for m2, i2, v2, deg2, rest2 in right:
-                    buckets.setdefault((i2, deg2), []).append((m2, v2, rest2))
-                for (m1, i1), v1 in acc.items():
-                    rest1 = tmon_rest_degree(m1)
-                    for m2, v2, rest2 in buckets.get(
-                            (eps_max - i1, deg_max - tmon_degree(m1)), ()):
-                        if rest1 + rest2 <= rest_max:
-                            add_term(out, (tmon_times(m1, m2), eps_max), v1 * v2)
-                return out
-            for (m1, i1), v1 in acc.items():
-                deg1, rest1 = tmon_degree(m1), tmon_rest_degree(m1)
-                for m2, i2, v2, deg2, rest2 in right:
-                    if i1 + i2 <= eps_max and deg1 + deg2 <= deg_max \
-                            and rest1 + rest2 <= rest_max:
-                        add_term(out, (tmon_times(m1, m2), i1 + i2), v1 * v2)
-            acc = out
-        if exact and (eps_max or deg_max):
-            return {}  # no factors: the product is 1 at (t^0, eps^0)
-        return acc
+                       rest_max: int | None = None, exact: bool = False):
+        """(numerators, denominator) of the product of the factors' jet
+        series, cut as in ``multiply_series``."""
+        return (multiply_series([jet_fn(gamma, d) for gamma, d in factors],
+                                eps_max, deg_max, rest_max, exact),
+                self.den ** len(factors))
 
     def poly_series(self, p: DiffPoly, jet_fn, eps_max: int, deg_max: int,
-                    rest_max: int | None = None, exact: bool = False) -> dict:
-        """p(u^sp, u^sp_x, ...) as a series, cut like ``series_product``."""
-        out = {}
+                    rest_max: int | None = None, exact: bool = False):
+        """(numerators, denominator) of p(u^sp, u^sp_x, ...) as a series, cut
+        like ``series_product``."""
+        products = []
         for (eps, jets), coeff in p.items():
-            if eps > eps_max:
-                continue
-            factors = [(gamma, order) for gamma, order, power in jets
-                       for _ in range(power)]
-            product = self.series_product(factors, jet_fn, eps_max - eps,
-                                          deg_max, rest_max, exact)
-            for (m, i), value in product.items():
-                add_term(out, (m, i + eps), coeff * value)
-        return out
+            if eps <= eps_max:
+                factors = [(gamma, order) for gamma, order, power in jets
+                           for _ in range(power)]
+                products.append((eps, coeff, self.series_product(
+                    factors, jet_fn, eps_max - eps, deg_max, rest_max, exact)))
+        # every pden is a power of the solution's den: the largest is their lcm
+        den = p.den * max((pden for *_, (_, pden) in products), default=1)
+        out = {}
+        get = out.get
+        for eps, coeff, (product, pden) in products:
+            scale = den // (coeff.denominator * pden) * coeff.numerator
+            for key, v in product.items():
+                key += eps
+                out[key] = get(key, 0) + v * scale
+        return {key: v for key, v in out.items() if v}, den
 
     # -- derived series ------------------------------------------------------------------
 
     def flow_series(self, beta: int, q: int) -> list[dict]:
-        """[du^alpha/dt^beta_q] as coefficient tables (degree < t_deg)."""
-        return [{(m, i): value
-                 for (m, i), value in t_derivative(table, (beta, q), 1).items()
-                 if tmon_degree(m) < self.bounds.t_deg}
-                for table in self.c]
+        """[du^alpha/dt^beta_q] as packed series over ``den`` (degree < t_deg)."""
+        return [{key: v for key, v in t_derivative(table, self._n, (beta, q), 1).items()
+                 if _degree(key) < self.bounds.t_deg}
+                for table in self._tables]
 
 
 def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
@@ -329,6 +470,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
         raise ValueError(f"unknown route {route!r}: expected 'max' or 'min'")
     ring = h11.ring
     ring.check_compatible(omega.ring)
+    _check_box(ring, bounds, bounds.t_deg)
     n_fields = ring.n_fields
     eta = omega.eta
     k_eta = HamiltonianOperator.eta_dx(ring, eta)
@@ -364,33 +506,35 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
                     for q in range(bounds.t_max + 1)}
 
     # genus-0 layer: Taylor integration of the dispersionless flows
-    sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
+    sol.set_coeff(1, (((1, 0), 1),), 0, 1)
     pick = max if route == "max" else min
     rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for degree in range(1, bounds.t_deg + 1):
         level = {(var, alpha): sol.poly_series(genus0_flows[var][alpha - 1], sol.jet,
                                                0, degree - 1, exact=True)
                  for var in rest_vars for alpha in range(1, n_fields + 1)}
-        for (var, alpha), series in level.items():
-            for (base_mon, _), value in series.items():
-                m = tmon_mul(base_mon, var, 1)
-                if pick(v for v, _ in m if v != (1, 0)) == var:
-                    sol.set_coeff(alpha, m, 0, value / dict(m)[var])
+        for (var, alpha), (series, den) in level.items():
+            shift = _var_shift(n_fields, var)
+            for base_key, value in series.items():
+                m = base_key + _unit(shift)
+                if pick(v for v in _variables(m, n_fields) if v != (1, 0)) == var:
+                    sol._write(alpha, m, value, den * ((m >> shift) & _MASK))
 
     # eps layers: (i + n) c = [flow of h11](u^sp), the u^alpha term on the
     # right contributing the coefficient itself
     for i in range(1, bounds.eps_max + 1):
         for degree in range(bounds.t_deg + 1):
             level = [sol.poly_series(p, sol.jet, i, degree, exact=True) for p in flows_p]
-            for alpha, rhs in enumerate(level, start=1):
-                for (m, _), value in rhs.items():
+            for alpha, (rhs, den) in enumerate(level, start=1):
+                for m, value in rhs.items():
                     if degree == 0 and i == 1:
                         raise AssertionError(
                             "recursion inconsistent at the empty monomial")
-                    if all(v == (1, 0) for v, _ in m):
+                    if not (m >> (2 * _W)) & _MASK:
                         raise AssertionError(
-                            f"recursion breaks the initial condition at {m}")
-                    sol.set_coeff(alpha, m, i, value / (i + degree - 1))
+                            f"recursion breaks the initial condition at "
+                            f"{unpack_key(m, n_fields)[0]}")
+                    sol._write(alpha, m, value, den * (i + degree - 1))
     return sol
 
 
@@ -415,20 +559,23 @@ def check_string_dilaton(sol: SpecialSolution) -> ResidualReport:
     String: d u/d t^1_0 minus the string-equation jet d_x u; dilaton:
     d u/d t^1_1 minus (i + deg m) c.  Both are recomputed from the table,
     independently of how it was filled, at every t-degree below t_deg.
+    They are reported as {(alpha, m, i): Fraction}.
     """
+    n = sol.ring.n_fields
     string_res = {}
     dilaton_res = {}
-    for alpha in range(1, sol.ring.n_fields + 1):
-        table = sol.c[alpha - 1]
-        string = t_derivative(table, (1, 0), 1)
+    for alpha in range(1, n + 1):
+        table = sol._tables[alpha - 1]
+        string = t_derivative(table, n, (1, 0), 1)
         for key, value in sol.jet(alpha, 1).items():
             add_term(string, key, -value)
-        dilaton = t_derivative(table, (1, 1), 1)
-        for (m, i), value in table.items():
-            add_term(dilaton, (m, i), -(i + tmon_degree(m)) * value)
+        dilaton = t_derivative(table, n, (1, 1), 1)
+        for key, value in table.items():
+            add_term(dilaton, key, -((key & _MASK) + _degree(key)) * value)
         for residuals, series in ((string_res, string), (dilaton_res, dilaton)):
-            residuals.update(((alpha, m, i), value) for (m, i), value in series.items()
-                             if tmon_degree(m) < sol.bounds.t_deg)
+            residuals.update(((alpha, *unpack_key(key, n)), Fraction(value, sol.den))
+                             for key, value in series.items()
+                             if _degree(key) < sol.bounds.t_deg)
     return ResidualReport(string_res, dilaton_res)
 
 
@@ -449,38 +596,40 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     level being written is final, so each flow is evaluated once per level
     as a whole series, and each write is a lookup in it.
     """
+    budget = bounds.t_deg + t10_extra
+    _check_box(ring, bounds, budget)
     sol = SpecialSolution(ring, bounds)
     n_fields = ring.n_fields
-    sol.set_coeff(1, (((1, 0), 1),), 0, Fraction(1))
-    budget = bounds.t_deg + t10_extra
+    sol.set_coeff(1, (((1, 0), 1),), 0, 1)
     rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for rest_degree in range(1, bounds.t_deg + 1):
         level = {(var, alpha): sol.poly_series(flows[var][alpha - 1], sol.direct_jet,
                                                bounds.eps_max, budget - 1,
                                                rest_degree - 1)
                  for var in rest_vars for alpha in range(1, n_fields + 1)}
-        for (var, alpha), series in level.items():
-            for (base_mon, i), value in series.items():
-                # t^m = t^var * t^base_mon is written only through its
-                # largest variable other than t^1_0
-                if tmon_rest_degree(base_mon) == rest_degree - 1 \
-                        and (not base_mon or base_mon[-1][0] <= var):
-                    m = tmon_mul(base_mon, var, 1)
-                    sol.set_coeff(alpha, m, i, value / dict(m)[var])
+        for (var, alpha), (series, den) in level.items():
+            shift = _var_shift(n_fields, var)
+            for base, value in series.items():
+                # t^m = t^var * t^base is written only through its largest
+                # variable other than t^1_0
+                if (base >> (2 * _W)) & _MASK == rest_degree - 1 \
+                        and max(_variables(base, n_fields), default=var) <= var:
+                    m = base + _unit(shift)
+                    sol._write(alpha, m, value, den * ((m >> shift) & _MASK))
     return sol
 
 
 def solutions_agree(a: SpecialSolution, b: SpecialSolution,
                     bounds: Bounds) -> bool:
-    """Compare two solutions on the common truncation box."""
-    for alpha in range(1, a.ring.n_fields + 1):
-        keys = set()
-        for (m, i) in list(a.c[alpha - 1]) + list(b.c[alpha - 1]):
-            if tmon_degree(m) <= bounds.t_deg and i <= bounds.eps_max \
-                    and all(v[1] <= bounds.t_max for v, _ in m):
-                keys.add((m, i))
-        for m, i in keys:
-            if a.coeff(alpha, m, i) != b.coeff(alpha, m, i):
+    """Compare two solutions (over one ring) on the common truncation box."""
+    n = a.ring.n_fields
+    a.ring.check_compatible(b.ring)
+    beyond = _VARS + _W * n * (bounds.t_max + 1)  # the first slot past t_max
+    for ta, tb in zip(a._tables, b._tables):
+        for key in ta.keys() | tb.keys():
+            if _degree(key) <= bounds.t_deg and key & _MASK <= bounds.eps_max \
+                    and not key >> beyond \
+                    and ta.get(key, 0) * b.den != tb.get(key, 0) * a.den:
                 return False
     return True
 
@@ -491,6 +640,7 @@ def solutions_agree(a: SpecialSolution, b: SpecialSolution,
 def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     """Express per-field t-series as differential polynomials in the jets.
 
+    The series are packed, over ``sol.den``, as ``flow_series`` gives them.
     Inverts the triangular system d_x^d u^sp|_{x=0} = t^alpha_d + delta +
     O(t^2) + O(eps): peel the lowest (eps, degree) level off the residual,
     emit the matching monomial in z^gamma_d = u^gamma_d -
@@ -508,26 +658,29 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     degree first; the ``reconstruct`` CLI refuses such boxes.
     """
     ring = sol.ring
+    n = ring.n_fields
     b = sol.bounds
     sdeg = b.t_deg - 1
     z11 = dict(sol.jet(1, 1))
-    add_term(z11, ((), 0), Fraction(-1))
+    add_term(z11, 0, -sol.den)
 
     def z_jet(gamma, d):
         """Series of z^gamma_d: the string jet minus its delta entry."""
         return z11 if (gamma, d) == (1, 1) else sol.jet(gamma, d)
 
     out = []
-    for alpha in range(1, ring.n_fields + 1):
-        residual = {(m, i): v for (m, i), v in series[alpha - 1].items()
-                    if v and tmon_degree(m) <= sdeg}
+    for alpha in range(1, n + 1):
+        # numerators over den, which grows to clear each subtracted product
+        residual = {key: v for key, v in series[alpha - 1].items()
+                    if v and _degree(key) <= sdeg}
+        den = sol.den
         q_terms: list[tuple[Fraction, int, TMon]] = []
         for i in range(b.eps_max + 1):
             for degree in range(sdeg + 1):
-                level = sorted(m for (m, j) in residual if j == i
-                               and tmon_degree(m) == degree)
+                level = sorted(unpack_key(key, n)[0] for key in residual
+                               if key & _MASK == i and _degree(key) == degree)
                 for m in level:
-                    coeff = residual.get((m, i), Fraction(0))
+                    coeff = Fraction(residual.get(pack_key(n, m, i), 0), den)
                     if not coeff:
                         continue
                     for (gamma, d), _ in m:
@@ -538,10 +691,15 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
                     # subtract coeff * eps^i * prod z^gamma_d over the box
                     factors = [(gamma, d) for (gamma, d), power in m
                                for _ in range(power)]
-                    product = sol.series_product(factors, z_jet, b.eps_max - i, sdeg)
-                    for (m2, j), value in product.items():
-                        add_term(residual, (m2, i + j), -coeff * value)
-        if any(v for v in residual.values()):
+                    product, pden = sol.series_product(factors, z_jet, b.eps_max - i, sdeg)
+                    lift = pden * coeff.denominator // gcd(den, pden * coeff.denominator)
+                    if lift != 1:
+                        den *= lift
+                        residual = {key: v * lift for key, v in residual.items()}
+                    scale = den // (pden * coeff.denominator) * coeff.numerator
+                    for key, value in product.items():
+                        add_term(residual, key + i, -scale * value)
+        if residual:
             raise ValueError("series is not closed by jets within the bounds")
         poly = DiffPoly.zero(ring)
         for coeff, i, m in q_terms:

@@ -423,6 +423,9 @@ def test_malformed_table_file_exit(run, tmp_path, payload):
     ["hain-pair", "--g", "2", "--counts", "0,0", "--table-file", "t.json"],
     ["assemble", "--r", "3", "--alpha", "1", "--d", "1", "--g", "2",
      "--counts", "0,0,2", "--table-file", "t.json"],
+    ["reconstruct", "--t-degree", "70000"],
+    ["reconstruct", "--t-degree", "32768"],
+    ["reconstruct", "--eps-order", "32768"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

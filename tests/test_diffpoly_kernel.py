@@ -67,13 +67,28 @@ def test_ring_operations_match_the_reference(case):
 
 
 @SOME
-@given(pairs(), nonzero)
+@given(pairs(), st.one_of(nonzero, st.integers(-9, 9).filter(bool)))
 def test_scalar_multiples_match_the_reference(case, c):
     _, ((a, ra),) = case
     agree(a * c, ra * c)
     agree(c * a, ra * c)
     agree(a / c, ra / c)
     agree(a * 0, RefPoly())
+    agree(a * Fraction(0), RefPoly())
+
+
+def test_scalar_multiples_refuse_floats_and_division_by_zero():
+    a = DiffPoly.jet(Ring(1), 1, 0) + Fraction(1, 3)
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match="exact rational"):
+            a * bad
+        with pytest.raises(ValueError, match="exact rational"):
+            bad * a
+        with pytest.raises(ValueError, match="exact rational"):
+            a / bad
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
 
 
 @SOME

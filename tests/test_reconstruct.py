@@ -15,6 +15,7 @@ from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian
 from drhier.hamops import HamiltonianOperator, MiuraMap, flow
 from drhier.psido import PseudoDiffOp
 from drhier.reconstruct import (
+    SLOT_MAX,
     Bounds,
     OmegaData,
     SpecialSolution,
@@ -100,7 +101,7 @@ def test_fault_injection_is_located(kdv):
 def test_uniqueness_under_evaluation_order(kdv):
     ctx, omega, h11, sol = kdv
     other = special_solution(h11, omega, BOUNDS, route="min")
-    assert all(a == b for a, b in zip(sol.c, other.c))
+    assert sol.tables() == other.tables()
     with pytest.raises(ValueError, match="unknown route 'mid'"):
         special_solution(h11, omega, BOUNDS, route="mid")
 
@@ -114,6 +115,25 @@ def test_precondition_mismatch_detected(kdv):
     broken.densities[(1, 1)] = omega.densities[(1, 1)] + u ** 2
     with pytest.raises(ValueError):
         special_solution(h11, broken, BOUNDS)
+
+
+@pytest.mark.parametrize("bounds, extra", [
+    (Bounds(1, SLOT_MAX + 1, 0), 0),
+    (Bounds(1, 2, SLOT_MAX + 1), 0),
+    (Bounds(1, SLOT_MAX - 1, 0), 2),
+    (Bounds(5000, 2, 1), 0),
+])
+def test_boxes_beyond_the_packed_slots_are_refused(kdv, bounds, extra):
+    # a t-degree (t^1_0 extension included), eps order or subscript the
+    # packed keys cannot hold is refused before any level is built
+    ctx, omega, h11, _ = kdv
+    K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
+    flows = {(1, q): flow(rspin_hamiltonian(ctx, 1, q), K) for q in range(2)}
+    with pytest.raises(ValueError, match="slot"):
+        integrate_flows_directly(flows, ctx.ring_w, bounds, t10_extra=extra)
+    if not extra:
+        with pytest.raises(ValueError, match="slot"):
+            special_solution(h11, omega, bounds)
 
 
 # -- oracle comparison (small box; criterion 8 runs the full one) ---------------------------
@@ -292,9 +312,9 @@ def level_inputs(r):
 @pytest.mark.parametrize("r, bounds", LEVEL_BOXES)
 def test_special_solution_matches_pointwise_recursion(r, bounds):
     h11, omega = level_inputs(r)
-    reference = pointwise_special_solution(h11, omega, bounds).c
+    reference = pointwise_special_solution(h11, omega, bounds).tables()
     for route in ("max", "min") if r == 3 else ("max",):
-        assert special_solution(h11, omega, bounds, route=route).c == reference
+        assert special_solution(h11, omega, bounds, route=route).tables() == reference
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -310,6 +330,35 @@ def test_special_solution_makes_no_pointwise_evaluation(r, monkeypatch):
     assert check_string_dilaton(sol).clean
 
 
+def test_series_products_do_no_fraction_arithmetic(kdv, monkeypatch):
+    # over a built solution, whole-series products and polynomial series run
+    # on int numerators: Fraction arithmetic is refused while they run again
+    ctx, omega, h11, _ = kdv
+    small = Bounds(t_max=2, t_deg=3, eps_max=2)
+    sol = special_solution(h11, omega, small)
+    flows_p = flow(h11, HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2)))
+
+    def products():
+        out = [sol.series_product([(1, 0), (1, 1), (1, 1)], sol.jet, 2, 3),
+               sol.series_product([(1, 0), (1, 1)], sol.jet, 2, 3, None, True)]
+        for p in flows_p:
+            for jet_fn in (sol.jet, sol.direct_jet):
+                out += [sol.poly_series(p, jet_fn, 2, 3),
+                        sol.poly_series(p, jet_fn, 2, 3, 1),
+                        sol.poly_series(p, jet_fn, 2, 3, exact=True)]
+        return out
+
+    warm = products()
+    assert all(series for series, _ in warm)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a t-series product")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert products() == warm
+
+
 # -- the oracle's whole table, against the tables the pointwise oracle wrote -----------------
 
 ORACLE_GOLDEN = Path(__file__).parent / "golden" / "oracle-tables.txt"
@@ -318,7 +367,7 @@ ORACLE_BOXES = [(2, Bounds(3, 4, 4), 12), (2, Bounds(2, 3, 2), 8),
 
 
 def oracle_tables_text():
-    """Every entry of integrate_flows_directly(...).c on the pinned boxes,
+    """Every entry of integrate_flows_directly(...).tables() on the pinned boxes,
     t^1_0-extended ones included (solutions_agree sees only the box)."""
     lines = []
     for r, bounds, extra in ORACLE_BOXES:
@@ -329,7 +378,7 @@ def oracle_tables_text():
         oracle = integrate_flows_directly(flows, ctx.ring_w, bounds, t10_extra=extra)
         lines.append(f"# r={r} Bounds({bounds.t_max}, {bounds.t_deg}, "
                      f"{bounds.eps_max}) t10_extra={extra}")
-        for alpha, table in enumerate(oracle.c, start=1):
+        for alpha, table in enumerate(oracle.tables(), start=1):
             for (m, i), value in sorted(table.items()):
                 mon = "*".join(f"t{g}_{k}" + (f"^{p}" if p > 1 else "")
                                for (g, k), p in m) or "1"
@@ -475,7 +524,7 @@ def test_oracle_matches_pointwise_integration(data):
     rest_vars = [v for v in SpecialSolution(RING2, bounds).variables() if v != (1, 0)]
     flows = {var: [data.draw(random_polys()) for _ in range(2)] for var in rest_vars}
     oracle = integrate_flows_directly(flows, RING2, bounds, t10_extra)
-    assert oracle.c == pointwise_integration(flows, bounds, t10_extra).c
+    assert oracle.tables() == pointwise_integration(flows, bounds, t10_extra).tables()
 
 
 # -- jet caches follow interleaved writes ------------------------------------------------------
@@ -483,7 +532,7 @@ def test_oracle_matches_pointwise_integration(data):
 
 def fresh_copy(sol):
     fresh = SpecialSolution(sol.ring, sol.bounds)
-    for alpha, table in enumerate(sol.c, start=1):
+    for alpha, table in enumerate(sol.tables(), start=1):
         for (m, i), value in table.items():
             fresh.set_coeff(alpha, m, i, value)
     return fresh
@@ -515,12 +564,12 @@ def test_jet_caches_follow_writes(data):
             gamma, d = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
             live[(source, gamma, d)] = getattr(sol, source)(gamma, d)
         fresh = fresh_copy(sol)
-        for (source, gamma, d), series in sol._jets.items():
+        for (source, gamma, d), series in sol.cached_jets().items():
             expected = (fresh.jet if source == "string" else fresh.direct_jet)(gamma, d)
-            assert series == expected, (source, gamma, d)
+            assert series == fresh.decode(expected), (source, gamma, d)
         for (source, gamma, d), series in live.items():
             assert series is getattr(sol, source)(gamma, d)
-            assert series == getattr(fresh, source)(gamma, d)
+            assert sol.decode(series) == fresh.decode(getattr(fresh, source)(gamma, d))
 
 
 # -- jet rewriting -----------------------------------------------------------------------
