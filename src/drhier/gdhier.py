@@ -23,7 +23,8 @@ from functools import lru_cache
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate, rspin_ring
 from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
-from .psido import PseudoDiffOp, derivatives, pdo_root, product_coeff
+# pdo_root stays bound here: perfbench's tracer wraps it under this name
+from .psido import LaxRoot, PseudoDiffOp, pdo_root, product_coeff  # noqa: F401
 
 
 def eta_matrix(r: int) -> list[list[Fraction]]:
@@ -36,17 +37,16 @@ def eta_matrix(r: int) -> list[list[Fraction]]:
 class GDContext:
     """Order r, the depth cap, and the Lax operator with its caches.
 
-    ``depth`` only caps the Lax root: a request that needs a root deeper
-    than ``depth`` is refused, and every root is computed just as deep as
-    the request reads.  The context keeps the deepest root computed so far,
-    restricts it for shallower requests, and memoizes each root power S^s
-    per p.  ``residue(p)`` reads order -1 of L^{p/r} alone, through one
-    ``product_coeff``, and is memoized per p; ``lax_power(p)`` builds the
+    The context holds one root S of L, a ``LaxRoot`` that only grows: each
+    request solves only the levels no earlier one solved, and reads S^s,
+    s < r, off the root's own powers.  ``depth`` only caps the root; a
+    request that needs a deeper root is refused.  ``residue(p)`` reads
+    order -1 of L^{p/r} through one ``product_coeff`` on S^s and its
+    derivative memo, and is memoized per p; ``lax_power(p)`` builds the
     whole operator, for the positive part of a flow.
 
-    The internal memos of the root, its powers and the residues are
-    per-context and unsynchronized; share contexts across threads only
-    behind a lock, or use one per thread.
+    The root and the residue memo are unsynchronized; share a context
+    across threads only behind a lock, or use one per thread.
     """
 
     def __init__(self, r: int, depth: int):
@@ -59,8 +59,7 @@ class GDContext:
         for i in range(r - 1):
             coeffs[i] = DiffPoly.jet(self.ring_f, i + 1, 0)
         self.lax = PseudoDiffOp(self.ring_f, r, None, coeffs)
-        self._root: PseudoDiffOp | None = None
-        self._root_powers: dict[int, PseudoDiffOp] = {}
+        self.root = LaxRoot(self.lax, r)
         self._residues: dict[int, DiffPoly] = {}
         self._rspin_change = None
         self._rspin_operator = None
@@ -72,16 +71,6 @@ class GDContext:
     def w_var(self, alpha: int, order: int = 0) -> DiffPoly:
         return DiffPoly.jet(self.ring_w, alpha, order)
 
-    def _root_power(self, p: int) -> PseudoDiffOp:
-        """S^s for p = q r + s, with the root S taken to depth
-        D = min(p + 2, depth) (window [2 - D, 1]), memoized per p."""
-        if p not in self._root_powers:
-            depth = min(p + 2, self.depth)
-            if self._root is None or 2 - self._root.lo < depth:
-                self._root = pdo_root(self.lax, self.r, depth)
-            self._root_powers[p] = self._root.restrict(2 - depth).power(p % self.r)
-        return self._root_powers[p]
-
     def lax_power(self, p: int) -> PseudoDiffOp:
         """L^{p/r} as the exact L^q composed with S^s, p = q r + s.
 
@@ -91,7 +80,7 @@ class GDContext:
         q, s = divmod(p, self.r)
         if s == 0:
             return self.lax.power(q)
-        frac = self._root_power(p)
+        frac = self.root.power(s, min(p + 2, self.depth))
         return self.lax.power(q) * frac if q else frac
 
     def residue(self, p: int) -> DiffPoly:
@@ -106,15 +95,15 @@ class GDContext:
                 res = DiffPoly.zero(self.ring_f)
             else:
                 lq = self.lax.power(q) if q else PseudoDiffOp.dx(self.ring_f, 0)
-                frac = self._root_power(p).coeffs
-                res = product_coeff(lq.coeffs, frac, -1, derivatives(frac))
+                frac = self.root.power(s, p + 2).coeffs  # down to order -1 - q r
+                res = product_coeff(lq.coeffs, frac, -1, self.root.derivs[s])
             self._residues[p] = res
         return self._residues[p]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def gd_context(r: int, depth: int) -> GDContext:
-    """Shared context per (r, depth), so repeated calls reuse the root powers."""
+    """Shared context per (r, depth); the 32 most recently used are kept."""
     return GDContext(r, depth)
 
 

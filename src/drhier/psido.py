@@ -262,49 +262,60 @@ class PseudoDiffOp:
         return f"PseudoDiffOp({self.render()}; window {window})"
 
 
-def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
-    """The unique S = d_x + sum_{n>=0} s_n d_x^{-n} with S^m = A.
+class LaxRoot:
+    """The root S = d_x + sum_{n>=0} s_n d_x^{-n} of a monic A = S^m, m >= 2.
 
-    A must be monic of top order m; ``depth`` counts the coefficients of S
-    that are determined (window [2 - depth, 1]).  A's window must cover
-    [m - depth + 1, m].
-
-    Online recursion, one level per step: the powers S^k, k < m, are kept
-    down to the last solved level.  Step t computes, for each k, only
-    the order k - 1 - t coefficient F_k of S o S^{k-1} with s_{-t} = 0:
-    F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus ``product_coeff`` over the
-    solved levels, whose x-derivatives are memoized across steps.  Since
+    ``depth`` counts the coefficients of S solved so far (window
+    [2 - depth, 1]).  A deeper request runs only the levels not yet solved,
+    and A's window must cover [m - depth + 1, m] for it.  Online recursion
+    (van der Hoeven, "Relax, but don't be too lazy", JSC 34, 2002):
+    ``powers[k]``, k < m, holds S^k down to the last solved level, and
+    ``derivs[k]`` memoizes its x-derivatives.  Step t computes, for each k,
+    only the order k - 1 - t coefficient F_k of S o S^{k-1} with
+    s_{-t} = 0: F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus
+    ``product_coeff`` over the solved levels.  Since
     [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
     s_{-t} = (a_{m-1-t} - F_m) / m and completes every power's new level.
     """
-    if m < 1:
-        raise ValueError("root degree must be >= 1")
+
+    __slots__ = ("a", "m", "depth", "powers", "derivs")
+
+    def __init__(self, a: PseudoDiffOp, m: int):
+        if m < 2:
+            raise ValueError("root degree must be >= 2")
+        one = DiffPoly.const(a.ring, 1)
+        if a.top != m or a.coeff(m) != one:
+            raise ValueError("operator must be monic of top order m")
+        self.a, self.m, self.depth = a, m, 1
+        self.powers = [{}] + [{k: one} for k in range(1, m)]
+        self.derivs = [derivatives(p) for p in self.powers]
+
+    def power(self, s: int, depth: int) -> PseudoDiffOp:
+        """S^s, 0 < s < m, on the window [s + 1 - depth, s]; solves missing levels first."""
+        a, m, powers, derivs = self.a, self.m, self.powers, self.derivs
+        if a.lo is not None and a.lo > m - depth + 1:
+            raise ValueError(
+                f"input window [{a.lo}, {a.top}] too shallow for depth {depth}")
+        for t in range(self.depth - 1, depth - 1):
+            fresh = [None, DiffPoly.zero(a.ring)]  # F_1 = 0: s_{-t} itself is the unknown
+            for k in range(2, m + 1):
+                fresh.append(fresh[k - 1] + product_coeff(
+                    powers[1], powers[k - 1], k - 1 - t, derivs[k - 1]))
+            level = (a.coeff(m - 1 - t) - fresh[m]) / m
+            for k in range(1, m):
+                c = fresh[k] + level * k
+                if c:
+                    powers[k][k - 1 - t] = c
+            self.depth = t + 2
+        lo = s + 1 - depth
+        return PseudoDiffOp(a.ring, s, lo, {n: c for n, c in powers[s].items() if n >= lo})
+
+
+def pdo_root(a: PseudoDiffOp, m: int, depth: int) -> PseudoDiffOp:
+    """S with S^m = A on the window [2 - depth, 1], from a one-shot ``LaxRoot``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    ring = a.ring
-    if a.top != m or a.coeff(m) != DiffPoly.const(ring, 1):
-        raise ValueError("operator must be monic of top order m")
-    if a.lo is not None and a.lo > m - depth + 1:
-        raise ValueError(
-            f"input window [{a.lo}, {a.top}] too shallow for depth {depth}")
-    if m == 1:
-        return a.restrict(m - depth + 1)
-    one = DiffPoly.const(ring, 1)
-    # powers[k], k < m: order -> coefficient of S^k on its solved levels
-    powers = [{}] + [{k: one} for k in range(1, m)]
-    s = powers[1]
-    derivs = [derivatives(p) for p in powers]
-    for t in range(depth - 1):
-        fresh = [None, DiffPoly.zero(ring)]  # F_1 = 0: s_{-t} itself is the unknown
-        for k in range(2, m + 1):
-            fresh.append(fresh[k - 1] + product_coeff(
-                s, powers[k - 1], k - 1 - t, derivs[k - 1]))
-        level = (a.coeff(m - 1 - t) - fresh[m]) / m
-        for k in range(1, m):
-            c = fresh[k] + level * k
-            if c:
-                powers[k][k - 1 - t] = c
-    return PseudoDiffOp(ring, 1, 2 - depth, s)
+    return LaxRoot(a, m).power(1, depth)
 
 
 def root_depth_for_residue(p: int) -> int:

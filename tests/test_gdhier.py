@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,8 +179,8 @@ def test_bracket_antisymmetry_rspin_operators(r):
 @pytest.mark.parametrize("r, depth", [(3, 9), (4, 10)])
 def test_lax_power_matches_full_depth_root(r, depth):
     # residue-sized roots give the residues and positive parts of the full
-    # root, whether the context deepens its root (ascending p) or restricts
-    # it (descending p)
+    # root, whether the context grows its root (ascending p) or reads a
+    # shallower window of it (descending p)
     full = pdo_root(GDContext(r, depth).lax, r, depth)
     for order in (range(1, depth - 1), range(depth - 2, 0, -1)):
         ctx = GDContext(r, depth)
@@ -229,28 +232,61 @@ def test_product_differentiates_each_coefficient_once(monkeypatch):
         assert len(differentiated) == len(set(differentiated))
 
 
-@pytest.fixture()
-def root_depths(monkeypatch):
-    asked = []
-
-    def recording_root(a, m, depth):
-        asked.append(depth)
-        return pdo_root(a, m, depth)
-
-    monkeypatch.setattr(gdhier, "pdo_root", recording_root)
-    return asked
-
-
-def test_rspin_change_roots_only_as_deep_as_its_residues(root_depths):
+def test_rspin_change_roots_only_as_deep_as_its_residues():
     # w^alpha reads res L^{p/4}, p <= 3: a depth-5 root, whatever the cap
-    rspin_change(GDContext(4, 12))
-    assert root_depths and max(root_depths) <= 5
+    ctx = GDContext(4, 12)
+    rspin_change(ctx)
+    assert 1 < ctx.root.depth <= 5
 
 
-def test_gd_hamiltonian_roots_only_as_deep_as_its_residue(root_depths):
+def test_gd_hamiltonian_roots_only_as_deep_as_its_residue():
     # h^GD_6 for r = 5 reads res L^{11/5}: a depth-13 root under a cap of 15
-    gd_hamiltonian(GDContext(5, 15), 6)
-    assert root_depths and max(root_depths) <= 13
+    ctx = GDContext(5, 15)
+    gd_hamiltonian(ctx, 6)
+    assert 1 < ctx.root.depth <= 13
+
+
+def test_each_root_level_is_solved_once_per_context(monkeypatch):
+    # work count: over ascending, descending and repeated requests, the
+    # context's one root solves each level once (level t reads the Lax
+    # coefficient of order r - 1 - t, and nothing else reads L by order),
+    # and no S^s is built by powering: only L^q is
+    r, depth = 4, 12
+    ctx = GDContext(r, depth)
+    read, powered = [], []
+    coeff, power = PseudoDiffOp.coeff, PseudoDiffOp.power
+
+    def recording_coeff(op, n):
+        if op is ctx.lax:
+            read.append(n)
+        return coeff(op, n)
+
+    def recording_power(op, p):
+        powered.append(op)
+        return power(op, p)
+
+    monkeypatch.setattr(PseudoDiffOp, "coeff", recording_coeff)
+    monkeypatch.setattr(PseudoDiffOp, "power", recording_power)
+    ps = [p for p in range(1, depth - 1) if p % r]
+    for p in ps[:4] + ps[::-1] + ps:
+        ctx.residue(p)
+        ctx.lax_power(p)
+    assert ctx.root.depth == depth
+    assert sorted(read) == list(range(r + 1 - depth, r))
+    assert powered and all(op is ctx.lax for op in powered)
+
+
+def test_context_cache_is_bounded_and_clearable():
+    # in a fresh process, so the suite's own cached contexts stay put
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from drhier.gdhier import gd_context; "
+             "[gd_context(2, d) for d in range(1, 34)]; "
+             "full = gd_context.cache_info().currsize; gd_context.cache_clear(); "
+             "print(full, gd_context.cache_info().currsize)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out == "32 0\n"
 
 
 def test_residue_is_computed_once_per_p_and_context(monkeypatch):

@@ -218,6 +218,12 @@ def test_root_depth_guard():
         pdo_root(L, 2, 4)
 
 
+def test_root_degree_below_two_is_refused():
+    # every Lax operator has r >= 2, so the trivial root S = A is not offered
+    with pytest.raises(ValueError, match="root degree must be >= 2"):
+        pdo_root(PseudoDiffOp.dx(R1, 1), 1, 3)
+
+
 # -- fractional powers -------------------------------------------------------------------------
 
 def test_frac_power_roundtrip():
