@@ -1,8 +1,8 @@
 """drhier: exact symbolic computation for hamiltonian hierarchies of PDEs.
 
 Modules form one import chain, each importing only modules before it:
-scalars -> diffpoly -> psido -> hamops -> gdhier -> drspin -> quantize ->
-reconstruct -> cli.
+slots -> scalars -> diffpoly -> psido -> hamops -> gdhier -> drspin ->
+quantize -> reconstruct -> cli.
 """
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq

@@ -1,9 +1,10 @@
 """Command-line frontend with deterministic text/JSON/LaTeX output.
 
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
-verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``)
-and malformed ``render`` input (a coefficient outside Q, a jet beyond the
-packed slots or a non-boolean ``integrated`` among it), 3 missing,
+verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``,
+a ``quantize-check`` window beyond the packed mode slots) and malformed
+``render`` input (a coefficient outside Q, a jet beyond the packed slots or
+a non-boolean ``integrated`` among it), 3 missing,
 unreadable or malformed table file, 4 strict-policy table miss, 5
 computation precondition errors (a table whose n is not the sum of
 ``--counts`` among them), 6 internal errors (any other exception, such as
@@ -41,6 +42,7 @@ from .gdhier import (
 )
 from .hamops import HamiltonianOperator, flow
 from .psido import root_depth_for_residue
+from .slots import SLOT_MAX
 from .quantize import (
     DeformedRule,
     StandardRule,
@@ -51,7 +53,6 @@ from .quantize import (
     weyl_star,
 )
 from .reconstruct import (
-    SLOT_MAX,
     Bounds,
     check_string_dilaton,
     jet_rewrite,
@@ -237,7 +238,11 @@ def cmd_reconstruct(args) -> int:
 def cmd_quantize_check(args) -> int:
     rng = random.Random(args.seed)
     r = args.r
-    ctx = WeylContext(n_fields=r - 1, window=args.window)
+    try:
+        ctx = WeylContext(n_fields=r - 1, window=args.window)
+    except ValueError as exc:  # a window beyond the packed mode slots
+        print(f"quantize-check: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rule_std = StandardRule.from_eta(eta_matrix(r))
     checks = {"associativity": 0, "homomorphism": 0}
 

@@ -31,26 +31,17 @@ fails loudly instead of truncating.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import add_term, exact_rational, over_one_den, power_by_squaring, squarefree_part
+from .scalars import add_term, exact_rational, power_by_squaring, squarefree_part
+from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, check_slots, nonzero_slots,
+                    over_one_den)
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
-_W = 16                 # bits per slot; the top one is the guard
-_MASK = (1 << _W) - 1
-_MAX = _MASK >> 1       # the largest exponent a slot holds
-_DEG = 1 << _W          # one unit of derivative degree
-_JETS = 2 * _W          # bit offset of the first jet slot
-_EPS_GUARD = 1 << (_W - 1)
-# The highest slot index a key built from outside may use.  A key of s slots
-# is an int of 16 s bits that every product and d_x copies, so the slot index
-# 1 + order * N + alpha bounds the memory one monomial takes: 4095 keeps a
-# key within 8 KiB, against slot 121 at the most in ``gd --r 8 --m 2`` and
-# 67 in the test suite.
-_MAX_SLOT = (1 << 12) - 1
+_DEG = 1 << W           # one unit of derivative degree
+_JETS = 2 * W           # bit offset of the first jet slot
 
 
 class Ring:
@@ -102,29 +93,11 @@ def rspin_ring(r: int) -> Ring:
 # -- packed monomials ------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _guard_slots(n_slots: int) -> int:
-    return _EPS_GUARD * (((1 << (_W * n_slots)) - 1) // _MASK)
-
-
-def _check_slots(terms: dict) -> None:
-    """Refuse packed monomials with a guard bit set: an exponent that overflowed.
-
-    A sum of two in-range slots stays below 2^16, so it never carries into
-    the next slot: an overflowed key is distinct from every in-range one,
-    and one AND per stored key finds it.
-    """
-    if terms:
-        guard = _guard_slots(max(terms).bit_length() // _W + 1)
-        if any(key & guard for key in terms):
-            raise ValueError(f"a monomial exponent exceeds {_MAX}")
-
-
 def _pack(ring: Ring, eps: int, jets) -> int:
     """The packed key of eps^eps prod (u^alpha_order)^power over jets.
 
-    A field outside 1..N, a negative exponent, a slot above ``_MAX_SLOT`` or
-    an exponent above ``_MAX`` is refused with ValueError before any shift.
+    A field outside 1..N, a negative exponent, a slot above ``TOP_SLOT`` or
+    an exponent above ``SLOT_MAX`` is refused with ValueError before any shift.
     """
     n = ring.n_fields
     key = degree = total = 0
@@ -134,47 +107,34 @@ def _pack(ring: Ring, eps: int, jets) -> int:
         if order < 0 or power < 0:
             raise ValueError("order and power must be >= 0")
         slot = 1 + order * n + alpha
-        if slot > _MAX_SLOT:
+        if slot > TOP_SLOT:
             raise ValueError(f"u^{alpha}_{order} needs packed slot {slot}, "
-                             f"above {_MAX_SLOT}")
-        if power > _MAX:
-            raise ValueError(f"a monomial exponent exceeds {_MAX}")
-        key += power << (_W * slot)
+                             f"above {TOP_SLOT}")
+        if power > SLOT_MAX:
+            raise ValueError(f"a monomial exponent exceeds {SLOT_MAX}")
+        key += power << (W * slot)
         degree += order * power
         total += power
     if eps < 0:
         raise ValueError(f"negative eps exponent {eps}")
-    if max(eps, degree, total) > _MAX:
+    if max(eps, degree, total) > SLOT_MAX:
         # a repeated jet may have overflowed its slot: add its powers up
         powers: dict[tuple[int, int], int] = {}
         for alpha, order, power in jets:
             powers[alpha, order] = powers.get((alpha, order), 0) + power
-        if max(eps, degree, *powers.values()) > _MAX:
-            raise ValueError(f"a monomial exponent exceeds {_MAX}")
-    return key + eps + (degree << _W)
-
-
-def _jet_slots(key: int) -> list[tuple[int, int]]:
-    """(bit offset, power) of every nonzero jet slot of a packed monomial."""
-    out = []
-    rest = key >> _JETS
-    while rest:
-        low = (rest & -rest).bit_length() - 1
-        shift = low - low % _W
-        power = (rest >> shift) & _MASK
-        rest ^= power << shift
-        out.append((shift + _JETS, power))
-    return out
+        if max(eps, degree, *powers.values()) > SLOT_MAX:
+            raise ValueError(f"a monomial exponent exceeds {SLOT_MAX}")
+    return key + eps + (degree << W)
 
 
 def _unpack(key: int, n: int) -> Monomial:
     """(eps, jets) of a packed monomial in an n-field ring."""
     jets = []
-    for shift, power in _jet_slots(key):
-        order, alpha = divmod(shift // _W - 2, n)
+    for shift, power in nonzero_slots(key, _JETS):
+        order, alpha = divmod(shift // W - 2, n)
         jets.append((alpha + 1, order, power))
     jets.sort()
-    return key & _MASK, tuple(jets)
+    return key & MASK, tuple(jets)
 
 
 def monomial_sort_key(mon: Monomial):
@@ -278,10 +238,10 @@ class DiffPoly:
         return max(orders, default=-1)
 
     def max_eps(self) -> int:
-        return max((key & _MASK for key in self.terms), default=0)
+        return max((key & MASK for key in self.terms), default=0)
 
     def has_jets(self) -> bool:
-        return any((key >> _W) & _MASK for key in self.terms)
+        return any((key >> W) & MASK for key in self.terms)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -355,15 +315,15 @@ class DiffPoly:
 
     def dx(self) -> "DiffPoly":
         """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i."""
-        up = (1 << (_W * self.ring.n_fields)) - 1  # times a slot's unit: one order up
+        up = (1 << (W * self.ring.n_fields)) - 1  # times a slot's unit: one order up
         acc: dict = {}
         get = acc.get
         for key, v in self.terms.items():
             base = key + _DEG
-            for shift, power in _jet_slots(key):
+            for shift, power in nonzero_slots(key, _JETS):
                 k = base + (up << shift)
                 acc[k] = get(k, 0) + v * power
-        _check_slots(acc)
+        check_slots(acc)
         return DiffPoly._normal(self.ring, acc, self.den)
 
     def dx_pow(self, k: int) -> "DiffPoly":
@@ -374,11 +334,11 @@ class DiffPoly:
 
     def partial(self, alpha: int, order: int) -> "DiffPoly":
         """Plain partial derivative with respect to the jet variable u^alpha_order."""
-        shift = _W * (1 + order * self.ring.n_fields + alpha)
+        shift = W * (1 + order * self.ring.n_fields + alpha)
         lower = (1 << shift) + order * _DEG
         acc = {}
         for key, v in self.terms.items():
-            power = (key >> shift) & _MASK
+            power = (key >> shift) & MASK
             if power:
                 acc[key - lower] = v * power
         return DiffPoly._normal(self.ring, acc, self.den)
@@ -401,10 +361,10 @@ class DiffPoly:
 
     def degree_decompose(self) -> dict[int, "DiffPoly"]:
         """Split by differential degree: sum of jet orders times powers, minus eps."""
-        return self._split(lambda key: (((key >> _W) & _MASK) - (key & _MASK), key))
+        return self._split(lambda key: (((key >> W) & MASK) - (key & MASK), key))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {((key >> _W) & _MASK) - (key & _MASK) for key in self.terms}
+        degs = {((key >> W) & MASK) - (key & MASK) for key in self.terms}
         if not degs:
             return True
         if degree is None:
@@ -413,26 +373,26 @@ class DiffPoly:
 
     def eps_decompose(self) -> dict[int, "DiffPoly"]:
         """Split by eps exponent; the pieces carry no eps factor."""
-        return self._split(lambda key: (key & _MASK, key & ~_MASK))
+        return self._split(lambda key: (key & MASK, key & ~MASK))
 
     def eps_coefficient(self, k: int) -> "DiffPoly":
-        acc = {key & ~_MASK: v for key, v in self.terms.items() if key & _MASK == k}
+        acc = {key & ~MASK: v for key, v in self.terms.items() if key & MASK == k}
         return DiffPoly._normal(self.ring, acc, self.den)
 
     def eps_shift(self, k: int) -> "DiffPoly":
         """eps^k self; an eps exponent pushed below 0 or above the slot is refused."""
         if k == 0:
             return self
-        if abs(k) > _MAX:
-            raise ValueError(f"eps shift {k} exceeds {_MAX}")
+        if abs(k) > SLOT_MAX:
+            raise ValueError(f"eps shift {k} exceeds {SLOT_MAX}")
         terms = {key + k: v for key, v in self.terms.items()}
         # a negative exponent borrows from slot 1 and leaves slot 0's guard set
-        if any(key & _EPS_GUARD for key in terms):
-            raise ValueError(f"eps shift {k} leaves the eps exponents 0..{_MAX}")
+        if any(key & GUARD for key in terms):
+            raise ValueError(f"eps shift {k} leaves the eps exponents 0..{SLOT_MAX}")
         return DiffPoly(self.ring, terms, self.den)
 
     def truncate_eps(self, emax: int) -> "DiffPoly":
-        acc = {key: v for key, v in self.terms.items() if key & _MASK <= emax}
+        acc = {key: v for key, v in self.terms.items() if key & MASK <= emax}
         return DiffPoly._normal(self.ring, acc, self.den)
 
     # -- evaluation / substitution ---------------------------------------------
@@ -620,7 +580,7 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
             for k2, v2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
-    _check_slots(acc)
+    check_slots(acc)
     return DiffPoly._normal(ring, acc, den)
 
 
@@ -689,7 +649,7 @@ class LocalFunctional:
         """
         ring = self.ring
         n = ring.n_fields
-        up = (1 << (_W * n)) - 1
+        up = (1 << (W * n)) - 1
         density = self.density
         work = {key: Fraction(v, density.den)
                 for key, v in density.terms.items() if key >> _JETS}
@@ -733,10 +693,10 @@ class LocalFunctional:
                 add_term(out, key, coeff)
                 continue
             # m = A * u^{a}_{o}: replace by -dx(A) * u^{a}_{o-1} mod im(dx)
-            shift = _W * (1 + o_max * n + a_max)
+            shift = W * (1 + o_max * n + a_max)
             rest = key - (1 << shift) - o_max * _DEG
-            base = rest + _DEG + (1 << (shift - _W * n)) + (o_max - 1) * _DEG
-            repl = {base + (up << s): -p for s, p in _jet_slots(rest)}
+            base = rest + _DEG + (1 << (shift - W * n)) + (o_max - 1) * _DEG
+            repl = {base + (up << s): -p for s, p in nonzero_slots(rest, _JETS)}
             self_coeff = repl.pop(key, None)
             scale = Fraction(1)
             if self_coeff is not None:
@@ -746,7 +706,7 @@ class LocalFunctional:
                 if m2 not in work:
                     heappush(heap, entry(m2))
                 add_term(work, m2, coeff * c2 * scale)
-        _check_slots(out)
+        check_slots(out)
         return DiffPoly.from_items(ring, ((decoded[key], c) for key, c in out.items()))
 
     def render(self, names=None, eps_name: str = "eps") -> str:
@@ -781,6 +741,6 @@ def eps_dress(h: LocalFunctional | DiffPoly):
     density = h.density if isinstance(h, LocalFunctional) else h
     if density.max_eps() > 0:
         raise ValueError("eps dressing expects an eps-free input")
-    out = DiffPoly(density.ring, {key + ((key >> _W) & _MASK): v
+    out = DiffPoly(density.ring, {key + ((key >> W) & MASK): v
                                   for key, v in density.terms.items()}, density.den)
     return LocalFunctional(out) if isinstance(h, LocalFunctional) else out

@@ -124,13 +124,6 @@ class PseudoDiffOp:
             raise ValueError(f"order {n} is below the validity window [{self.lo}, {self.top}]")
         return self.coeffs.get(n, DiffPoly.zero(self.ring))
 
-    def restrict(self, lo: int) -> "PseudoDiffOp":
-        """Narrow the window from below (coefficients under lo are dropped)."""
-        if self.lo is not None and lo < self.lo:
-            raise ValueError("cannot widen a truncated window")
-        return PseudoDiffOp(self.ring, self.top, lo,
-                            {n: c for n, c in self.coeffs.items() if n >= lo})
-
     # -- ring operations ----------------------------------------------------------
 
     def __add__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
@@ -191,9 +184,7 @@ class PseudoDiffOp:
         if not (a and b):
             return PseudoDiffOp(self.ring, top, lo)
         if lo is None and min(a) < 0 and not all(c.is_constant() for c in b.values()):
-            raise ValueError(
-                "product with negative orders is an infinite series; "
-                "restrict the window first")
+            raise ValueError("product with negative orders is an infinite series")
         # a finite product reaches no lower than min(b), or min(a) + min(b)
         # when a has negative orders (and b is then constant)
         bottom = lo if lo is not None else min(b) + min(0, min(a))
@@ -218,12 +209,6 @@ class PseudoDiffOp:
             raise ValueError("window does not reach order 0")
         return PseudoDiffOp(self.ring, max(self.top, 0), None,
                             {n: c for n, c in self.coeffs.items() if n >= 0})
-
-    def minus_part(self) -> "PseudoDiffOp":
-        if self.lo is not None and self.lo > 0:
-            raise ValueError("window does not reach order 0")
-        return PseudoDiffOp(self.ring, -1, self.lo,
-                            {n: c for n, c in self.coeffs.items() if n < 0})
 
     def residue(self) -> DiffPoly:
         """The coefficient of d_x^{-1}."""

@@ -23,18 +23,29 @@ term stores q = c / i^{h+e} (hbar = i hbar', eps = i eps'): the brackets
 read k eta^{ab} and m^{j+1} K^{ab}_j.  An element keeps its q's as int
 numerators over one denominator ``den`` in lowest terms (den > 0 and
 gcd(den, numerators) = 1), so equal elements are equal structurally and
-the star product and f_r build no ``Fraction``.  A term's key is
-(h, e, word), the word listing the modes as (k, alpha) in ascending order
-with repeats, which is normal order; a product key is one sort of sorted
-runs.  The constructor, ``mode``, ``scale`` and ``lf_to_p_series`` refuse
-a c outside i^{h+e} Q with ``ValueError``; ``items`` and ``render`` give c
+the star product and f_r build no ``Fraction``.
+
+A term's key packs hbar^h eps^e and the mode counts into one int in the
+slot format of ``slots``, since a normal-ordered monomial is fixed by how
+often each mode occurs: slot 0 holds h, slot 1 e, and mode (k, alpha) of an N-field
+context sits at slot 2 + b(k) N + alpha - 1 with b(0) = 0, b(-k) = 2k - 1
+and b(k) = 2k, so the block of the N modes of momentum +k sits N slots
+above that of -k.  A product of monomials is the sum of their keys, and
+the star product finds the contracting modes of a pair of keys with ANDs
+and shifts over per-block occupancy bits; no key is decoded on the product
+path.  No slot position depends on the window.  A ``WeylContext`` whose
+top mode slot passes ``slots.TOP_SLOT`` is refused, and so is a term or
+product with an exponent above ``slots.SLOT_MAX``.  The constructor,
+``mode``, ``scale`` and ``lf_to_p_series`` refuse a c outside i^{h+e} Q
+with ``ValueError``; ``items`` and ``render`` decode the keys and give c
 back.
 
 Each rule has an integer ``scale``, the lcm of its constants'
-denominators.  The reorder memo holds the normal order of a word pair
-whose modes all contract as numerators over scale^(number of positive
-modes); a bracket value that the scale does not make integral is refused.
-The memo stays module-level, as the benchmark reads its size.
+denominators.  The reorder memo maps (rule token, positive key, nonpositive
+key), two keys of modes that all contract, to the normal order of their
+product: packed keys to numerators over scale^(number of positive modes).
+A bracket value that the scale does not make integral is refused.  The
+memo stays module-level, as the benchmark reads its size.
 
 The classical (hbar^0) part is the Fourier dictionary of local functionals:
 u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
@@ -43,19 +54,20 @@ functional keeps the frequency-zero part (``lf_to_p_series``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
 from .hamops import HamiltonianOperator
-from .scalars import AlgScalar, Frozen, add_term, exact_rational, over_one_den
+from .scalars import AlgScalar, Frozen, add_term, exact_rational
+from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, check_slots, nonzero_slots,
+                    over_one_den)
 
-Mode = tuple[int, int]  # (k, alpha): tuple order is normal order
+Mode = tuple[int, int]  # (k, alpha)
 
-_FIRST_POSITIVE = (1,)  # sorts before every mode with k >= 1
+_EPS = 1 << W  # one unit of eps
 
 
 _RULE_TOKENS: dict = {}
@@ -144,7 +156,25 @@ class WeylContext(Frozen):
     def __init__(self, n_fields: int, window: int):
         if window < 1:
             raise ValueError("mode window must be >= 1")
+        top = 2 + (2 * window + 1) * n_fields - 1
+        if top > TOP_SLOT:
+            raise ValueError(f"mode window {window} over {n_fields} fields needs packed "
+                             f"slot {top}, above {TOP_SLOT}")
         self._init(n_fields, window)
+
+
+# -- packed keys ---------------------------------------------------------------------
+
+
+def _slot(n: int, k: int, alpha: int) -> int:
+    """The slot of mode (k, alpha) in an n-field key."""
+    return 2 + (2 * k if k > 0 else -2 * k - 1 if k else 0) * n + alpha - 1
+
+
+def _mode(n: int, slot: int) -> Mode:
+    """The (k, alpha) of a mode slot of an n-field key."""
+    b, a = divmod(slot - 2, n)
+    return (-(b + 1) // 2 if b & 1 else b // 2), a + 1
 
 
 def monomial(pkey) -> str:
@@ -153,9 +183,77 @@ def monomial(pkey) -> str:
                     for alpha, k, power in pkey) or "1"
 
 
-def _pkey(word) -> tuple:
-    """The (alpha, k, power) factors of a word, sorted."""
-    return tuple(sorted((alpha, k, len(list(run))) for (k, alpha), run in groupby(word)))
+def pack_key(ctx: WeylContext, h: int, e: int, pkey) -> int:
+    """The key of hbar^h eps^e times the (alpha, k, power) factors of pkey.
+
+    A field outside 1..N, a mode outside the window, a power below 1 or an
+    exponent above ``SLOT_MAX`` (repeated factors added up) is refused.
+    """
+    if not (0 <= h <= SLOT_MAX and 0 <= e <= SLOT_MAX):
+        raise ValueError(f"hbar and eps exponents must lie in 0..{SLOT_MAX}, got {h}, {e}")
+    n, window = ctx.n_fields, ctx.window
+    key = h + e * _EPS
+    for alpha, k, power in pkey:
+        if not 1 <= alpha <= n:
+            raise ValueError(f"field index {alpha} out of range")
+        if not -window <= k <= window:
+            raise ValueError(f"mode {k} outside window {window}")
+        if not 1 <= power <= SLOT_MAX:
+            raise ValueError(f"powers must lie in 1..{SLOT_MAX}, got {power}")
+        shift = W * _slot(n, k, alpha)
+        key += power << shift
+        if key >> shift & GUARD:  # two in-range powers never carry past the guard
+            raise ValueError(f"a mode exponent exceeds {SLOT_MAX}")
+    return key
+
+
+def unpack_key(key: int, n: int) -> tuple:
+    """(h, e, pkey) of a key of an n-field context, pkey sorted (alpha, k, power)."""
+    pkey = []
+    for shift, power in nonzero_slots(key, 2 * W):
+        k, alpha = _mode(n, shift // W)
+        pkey.append((alpha, k, power))
+    pkey.sort()
+    return key & MASK, (key >> W) & MASK, tuple(pkey)
+
+
+def _count(key: int) -> int:
+    """The sum of the slots of a key."""
+    return sum(value for _, value in nonzero_slots(key))
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int, window: int) -> tuple:
+    """Masks of the n-field keys within a window, all over the mode slots:
+
+    vals, the low W - 1 bits of every slot; guards, their guard bits;
+    spread, the shifts that move each slot of a block onto its first;
+    neg and pos, the guard bit of the first slot of each block -k and +k
+    (k >= 1); positive, every slot of a positive mode.
+    """
+    ones = ((1 << (W * (2 * window + 1) * n)) - 1) // MASK << 2 * W
+    block = (1 << W * n) - 1
+    neg = pos = positive = 0
+    for k in range(1, window + 1):
+        neg |= GUARD << W * _slot(n, -k, 1)
+        pos |= GUARD << W * _slot(n, k, 1)
+        positive |= block << W * _slot(n, k, 1)
+    spread = tuple(W * j for j in range(1, n))
+    return ones * SLOT_MAX, ones * GUARD, spread, neg, pos, positive
+
+
+def _blocks(key: int, vals: int, guards: int, spread: tuple, starts: int) -> int:
+    """The guard bit of the first slot of each block that holds a mode of
+    key, among the blocks whose starts are given.
+
+    Adding SLOT_MAX to a slot sets its guard exactly when the slot is
+    nonzero, and no slot carries: a stored key has its guards clear.
+    """
+    occupied = (key + vals) & guards
+    out = occupied
+    for shift in spread:
+        out |= occupied >> shift
+    return out & starts
 
 
 def _to_q(c, h: int, e: int, pkey) -> Fraction:
@@ -180,11 +278,11 @@ def _to_c(q: Fraction, h: int, e: int) -> AlgScalar:
 class WeylElement:
     """Normal-ordered polynomial in the modes with hbar/eps coefficients.
 
-    terms: (hbar_exp, eps_exp, word) -> nonzero int numerator n over ``den``,
-    with the word a sorted tuple of (k, alpha) modes and n / den the q =
-    c / i^(hbar_exp + eps_exp) of the term; den > 0 and gcd(den, numerators)
-    = 1.  The constructor takes {(hbar_exp, eps_exp, pkey): c} with pkey a
-    tuple of (alpha, k, power) factors and c a Fraction, int or AlgScalar.
+    terms: packed key of hbar^h eps^e and the mode counts -> nonzero int
+    numerator n over ``den``, with n / den the q = c / i^(h + e) of the
+    term; den > 0 and gcd(den, numerators) = 1.  The constructor takes
+    {(hbar_exp, eps_exp, pkey): c} with pkey a tuple of (alpha, k, power)
+    factors and c a Fraction, int or AlgScalar.
     """
 
     __slots__ = ("ctx", "terms", "den")
@@ -200,16 +298,16 @@ class WeylElement:
                     lift = d // gcd(den, d)
                     den *= lift
                     nums = {key: v * lift for key, v in nums.items()}
-                add_term(nums, (h, e, self._word(pkey)), n * (den // d))
+                add_term(nums, pack_key(ctx, h, e, pkey), n * (den // d))
         # den is the lcm of reduced denominators: only terms that met on one
-        # word can leave a factor common to den and every numerator
+        # key can leave a factor common to den and every numerator
         g = gcd(den, *nums.values())
         self.terms = {key: v // g for key, v in nums.items()} if g != 1 else nums
         self.den = den // g
 
     @classmethod
     def _of(cls, ctx: WeylContext, terms: dict, den: int = 1) -> "WeylElement":
-        """Wrap word-keyed numerators that are already in canonical form."""
+        """Wrap key-to-numerator terms that are already in canonical form."""
         out = cls.__new__(cls)
         out.ctx = ctx
         out.terms = terms
@@ -228,20 +326,6 @@ class WeylElement:
                 den //= g
                 terms = {key: n // g for key, n in terms.items()}
         return cls._of(ctx, terms, den)
-
-    def _word(self, pkey) -> tuple:
-        n_fields, window = self.ctx.n_fields, self.ctx.window
-        word = []
-        for alpha, k, power in pkey:
-            if not 1 <= alpha <= n_fields:
-                raise ValueError(f"field index {alpha} out of range")
-            if not -window <= k <= window:
-                raise ValueError(f"mode {k} outside window {window}")
-            if power < 1:
-                raise ValueError("powers must be positive")
-            word += [(k, alpha)] * power
-        word.sort()
-        return tuple(word)
 
     @staticmethod
     def mode(ctx: WeylContext, alpha: int, k: int, coeff=1) -> "WeylElement":
@@ -284,17 +368,21 @@ class WeylElement:
         return not self.terms
 
     def hbar_order(self) -> int:
-        return min((h for h, _, _ in self.terms), default=0)
+        return min((key & MASK for key in self.terms), default=0)
 
     def classical_limit(self) -> "WeylElement":
         """Set hbar = 0: the hbar^0 part, a commutative mode polynomial."""
         return WeylElement._normal(self.ctx, {key: n for key, n in self.terms.items()
-                                              if key[0] == 0}, self.den)
+                                              if not key & MASK}, self.den)
 
     def items(self) -> list:
         """[((hbar_exp, eps_exp, pkey), c)] in render order, c an AlgScalar."""
-        return sorted(((h, e, _pkey(word)), _to_c(Fraction(n, self.den), h, e))
-                      for (h, e, word), n in self.terms.items())
+        n = self.ctx.n_fields
+        out = []
+        for key, num in self.terms.items():
+            h, e, pkey = unpack_key(key, n)
+            out.append(((h, e, pkey), _to_c(Fraction(num, self.den), h, e)))
+        return sorted(out)
 
     def render(self) -> str:
         chunks = []
@@ -321,117 +409,152 @@ def _numerator(q, scale: int) -> int:
     return n
 
 
-def _normal_order(pos, nonpos, rule) -> dict:
-    """Normal-order (product of positive modes) x (product of nonpositive).
+def _normal_order(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
+    """Normal-order (product of the positive modes of key ``pos``) x (product
+    of the nonpositive modes of key ``nonpos``).
 
-    Returns {(hbar, eps, word): n}, numerators over rule.scale^len(pos).
-    Only the modes whose momenta cancel go to ``_reorder``; the rest, which
-    commutes with every mode of the other word because both rules' brackets
-    vanish unless the momenta add to zero, is sorted into each of its words.
+    Returns {key: n}, numerators over rule.scale^(positive modes).  Only the
+    modes whose momenta cancel go to ``_reorder``; the rest commutes with
+    every mode of the other key, because both rules' brackets vanish unless
+    the momenta add to zero, and its counts are added to every key.
     """
-    cancel = {k for k, _ in pos}.intersection([-k for k, _ in nonpos])
+    n = ctx.n_fields
+    vals, guards, spread, neg, starts, _ = _layout(n, ctx.window)
+    cancel = (_blocks(pos, vals, guards, spread, starts) >> W * n) \
+        & _blocks(nonpos, vals, guards, spread, neg)
+    scale = rule.scale
     if not cancel:
-        return {(0, 0, nonpos + pos): rule.scale ** len(pos)}
-    c_pos, c_nonpos, rest = [], [], []
-    for m in pos:
-        (c_pos if m[0] in cancel else rest).append(m)
-    for m in nonpos:
-        (c_nonpos if -m[0] in cancel else rest).append(m)
-    inner = _reorder(tuple(c_pos), tuple(c_nonpos), rule)
-    lift = rule.scale ** (len(pos) - len(c_pos))
-    rest = tuple(rest)
-    return {(h, e, tuple(sorted(rest + mid))): n * lift for (h, e, mid), n in inner.items()}
+        return {pos + nonpos: scale ** _count(pos) if scale != 1 else 1}
+    mask = (cancel >> (W - 1)) * ((1 << W * n) - 1)
+    c_pos, c_nonpos = pos & (mask << W * n), nonpos & mask
+    rest = pos + nonpos - c_pos - c_nonpos
+    lift = scale ** (_count(pos) - _count(c_pos)) if scale != 1 else 1
+    return {rest + d: nc * lift for d, nc in _reorder(c_pos, c_nonpos, rule, ctx).items()}
 
 
-def _reorder(pos, nonpos, rule) -> dict:
-    """``_normal_order`` of two words in which every mode contracts.
+def _reorder(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
+    """``_normal_order`` of two keys in which every mode contracts.
 
     Each positive mode's momentum k meets a -k in ``nonpos`` and vice versa.
     Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos), so a key
     holds contracting modes alone; the value's numerators are over
-    rule.scale^len(pos).
+    rule.scale^(positive modes).  The largest positive mode x moves through
+    ``nonpos``: c identical copies of a mode y contract with x to c equal
+    terms, so each distinct y gives c [x, y] times one normal order.
     """
     key = (rule.token, pos, nonpos)
     out = _REORDER_MEMO.get(key)
     if out is not None:
         return out
-    x = pos[-1]
-    head = pos[:-1]
+    n = ctx.n_fields
+    shift = (pos.bit_length() - 1) // W * W
+    x = 1 << shift
+    k, alpha = _mode(n, shift // W)
+    head = pos - x
+    first = shift - W * (n + alpha - 1)  # the slot of (-k, 1)
     scale = rule.scale
     acc: dict = {}
-
-    # x through the whole nonpositive word: commutator terms first, each a
-    # bracket over scale^1 times a head order over scale^len(head)
-    for s, y in enumerate(nonpos):
-        if x[0] + y[0]:
-            continue
-        for h, e, q in rule.bracket(x, y):
-            n = _numerator(q, scale)
-            reduced = nonpos[:s] + nonpos[s + 1:]
-            for (h2, e2, w2), n2 in _normal_order(head, reduced, rule).items():
-                term = (h + h2, e + e2, w2)
-                acc[term] = acc.get(term, 0) + n * n2
-    # and the fully commuted term with x, the largest mode, appended
-    for (h2, e2, w2), n2 in _normal_order(head, nonpos, rule).items():
-        term = (h2, e2, w2 + (x,))
+    # commutator terms first, each a bracket over scale^1 times a head order
+    for beta in range(1, n + 1):
+        y = first + W * (beta - 1)
+        copies = (nonpos >> y) & MASK
+        brackets = rule.bracket((k, alpha), (-k, beta)) if copies else None
+        if brackets:
+            order = _normal_order(head, nonpos - (1 << y), rule, ctx)
+            for h, e, q in brackets:
+                num = copies * _numerator(q, scale)
+                delta = h + e * _EPS
+                for key2, n2 in order.items():
+                    term = key2 + delta
+                    acc[term] = acc.get(term, 0) + num * n2
+    # and the fully commuted term with x appended
+    for key2, n2 in _normal_order(head, nonpos, rule, ctx).items():
+        term = key2 + x
         acc[term] = acc.get(term, 0) + n2 * scale
-    out = _REORDER_MEMO[key] = {term: n for term, n in acc.items() if n}
+    out = {term: n for term, n in acc.items() if n}
+    check_slots(out)
+    _REORDER_MEMO[key] = out
     return out
 
 
 def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     """The star product under the given commutation rule.
 
-    For each pair of terms, the left positive modes meet the right
-    nonpositive ones.  Only the modes whose momenta cancel contract, and
-    only they go to the memoized ``_reorder``; the others commute through
-    and join the sorted key directly.  A pair with no cancelling momentum is
-    already normal ordered.  The result accumulates as int numerators over
-    a.den * b.den * scale^M, M the most positive modes of a word of a: a
-    pair that contracts m modes lifts its memo numerators by scale^(M - m).
+    For each pair of keys, the momentum blocks that hold a left positive
+    mode are ANDed with those that hold a right nonpositive mode of the
+    opposite momentum.  A pair with no cancelling momentum is already normal
+    ordered: its product key is the sum of the keys.  Otherwise only the
+    contracting modes go to the memoized ``_reorder``, and the rest of both
+    keys is added to each of its keys.  The result accumulates as int
+    numerators over a.den * b.den * scale^M, M the most positive modes of a
+    key of a: a pair that contracts m modes lifts its memo numerators by
+    scale^(M - m).
     """
-    if a.ctx != b.ctx:
+    ctx = a.ctx
+    if ctx != b.ctx:
         raise ValueError("window/context mismatch")
-    if rule.n_fields != a.ctx.n_fields:
+    if rule.n_fields != ctx.n_fields:
         raise ValueError("rule and element field counts differ")
-    right = []
-    for (h2, e2, w2), n2 in b.terms.items():
-        cut = bisect_left(w2, _FIRST_POSITIVE)
-        np2 = w2[:cut]
-        right.append((h2, e2, w2, np2, w2[cut:], frozenset(-k for k, _ in np2), n2))
-    left = []
-    for (h1, e1, w1), n1 in a.terms.items():
-        cut = bisect_left(w1, _FIRST_POSITIVE)
-        pos1 = w1[cut:]
-        left.append((h1, e1, w1, w1[:cut], pos1, frozenset(k for k, _ in pos1), n1))
-    most = max((len(pos1) for _, _, _, _, pos1, _, _ in left), default=0)
-    lift = [rule.scale ** (most - m) for m in range(most + 1)]
+    n = ctx.n_fields
+    block = W * n
+    ones = (1 << block) - 1
+    vals, guards, spread, neg, pos, positive = _layout(n, ctx.window)
+    right = [(w2, _blocks(w2, vals, guards, spread, neg), n2) for w2, n2 in b.terms.items()]
+    scale = rule.scale
+    most = max((_count(w1 & positive) for w1 in a.terms), default=0) if scale != 1 else 0
+    lift = [scale ** (most - m) for m in range(most + 1)]
     top = lift[0]
     acc: dict = {}
     get = acc.get
-    for h1, e1, w1, np1, pos1, momenta, n1 in left:
+    for w1, n1 in a.terms.items():
+        momenta = _blocks(w1, vals, guards, spread, pos) >> block  # onto the -k blocks
         n1_top = n1 * top
-        for h2, e2, w2, np2, pos2, opposite, n2 in right:
-            if momenta.isdisjoint(opposite):  # already normal ordered
-                term = (h1 + h2, e1 + e2, tuple(sorted(w1 + w2)))
+        for w2, opposite, n2 in right:
+            cancel = momenta & opposite
+            if not cancel:  # already normal ordered
+                term = w1 + w2
                 acc[term] = get(term, 0) + n1_top * n2
                 continue
-            cancel = momenta & opposite
-            c_pos, c_nonpos, rest = [], [], [*np1, *pos2]
-            for m in pos1:
-                (c_pos if m[0] in cancel else rest).append(m)
-            for m in np2:
-                (c_nonpos if -m[0] in cancel else rest).append(m)
-            n = n1 * n2 * lift[len(c_pos)]
-            h, e, rest = h1 + h2, e1 + e2, tuple(rest)
-            for (hc, ec, mid), nc in _reorder(tuple(c_pos), tuple(c_nonpos), rule).items():
-                term = (h + hc, e + ec, tuple(sorted(rest + mid)))
-                acc[term] = get(term, 0) + n * nc
-    return WeylElement._normal(a.ctx, acc, a.den * b.den * top)
+            mask = (cancel >> (W - 1)) * ones
+            c_pos, c_nonpos = w1 & (mask << block), w2 & mask
+            base = w1 + w2 - c_pos - c_nonpos
+            nn = n1 * n2 * (lift[_count(c_pos)] if scale != 1 else 1)
+            for d, nc in _reorder(c_pos, c_nonpos, rule, ctx).items():
+                term = base + d
+                acc[term] = get(term, 0) + nn * nc
+    # mode slots never carry: a memo term holds some of the contracted modes.
+    # An hbar or eps sum past the guard that a memo term could carry on shows
+    # in the pair's fully commuted term w1 + w2, which every memo value holds.
+    check_slots(acc)
+    return WeylElement._normal(ctx, acc, a.den * b.den * top)
 
 
 def weyl_commutator(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     return weyl_star(a, b, rule) - weyl_star(b, a, rule)
+
+
+@lru_cache(maxsize=16)
+def _f_r_table(r: int, window: int) -> tuple:
+    """(L, mask, [(shift, delta, step)]) of f_r in an (r - 1)-field context.
+
+    L is the lcm of the shift denominators, and each image is (L p^alpha_k
+    + s k^2 eps^2 p^beta_k) / L with s = cL.  One entry per shifted mode
+    (k, alpha), k != 0: its slot's bit offset, the key delta that trades
+    one p^alpha_k for eps^2 p^beta_k, and s k^2; mask covers their slots.
+    """
+    n = r - 1
+    shifts = DR_DZ_SHIFTS[r]
+    L = lcm(*(c.denominator for _, c in shifts.values()))
+    table, mask = [], 0
+    for alpha, (beta, c) in shifts.items():
+        s = _numerator(c, L)
+        for k in range(-window, window + 1):
+            if k:
+                shift = W * _slot(n, k, alpha)
+                table.append((shift, (1 << W * _slot(n, k, beta)) - (1 << shift) + 2 * _EPS,
+                              s * k * k))
+                mask |= MASK << shift
+    return L, mask, tuple(table)
 
 
 def f_r_map(r: int, a: WeylElement) -> WeylElement:
@@ -440,49 +563,43 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
     On generators it mirrors the hierarchy-comparison Miura map, e.g.
     f_4(p~^1_n) = p^1_n - (eps^2/96) n^2 p^3_n, extended multiplicatively
     on normal-form monomials.  Each image keeps the momentum n of its
-    generator, so the images of a normal-ordered word come in normal order:
-    their standard star product contracts nothing and is the commutative
-    product, expanded here with one binomial per run of equal modes.  The
-    shift denominators come out as a power of their lcm L: a word with t
-    shifted modes expands over L^t, lifted to the common L^T.
+    generator, so the images of a normal-ordered monomial come in normal
+    order: their standard star product contracts nothing and is the
+    commutative product, expanded here with one binomial per shifted mode
+    of count p, j = 0..p of its copies traded for eps^2 p^beta by adding
+    key deltas.  The shift denominators come out as a power of their lcm
+    L: a key with t shifted modes expands over L^t, lifted to the common L^T.
     """
     if r not in (4, 5) or r not in DR_DZ_SHIFTS:
         raise ValueError("f_r is defined for r = 4, 5")
     if a.ctx.n_fields != r - 1:
         raise ValueError(f"f_{r} acts on {r - 1} fields, not {a.ctx.n_fields}")
-    shifts = DR_DZ_SHIFTS[r]
-    L = lcm(*(c.denominator for _, c in shifts.values()))
     # in q form f_r(p^alpha_n) = p^alpha_n + c n^2 eps^2 p^beta_n (the
-    # coefficient -c n^2 over i^2), that is (L p^alpha_n + cL n^2 eps^2 p^beta_n) / L
-    scaled = {alpha: (beta, _numerator(c, L)) for alpha, (beta, c) in shifts.items()}
+    # coefficient -c n^2 over i^2)
+    L, mask, table = _f_r_table(r, a.ctx.window)
     expanded = []
-    for (h, e, word), n in a.terms.items():
-        partial = {(e, ()): n}  # (eps_exp, modes so far) -> numerator over L^t
+    for key, n in a.terms.items():
+        partial = {key: n}  # key -> numerator over L^t
         t = 0
-        for mode, run in groupby(word):
-            power = len(list(run))
-            k, alpha = mode
-            shift = scaled.get(alpha) if k else None
-            if shift is None:
-                partial = {(e2, w + (mode,) * power): n2 for (e2, w), n2 in partial.items()}
-                continue
-            # (L p + s eps^2 p')^power, s = cL k^2, by the binomial theorem
-            beta, s = shift
-            t += power
-            step = s * k * k
-            choices = [(2 * j, (mode,) * (power - j) + ((k, beta),) * j,
-                        comb(power, j) * step ** j * L ** (power - j))
-                       for j in range(power + 1)]
-            partial = {(e2 + de, w + dw): n2 * f
-                       for (e2, w), n2 in partial.items() for de, dw, f in choices}
-        expanded.append((h, t, partial))
-    most = max((t for _, t, _ in expanded), default=0)
+        if key & mask:
+            for shift, delta, step in table:
+                power = (key >> shift) & MASK
+                if power:
+                    t += power
+                    choices = [(j * delta, comb(power, j) * step ** j * L ** (power - j))
+                               for j in range(power + 1)]
+                    partial = {k2 + dk: n2 * f
+                               for k2, n2 in partial.items() for dk, f in choices}
+        expanded.append((t, partial))
+    most = max((t for t, _ in expanded), default=0)
     acc: dict = {}
-    for h, t, partial in expanded:
+    for t, partial in expanded:
         lift = L ** (most - t)
-        for (e2, w), n2 in partial.items():
-            term = (h, e2, tuple(sorted(w)))
-            acc[term] = acc.get(term, 0) + n2 * lift
+        for k2, n2 in partial.items():
+            acc[k2] = acc.get(k2, 0) + n2 * lift
+    # an eps sum that carries past its guard passes on its way every value
+    # that sets the guard: the expansion adds eps^2 one trade at a time
+    check_slots(acc)
     return WeylElement._normal(a.ctx, acc, a.den * L ** most)
 
 
@@ -497,6 +614,7 @@ def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
     monomial of eps order e and derivative degree D gains i^D, which lies in
     i^e Q when D - e is even; an image with a nonzero part off i^e Q is refused.
     """
+    ctx = WeylContext(h.ring.n_fields, window)
     # q = c / i^e of the monomials of even D - e; c / i^(e+1) of the odd ones
     images: tuple[dict, dict] = ({}, {})
     for (eps, jets), coeff in h.density.items():
@@ -504,21 +622,23 @@ def lf_to_p_series(h: LocalFunctional, window: int) -> WeylElement:
         twist = sum(order for _, order in factors) - eps
         target = images[twist % 2]
 
-        def expand(modes, total, c):
-            if len(modes) == len(factors):
+        def expand(depth, key, total, c):
+            if depth == len(factors):
                 if total == 0:
-                    add_term(target, (0, eps, tuple(sorted(modes))), c)
+                    add_term(target, key, c)
                 return
-            alpha, order = factors[len(modes)]
+            alpha, order = factors[depth]
             # the factors left can shift the sum by at most window each
-            slack = (len(factors) - len(modes) - 1) * window
+            slack = (len(factors) - depth - 1) * window
             for k in range(max(-window, -slack - total), min(window, slack - total) + 1):
                 if k or not order:
-                    expand(modes + ((k, alpha),), total + k, c * k ** order)
+                    expand(depth + 1, key + (1 << W * _slot(ctx.n_fields, k, alpha)),
+                           total + k, c * k ** order)
 
         if factors:  # constants are quotiented away
-            expand((), 0, -coeff if twist % 4 >= 2 else coeff)
-    for (_, eps, word), q in images[1].items():
-        raise ValueError(f"the coefficient of hbar^0 eps^{eps} {monomial(_pkey(word))} "
+            expand(0, eps * _EPS, 0, -coeff if twist % 4 >= 2 else coeff)
+    for key, q in images[1].items():
+        _, eps, pkey = unpack_key(key, ctx.n_fields)
+        raise ValueError(f"the coefficient of hbar^0 eps^{eps} {monomial(pkey)} "
                          f"has a part {_to_c(q, 0, eps + 1)} outside i^{eps}*Q")
-    return WeylElement._of(WeylContext(h.ring.n_fields, window), *over_one_den(images[0]))
+    return WeylElement._of(ctx, *over_one_den(images[0]))

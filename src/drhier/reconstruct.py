@@ -44,21 +44,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-# the slots of diffpoly's packed monomials: 16 bits, the top one a guard
-from .diffpoly import _MASK, _MAX as SLOT_MAX, _MAX_SLOT, _W, _guard_slots
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
     miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
 from .scalars import Frozen, add_term, exact_rational
+from .slots import MASK, SLOT_MAX, TOP_SLOT, W, guard_slots
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
 
-_DEG = 1 << _W              # one unit of total t-degree
-_REST = 1 << (2 * _W)       # one unit of degree without t^1_0
-_VARS = 3 * _W              # bit offset of the slot of t^1_0
+_DEG = 1 << W              # one unit of total t-degree
+_REST = 1 << (2 * W)       # one unit of degree without t^1_0
+_VARS = 3 * W              # bit offset of the slot of t^1_0
 _ZERO = Fraction(0)
 
 
@@ -68,9 +67,9 @@ def _var_shift(n: int, var: tuple[int, int]) -> int:
     if not 1 <= gamma <= n or k < 0:
         raise ValueError(f"t-variable {var} out of range for {n} fields")
     slot = 3 + k * n + gamma - 1
-    if slot > _MAX_SLOT:
-        raise ValueError(f"t^{gamma}_{k} needs packed slot {slot}, above {_MAX_SLOT}")
-    return _W * slot
+    if slot > TOP_SLOT:
+        raise ValueError(f"t^{gamma}_{k} needs packed slot {slot}, above {TOP_SLOT}")
+    return W * slot
 
 
 def _unit(shift: int) -> int:
@@ -84,16 +83,16 @@ def pack_key(n: int, m: TMon, i: int) -> int:
     key = degree = rest = 0
     for (gamma, k), power in m:
         slot = 3 + k * n + gamma - 1
-        if not (0 < gamma <= n and 0 <= k and slot <= _MAX_SLOT and power >= 0):
+        if not (0 < gamma <= n and 0 <= k and slot <= TOP_SLOT and power >= 0):
             _var_shift(n, (gamma, k))
             raise ValueError(f"negative power of t^{gamma}_{k}")
-        key += power << (_W * slot)
+        key += power << (W * slot)
         degree += power
         if slot != 3:
             rest += power
     if not 0 <= i <= SLOT_MAX or degree > SLOT_MAX:
         raise ValueError(f"a t-degree or eps order exceeds {SLOT_MAX}")
-    return key + i + (degree << _W) + (rest << (2 * _W))
+    return key + i + (degree << W) + (rest << (2 * W))
 
 
 def unpack_key(key: int, n: int) -> tuple[TMon, int]:
@@ -101,18 +100,18 @@ def unpack_key(key: int, n: int) -> tuple[TMon, int]:
     m = []
     rest, slot = key >> _VARS, 0
     while rest:
-        power = rest & _MASK
+        power = rest & MASK
         if power:
             k, gamma = divmod(slot, n)
             m.append(((gamma + 1, k), power))
-        rest >>= _W
+        rest >>= W
         slot += 1
     m.sort()
-    return tuple(m), key & _MASK
+    return tuple(m), key & MASK
 
 
 def _degree(key: int) -> int:
-    return (key >> _W) & _MASK
+    return (key >> W) & MASK
 
 
 def _variables(key: int, n: int) -> list[tuple[int, int]]:
@@ -127,7 +126,7 @@ def t_derivative(series: dict, n: int, var: tuple[int, int], k: int) -> dict:
     step = k * _unit(shift)
     out = {}
     for key, value in series.items():
-        e = (key >> shift) & _MASK
+        e = (key >> shift) & MASK
         if e >= k:
             out[key - step] = value * prod(range(e - k + 1, e + 1))
     return out
@@ -137,17 +136,17 @@ def raise_subscripts(series: dict, n: int, t_max: int) -> dict:
     """sum t^rho_{k+1} dV/dt^rho_k of a packed series V over n fields,
     subscripts capped at t_max: the string push-forward, linear in V."""
     out = {}
-    lift = _W * n  # from subscript k to k + 1
+    lift = W * n  # from subscript k to k + 1
     below = (1 << (lift * t_max)) - 1  # the slots of subscripts below t_max
     for key, value in series.items():
         rest, shift = (key >> _VARS) & below, _VARS
         while rest:
-            e = rest & _MASK
+            e = rest & MASK
             if e:
                 step = (1 << (shift + lift)) - (1 << shift)
                 add_term(out, key + step + (_REST if shift == _VARS else 0), e * value)
-            rest >>= _W
-            shift += _W
+            rest >>= W
+            shift += W
     return out
 
 
@@ -167,7 +166,7 @@ def multiply_series(factors: list[dict], eps_max: int, deg_max: int,
     if rest_max is None or rest_max >= deg_max:
         rest_max, rest_mask = deg_max, 0
     else:
-        rest_mask = _MASK
+        rest_mask = MASK
     acc = {(0, 0, 0): {0: 1}}
     last = len(factors) - 1 if exact else -1
     split = {}
@@ -176,9 +175,9 @@ def multiply_series(factors: list[dict], eps_max: int, deg_max: int,
         if right is None:
             buckets = {}
             for key, v in series.items():
-                i2, d2 = key & _MASK, (key >> _W) & _MASK
+                i2, d2 = key & MASK, (key >> W) & MASK
                 if i2 <= eps_max and d2 <= deg_max:
-                    buckets.setdefault((i2, d2, (key >> (2 * _W)) & rest_mask),
+                    buckets.setdefault((i2, d2, (key >> (2 * W)) & rest_mask),
                                        []).append((key, v))
             right = split[id(series)] = list(buckets.items())
         out = {}
@@ -392,7 +391,7 @@ class SpecialSolution:
         if len(factors) == 1:
             return series.get(key, 0)
         rest = factors[1:]
-        guard = _guard_slots(key.bit_length() // _W + 1)
+        guard = guard_slots(key.bit_length() // W + 1)
         total = 0
         for k1, left in series.items():
             k2 = key - k1
@@ -518,7 +517,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
             for base_key, value in series.items():
                 m = base_key + _unit(shift)
                 if pick(v for v in _variables(m, n_fields) if v != (1, 0)) == var:
-                    sol._write(alpha, m, value, den * ((m >> shift) & _MASK))
+                    sol._write(alpha, m, value, den * ((m >> shift) & MASK))
 
     # eps layers: (i + n) c = [flow of h11](u^sp), the u^alpha term on the
     # right contributing the coefficient itself
@@ -530,7 +529,7 @@ def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
                     if degree == 0 and i == 1:
                         raise AssertionError(
                             "recursion inconsistent at the empty monomial")
-                    if not (m >> (2 * _W)) & _MASK:
+                    if not (m >> (2 * W)) & MASK:
                         raise AssertionError(
                             f"recursion breaks the initial condition at "
                             f"{unpack_key(m, n_fields)[0]}")
@@ -571,7 +570,7 @@ def check_string_dilaton(sol: SpecialSolution) -> ResidualReport:
             add_term(string, key, -value)
         dilaton = t_derivative(table, n, (1, 1), 1)
         for key, value in table.items():
-            add_term(dilaton, key, -((key & _MASK) + _degree(key)) * value)
+            add_term(dilaton, key, -((key & MASK) + _degree(key)) * value)
         for residuals, series in ((string_res, string), (dilaton_res, dilaton)):
             residuals.update(((alpha, *unpack_key(key, n)), Fraction(value, sol.den))
                              for key, value in series.items()
@@ -612,10 +611,10 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
             for base, value in series.items():
                 # t^m = t^var * t^base is written only through its largest
                 # variable other than t^1_0
-                if (base >> (2 * _W)) & _MASK == rest_degree - 1 \
+                if (base >> (2 * W)) & MASK == rest_degree - 1 \
                         and max(_variables(base, n_fields), default=var) <= var:
                     m = base + _unit(shift)
-                    sol._write(alpha, m, value, den * ((m >> shift) & _MASK))
+                    sol._write(alpha, m, value, den * ((m >> shift) & MASK))
     return sol
 
 
@@ -624,10 +623,10 @@ def solutions_agree(a: SpecialSolution, b: SpecialSolution,
     """Compare two solutions (over one ring) on the common truncation box."""
     n = a.ring.n_fields
     a.ring.check_compatible(b.ring)
-    beyond = _VARS + _W * n * (bounds.t_max + 1)  # the first slot past t_max
+    beyond = _VARS + W * n * (bounds.t_max + 1)  # the first slot past t_max
     for ta, tb in zip(a._tables, b._tables):
         for key in ta.keys() | tb.keys():
-            if _degree(key) <= bounds.t_deg and key & _MASK <= bounds.eps_max \
+            if _degree(key) <= bounds.t_deg and key & MASK <= bounds.eps_max \
                     and not key >> beyond \
                     and ta.get(key, 0) * b.den != tb.get(key, 0) * a.den:
                 return False
@@ -678,7 +677,7 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
         for i in range(b.eps_max + 1):
             for degree in range(sdeg + 1):
                 level = sorted(unpack_key(key, n)[0] for key in residual
-                               if key & _MASK == i and _degree(key) == degree)
+                               if key & MASK == i and _degree(key) == degree)
                 for m in level:
                     coeff = Fraction(residual.get(pack_key(n, m, i), 0), den)
                     if not coeff:

@@ -14,7 +14,6 @@ the package's small immutable records.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -186,17 +185,6 @@ def add_term(terms: dict, key, value) -> None:
         terms[key] = new
     elif cur is not None:
         del terms[key]
-
-
-def over_one_den(coeffs: dict) -> tuple[dict, int]:
-    """Nonzero Fractions as (int numerators, den) in lowest terms.
-
-    den is the lcm of the reduced denominators, so each prime power of den is
-    the whole denominator of some coefficient, whose numerator that prime
-    does not divide: gcd(den, numerators) = 1 with no gcd taken.
-    """
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
 
 
 def power_by_squaring(base, n: int):

@@ -384,6 +384,16 @@ def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     assert err.startswith("malformed render input:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r, window", [(3, 1024), (5, 512), (3, 100000)])
+def test_a_quantize_window_beyond_the_mode_slots_is_a_usage_error(run, r, window):
+    # the top mode slot, 2 + (2 window + 1)(r - 1) - 1, passes 4095
+    code, out, err = run("quantize-check", "--r", str(r), "--window", str(window))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("quantize-check:") and "above 4095" in err \
+        and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("payload", [
     {"g": 2},
     [1],

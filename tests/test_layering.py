@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drhier"
-ORDER = ["scalars", "diffpoly", "psido", "hamops", "gdhier", "drspin",
+ORDER = ["slots", "scalars", "diffpoly", "psido", "hamops", "gdhier", "drspin",
          "quantize", "reconstruct", "cli"]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weyl_reference as ref
 from drhier import quantize
 from drhier.diffpoly import DiffPoly, Ring, eps_dress, integrate
 from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
@@ -18,6 +19,7 @@ from drhier.quantize import (
     WeylElement,
     f_r_map,
     lf_to_p_series,
+    unpack_key,
     weyl_commutator,
     weyl_star,
 )
@@ -333,7 +335,7 @@ def test_classical_limit_multiplicative():
 def test_g11_lift_round_trip():
     lifted = lf_to_p_series(builtin_g11(3), 2)
     assert lifted.ctx == WeylContext(n_fields=2, window=2)
-    assert lifted.terms and all(h == 0 for h, _, _ in lifted.terms)
+    assert lifted.terms and all(h == 0 for h, _, _ in q_terms(lifted))
     back = lifted.classical_limit()
     assert back == lifted
 
@@ -422,14 +424,16 @@ I = AlgScalar(0, 1)
 
 
 @st.composite
-def weyl_elements(draw, ctx=CTX3):
-    """Up to three terms of up to four modes, k = 0 included, with hbar and eps."""
+def weyl_elements(draw, ctx=CTX3, max_power=1):
+    """Up to three terms of up to four modes, k = 0 included, with hbar and
+    eps; each mode drawn counts up to max_power times."""
     modes = st.tuples(st.integers(1, ctx.n_fields), st.integers(-ctx.window, ctx.window))
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         counts: dict = {}
         for mode in draw(st.lists(modes, max_size=4)):
-            counts[mode] = counts.get(mode, 0) + 1
+            power = draw(st.integers(1, max_power)) if max_power > 1 else 1
+            counts[mode] = counts.get(mode, 0) + power
         h, e = draw(st.integers(0, 1)), draw(st.integers(0, 2))
         key = (h, e, tuple(sorted((a, k, p) for (a, k), p in counts.items())))
         terms[key] = I ** (h + e) * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
@@ -456,7 +460,14 @@ def normal_order_by_swaps(word, rule, out, h=0, e=0, q=Fraction(1)):
 
 def q_terms(el) -> dict:
     """The decoded view of an element: (h, e, word) -> q as a Fraction."""
-    return {key: Fraction(n, el.den) for key, n in el.terms.items()}
+    return ref.decoded(el)
+
+
+def memo_words(n_fields) -> set:
+    """The reorder memo's keys with their packed keys decoded into words."""
+    return {(token, ref.word(unpack_key(pos, n_fields)[2]),
+             ref.word(unpack_key(nonpos, n_fields)[2]))
+            for token, pos, nonpos in quantize._REORDER_MEMO}
 
 
 def star_by_swaps(a, b, rule):
@@ -551,7 +562,7 @@ def test_products_without_cancelling_momenta_do_no_reordering(monkeypatch):
 
     monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
     assert weyl_star(a, b, rules[0]) != weyl_star(b, a, rules[0])
-    assert set(quantize._REORDER_MEMO) == {(rules[0].token, ((3, 1),), ((-3, 3),))}
+    assert memo_words(3) == {(rules[0].token, ((3, 1),), ((-3, 3),))}
 
 
 def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
@@ -563,7 +574,7 @@ def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
             a, b = rand_element(rng, ctx, max_degree=5), rand_element(rng, ctx, max_degree=5)
             assert q_terms(weyl_star(a, b, rule)) == star_by_swaps(a, b, rule)
     assert quantize._REORDER_MEMO
-    for _, pos, nonpos in quantize._REORDER_MEMO:
+    for _, pos, nonpos in memo_words(3):
         assert all(k >= 1 for k, _ in pos) and all(k <= 0 for k, _ in nonpos)
         assert {k for k, _ in pos} == {-k for k, _ in nonpos}
 
@@ -594,7 +605,7 @@ def test_constructor_adds_terms_that_meet_on_one_word():
     twice, squared, half = ((1, 1, 1), (1, 1, 1)), ((1, 1, 2),), Fraction(1, 2)
     x = WeylElement(CTX1, {(0, 0, twice): half, (0, 0, squared): half,
                            (0, 0, ((1, -1, 1),)): 3})
-    assert (x.den, x.terms) == (1, {(0, 0, ((1, 1), (1, 1))): 1, (0, 0, ((-1, 1),)): 3})
+    assert (x.den, q_terms(x)) == (1, {(0, 0, ((1, 1), (1, 1))): 1, (0, 0, ((-1, 1),)): 3})
     zero = WeylElement(CTX1, {(0, 0, twice): half, (0, 0, squared): -half})
     assert (zero.den, zero.terms) == (1, {})
 
@@ -655,3 +666,99 @@ def test_a_bracket_the_scale_does_not_clear_is_refused(monkeypatch):
     ctx = WeylContext(n_fields=3, window=3)
     with pytest.raises(ValueError, match="does not divide the scale 48"):
         weyl_star(WeylElement.mode(ctx, 1, 2), WeylElement.mode(ctx, 3, -2), deformed_rule(4))
+
+
+# -- the packed kernel against the tuple-word reference ----------------------------------
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_the_reference(make_rule, data):
+    # windows 1-5 share one memo; repeated modes contract with multiplicity
+    r, window = data.draw(st.sampled_from((4, 5))), data.draw(st.integers(1, 5))
+    ctx, rule = WeylContext(r - 1, window), make_rule(r)
+    a, b = data.draw(weyl_elements(ctx, 3)), data.draw(weyl_elements(ctx, 3))
+    ab = weyl_star(a, b, rule)
+    assert q_terms(ab) == ref.star(q_terms(a), q_terms(b), rule)
+    assert q_terms(f_r_map(r, ab)) == ref.f_r(r, q_terms(ab))
+    assert q_terms(f_r_map(r, a)) == ref.f_r(r, q_terms(a))
+
+
+def test_products_and_f_r_decode_no_key(monkeypatch):
+    rng = random.Random(101)
+    ctx = WeylContext(n_fields=3, window=3)
+    pairs = [(rand_element(rng, ctx, 4), rand_element(rng, ctx, 4)) for _ in range(8)]
+    rules = (std_rule(4), deformed_rule(4))
+
+    def products():
+        return [(weyl_star(a, b, rule), f_r_map(4, a)) for a, b in pairs for rule in rules]
+
+    expected = products()
+
+    def refuse(*args):
+        raise AssertionError("a key decoded on the product path")
+
+    monkeypatch.setattr(quantize, "unpack_key", refuse)
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    assert products() == expected  # cold memo
+    assert products() == expected  # warm memo
+
+
+# -- boundary refusals of the packed keys --------------------------------------------------
+
+
+def test_a_window_beyond_the_top_slot_is_refused():
+    # the top mode slot is 2 + (2 window + 1) n - 1
+    assert WeylContext(2, 1023) and WeylContext(4, 511)
+    for n, window in ((2, 1024), (4, 512), (1, 100000)):
+        with pytest.raises(ValueError, match="above 4095"):
+            WeylContext(n, window)
+
+
+@pytest.mark.parametrize("key", [
+    (-1, 0, ()), (0, -1, ()), (32768, 0, ()), (0, 32768, ((1, 1, 1),)),
+    (0, 0, ((1, 1, 0),)), (0, 0, ((1, 1, 32768),)),
+    (0, 0, ((1, -1, 20000), (1, -1, 20000))),
+    (0, 0, ((1, 1, 30000), (1, 1, 30000), (1, 1, 30000))),
+])
+def test_the_constructor_refuses_exponents_outside_the_slots(key):
+    with pytest.raises(ValueError):
+        WeylElement(CTX1, {key: 1})
+
+
+def test_top_exponents_are_held():
+    top = WeylElement(CTX1, {(32767, 32767, ((1, -3, 32767), (1, 3, 32767))): 1})
+    assert [key for key, _ in top.items()] == [(32767, 32767, ((1, -3, 32767), (1, 3, 32767)))]
+
+
+@pytest.mark.parametrize("left, right", [
+    ((0, 0, ((1, 2, 20000),)), (0, 0, ((1, 2, 20000),))),        # a mode count
+    ((20000, 0, ((1, 1, 1),)), (20000, 0, ((1, -2, 1),))),        # hbar, no contraction
+    ((20000, 0, ((1, 1, 1),)), (20000, 0, ((1, -1, 1),))),        # hbar, contracted
+    ((32767, 0, ((1, 1, 1),)), (0, 0, ((1, -1, 1),))),            # the bracket's hbar
+])
+def test_a_product_that_overflows_a_slot_is_refused(left, right):
+    rule = std_rule(2)
+    a, b = (WeylElement(CTX1, {key: I ** (key[0] + key[1])}) for key in (left, right))
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        weyl_star(a, b, rule)
+
+
+def test_a_bracket_that_overflows_eps_is_refused():
+    # [p1[1], p1[-1]] carries eps^2 under the deformed r = 4 rule
+    ctx = WeylContext(n_fields=3, window=2)
+    a = WeylElement(ctx, {(0, 32766, ((1, 1, 1),)): I ** 32766})
+    b = WeylElement.mode(ctx, 1, -1)
+    assert weyl_star(b, a, deformed_rule(4)).terms
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        weyl_star(a, b, deformed_rule(4))
+
+
+def test_an_f_r_image_that_overflows_a_slot_is_refused():
+    ctx = WeylContext(n_fields=3, window=2)
+    # field 2 has no shift; field 1 trades p1[1] for eps^2 p3[1]
+    assert f_r_map(4, WeylElement(ctx, {(0, 32767, ((2, 1, 1),)): I ** 32767})).terms
+    for key in ((0, 32766, ((1, 1, 1),)), (0, 0, ((1, 1, 1), (3, 1, 32767)))):
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            f_r_map(4, WeylElement(ctx, {key: I ** key[1]}))
