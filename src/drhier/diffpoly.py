@@ -642,72 +642,50 @@ class LocalFunctional:
     def canonical_density(self) -> DiffPoly:
         """Deterministic representative obtained by integration by parts.
 
-        Repeatedly rewrites the largest monomial whose maximal jet variable
-        (ordered by (order, field)) can shed one derivative without creating
-        a larger monomial; pure constants are dropped.  Distinct functionals
-        get distinct canonical densities within a fixed ring.
+        Write a monomial as m = A u^a_o, u^a_o its largest jet variable in
+        (order, field) order.  When o > 0, u^a_o has power 1 and every other
+        jet of A stays below u^a_o after one more derivative, m is rewritten
+        as -d_x(A) u^a_{o-1}; a jet u^a_{o-1} of A gives back m itself, which
+        is solved in place.  Other monomials are kept, constants dropped.
+        Distinct functionals get distinct canonical densities within a ring.
+
+        Descent: the top slot of a packed key holds its largest jet variable,
+        so every monomial a rewrite yields has a lower top slot, and is a
+        smaller int.  Popping the keys off a max-heap meets each monomial
+        once, after all of its contributions.
         """
-        ring = self.ring
-        n = ring.n_fields
-        up = (1 << (W * n)) - 1
+        step = W * self.ring.n_fields     # one derivative order, in bits
+        up = (1 << step) - 1              # times a slot's unit: one order up
         density = self.density
         work = {key: Fraction(v, density.den)
                 for key, v in density.terms.items() if key >> _JETS}
-        decoded: dict[int, Monomial] = {}
-
-        def entry(key):
-            """(descending sort key, key): negating every part reverses
-            ``monomial_sort_key``, because two monomials of one eps and total
-            power never have jets of which one is a proper prefix."""
-            mon = decoded[key] = _unpack(key, n)
-            eps, jets = mon
-            return ((-eps, -sum(p for _, _, p in jets),
-                     tuple((-a, -o, -p) for a, o, p in jets)), key)
-
-        # a max-heap of the pending monomials; an entry whose key has been
-        # popped, or has cancelled away, since it was pushed is skipped
-        heap = [entry(key) for key in work]
+        heap = [-key for key in work]     # a max-heap of the pending keys
         heapify(heap)
         out: dict = {}
-        guard = 0
         while heap:
-            key = heappop(heap)[1]
-            coeff = work.pop(key, None)
-            if coeff is None:
+            key = -heappop(heap)
+            coeff = work.pop(key)
+            if not coeff:
                 continue
-            guard += 1
-            if guard > 200000:
-                raise RuntimeError("canonical_density failed to terminate")
-            occurrences = [(o, a, p) for a, o, p in decoded[key][1]]
-            o_max, a_max, p_max = max(occurrences)
-            reducible = o_max > 0 and p_max == 1
-            if reducible:
-                for o, a, p in occurrences:
-                    if (o, a) == (o_max, a_max):
-                        continue
-                    if (o + 1, a) < (o_max, a_max) or (a, o) == (a_max, o_max - 1):
-                        continue
-                    reducible = False
-                    break
-            if not reducible:
-                add_term(out, key, coeff)
+            *rest, (top, power) = nonzero_slots(key, _JETS)
+            below = rest[-1][0] + step if rest else 0  # the next jet, derived once
+            if power != 1 or top < _JETS + step or below > top:
+                out[key] = coeff
                 continue
-            # m = A * u^{a}_{o}: replace by -dx(A) * u^{a}_{o-1} mod im(dx)
-            shift = W * (1 + o_max * n + a_max)
-            rest = key - (1 << shift) - o_max * _DEG
-            base = rest + _DEG + (1 << (shift - W * n)) + (o_max - 1) * _DEG
-            repl = {base + (up << s): -p for s, p in nonzero_slots(rest, _JETS)}
-            self_coeff = repl.pop(key, None)
-            scale = Fraction(1)
-            if self_coeff is not None:
-                # m appears in its own rewrite: solve (1 - c) m = rest
-                scale = Fraction(1, 1 - self_coeff)
-            for m2, c2 in repl.items():
-                if m2 not in work:
-                    heappush(heap, entry(m2))
-                add_term(work, m2, coeff * c2 * scale)
+            if below == top:
+                # m appears in its own rewrite with coefficient -p: (1 + p) m = ...
+                coeff /= 1 + rest.pop()[1]
+            base = key - (1 << top) + (1 << (top - step))
+            for shift, p in rest:
+                m2 = base + (up << shift)
+                assert m2 < key, "a rewrite must descend in key order"
+                if m2 in work:
+                    work[m2] -= p * coeff
+                else:
+                    work[m2] = -p * coeff
+                    heappush(heap, -m2)
         check_slots(out)
-        return DiffPoly.from_items(ring, ((decoded[key], c) for key, c in out.items()))
+        return DiffPoly(self.ring, *over_one_den(out))
 
     def render(self, names=None, eps_name: str = "eps") -> str:
         return self.canonical_density().render(names, eps_name)

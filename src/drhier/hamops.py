@@ -211,9 +211,8 @@ def miura_invert(m: MiuraMap, emax: int) -> MiuraMap:
     return MiuraMap(ring, current)
 
 
-def miura_push_poly(f, m: MiuraMap, emax: int):
-    """Rewrite f(u) in the new variables: substitute u = m^{-1}(w), cut at eps^emax."""
-    inverse = miura_invert(m, emax)
+def miura_push_poly(f, inverse: MiuraMap, emax: int):
+    """Rewrite f(u) in the new variables: substitute u = inverse(w), cut at eps^emax."""
     images = {a + 1: img for a, img in enumerate(inverse.entries)}
     if isinstance(f, LocalFunctional):
         return LocalFunctional(
@@ -261,10 +260,9 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
     return out
 
 
-def miura_push_operator(K: HamiltonianOperator, m: MiuraMap,
+def miura_push_operator(K: HamiltonianOperator, m: MiuraMap, inverse: MiuraMap,
                         emax: int) -> HamiltonianOperator:
-    """Operator transport under a Miura map, truncated at eps^emax."""
-    inverse = miura_invert(m, emax)
+    """Operator transport under a Miura map m, truncated at eps^emax."""
     images = {a + 1: img for a, img in enumerate(inverse.entries)}
     moved = transport_operator(K, m.entries, images)
     return moved.truncate_eps(emax)

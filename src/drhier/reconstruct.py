@@ -45,8 +45,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, local_eq
-from .hamops import HamiltonianOperator, MiuraMap, flow, miura_push_operator, \
-    miura_push_poly
+from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
+    miura_push_operator, miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
 from .scalars import Frozen, add_term, exact_rational
@@ -811,12 +811,13 @@ def verify_dr_dz_equivalence(ctx: GDContext,
 
     k_spin, h_spin = rspin_system(ctx, 1, 1)
     eta = eta_matrix(r)
+    inverse = miura_invert(miura, eps_max)
     pushed_op = miura_push_operator(HamiltonianOperator.eta_dx(ring, eta),
-                                    miura, eps_max)
+                                    miura, inverse, eps_max)
     op_diff = pushed_op - k_spin.truncate_eps(eps_max)
     cond2 = all(op.is_zero() for row in op_diff.entries for op in row)
 
-    pushed_h = miura_push_poly(g11, miura, eps_max)
+    pushed_h = miura_push_poly(g11, inverse, eps_max)
     cond3 = local_eq(pushed_h, h_spin.truncate_eps(eps_max))
     h_diff = pushed_h.canonical_density() \
         - h_spin.truncate_eps(eps_max).canonical_density()

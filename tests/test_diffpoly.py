@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from heapq import heappop
 
 import pytest
 
+from conftest import ctx_for
+from drhier import diffpoly
+from drhier.gdhier import rspin_hamiltonian
 from drhier.scalars import AlgScalar
 from drhier.diffpoly import (
     DiffPoly,
@@ -138,6 +142,42 @@ def test_canonical_density_mixed_field_tie():
     b = integrate(-(u(1, 1, R2) * u(2, 2, R2)))
     assert a.canonical_density() == b.canonical_density()
     assert local_eq(a, b)
+
+
+def counted_pops(monkeypatch):
+    """Patch the heap pop of canonical_density; returns the popped entries."""
+    popped = []
+
+    def pop(heap):
+        popped.append(heappop(heap))
+        return popped[-1]
+
+    monkeypatch.setattr(diffpoly, "heappop", pop)
+    return popped
+
+
+def test_canonical_density_of_a_long_descent(monkeypatch):
+    # sum of u_a u_b u_c u_d over a + b + c + d = 24: rewrites feed monomials
+    # that are rewritten in turn, and each is still popped only once
+    items = [((0, ((1, a, 1), (1, b, 1), (1, c, 1), (1, 24 - a - b - c, 1))), 1)
+             for a in range(25) for b in range(a, 25) for c in range(b, 25)
+             if 24 - a - b - c >= c]
+    h = integrate(DiffPoly.from_items(R1, items))
+    assert len(h.density.terms) == 169
+    popped = counted_pops(monkeypatch)
+    canonical = h.canonical_density()
+    assert len(popped) == 169
+    assert local_eq(LocalFunctional(canonical), h)
+
+
+def test_canonical_density_pops_each_monomial_once(monkeypatch):
+    h = rspin_hamiltonian(ctx_for(3), 2, 3)
+    assert len(h.density.terms) == 102
+    popped = counted_pops(monkeypatch)
+    canonical = h.canonical_density()
+    # no monomial is rewritten or emitted twice
+    assert len(popped) == len(set(popped))
+    assert local_eq(LocalFunctional(canonical), h)
 
 
 # -- eps dressing --------------------------------------------------------------------

@@ -432,7 +432,7 @@ def test_rspin_normalization_identity(r):
 def test_rspin_normalization_is_miura_shifted(r):
     # for r = 4, 5 the pairing functional picks up the second-derivative
     # shift of the w(u) change: h_{1,0} = (1/2 eta u u)[u -> u(w)]
-    from drhier.hamops import MiuraMap, miura_push_poly
+    from drhier.hamops import MiuraMap, miura_invert, miura_push_poly
 
     ctx = CTX[r]
     ring = ctx.ring_w
@@ -445,7 +445,8 @@ def test_rspin_normalization_is_miura_shifted(r):
             beta, c = shifts[a]
             w = w + (DiffPoly.jet(ring, beta, 2) * c).eps_shift(2)
         entries.append(w)
-    pushed = miura_push_poly(pairing_functional(ctx), MiuraMap(ring, entries), 8)
+    pushed = miura_push_poly(pairing_functional(ctx),
+                             miura_invert(MiuraMap(ring, entries), 8), 8)
     assert local_eq(rspin_hamiltonian(ctx, 1, 0), pushed)
     # and the eps = 0 part is still the plain pairing
     assert local_eq(rspin_hamiltonian(ctx, 1, 0).eps_coefficient(0),
