@@ -42,10 +42,15 @@ back.
 
 Each rule has an integer ``scale``, the lcm of its constants'
 denominators.  The reorder memo maps (rule token, positive key, nonpositive
-key), two keys of modes that all contract, to the normal order of their
-product: packed keys to numerators over scale^(number of positive modes).
-A bracket value that the scale does not make integral is refused.  The
-memo stays module-level, as the benchmark reads its size.
+key), two keys of one momentum block, the modes p_k and p_{-k} of a single
+k >= 1, to the normal order of their product: packed keys to numerators
+over scale^(number of positive modes).  Since both brackets vanish unless
+the momenta add to zero, modes of different |k| commute, so by Wick's
+theorem a pair that contracts at several momenta normal-orders to the
+commutative product of its blocks' normal orders, and the memo holds
+single-block keys only.  A bracket value that the scale does not make
+integral is refused.  The memo stays module-level, as the benchmark reads
+its size.
 
 The classical (hbar^0) part is the Fourier dictionary of local functionals:
 u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
@@ -183,6 +188,14 @@ def monomial(pkey) -> str:
                     for alpha, k, power in pkey) or "1"
 
 
+@lru_cache(maxsize=16)
+def _mode_offsets(n: int, window: int) -> dict:
+    """(alpha, k) -> the bit offset of its slot, for the modes of an n-field
+    context within the window."""
+    return {(alpha, k): W * _slot(n, k, alpha)
+            for alpha in range(1, n + 1) for k in range(-window, window + 1)}
+
+
 def pack_key(ctx: WeylContext, h: int, e: int, pkey) -> int:
     """The key of hbar^h eps^e times the (alpha, k, power) factors of pkey.
 
@@ -191,16 +204,16 @@ def pack_key(ctx: WeylContext, h: int, e: int, pkey) -> int:
     """
     if not (0 <= h <= SLOT_MAX and 0 <= e <= SLOT_MAX):
         raise ValueError(f"hbar and eps exponents must lie in 0..{SLOT_MAX}, got {h}, {e}")
-    n, window = ctx.n_fields, ctx.window
+    offsets = _mode_offsets(ctx.n_fields, ctx.window)
     key = h + e * _EPS
     for alpha, k, power in pkey:
-        if not 1 <= alpha <= n:
-            raise ValueError(f"field index {alpha} out of range")
-        if not -window <= k <= window:
-            raise ValueError(f"mode {k} outside window {window}")
+        shift = offsets.get((alpha, k))
+        if shift is None:
+            if not 1 <= alpha <= ctx.n_fields:
+                raise ValueError(f"field index {alpha} out of range")
+            raise ValueError(f"mode {k} outside window {ctx.window}")
         if not 1 <= power <= SLOT_MAX:
             raise ValueError(f"powers must lie in 1..{SLOT_MAX}, got {power}")
-        shift = W * _slot(n, k, alpha)
         key += power << shift
         if key >> shift & GUARD:  # two in-range powers never carry past the guard
             raise ValueError(f"a mode exponent exceeds {SLOT_MAX}")
@@ -283,12 +296,17 @@ class WeylElement:
     term; den > 0 and gcd(den, numerators) = 1.  The constructor takes
     {(hbar_exp, eps_exp, pkey): c} with pkey a tuple of (alpha, k, power)
     factors and c a Fraction, int or AlgScalar.
+
+    ``weyl_star`` caches each side's (key, numerator, occupancy bits) rows
+    in ``_left`` and ``_right`` the first time the element is used on that
+    side; they are None until then and take no part in equality.
     """
 
-    __slots__ = ("ctx", "terms", "den")
+    __slots__ = ("ctx", "terms", "den", "_left", "_right")
 
     def __init__(self, ctx: WeylContext, terms: dict | None = None):
         self.ctx = ctx
+        self._left = self._right = None
         nums: dict = {}
         den = 1
         for (h, e, pkey), c in (terms or {}).items():
@@ -312,6 +330,7 @@ class WeylElement:
         out.ctx = ctx
         out.terms = terms
         out.den = den
+        out._left = out._right = None
         return out
 
     @classmethod
@@ -409,44 +428,32 @@ def _numerator(q, scale: int) -> int:
     return n
 
 
-def _normal_order(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
-    """Normal-order (product of the positive modes of key ``pos``) x (product
-    of the nonpositive modes of key ``nonpos``).
+def _normal_order(pos: int, nonpos: int, rule) -> dict:
+    """Normal-order (product of the modes of key ``pos``, all p_k) x (product
+    of the modes of key ``nonpos``, all p_{-k}) for one k >= 1.
 
-    Returns {key: n}, numerators over rule.scale^(positive modes).  Only the
-    modes whose momenta cancel go to ``_reorder``; the rest commutes with
-    every mode of the other key, because both rules' brackets vanish unless
-    the momenta add to zero, and its counts are added to every key.
+    Returns {key: n}, numerators over rule.scale^(positive modes).  Unless
+    both keys hold modes, nothing contracts and the product is their sum.
     """
-    n = ctx.n_fields
-    vals, guards, spread, neg, starts, _ = _layout(n, ctx.window)
-    cancel = (_blocks(pos, vals, guards, spread, starts) >> W * n) \
-        & _blocks(nonpos, vals, guards, spread, neg)
-    scale = rule.scale
-    if not cancel:
-        return {pos + nonpos: scale ** _count(pos) if scale != 1 else 1}
-    mask = (cancel >> (W - 1)) * ((1 << W * n) - 1)
-    c_pos, c_nonpos = pos & (mask << W * n), nonpos & mask
-    rest = pos + nonpos - c_pos - c_nonpos
-    lift = scale ** (_count(pos) - _count(c_pos)) if scale != 1 else 1
-    return {rest + d: nc * lift for d, nc in _reorder(c_pos, c_nonpos, rule, ctx).items()}
+    if pos and nonpos:
+        return _reorder(pos, nonpos, rule)
+    return {pos + nonpos: rule.scale ** _count(pos) if rule.scale != 1 else 1}
 
 
-def _reorder(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
-    """``_normal_order`` of two keys in which every mode contracts.
+def _reorder(pos: int, nonpos: int, rule) -> dict:
+    """``_normal_order`` of two nonzero keys of one momentum block.
 
-    Each positive mode's momentum k meets a -k in ``nonpos`` and vice versa.
-    Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos), so a key
-    holds contracting modes alone; the value's numerators are over
-    rule.scale^(positive modes).  The largest positive mode x moves through
-    ``nonpos``: c identical copies of a mode y contract with x to c equal
-    terms, so each distinct y gives c [x, y] times one normal order.
+    Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos); the
+    value's numerators are over rule.scale^(positive modes).  The largest
+    positive mode x moves through ``nonpos``: c identical copies of a mode y
+    contract with x to c equal terms, so each distinct y gives c [x, y]
+    times one normal order.
     """
     key = (rule.token, pos, nonpos)
     out = _REORDER_MEMO.get(key)
     if out is not None:
         return out
-    n = ctx.n_fields
+    n = rule.n_fields
     shift = (pos.bit_length() - 1) // W * W
     x = 1 << shift
     k, alpha = _mode(n, shift // W)
@@ -460,7 +467,7 @@ def _reorder(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
         copies = (nonpos >> y) & MASK
         brackets = rule.bracket((k, alpha), (-k, beta)) if copies else None
         if brackets:
-            order = _normal_order(head, nonpos - (1 << y), rule, ctx)
+            order = _normal_order(head, nonpos - (1 << y), rule)
             for h, e, q in brackets:
                 num = copies * _numerator(q, scale)
                 delta = h + e * _EPS
@@ -468,7 +475,7 @@ def _reorder(pos: int, nonpos: int, rule, ctx: WeylContext) -> dict:
                     term = key2 + delta
                     acc[term] = acc.get(term, 0) + num * n2
     # and the fully commuted term with x appended
-    for key2, n2 in _normal_order(head, nonpos, rule, ctx).items():
+    for key2, n2 in _normal_order(head, nonpos, rule).items():
         term = key2 + x
         acc[term] = acc.get(term, 0) + n2 * scale
     out = {term: n for term, n in acc.items() if n}
@@ -483,33 +490,39 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     For each pair of keys, the momentum blocks that hold a left positive
     mode are ANDed with those that hold a right nonpositive mode of the
     opposite momentum.  A pair with no cancelling momentum is already normal
-    ordered: its product key is the sum of the keys.  Otherwise only the
-    contracting modes go to the memoized ``_reorder``, and the rest of both
-    keys is added to each of its keys.  The result accumulates as int
-    numerators over a.den * b.den * scale^M, M the most positive modes of a
-    key of a: a pair that contracts m modes lifts its memo numerators by
-    scale^(M - m).
+    ordered: its product key is the sum of the keys.  Otherwise each
+    cancelling momentum's block goes to the memoized ``_reorder`` on its
+    own, since modes of different |k| commute, and the product of the block
+    orders, plus the rest of both keys, is added in.  The result
+    accumulates as int numerators over a.den * b.den * scale^M, M the most
+    positive modes of a key of a: a pair that contracts m modes lifts its
+    numerators by scale^(M - m).
     """
     ctx = a.ctx
     if ctx != b.ctx:
         raise ValueError("window/context mismatch")
     if rule.n_fields != ctx.n_fields:
         raise ValueError("rule and element field counts differ")
-    n = ctx.n_fields
-    block = W * n
+    block = W * ctx.n_fields
     ones = (1 << block) - 1
-    vals, guards, spread, neg, pos, positive = _layout(n, ctx.window)
-    right = [(w2, _blocks(w2, vals, guards, spread, neg), n2) for w2, n2 in b.terms.items()]
+    vals, guards, spread, neg, pos, positive = _layout(ctx.n_fields, ctx.window)
+    left = a._left
+    if left is None:  # the +k occupancy bits moved onto the -k blocks
+        left = a._left = [(w1, n1, _blocks(w1, vals, guards, spread, pos) >> block)
+                          for w1, n1 in a.terms.items()]
+    right = b._right
+    if right is None:
+        right = b._right = [(w2, n2, _blocks(w2, vals, guards, spread, neg))
+                            for w2, n2 in b.terms.items()]
     scale = rule.scale
     most = max((_count(w1 & positive) for w1 in a.terms), default=0) if scale != 1 else 0
     lift = [scale ** (most - m) for m in range(most + 1)]
     top = lift[0]
     acc: dict = {}
     get = acc.get
-    for w1, n1 in a.terms.items():
-        momenta = _blocks(w1, vals, guards, spread, pos) >> block  # onto the -k blocks
+    for w1, n1, momenta in left:
         n1_top = n1 * top
-        for w2, opposite, n2 in right:
+        for w2, n2, opposite in right:
             cancel = momenta & opposite
             if not cancel:  # already normal ordered
                 term = w1 + w2
@@ -517,14 +530,25 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
                 continue
             mask = (cancel >> (W - 1)) * ones
             c_pos, c_nonpos = w1 & (mask << block), w2 & mask
-            base = w1 + w2 - c_pos - c_nonpos
-            nn = n1 * n2 * (lift[_count(c_pos)] if scale != 1 else 1)
-            for d, nc in _reorder(c_pos, c_nonpos, rule, ctx).items():
-                term = base + d
-                acc[term] = get(term, 0) + nn * nc
+            terms = [(w1 + w2 - c_pos - c_nonpos,
+                      n1 * n2 * (lift[_count(c_pos)] if scale != 1 else 1))]
+            while True:  # one block at a time, lowest first
+                low = cancel & -cancel
+                cancel ^= low
+                mask = (low >> (W - 1)) * ones
+                order = _reorder(c_pos & (mask << block), c_nonpos & mask, rule).items()
+                if not cancel:
+                    break
+                terms = [(t + d, v * nc) for t, v in terms for d, nc in order]
+            for t, v in terms:
+                for d, nc in order:
+                    term = t + d
+                    acc[term] = get(term, 0) + v * nc
     # mode slots never carry: a memo term holds some of the contracted modes.
-    # An hbar or eps sum past the guard that a memo term could carry on shows
-    # in the pair's fully commuted term w1 + w2, which every memo value holds.
+    # Every block order holds its fully commuted term, so acc holds w1 + w2
+    # and each key that swaps one block's memo term in at a time: hbar and
+    # eps climb from w1 + w2 by at most SLOT_MAX a step, and the first key to
+    # pass SLOT_MAX sets its guard before any carry.
     check_slots(acc)
     return WeylElement._normal(ctx, acc, a.den * b.den * top)
 
@@ -535,26 +559,28 @@ def weyl_commutator(a: WeylElement, b: WeylElement, rule) -> WeylElement:
 
 @lru_cache(maxsize=16)
 def _f_r_table(r: int, window: int) -> tuple:
-    """(L, mask, [(shift, delta, step)]) of f_r in an (r - 1)-field context.
-
-    L is the lcm of the shift denominators, and each image is (L p^alpha_k
-    + s k^2 eps^2 p^beta_k) / L with s = cL.  One entry per shifted mode
-    (k, alpha), k != 0: its slot's bit offset, the key delta that trades
-    one p^alpha_k for eps^2 p^beta_k, and s k^2; mask covers their slots.
-    """
-    n = r - 1
+    """(L, mask) of f_r in an (r - 1)-field context: L the lcm of the shift
+    denominators, mask the slots of the shifted modes (k, alpha), k != 0."""
     shifts = DR_DZ_SHIFTS[r]
-    L = lcm(*(c.denominator for _, c in shifts.values()))
-    table, mask = [], 0
-    for alpha, (beta, c) in shifts.items():
-        s = _numerator(c, L)
-        for k in range(-window, window + 1):
-            if k:
-                shift = W * _slot(n, k, alpha)
-                table.append((shift, (1 << W * _slot(n, k, beta)) - (1 << shift) + 2 * _EPS,
-                              s * k * k))
-                mask |= MASK << shift
-    return L, mask, tuple(table)
+    mask = 0
+    for alpha in shifts:
+        for k in range(1, window + 1):
+            mask |= MASK << W * _slot(r - 1, k, alpha) | MASK << W * _slot(r - 1, -k, alpha)
+    return lcm(*(c.denominator for _, c in shifts.values())), mask
+
+
+@lru_cache(maxsize=256)
+def _f_r_row(r: int, L: int, shift: int, power: int) -> tuple:
+    """f_r(p^alpha_k)^power, (k, alpha) the mode at bit offset ``shift``:
+    (key delta, numerator over L^power) for j = 0..power of its copies
+    traded for eps^2 p^beta_k, the image of one copy being
+    (L p^alpha_k + s k^2 eps^2 p^beta_k) / L with s = cL."""
+    k, alpha = _mode(r - 1, shift // W)
+    beta, c = DR_DZ_SHIFTS[r][alpha]
+    delta = (1 << W * _slot(r - 1, k, beta)) - (1 << shift) + 2 * _EPS
+    step = _numerator(c, L) * k * k
+    return tuple((j * delta, comb(power, j) * step ** j * L ** (power - j))
+                 for j in range(power + 1))
 
 
 def f_r_map(r: int, a: WeylElement) -> WeylElement:
@@ -565,10 +591,11 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
     on normal-form monomials.  Each image keeps the momentum n of its
     generator, so the images of a normal-ordered monomial come in normal
     order: their standard star product contracts nothing and is the
-    commutative product, expanded here with one binomial per shifted mode
-    of count p, j = 0..p of its copies traded for eps^2 p^beta by adding
-    key deltas.  The shift denominators come out as a power of their lcm
-    L: a key with t shifted modes expands over L^t, lifted to the common L^T.
+    commutative product, expanded here with one binomial row per occupied
+    shifted slot of count p, j = 0..p of its copies traded for eps^2 p^beta
+    by adding key deltas.  The shift denominators come out as a power of
+    their lcm L: a key with t shifted modes expands over L^t, lifted to the
+    common L^T.
     """
     if r not in (4, 5) or r not in DR_DZ_SHIFTS:
         raise ValueError("f_r is defined for r = 4, 5")
@@ -576,26 +603,21 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
         raise ValueError(f"f_{r} acts on {r - 1} fields, not {a.ctx.n_fields}")
     # in q form f_r(p^alpha_n) = p^alpha_n + c n^2 eps^2 p^beta_n (the
     # coefficient -c n^2 over i^2)
-    L, mask, table = _f_r_table(r, a.ctx.window)
+    L, mask = _f_r_table(r, a.ctx.window)
     expanded = []
     for key, n in a.terms.items():
-        partial = {key: n}  # key -> numerator over L^t
+        partial = [(key, n)]  # (key, numerator over L^t) pairs
         t = 0
-        if key & mask:
-            for shift, delta, step in table:
-                power = (key >> shift) & MASK
-                if power:
-                    t += power
-                    choices = [(j * delta, comb(power, j) * step ** j * L ** (power - j))
-                               for j in range(power + 1)]
-                    partial = {k2 + dk: n2 * f
-                               for k2, n2 in partial.items() for dk, f in choices}
+        for shift, power in nonzero_slots(key & mask):
+            t += power
+            row = _f_r_row(r, L, shift, power)
+            partial = [(k2 + dk, n2 * f) for k2, n2 in partial for dk, f in row]
         expanded.append((t, partial))
     most = max((t for t, _ in expanded), default=0)
     acc: dict = {}
     for t, partial in expanded:
         lift = L ** (most - t)
-        for k2, n2 in partial.items():
+        for k2, n2 in partial:
             acc[k2] = acc.get(k2, 0) + n2 * lift
     # an eps sum that carries past its guard passes on its way every value
     # that sets the guard: the expansion adds eps^2 one trade at a time

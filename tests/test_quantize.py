@@ -565,18 +565,90 @@ def test_products_without_cancelling_momenta_do_no_reordering(monkeypatch):
     assert memo_words(3) == {(rules[0].token, ((3, 1),), ((-3, 3),))}
 
 
+def cancelling_momenta(a, b) -> int:
+    """The most momenta at which a term of a contracts with a term of b."""
+    return max((len({k for k, _ in w1 if k >= 1} & {-k for k, _ in w2})
+                for _, _, w1 in q_terms(a) for _, _, w2 in q_terms(b)), default=0)
+
+
 def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
+    # a pair that contracts at several momenta fills one entry per momentum:
+    # modes of different |k| commute
     rng = random.Random(89)
     ctx = WeylContext(n_fields=3, window=2)
     monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    most = 0
     for rule in (std_rule(4), deformed_rule(4)):
         for _ in range(20):
             a, b = rand_element(rng, ctx, max_degree=5), rand_element(rng, ctx, max_degree=5)
             assert q_terms(weyl_star(a, b, rule)) == star_by_swaps(a, b, rule)
-    assert quantize._REORDER_MEMO
+            most = max(most, cancelling_momenta(a, b))
+    assert most >= 2 and quantize._REORDER_MEMO
     for _, pos, nonpos in memo_words(3):
         assert all(k >= 1 for k, _ in pos) and all(k <= 0 for k, _ in nonpos)
+        assert len({k for k, _ in pos}) == 1
         assert {k for k, _ in pos} == {-k for k, _ in nonpos}
+
+
+@st.composite
+def multi_block_pairs(draw, ctx):
+    """Two elements, each with one term that holds a mode +k (left) or -k
+    (right) for each of two or three momenta k, plus random terms."""
+    momenta = draw(st.lists(st.integers(1, ctx.window), min_size=2, max_size=3, unique=True))
+    fields = st.integers(1, ctx.n_fields)
+    modes = st.tuples(fields, st.integers(-ctx.window, ctx.window))
+    out = []
+    for sign in (1, -1):
+        counts: dict = {}
+        for mode in [(draw(fields), sign * k) for k in momenta] + draw(st.lists(modes, max_size=2)):
+            counts[mode] = counts.get(mode, 0) + draw(st.integers(1, 2))
+        h, e = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+        key = (h, e, tuple(sorted((a, k, p) for (a, k), p in counts.items())))
+        q = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 2)))
+        terms = dict(draw(weyl_elements(ctx, 2)).items())
+        terms[key] = I ** (h + e) * q
+        out.append(WeylElement(ctx, terms))
+    return out
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@pytest.mark.parametrize("r", [4, 5])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pairs_that_cancel_at_several_momenta_match_the_reference(make_rule, r, data):
+    ctx, rule = WeylContext(r - 1, data.draw(st.integers(2, 4))), make_rule(r)
+    a, b = data.draw(multi_block_pairs(ctx))
+    assert cancelling_momenta(a, b) >= 2
+    assert q_terms(weyl_star(a, b, rule)) == ref.star(q_terms(a), q_terms(b), rule)
+
+
+def test_occupancy_is_computed_once_per_side(monkeypatch):
+    rng = random.Random(103)
+    ctx = WeylContext(n_fields=3, window=3)
+    a, b, c = (rand_element(rng, ctx, 4) for _ in range(3))
+    uncached = [WeylElement(ctx, dict(x.items())) for x in (a, b, c)]
+    calls = []
+    blocks = quantize._blocks
+
+    def counted(key, *rest):
+        calls.append(key)
+        return blocks(key, *rest)
+
+    monkeypatch.setattr(quantize, "_blocks", counted)
+    rule = std_rule(4)
+    first = [weyl_star(a, b, rule), weyl_star(b, c, rule)]
+    # b is used on both sides, a only on the left and c only on the right
+    assert len(calls) == len(a.terms) + 2 * len(b.terms) + len(c.terms)
+    assert a._right is None and c._left is None
+    calls.clear()
+    for _ in range(3):
+        assert [weyl_star(a, b, rule), weyl_star(b, c, rule)] == first
+        weyl_star(a, b, deformed_rule(4))  # the rows do not depend on the rule
+    assert calls == []
+    # the cache takes no part in equality, hashing or items
+    for x, y in zip((a, b, c), uncached):
+        assert y._left is None and y._right is None
+        assert x == y and hash(x) == hash(y) and x.items() == y.items()
 
 
 # -- the canonical form: int numerators over one denominator in lowest terms ---------------
@@ -737,6 +809,7 @@ def test_top_exponents_are_held():
     ((20000, 0, ((1, 1, 1),)), (20000, 0, ((1, -2, 1),))),        # hbar, no contraction
     ((20000, 0, ((1, 1, 1),)), (20000, 0, ((1, -1, 1),))),        # hbar, contracted
     ((32767, 0, ((1, 1, 1),)), (0, 0, ((1, -1, 1),))),            # the bracket's hbar
+    ((32766, 0, ((1, 1, 1), (1, 2, 1))), (0, 0, ((1, -2, 1), (1, -1, 1)))),  # two blocks' hbar
 ])
 def test_a_product_that_overflows_a_slot_is_refused(left, right):
     rule = std_rule(2)
@@ -753,6 +826,23 @@ def test_a_bracket_that_overflows_eps_is_refused():
     assert weyl_star(b, a, deformed_rule(4)).terms
     with pytest.raises(ValueError, match="exceeds 32767"):
         weyl_star(a, b, deformed_rule(4))
+    # contracted at two momenta: one block stays at eps^32766, both pass it
+    b = WeylElement(ctx, {(0, 0, ((1, -2, 1), (1, -1, 1))): 1})
+    for modes in (((1, 1, 1), (2, 2, 1)), ((1, 2, 1), (2, 1, 1))):
+        assert weyl_star(WeylElement(ctx, {(0, 32764, modes): I ** 32764}), b,
+                         deformed_rule(4)).terms
+    a = WeylElement(ctx, {(0, 32764, ((1, 1, 1), (1, 2, 1))): I ** 32764})
+    assert weyl_star(b, a, deformed_rule(4)).terms
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        weyl_star(a, b, deformed_rule(4))
+
+
+def test_f_r_expands_any_power_of_a_shifted_mode():
+    # one binomial row per occupied shifted slot, built for the power it holds
+    ctx = WeylContext(n_fields=3, window=2)
+    for power in (1, 2, 9, 300):
+        x = WeylElement(ctx, {(0, 1, ((1, -1, 1), (1, 2, power), (2, 1, 3))): I})
+        assert q_terms(f_r_map(4, x)) == ref.f_r(4, q_terms(x))
 
 
 def test_an_f_r_image_that_overflows_a_slot_is_refused():

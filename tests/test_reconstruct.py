@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhier.diffpoly import DiffPoly, Ring, integrate
+from drhier import reconstruct
+from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import builtin_g11
 from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian
-from drhier.hamops import HamiltonianOperator, MiuraMap, flow
+from drhier.hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, miura_push_poly
 from drhier.psido import PseudoDiffOp
 from drhier.reconstruct import (
     SLOT_MAX,
@@ -606,6 +607,31 @@ def test_verify_r4_shift_map():
     ctx = ctx_for(4)
     report = verify_dr_dz_equivalence(ctx)
     assert report.conditions == (True, True, True)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_condition_three_is_the_canonical_density_of_the_difference(r, monkeypatch):
+    ctx = ctx_for(r)
+    report = verify_dr_dz_equivalence(ctx)
+    assert report.conditions == (True, True, True) and report.hamiltonian_diff.is_zero()
+    eps_max, ring = 2 * r + 2, ctx.ring_w
+    pushed = miura_push_poly(builtin_g11(r, ring),
+                             miura_invert(dz_miura_map(r, ring), eps_max), eps_max)
+    rspin_system = reconstruct.rspin_system
+    u = DiffPoly.jet(ring, r - 1, 1)
+    for shift, cond3 in ((u * u * u, False),  # a new functional
+                         (DiffPoly.const(ring, 5) + (u * u).dx(), True)):  # a constant
+        def perturbed(ctx, alpha, d):
+            K, h = rspin_system(ctx, alpha, d)
+            return K, h + integrate(shift.eps_shift(2))
+
+        monkeypatch.setattr(reconstruct, "rspin_system", perturbed)
+        h = perturbed(ctx, 1, 1)[1].truncate_eps(eps_max)
+        report = verify_dr_dz_equivalence(ctx)
+        assert report.conditions == (True, True, cond3) == (True, True, local_eq(pushed, h))
+        assert report.hamiltonian_diff == \
+            pushed.canonical_density() - h.canonical_density()
+        assert report.hamiltonian_diff.is_zero() is cond3
 
 
 def test_verify_r4_identity_fails_condition_two():
