@@ -3,8 +3,8 @@
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``,
 a ``quantize-check`` window beyond the packed mode slots) and malformed
-``render`` input (a coefficient outside Q, a jet beyond the packed slots or
-a non-boolean ``integrated`` among it), 3 missing,
+``render`` input (a coefficient outside Q, a jet or a field count beyond the
+packed slots or a non-boolean ``integrated`` among it), 3 missing,
 unreadable or malformed table file, 4 strict-policy table miss, 5
 computation precondition errors (a table whose n is not the sum of
 ``--counts`` among them), 6 internal errors (any other exception, such as
@@ -42,7 +42,7 @@ from .gdhier import (
 )
 from .hamops import HamiltonianOperator, flow
 from .psido import root_depth_for_residue
-from .slots import SLOT_MAX
+from .slots import SLOT_MAX, TOP_SLOT
 from .quantize import (
     DeformedRule,
     StandardRule,
@@ -132,19 +132,21 @@ def load_table(args) -> IntegralTable:
         table.default_zero = True
     return table
 
-def paired_expansion(args, labels: tuple[int, ...]):
+def paired_expansion(args, counts: tuple[int, ...]):
     """Load the table, expand Hain's formula for (g, n) and pair the two.
 
     The table must be for the command line's genus, number of markings
-    and, when it records them, marking labels.
+    and, when it records them, marking labels.  The labels are built only
+    once the table is read and its n matches.
     """
     table = load_table(args)
-    n = len(labels)
+    n = sum(counts)
     if table.n != n:
         raise ValueError(
             f"the table is for n = {table.n} but --counts sums to n = {n}")
     if table.g != args.g:
         raise ValueError(f"the table is for g = {table.g} but --g is {args.g}")
+    labels = counts_labels(counts)
     if table.labels and table.labels != labels:
         raise ValueError(f"the table has labels {list(table.labels)} but --counts "
                          f"implies labels {list(labels)}")
@@ -152,7 +154,7 @@ def paired_expansion(args, labels: tuple[int, ...]):
                            dilaton=not args.no_dilaton, g=args.g, n=n)
 
 def cmd_hain_pair(args) -> int:
-    poly = paired_expansion(args, counts_labels(args.counts))
+    poly = paired_expansion(args, args.counts)
     lines = [
         "a^({}) : {}".format(",".join(map(str, exps)), value)
         for exps, value in poly.coeffs
@@ -168,7 +170,7 @@ def cmd_assemble(args) -> int:
     if not profile.selection_holds():
         print("profile violates the degree selection rule", file=sys.stderr)
         return EXIT_PRECONDITION
-    poly = paired_expansion(args, profile.labels)
+    poly = paired_expansion(args, profile.counts)
     h = assemble_hamiltonian(args.r, [(profile, poly)])
     names = u_names(args.r - 1)
     emit(args, f"int {h.render(names)} dx", h.to_json_dict())
@@ -395,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="special solution and residuals")
     p.add_argument("--r", type=int_at_least(2), default=2)
-    p.add_argument("--tmax", type=int_at_least(1), default=3)
+    # t^1_tmax of the special solution sits at packed slot 3 + tmax
+    p.add_argument("--tmax", type=int_at_least(1, TOP_SLOT - 3), default=3)
     # a t-degree or eps order above SLOT_MAX does not fit the packed t-series keys
     p.add_argument("--t-degree", type=int_at_least(1, SLOT_MAX), default=4)
     p.add_argument("--eps-order", type=int_at_least(0, SLOT_MAX), default=4)

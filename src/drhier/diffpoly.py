@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 
 from .scalars import add_term, exact_rational, power_by_squaring, squarefree_part
-from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, check_slots, nonzero_slots,
-                    over_one_den)
+from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale,
+                    canonical_sum, check_slots, nonzero_slots, over_one_den)
 
 Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -49,7 +49,8 @@ class Ring:
 
     d, the squarefree part of r in an r-spin context, is recorded in the
     JSON form; rings with different field counts or d are unequal, so their
-    polynomials never mix.
+    polynomials never mix.  A field count whose u^N_0 needs a packed slot
+    above ``TOP_SLOT`` is refused.
     """
 
     __slots__ = ("n_fields", "d")
@@ -57,6 +58,9 @@ class Ring:
     def __init__(self, n_fields: int, d: int = 1):
         if n_fields < 1:
             raise ValueError("need at least one field")
+        if 1 + n_fields > TOP_SLOT:
+            raise ValueError(f"{n_fields} fields need packed slot {1 + n_fields} "
+                             f"for u^{n_fields}_0, above {TOP_SLOT}")
         self.n_fields = n_fields
         self.d = d
 
@@ -147,8 +151,8 @@ class DiffPoly:
     """Sparse differential polynomial over a fixed ring context.
 
     ``terms`` maps packed monomials to nonzero int numerators over ``den``,
-    in lowest terms; the constructor takes that form as it is.  Build a
-    polynomial from decoded terms with ``from_items``.
+    in the canonical form of ``slots``; the constructor takes that form as
+    it is.  Build a polynomial from decoded terms with ``from_items``.
     """
 
     __slots__ = ("ring", "terms", "den")
@@ -157,20 +161,6 @@ class DiffPoly:
         self.ring = ring
         self.terms = terms if terms is not None else {}
         self.den = den
-
-    @staticmethod
-    def _normal(ring: Ring, acc: dict, den: int) -> "DiffPoly":
-        """sum acc[key] / den in canonical form: zeros dropped, content divided
-        out.  acc itself becomes the terms when it holds no zero."""
-        terms = {key: v for key, v in acc.items() if v} if 0 in acc.values() else acc
-        if not terms:
-            return DiffPoly(ring)
-        if den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {key: v // g for key, v in terms.items()}
-        return DiffPoly(ring, terms, den)
 
     # -- constructors --------------------------------------------------------
 
@@ -245,10 +235,18 @@ class DiffPoly:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
+    def _operand(self, other) -> "DiffPoly":
+        """other as a polynomial of self's ring; another ring is refused."""
         if not isinstance(other, DiffPoly):
-            other = DiffPoly.const(self.ring, other)
-        return _sum(self, other, 1)
+            return DiffPoly.const(self.ring, other)
+        if other.ring is not self.ring:
+            self.ring.check_compatible(other.ring)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return DiffPoly(self.ring, *canonical_sum(self.terms, self.den,
+                                                  other.terms, other.den))
 
     __radd__ = __add__
 
@@ -256,9 +254,9 @@ class DiffPoly:
         return DiffPoly(self.ring, {key: -v for key, v in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, DiffPoly):
-            other = DiffPoly.const(self.ring, other)
-        return _sum(self, other, -1)
+        other = self._operand(other)
+        return DiffPoly(self.ring, *canonical_sum(self.terms, self.den,
+                                                  other.terms, other.den, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -267,9 +265,11 @@ class DiffPoly:
         if isinstance(other, DiffPoly):
             return sum_of_products(self.ring, ((1, self, other),))
         if type(other) is int:
-            return self._scale(other, 1)
-        c = self.ring.scalar(other)
-        return self._scale(c.numerator, c.denominator)
+            num, den = other, 1
+        else:
+            c = self.ring.scalar(other)
+            num, den = c.numerator, c.denominator
+        return DiffPoly(self.ring, *canonical_scale(self.terms, self.den, num, den))
 
     __rmul__ = __mul__
 
@@ -281,19 +281,9 @@ class DiffPoly:
             num, den = c.denominator, c.numerator
         if not den:
             raise ZeroDivisionError("division of a differential polynomial by zero")
-        return self._scale(num, den) if den > 0 else self._scale(-num, -den)
-
-    def _scale(self, num: int, den: int) -> "DiffPoly":
-        """self * num / den for coprime ints, den > 0.  The result is in
-        lowest terms once gcd(num, self.den) and gcd(den, numerators) are
-        divided out: no other prime can divide it."""
-        if not num or not self.terms:
-            return DiffPoly(self.ring)
-        g = gcd(num, self.den)
-        h = gcd(den, *self.terms.values()) if den != 1 else 1
-        num //= g
-        return DiffPoly(self.ring, {key: v // h * num for key, v in self.terms.items()},
-                        self.den // g * (den // h))
+        if den < 0:
+            num, den = -num, -den
+        return DiffPoly(self.ring, *canonical_scale(self.terms, self.den, num, den))
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
@@ -309,6 +299,8 @@ class DiffPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        if self.is_constant():  # a constant equals, so hashes like, its Fraction
+            return hash(Fraction(self.terms.get(0, 0), self.den))
         return hash((self.ring, self.den, frozenset(self.terms.items())))
 
     # -- calculus ---------------------------------------------------------------
@@ -324,7 +316,7 @@ class DiffPoly:
                 k = base + (up << shift)
                 acc[k] = get(k, 0) + v * power
         check_slots(acc)
-        return DiffPoly._normal(self.ring, acc, self.den)
+        return DiffPoly(self.ring, *canonical(acc, self.den))
 
     def dx_pow(self, k: int) -> "DiffPoly":
         f = self
@@ -341,12 +333,13 @@ class DiffPoly:
             power = (key >> shift) & MASK
             if power:
                 acc[key - lower] = v * power
-        return DiffPoly._normal(self.ring, acc, self.den)
+        return DiffPoly(self.ring, *canonical(acc, self.den))
 
     def var_der(self, alpha: int) -> "DiffPoly":
         """Variational derivative sum_i (-d_x)^i d/du^alpha_i."""
-        return _linear_combination(self.ring, (
-            (-1 if i % 2 else 1, self.partial(alpha, i).dx_pow(i))
+        one = DiffPoly.const(self.ring, 1)
+        return sum_of_products(self.ring, (
+            (-1 if i % 2 else 1, self.partial(alpha, i).dx_pow(i), one)
             for i in range(self.max_order(alpha) + 1)))
 
     # -- grading ------------------------------------------------------------------
@@ -357,7 +350,7 @@ class DiffPoly:
         for key, v in self.terms.items():
             group, new = label(key)
             groups.setdefault(group, {})[new] = v
-        return {g: DiffPoly._normal(self.ring, acc, self.den) for g, acc in groups.items()}
+        return {g: DiffPoly(self.ring, *canonical(acc, self.den)) for g, acc in groups.items()}
 
     def degree_decompose(self) -> dict[int, "DiffPoly"]:
         """Split by differential degree: sum of jet orders times powers, minus eps."""
@@ -377,7 +370,7 @@ class DiffPoly:
 
     def eps_coefficient(self, k: int) -> "DiffPoly":
         acc = {key & ~MASK: v for key, v in self.terms.items() if key & MASK == k}
-        return DiffPoly._normal(self.ring, acc, self.den)
+        return DiffPoly(self.ring, *canonical(acc, self.den))
 
     def eps_shift(self, k: int) -> "DiffPoly":
         """eps^k self; an eps exponent pushed below 0 or above the slot is refused."""
@@ -393,32 +386,22 @@ class DiffPoly:
 
     def truncate_eps(self, emax: int) -> "DiffPoly":
         acc = {key: v for key, v in self.terms.items() if key & MASK <= emax}
-        return DiffPoly._normal(self.ring, acc, self.den)
+        return DiffPoly(self.ring, *canonical(acc, self.den))
 
     # -- evaluation / substitution ---------------------------------------------
 
     def substitute(self, images: dict[int, "DiffPoly"]) -> "DiffPoly":
         """Replace u^alpha_j by dx^j(images[alpha]); fields must be covered."""
-        cache: dict[tuple[int, int], DiffPoly] = {}
-
-        def image_jet(alpha: int, order: int) -> DiffPoly:
-            key = (alpha, order)
-            if key not in cache:
-                if alpha not in images:
-                    raise KeyError(f"no substitution image for field {alpha}")
-                if order == 0:
-                    cache[key] = images[alpha]
-                else:
-                    cache[key] = image_jet(alpha, order - 1).dx()
-            return cache[key]
-
-        parts = []
+        image_jet = derivatives(images)
+        triples = []
         for (eps, jets), c in self.items():
             prod = DiffPoly.const(self.ring, 1)
             for alpha, order, power in jets:
+                if alpha not in images:
+                    raise KeyError(f"no substitution image for field {alpha}")
                 prod = prod * image_jet(alpha, order) ** power
-            parts.append((c, prod.eps_shift(eps)))
-        return _linear_combination(self.ring, parts)
+            triples.append((c, DiffPoly.eps(self.ring, eps), prod))
+        return sum_of_products(self.ring, triples)
 
     def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
         """Relabel field indices (a pure renaming, no calculus)."""
@@ -428,14 +411,14 @@ class DiffPoly:
             eps, jets = _unpack(key, n)
             new = _pack(out_ring, eps, [(field_map[a], o, p) for a, o, p in jets])
             acc[new] = acc.get(new, 0) + v
-        return DiffPoly._normal(out_ring, acc, self.den)
+        return DiffPoly(out_ring, *canonical(acc, self.den))
 
     # -- rendering / serialization ------------------------------------------------
 
     def sorted_terms(self):
         return sorted(self.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
-    def render(self, names=None, eps_name: str = "eps") -> str:
+    def render(self, names=None) -> str:
         """Deterministic plain-text rendering; names maps field index to symbol."""
         if self.is_zero():
             return "0"
@@ -446,7 +429,7 @@ class DiffPoly:
         for (eps, jets), c in self.sorted_terms():
             factors = []
             if eps:
-                factors.append(eps_name if eps == 1 else f"{eps_name}^{eps}")
+                factors.append("eps" if eps == 1 else f"eps^{eps}")
             for alpha, order, power in jets:
                 base = names[alpha] if order == 0 else f"{names[alpha]}_{order}"
                 factors.append(base if power == 1 else f"{base}^{power}")
@@ -514,45 +497,21 @@ class DiffPoly:
         return DiffPoly.from_items(ring, items)
 
 
-def _sum(f: DiffPoly, g: DiffPoly, sign: int) -> DiffPoly:
-    """f + sign * g for sign = +-1: ``_linear_combination`` of two terms
-    without its lists and lcm, for the many small sums."""
-    ring = f.ring
-    if g.ring is not ring:
-        ring.check_compatible(g.ring)
-    if not g.terms:
-        return f
-    if not f.terms:
-        return g if sign == 1 else -g
-    d1, d2 = f.den, g.den
-    if d1 == d2:
-        acc, den = f.terms.copy(), d1
-    else:
-        common = gcd(d1, d2)
-        lift, d1 = d2 // common, d1 // common
-        acc, den = {key: v * lift for key, v in f.terms.items()}, d1 * d2
-        sign *= d1
-    get = acc.get
-    for key, v in g.terms.items():
-        acc[key] = get(key, 0) + v * sign
-    return DiffPoly._normal(ring, acc, den)
+def derivatives(coeffs: dict[int, DiffPoly]):
+    """deriv(k, l) = d_x^l coeffs[k], each derivative computed once.
 
+    coeffs is read on demand, so entries added to it later are seen.
+    """
+    chains: dict[int, list[DiffPoly]] = {}
 
-def _linear_combination(ring: Ring, pairs) -> DiffPoly:
-    """sum c f over (c, f) pairs, c rational and f in ring, accumulated in
-    integer numerators over the least common denominator."""
-    pairs = list(pairs)
-    for _, f in pairs:
-        ring.check_compatible(f.ring)
-    pairs = [(c, f) for c, f in pairs if c and f.terms]
-    acc: dict = {}
-    get = acc.get
-    den = lcm(*(c.denominator * f.den for c, f in pairs))
-    for c, f in pairs:
-        scale = den // (c.denominator * f.den) * c.numerator
-        for key, v in f.terms.items():
-            acc[key] = get(key, 0) + v * scale
-    return DiffPoly._normal(ring, acc, den)
+    def deriv(k: int, l: int) -> DiffPoly:
+        chain = chains.setdefault(k, [coeffs[k]])
+        while len(chain) <= l:
+            last = chain[-1]
+            chain.append(last.dx() if last else last)  # d_x 0 = 0 without a call
+        return chain[l]
+
+    return deriv
 
 
 def sum_of_products(ring: Ring, triples) -> DiffPoly:
@@ -581,7 +540,7 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     check_slots(acc)
-    return DiffPoly._normal(ring, acc, den)
+    return DiffPoly(ring, *canonical(acc, den))
 
 
 class LocalFunctional:
@@ -687,8 +646,8 @@ class LocalFunctional:
         check_slots(out)
         return DiffPoly(self.ring, *over_one_den(out))
 
-    def render(self, names=None, eps_name: str = "eps") -> str:
-        return self.canonical_density().render(names, eps_name)
+    def render(self, names=None) -> str:
+        return self.canonical_density().render(names)
 
     def __repr__(self):
         return f"LocalFunctional(int {self.density.render()} dx)"

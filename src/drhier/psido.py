@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, Ring, sum_of_products
+from .diffpoly import DiffPoly, Ring, derivatives, sum_of_products
 from .scalars import add_term, power_by_squaring
 
 
@@ -30,23 +30,6 @@ def gen_binom(k: int, l: int) -> Fraction:
     for s in range(2, l + 1):
         den *= s
     return Fraction(num, den)
-
-
-def derivatives(coeffs: dict[int, DiffPoly]):
-    """deriv(k, l) = d_x^l coeffs[k], each derivative computed once.
-
-    coeffs is read on demand, so entries added to it later are seen.
-    """
-    chains: dict[int, list[DiffPoly]] = {}
-
-    def deriv(k: int, l: int) -> DiffPoly:
-        chain = chains.setdefault(k, [coeffs[k]])
-        while len(chain) <= l:
-            last = chain[-1]
-            chain.append(last.dx() if last else last)  # d_x 0 = 0 without a call
-        return chain[l]
-
-    return deriv
 
 
 def product_coeff(a: dict[int, DiffPoly], b: dict[int, DiffPoly], n: int,

@@ -11,7 +11,9 @@ the chosen commutation rule:
   deformed:  [p^a_m, p^b_n] = hbar delta_{m+n,0} sum_j eps^j (im)^{j+1} K^{ab}_j
 
 with the deformed constants read off a constant-coefficient hamiltonian
-operator (entries sum_j K_j eps^j d_x^{j+1}) rather than hard-coded.
+operator (entries sum_j K_j eps^j d_x^{j+1}) rather than hard-coded.  One
+bracket serves both: a rule is its constants (a, b, j, K^{ab}_j), and the
+standard rule is the eps-free case, eta^{ab} its j = 0 constants.
 Both brackets vanish unless the momenta add to zero, so only the modes
 whose momentum meets an opposite one on the other side are contracted;
 the rest commute through.  The f_r images keep each generator's momentum,
@@ -21,9 +23,10 @@ Within the finite window everything is exact.
 A coefficient c of hbar^h eps^e is always i^{h+e} times a rational, so a
 term stores q = c / i^{h+e} (hbar = i hbar', eps = i eps'): the brackets
 read k eta^{ab} and m^{j+1} K^{ab}_j.  An element keeps its q's as int
-numerators over one denominator ``den`` in lowest terms (den > 0 and
-gcd(den, numerators) = 1), so equal elements are equal structurally and
-the star product and f_r build no ``Fraction``.
+numerators over one denominator ``den`` in the canonical form of
+``slots`` (den > 0, no zero stored and gcd(den, numerators) = 1), so equal
+elements are equal structurally and the star product and f_r build no
+``Fraction``.
 
 A term's key packs hbar^h eps^e and the mode counts into one int in the
 slot format of ``slots``, since a normal-ordered monomial is fixed by how
@@ -61,14 +64,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
 from .hamops import HamiltonianOperator
 from .scalars import AlgScalar, Frozen, add_term, exact_rational
-from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, check_slots, nonzero_slots,
-                    over_one_den)
+from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale,
+                    canonical_sum, check_slots, nonzero_slots, over_one_den)
 
 Mode = tuple[int, int]  # (k, alpha)
 
@@ -79,54 +82,58 @@ _RULE_TOKENS: dict = {}
 
 
 class _Rule(Frozen):
-    """A commutation rule with the small integer ``token`` of its value and
-    its ``scale``, the lcm of the denominators of its constants.
+    """A commutation rule given by constants (a, b, j, K^{ab}_j):
 
-    Equal rules share a token and different rules never do, so the reorder
-    memo hashes a rule's table once per rule object, not once per lookup.
+        [p^a_m, p^b_n] = hbar delta_{m+n,0} sum_j eps^j (im)^{j+1} K^{ab}_j
+
+    with the small integer ``token`` of its value and its ``scale``, the lcm
+    of the denominators of its constants.  The one ``bracket`` serves both
+    rules: the standard rule is the eps-free case, its eta^{ab} the j = 0
+    constants.  Equal rules share a token and different rules never do, so
+    the reorder memo hashes a rule's table once per rule object, not once
+    per lookup.
     """
 
     __slots__ = ("token", "scale")
+
+    def __init__(self, n_fields: int,
+                 constants: tuple[tuple[int, int, int, Fraction], ...]):  # (a, b, j, K_j)
+        self._init(n_fields, constants)
 
     def _init(self, *values):
         super()._init(*values)
         object.__setattr__(self, "token",
                            _RULE_TOKENS.setdefault(self, len(_RULE_TOKENS)))
         object.__setattr__(self, "scale",
-                           lcm(*(c.denominator for c in self._constants())))
+                           lcm(*(const.denominator for *_, const in self.constants)))
+
+    def bracket(self, x: Mode, y: Mode):
+        """[p_x, p_y] as a list of (hbar_exp, eps_exp, q)."""
+        (m, a), (n, b) = x, y
+        if m + n != 0:
+            return []
+        return [(1, j, m ** (j + 1) * const)
+                for aa, bb, j, const in self.constants
+                if (aa, bb) == (a, b) and const]
 
 
 class StandardRule(_Rule):
-    """[p^a_k, p^b_j] = i hbar k eta^{ab} delta_{k+j,0}."""
+    """[p^a_k, p^b_j] = i hbar k eta^{ab} delta_{k+j,0}: the constants
+    (a, b, 0, eta^{ab}) of the nonzero entries of eta."""
 
-    __slots__ = ("n_fields", "eta")
-
-    def __init__(self, n_fields: int, eta: tuple[tuple[Fraction, ...], ...]):
-        self._init(n_fields, eta)
+    __slots__ = ("n_fields", "constants")
 
     @staticmethod
     def from_eta(eta) -> "StandardRule":
         rows = tuple(tuple(Fraction(x) for x in row) for row in eta)
-        return StandardRule(len(rows), rows)
-
-    def _constants(self):
-        return (x for row in self.eta for x in row)
-
-    def bracket(self, x: Mode, y: Mode):
-        """[p_x, p_y] as a list of (hbar_exp, eps_exp, q)."""
-        (k, a), (j, b) = x, y
-        coeff = self.eta[a - 1][b - 1] if k + j == 0 else 0
-        return [(1, 0, coeff * k)] if coeff else []
+        return StandardRule(len(rows), tuple(
+            (a, b, 0, x) for a, row in enumerate(rows, 1) for b, x in enumerate(row, 1) if x))
 
 
 class DeformedRule(_Rule):
     """Constants K^{ab}_j of a good-form operator sum_j K_j eps^j d_x^{j+1}."""
 
     __slots__ = ("n_fields", "constants")
-
-    def __init__(self, n_fields: int,
-                 constants: tuple[tuple[int, int, int, Fraction], ...]):  # (a, b, j, K_j)
-        self._init(n_fields, constants)
 
     @staticmethod
     def from_operator(K: HamiltonianOperator) -> "DeformedRule":
@@ -142,17 +149,6 @@ class DeformedRule(_Rule):
                                 "operator is not of the constant good form")
                         consts.append((a, b, eps, value))
         return DeformedRule(n, tuple(sorted(consts)))
-
-    def _constants(self):
-        return (const for _, _, _, const in self.constants)
-
-    def bracket(self, x: Mode, y: Mode):
-        (m, a), (n, b) = x, y
-        if m + n != 0:
-            return []
-        return [(1, j, m ** (j + 1) * const)
-                for aa, bb, j, const in self.constants
-                if (aa, bb) == (a, b) and const]
 
 
 class WeylContext(Frozen):
@@ -293,7 +289,7 @@ class WeylElement:
 
     terms: packed key of hbar^h eps^e and the mode counts -> nonzero int
     numerator n over ``den``, with n / den the q = c / i^(h + e) of the
-    term; den > 0 and gcd(den, numerators) = 1.  The constructor takes
+    term, in the canonical form of ``slots``.  The constructor takes
     {(hbar_exp, eps_exp, pkey): c} with pkey a tuple of (alpha, k, power)
     factors and c a Fraction, int or AlgScalar.
 
@@ -307,21 +303,10 @@ class WeylElement:
     def __init__(self, ctx: WeylContext, terms: dict | None = None):
         self.ctx = ctx
         self._left = self._right = None
-        nums: dict = {}
-        den = 1
+        coeffs: dict = {}
         for (h, e, pkey), c in (terms or {}).items():
-            n, d = _to_q(c, h, e, pkey).as_integer_ratio()
-            if n:
-                if den % d:  # move the numerators so far to the new lcm
-                    lift = d // gcd(den, d)
-                    den *= lift
-                    nums = {key: v * lift for key, v in nums.items()}
-                add_term(nums, pack_key(ctx, h, e, pkey), n * (den // d))
-        # den is the lcm of reduced denominators: only terms that met on one
-        # key can leave a factor common to den and every numerator
-        g = gcd(den, *nums.values())
-        self.terms = {key: v // g for key, v in nums.items()} if g != 1 else nums
-        self.den = den // g
+            add_term(coeffs, pack_key(ctx, h, e, pkey), _to_q(c, h, e, pkey))
+        self.terms, self.den = over_one_den(coeffs)
 
     @classmethod
     def _of(cls, ctx: WeylContext, terms: dict, den: int = 1) -> "WeylElement":
@@ -333,47 +318,32 @@ class WeylElement:
         out._left = out._right = None
         return out
 
-    @classmethod
-    def _normal(cls, ctx: WeylContext, acc: dict, den: int) -> "WeylElement":
-        """sum acc[key] / den in canonical form: zeros dropped, content divided out."""
-        terms = {key: n for key, n in acc.items() if n}
-        if not terms:
-            return cls._of(ctx, {})
-        if den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {key: n // g for key, n in terms.items()}
-        return cls._of(ctx, terms, den)
-
     @staticmethod
     def mode(ctx: WeylContext, alpha: int, k: int, coeff=1) -> "WeylElement":
         return WeylElement(ctx, {(0, 0, ((alpha, k, 1),)): coeff})
 
     # -- linear structure ---------------------------------------------------------------
 
-    def __add__(self, other: "WeylElement") -> "WeylElement":
+    def _plus(self, other: "WeylElement", sign: int) -> "WeylElement":
         if self.ctx != other.ctx:
             raise ValueError("window/context mismatch")
-        den = lcm(self.den, other.den)
-        lift = den // self.den
-        acc = {key: n * lift for key, n in self.terms.items()}
-        lift = den // other.den
-        for key, n in other.terms.items():
-            acc[key] = acc.get(key, 0) + n * lift
-        return WeylElement._normal(self.ctx, acc, den)
+        return WeylElement._of(self.ctx, *canonical_sum(self.terms, self.den,
+                                                        other.terms, other.den, sign))
+
+    def __add__(self, other: "WeylElement") -> "WeylElement":
+        return self._plus(other, 1)
 
     def __neg__(self):
         return WeylElement._of(self.ctx, {k: -n for k, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def scale(self, scalar) -> "WeylElement":
         """Multiply by a rational scalar (Fraction, int or AlgScalar)."""
         s = _to_q(scalar, 0, 0, ())
-        return WeylElement._normal(self.ctx, {k: n * s.numerator for k, n in self.terms.items()},
-                                   self.den * s.denominator)
+        return WeylElement._of(self.ctx, *canonical_scale(self.terms, self.den,
+                                                          s.numerator, s.denominator))
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
@@ -391,8 +361,8 @@ class WeylElement:
 
     def classical_limit(self) -> "WeylElement":
         """Set hbar = 0: the hbar^0 part, a commutative mode polynomial."""
-        return WeylElement._normal(self.ctx, {key: n for key, n in self.terms.items()
-                                              if not key & MASK}, self.den)
+        return WeylElement._of(self.ctx, *canonical({key: n for key, n in self.terms.items()
+                                                     if not key & MASK}, self.den))
 
     def items(self) -> list:
         """[((hbar_exp, eps_exp, pkey), c)] in render order, c an AlgScalar."""
@@ -550,7 +520,7 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     # eps climb from w1 + w2 by at most SLOT_MAX a step, and the first key to
     # pass SLOT_MAX sets its guard before any carry.
     check_slots(acc)
-    return WeylElement._normal(ctx, acc, a.den * b.den * top)
+    return WeylElement._of(ctx, *canonical(acc, a.den * b.den * top))
 
 
 def weyl_commutator(a: WeylElement, b: WeylElement, rule) -> WeylElement:
@@ -622,7 +592,7 @@ def f_r_map(r: int, a: WeylElement) -> WeylElement:
     # an eps sum that carries past its guard passes on its way every value
     # that sets the guard: the expansion adds eps^2 one trade at a time
     check_slots(acc)
-    return WeylElement._normal(a.ctx, acc, a.den * L ** most)
+    return WeylElement._of(a.ctx, *canonical(acc, a.den * L ** most))
 
 
 # -- the Fourier dictionary ------------------------------------------------------------

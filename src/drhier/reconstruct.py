@@ -50,7 +50,7 @@ from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
 from .scalars import Frozen, add_term, exact_rational
-from .slots import MASK, SLOT_MAX, TOP_SLOT, W, guard_slots
+from .slots import MASK, SLOT_MAX, TOP_SLOT, W, guard_slots, nonzero_slots
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
@@ -98,14 +98,9 @@ def pack_key(n: int, m: TMon, i: int) -> int:
 def unpack_key(key: int, n: int) -> tuple[TMon, int]:
     """(t-monomial, eps order) of a packed key over n fields."""
     m = []
-    rest, slot = key >> _VARS, 0
-    while rest:
-        power = rest & MASK
-        if power:
-            k, gamma = divmod(slot, n)
-            m.append(((gamma + 1, k), power))
-        rest >>= W
-        slot += 1
+    for shift, power in nonzero_slots(key, _VARS):
+        k, gamma = divmod((shift - _VARS) // W, n)
+        m.append(((gamma + 1, k), power))
     m.sort()
     return tuple(m), key & MASK
 

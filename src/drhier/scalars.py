@@ -175,9 +175,10 @@ class AlgScalar:
 def add_term(terms: dict, key, value) -> None:
     """Add value into terms[key] and drop the key when the sum is zero.
 
-    Every sparse container keeps the rule "never store a zero" through this
-    one helper; values are any ring elements whose truth value means
-    nonzero (AlgScalar, Fraction, DiffPoly).
+    The never-store-a-zero rule of the sparse containers of ring elements,
+    whose truth value means nonzero (AlgScalar, Fraction, DiffPoly).  The
+    packed kernels keep int numerators in the canonical form of ``slots``
+    instead.
     """
     cur = terms.get(key)
     new = value if cur is None else cur + value

@@ -11,13 +11,18 @@ refuses a slot index above ``TOP_SLOT`` when it builds a key from outside.
 
 ``diffpoly`` (jet monomials), ``reconstruct`` (t-monomials) and
 ``quantize`` (Weyl-algebra mode counts) pack their keys in this format and
-keep their coefficients as int numerators over one denominator.
+keep their coefficients as int numerators over one denominator.  This
+module owns that canonical form: int numerators over one ``den`` > 0, no
+zero stored, and gcd(den, numerators) = 1, so equal values are equal
+structurally.  ``over_one_den`` builds it from Fractions, ``canonical``
+from an accumulator of numerators, and ``canonical_sum`` and
+``canonical_scale`` keep it under sums and scalar multiples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 
 W = 16                    # bits per slot; the top one is the guard
@@ -69,3 +74,55 @@ def over_one_den(coeffs: dict) -> tuple[dict, int]:
     """
     den = lcm(*[c.denominator for c in coeffs.values()])
     return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+
+
+def canonical(acc: dict, den: int) -> tuple[dict, int]:
+    """sum acc[key] / den in canonical form: zeros dropped, content divided
+    out.  acc itself becomes the numerators when it holds no zero and its
+    content is 1."""
+    terms = {key: v for key, v in acc.items() if v} if 0 in acc.values() else acc
+    if not terms:
+        return terms, 1
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {key: v // g for key, v in terms.items()}
+    return terms, den
+
+
+def canonical_sum(t1: dict, d1: int, t2: dict, d2: int, sign: int = 1) -> tuple[dict, int]:
+    """t1 / d1 + sign * t2 / d2 for canonical operands and sign = +-1.
+
+    No operand is changed, but a zero operand gives the other one's dict
+    back, shared.
+    """
+    if not t2:
+        return t1, d1
+    if not t1:
+        return (t2 if sign == 1 else {key: -v for key, v in t2.items()}), d2
+    if d1 == d2:
+        acc, den = t1.copy(), d1
+    else:
+        common = gcd(d1, d2)
+        lift, d1 = d2 // common, d1 // common
+        acc, den = {key: v * lift for key, v in t1.items()}, d1 * d2
+        sign *= d1
+    get = acc.get
+    for key, v in t2.items():
+        acc[key] = get(key, 0) + v * sign
+    return canonical(acc, den)
+
+
+def canonical_scale(terms: dict, den: int, num: int, d: int) -> tuple[dict, int]:
+    """terms / den * num / d for a canonical operand, num and d coprime, d > 0.
+
+    The result is in lowest terms once gcd(num, den) and gcd(d, numerators)
+    are divided out: no other prime can divide it.
+    """
+    if not num or not terms:
+        return {}, 1
+    g = gcd(num, den)
+    h = gcd(d, *terms.values()) if d != 1 else 1
+    num //= g
+    return {key: v // h * num for key, v in terms.items()}, den // g * (d // h)

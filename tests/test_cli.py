@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from drhier import cli, quantize, reconstruct
+from drhier import cli, drspin, quantize, reconstruct
 from drhier.diffpoly import DiffPoly, LocalFunctional, Ring, integrate
 from drhier.drspin import IntegralTable, TautMonomial, hain_expand
 from drhier.gdhier import gd_context, gd_hamiltonian
@@ -369,8 +369,11 @@ def test_quantize_check_cli(run):
     '{"N":1,"terms":[{"coeff":["1","0","0",0.0],"eps":0,"jets":[[1,0,1]]}]}',
     # a power beyond the 15-bit exponent slot
     '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,40000]]}]}',
-    # slot 30010001: a 60 MB key, refused before it is built
+    # 10000 fields: u^10000_0 alone needs slot 10001, so the ring is refused
     '{"N":10000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[10000,3000,2]]}]}',
+    # refused before a name is built for each of the fields
+    '{"N":4095,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}]}',
+    '{"N":1000000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}]}',
     # "false" is a string, not a boolean
     '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],'
     '"integrated":"false"}',
@@ -436,11 +439,33 @@ def test_malformed_table_file_exit(run, tmp_path, payload):
     ["reconstruct", "--t-degree", "70000"],
     ["reconstruct", "--t-degree", "32768"],
     ["reconstruct", "--eps-order", "32768"],
+    # t^1_tmax sits at packed slot 3 + tmax: refused before Omega is computed
+    ["reconstruct", "--tmax", "4093"],
+    ["reconstruct", "--tmax", "5000"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["hain-pair", "--g", "0", "--counts", "10000000"],
+    ["assemble", "--r", "2", "--alpha", "1", "--d", "9999998", "--g", "0",
+     "--counts", "10000000"],
+])
+def test_labels_are_built_only_after_the_table_is_read(run, monkeypatch, worked_table,
+                                                       argv):
+    # 10^7 markings: the table is missing or for n = 2, so no label is built
+    for module in (cli, drspin):
+        monkeypatch.setattr(module, "counts_labels",
+                            lambda counts: pytest.fail("labels were built"))
+    code, out, err = run(*argv, "--table-file", "/nonexistent.json")
+    assert (code, out) == (cli.EXIT_TABLE_FILE, "")
+    assert err.startswith("table file error: /nonexistent.json") and err.count("\n") == 1
+    code, out, err = run(*argv, "--table-file", worked_table)
+    assert (code, out) == (cli.EXIT_PRECONDITION, "")
+    assert err == ("error: the table is for n = 2 but --counts sums to n = 10000000\n")
 
 
 @pytest.mark.parametrize("argv", [

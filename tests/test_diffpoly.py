@@ -47,6 +47,16 @@ def test_dx_leibniz_two_fields():
     assert f.dx() == expected
 
 
+def test_a_constant_hashes_like_its_fraction():
+    for value in (3, Fraction(1, 2), Fraction(-7, 3), 0):
+        c = DiffPoly.const(R2, value)
+        assert c == value and hash(c) == hash(value) and len({c, value}) == 1
+    assert len({DiffPoly.zero(R2), 0, Fraction(0)}) == 1
+    # equal polynomials hash alike however they were built
+    assert hash(u(1, 1, R2) * 2) == hash(u(1, 1, R2) + u(1, 1, R2))
+    assert hash(u(1, 0, R2) / 2 + 1) == hash(1 + Fraction(1, 2) * u(1, 0, R2))
+
+
 def test_dx_kills_constants():
     assert DiffPoly.const(R1, Fraction(5, 3)).dx().is_zero()
 

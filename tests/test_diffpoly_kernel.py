@@ -185,8 +185,11 @@ def test_a_jet_beyond_the_slot_bound_is_refused():
     assert DiffPoly.jet(Ring(1), 1, 4093).render() == "u_4093"  # slot 4095
     with pytest.raises(ValueError, match="packed slot 4096, above 4095"):
         DiffPoly.jet(Ring(1), 1, 4094)
-    with pytest.raises(ValueError, match="packed slot 30010001"):
-        DiffPoly.from_items(Ring(10000), [((0, ((10000, 3000, 2),)), 1)])
+    with pytest.raises(ValueError, match="packed slot 12286095"):
+        DiffPoly.from_items(Ring(4094), [((0, ((4094, 3000, 2),)), 1)])
+    # a ring whose u^N_0 is already beyond the bound is refused when it is made
+    with pytest.raises(ValueError, match="packed slot 10001 for u\\^10000_0, above 4095"):
+        Ring(10000)
 
 
 def test_a_derivative_degree_beyond_its_slot_is_refused():

@@ -497,6 +497,27 @@ def test_brackets_vanish_off_cancelling_momenta(make_rule, r, x, y):
         assert make_rule(r).bracket(x, y) == []
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_the_standard_rule_is_the_eps_free_deformed_rule(r):
+    # one bracket serves both rules: eta^{ab} as the j = 0 constants
+    eta = eta_matrix(r)
+    standard = StandardRule.from_eta(eta)
+    deformed = DeformedRule(r - 1, standard.constants)
+    assert standard.token != deformed.token and standard.scale == deformed.scale
+    modes = [(k, a) for k in range(-4, 5) for a in range(1, r)]
+    for k, a in modes:
+        for j, b in modes:
+            expected = [(1, 0, k * eta[a - 1][b - 1])] if k + j == 0 and eta[a - 1][b - 1] \
+                else []
+            assert standard.bracket((k, a), (j, b)) == expected
+            assert deformed.bracket((k, a), (j, b)) == expected
+    ctx = WeylContext(n_fields=r - 1, window=4)
+    rng = random.Random(f"standard-as-deformed:{r}")
+    for _ in range(10):
+        x, y = rand_element(rng, ctx, 4), rand_element(rng, ctx, 4)
+        assert weyl_star(x, y, standard) == weyl_star(x, y, deformed)
+
+
 def f_r_by_star_fold(r, a):
     """f_r as first defined: the standard star product of the generator
     images, folded over each word in normal order."""

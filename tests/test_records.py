@@ -114,7 +114,8 @@ def test_weyl_context_checks_its_window():
 
 def test_equal_rules_share_one_token():
     a = StandardRule.from_eta(ETA)
-    b = StandardRule(2, tuple(tuple(map(Fraction, row)) for row in ETA))
+    # eta's nonzero entries as the j = 0 constants (a, b, 0, eta^{ab})
+    b = StandardRule(2, ((1, 2, 0, Fraction(1)), (2, 1, 0, Fraction(1))))
     assert a is not b and a.token == b.token
     assert a.scale == 1
     other = StandardRule.from_eta(((Fraction(1, 2), 0), (0, 1)))
