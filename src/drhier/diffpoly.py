@@ -523,8 +523,10 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
     """
     triples = list(triples)
     for _, f, g in triples:
-        ring.check_compatible(f.ring)
-        ring.check_compatible(g.ring)
+        if f.ring is not ring:
+            ring.check_compatible(f.ring)
+        if g.ring is not ring:
+            ring.check_compatible(g.ring)
     triples = [(c, f, g) for c, f, g in triples if c and f.terms and g.terms]
     acc: dict = {}
     get = acc.get

@@ -35,25 +35,27 @@ context sits at slot 2 + b(k) N + alpha - 1 with b(0) = 0, b(-k) = 2k - 1
 and b(k) = 2k, so the block of the N modes of momentum +k sits N slots
 above that of -k.  A product of monomials is the sum of their keys, and
 the star product finds the contracting modes of a pair of keys with ANDs
-and shifts over per-block occupancy bits; no key is decoded on the product
-path.  No slot position depends on the window.  A ``WeylContext`` whose
-top mode slot passes ``slots.TOP_SLOT`` is refused, and so is a term or
-product with an exponent above ``slots.SLOT_MAX``.  The constructor,
-``mode``, ``scale`` and ``lf_to_p_series`` refuse a c outside i^{h+e} Q
-with ``ValueError``; ``items`` and ``render`` decode the keys and give c
-back.
+and shifts over per-block occupancy bits, then takes each cancelling
+block's (+k, -k) slot masks from a table kept with the layout; no key is
+decoded on the product path.  No slot position depends on the window.  A
+``WeylContext`` whose top mode slot passes ``slots.TOP_SLOT`` is refused,
+and so is a term or product with an exponent above ``slots.SLOT_MAX``.
+The constructor, ``mode``, ``scale`` and ``lf_to_p_series`` refuse a c
+outside i^{h+e} Q with ``ValueError``; ``items`` and ``render`` decode the
+keys and give c back.
 
 Each rule has an integer ``scale``, the lcm of its constants'
 denominators.  The reorder memo maps (rule token, positive key, nonpositive
 key), two keys of one momentum block, the modes p_k and p_{-k} of a single
-k >= 1, to the normal order of their product: packed keys to numerators
-over scale^(number of positive modes).  Since both brackets vanish unless
-the momenta add to zero, modes of different |k| commute, so by Wick's
-theorem a pair that contracts at several momenta normal-orders to the
-commutative product of its blocks' normal orders, and the memo holds
-single-block keys only.  A bracket value that the scale does not make
-integral is refused.  The memo stays module-level, as the benchmark reads
-its size.
+k >= 1, to the normal order of their product: (packed key, numerator)
+pairs, numerators over scale^(number of positive modes).  Since both
+brackets vanish unless the momenta add to zero, modes of different |k|
+commute, so by Wick's theorem a pair that contracts at several momenta
+normal-orders to the commutative product of its blocks' normal orders,
+and the memo holds single-block keys only.  The star product reads the
+memo first and calls ``_reorder`` only on a miss.  A bracket value that
+the scale does not make integral is refused.  The memo stays
+module-level, as the benchmark reads its size.
 
 The classical (hbar^0) part is the Fourier dictionary of local functionals:
 u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
@@ -238,31 +240,41 @@ def _layout(n: int, window: int) -> tuple:
     vals, the low W - 1 bits of every slot; guards, their guard bits;
     spread, the shifts that move each slot of a block onto its first;
     neg and pos, the guard bit of the first slot of each block -k and +k
-    (k >= 1); positive, every slot of a positive mode.
+    (k >= 1); positive, every slot of a positive mode; and blocks, the
+    table from the guard bit of the first slot of each block -k to the
+    masks of the slots of blocks +k and -k.
     """
     ones = ((1 << (W * (2 * window + 1) * n)) - 1) // MASK << 2 * W
     block = (1 << W * n) - 1
     neg = pos = positive = 0
+    blocks = {}
     for k in range(1, window + 1):
-        neg |= GUARD << W * _slot(n, -k, 1)
-        pos |= GUARD << W * _slot(n, k, 1)
-        positive |= block << W * _slot(n, k, 1)
+        start, opposite = W * _slot(n, -k, 1), W * _slot(n, k, 1)
+        neg |= GUARD << start
+        pos |= GUARD << opposite
+        positive |= block << opposite
+        blocks[GUARD << start] = (block << opposite, block << start)
     spread = tuple(W * j for j in range(1, n))
-    return ones * SLOT_MAX, ones * GUARD, spread, neg, pos, positive
+    return ones * SLOT_MAX, ones * GUARD, spread, neg, pos, positive, blocks
 
 
-def _blocks(key: int, vals: int, guards: int, spread: tuple, starts: int) -> int:
-    """The guard bit of the first slot of each block that holds a mode of
-    key, among the blocks whose starts are given.
+def _rows(terms: dict, vals: int, guards: int, spread: tuple, starts: int,
+          down: int) -> list:
+    """The (key, numerator, occupancy) rows of an element's terms: occupancy
+    is the guard bit of the first slot of each block that holds a mode of
+    key, among the blocks whose starts are given, moved down ``down`` bits.
 
     Adding SLOT_MAX to a slot sets its guard exactly when the slot is
     nonzero, and no slot carries: a stored key has its guards clear.
     """
-    occupied = (key + vals) & guards
-    out = occupied
-    for shift in spread:
-        out |= occupied >> shift
-    return out & starts
+    rows = []
+    for key, n in terms.items():
+        occupied = (key + vals) & guards
+        bits = occupied
+        for shift in spread:
+            bits |= occupied >> shift
+        rows.append((key, n, (bits & starts) >> down))
+    return rows
 
 
 def _to_q(c, h: int, e: int, pkey) -> Fraction:
@@ -398,19 +410,20 @@ def _numerator(q, scale: int) -> int:
     return n
 
 
-def _normal_order(pos: int, nonpos: int, rule) -> dict:
+def _normal_order(pos: int, nonpos: int, rule) -> tuple:
     """Normal-order (product of the modes of key ``pos``, all p_k) x (product
     of the modes of key ``nonpos``, all p_{-k}) for one k >= 1.
 
-    Returns {key: n}, numerators over rule.scale^(positive modes).  Unless
-    both keys hold modes, nothing contracts and the product is their sum.
+    Returns (key, n) pairs, numerators over rule.scale^(positive modes).
+    Unless both keys hold modes, nothing contracts and the product is their
+    sum.
     """
     if pos and nonpos:
         return _reorder(pos, nonpos, rule)
-    return {pos + nonpos: rule.scale ** _count(pos) if rule.scale != 1 else 1}
+    return ((pos + nonpos, rule.scale ** _count(pos) if rule.scale != 1 else 1),)
 
 
-def _reorder(pos: int, nonpos: int, rule) -> dict:
+def _reorder(pos: int, nonpos: int, rule) -> tuple:
     """``_normal_order`` of two nonzero keys of one momentum block.
 
     Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos); the
@@ -441,16 +454,16 @@ def _reorder(pos: int, nonpos: int, rule) -> dict:
             for h, e, q in brackets:
                 num = copies * _numerator(q, scale)
                 delta = h + e * _EPS
-                for key2, n2 in order.items():
+                for key2, n2 in order:
                     term = key2 + delta
                     acc[term] = acc.get(term, 0) + num * n2
     # and the fully commuted term with x appended
-    for key2, n2 in _normal_order(head, nonpos, rule).items():
+    for key2, n2 in _normal_order(head, nonpos, rule):
         term = key2 + x
         acc[term] = acc.get(term, 0) + n2 * scale
     out = {term: n for term, n in acc.items() if n}
     check_slots(out)
-    _REORDER_MEMO[key] = out
+    _REORDER_MEMO[key] = out = tuple(out.items())
     return out
 
 
@@ -460,34 +473,38 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     For each pair of keys, the momentum blocks that hold a left positive
     mode are ANDed with those that hold a right nonpositive mode of the
     opposite momentum.  A pair with no cancelling momentum is already normal
-    ordered: its product key is the sum of the keys.  Otherwise each
-    cancelling momentum's block goes to the memoized ``_reorder`` on its
-    own, since modes of different |k| commute, and the product of the block
-    orders, plus the rest of both keys, is added in.  The result
-    accumulates as int numerators over a.den * b.den * scale^M, M the most
-    positive modes of a key of a: a pair that contracts m modes lifts its
-    numerators by scale^(M - m).
+    ordered: its product key is the sum of the keys.  Otherwise the
+    ``_layout`` table gives each cancelling momentum's (+k, -k) block
+    masks, and the block goes to the reorder memo on its own, since modes of
+    different |k| commute; ``_reorder`` runs only on a miss.  A pair that
+    cancels at one momentum adds its block order, shifted by the rest of
+    both keys, straight in; one that cancels at several adds the product of
+    its block orders.  The result accumulates as int numerators over
+    a.den * b.den * scale^M, M the most positive modes of a key of a: a
+    pair that contracts m modes lifts its numerators by scale^(M - m), a
+    step that a rule of scale 1 skips.
     """
     ctx = a.ctx
-    if ctx != b.ctx:
+    if ctx is not b.ctx and ctx != b.ctx:
         raise ValueError("window/context mismatch")
     if rule.n_fields != ctx.n_fields:
         raise ValueError("rule and element field counts differ")
-    block = W * ctx.n_fields
-    ones = (1 << block) - 1
-    vals, guards, spread, neg, pos, positive = _layout(ctx.n_fields, ctx.window)
+    vals, guards, spread, neg, pos, positive, blocks = _layout(ctx.n_fields, ctx.window)
     left = a._left
     if left is None:  # the +k occupancy bits moved onto the -k blocks
-        left = a._left = [(w1, n1, _blocks(w1, vals, guards, spread, pos) >> block)
-                          for w1, n1 in a.terms.items()]
+        left = a._left = _rows(a.terms, vals, guards, spread, pos, W * ctx.n_fields)
     right = b._right
     if right is None:
-        right = b._right = [(w2, n2, _blocks(w2, vals, guards, spread, neg))
-                            for w2, n2 in b.terms.items()]
+        right = b._right = _rows(b.terms, vals, guards, spread, neg, 0)
     scale = rule.scale
-    most = max((_count(w1 & positive) for w1 in a.terms), default=0) if scale != 1 else 0
-    lift = [scale ** (most - m) for m in range(most + 1)]
-    top = lift[0]
+    lift = None
+    top = 1
+    if scale != 1:
+        most = max((_count(w1 & positive) for w1 in a.terms), default=0)
+        lift = [scale ** (most - m) for m in range(most + 1)]
+        top = lift[0]
+    token = rule.token
+    memo = _REORDER_MEMO.get
     acc: dict = {}
     get = acc.get
     for w1, n1, momenta in left:
@@ -497,23 +514,35 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
             if not cancel:  # already normal ordered
                 term = w1 + w2
                 acc[term] = get(term, 0) + n1_top * n2
-                continue
-            mask = (cancel >> (W - 1)) * ones
-            c_pos, c_nonpos = w1 & (mask << block), w2 & mask
-            terms = [(w1 + w2 - c_pos - c_nonpos,
-                      n1 * n2 * (lift[_count(c_pos)] if scale != 1 else 1))]
-            while True:  # one block at a time, lowest first
-                low = cancel & -cancel
-                cancel ^= low
-                mask = (low >> (W - 1)) * ones
-                order = _reorder(c_pos & (mask << block), c_nonpos & mask, rule).items()
-                if not cancel:
-                    break
-                terms = [(t + d, v * nc) for t, v in terms for d, nc in order]
-            for t, v in terms:
+            elif not cancel & (cancel - 1):  # one momentum
+                mask_pos, mask_nonpos = blocks[cancel]
+                c_pos, c_nonpos = w1 & mask_pos, w2 & mask_nonpos
+                order = memo((token, c_pos, c_nonpos)) or _reorder(c_pos, c_nonpos, rule)
+                rest = w1 + w2 - c_pos - c_nonpos
+                v = n1 * n2 if lift is None else n1 * n2 * lift[_count(c_pos)]
                 for d, nc in order:
-                    term = t + d
+                    term = rest + d
                     acc[term] = get(term, 0) + v * nc
+            else:
+                rest, orders, contracted = w1 + w2, [], 0
+                while cancel:  # one block at a time, lowest first
+                    low = cancel & -cancel
+                    cancel ^= low
+                    mask_pos, mask_nonpos = blocks[low]
+                    c_pos, c_nonpos = w1 & mask_pos, w2 & mask_nonpos
+                    rest -= c_pos + c_nonpos
+                    orders.append(memo((token, c_pos, c_nonpos))
+                                  or _reorder(c_pos, c_nonpos, rule))
+                    if lift is not None:
+                        contracted += _count(c_pos)
+                terms = [(rest, n1 * n2 if lift is None else n1 * n2 * lift[contracted])]
+                last = orders.pop()
+                for order in orders:
+                    terms = [(t + d, v * nc) for t, v in terms for d, nc in order]
+                for t, v in terms:
+                    for d, nc in last:
+                        term = t + d
+                        acc[term] = get(term, 0) + v * nc
     # mode slots never carry: a memo term holds some of the contracted modes.
     # Every block order holds its fully commuted term, so acc holds w1 + w2
     # and each key that swaps one block's memo term in at a time: hbar and

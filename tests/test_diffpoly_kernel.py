@@ -153,6 +153,11 @@ def test_rings_do_not_mix_even_through_a_zero():
             op(zero, u)
         with pytest.raises(ValueError, match="ring context mismatch"):
             op(u, zero)
+    # an equal ring built apart is the same ring: a product skips the check
+    # only for the ring object itself, and compares the others
+    v = DiffPoly.jet(Ring(2), 2, 0)
+    assert v.ring is not u.ring and (u * v).ring is u.ring
+    assert (u * v) == (v * u) and len((u * v).terms) == 1
 
 
 # -- the slot guards ----------------------------------------------------------------

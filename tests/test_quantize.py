@@ -586,10 +586,15 @@ def test_products_without_cancelling_momenta_do_no_reordering(monkeypatch):
     assert memo_words(3) == {(rules[0].token, ((3, 1),), ((-3, 3),))}
 
 
+def momenta_met(a, b) -> set:
+    """The numbers of momenta at which the terms of a contract with those of b."""
+    return {len({k for k, _ in w1 if k >= 1} & {-k for k, _ in w2})
+            for _, _, w1 in q_terms(a) for _, _, w2 in q_terms(b)}
+
+
 def cancelling_momenta(a, b) -> int:
     """The most momenta at which a term of a contracts with a term of b."""
-    return max((len({k for k, _ in w1 if k >= 1} & {-k for k, _ in w2})
-                for _, _, w1 in q_terms(a) for _, _, w2 in q_terms(b)), default=0)
+    return max(momenta_met(a, b), default=0)
 
 
 def test_reorder_memo_keys_hold_only_contracting_modes(monkeypatch):
@@ -633,7 +638,7 @@ def multi_block_pairs(draw, ctx):
 
 
 @pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
-@pytest.mark.parametrize("r", [4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_pairs_that_cancel_at_several_momenta_match_the_reference(make_rule, r, data):
@@ -649,17 +654,19 @@ def test_occupancy_is_computed_once_per_side(monkeypatch):
     a, b, c = (rand_element(rng, ctx, 4) for _ in range(3))
     uncached = [WeylElement(ctx, dict(x.items())) for x in (a, b, c)]
     calls = []
-    blocks = quantize._blocks
+    rows = quantize._rows
 
-    def counted(key, *rest):
-        calls.append(key)
-        return blocks(key, *rest)
+    def counted(terms, *rest):
+        calls.append(terms)
+        return rows(terms, *rest)
 
-    monkeypatch.setattr(quantize, "_blocks", counted)
+    monkeypatch.setattr(quantize, "_rows", counted)
     rule = std_rule(4)
     first = [weyl_star(a, b, rule), weyl_star(b, c, rule)]
-    # b is used on both sides, a only on the left and c only on the right
-    assert len(calls) == len(a.terms) + 2 * len(b.terms) + len(c.terms)
+    # b is used on both sides, a only on the left and c only on the right:
+    # one row build per side, one row per term
+    assert calls == [a.terms, b.terms, b.terms, c.terms]
+    assert sum(map(len, calls)) == len(a.terms) + 2 * len(b.terms) + len(c.terms)
     assert a._right is None and c._left is None
     calls.clear()
     for _ in range(3):
@@ -749,6 +756,34 @@ def test_warm_star_products_do_no_fraction_arithmetic(monkeypatch):
     assert products() == warm
 
 
+def test_warm_star_products_call_no_reorder(monkeypatch):
+    # every block order comes from the memo once it is there: a pair that
+    # cancels at one momentum and one that cancels at several call
+    # _reorder only on a miss
+    rng = random.Random(107)
+    ctx = WeylContext(n_fields=3, window=2)
+    pairs = [(rand_element(rng, ctx, max_degree=5), rand_element(rng, ctx, max_degree=5))
+             for _ in range(12)]
+    # p1[1] p2[2] meets p2[-1] p3[-2] at momenta 1 and 2, and p1[-1] at 1
+    pairs.append((WeylElement(ctx, {(0, 0, ((1, 1, 1), (2, 2, 1))): 2,
+                                    (1, 0, ((3, 1, 2),)): I}),
+                  WeylElement(ctx, {(0, 0, ((2, -1, 1), (3, -2, 1))): 3,
+                                    (0, 1, ((1, -1, 1),)): -I})))
+    assert {1, 2} <= set().union(*(momenta_met(a, b) for a, b in pairs))
+    rules = (std_rule(4), deformed_rule(4))
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", {})
+    first = [weyl_star(a, b, rule) for a, b in pairs for rule in rules]
+
+    def refuse(*args):
+        raise AssertionError("_reorder called on a warm memo")
+
+    monkeypatch.setattr(quantize, "_reorder", refuse)
+    fresh = [(WeylElement(ctx, dict(a.items())), WeylElement(ctx, dict(b.items())))
+             for a, b in pairs]
+    for replay in (pairs, fresh):  # cached rows and rows built anew
+        assert [weyl_star(a, b, rule) for a, b in replay for rule in rules] == first
+
+
 def test_a_bracket_the_scale_does_not_clear_is_refused(monkeypatch):
     # the memo holds numerators over a power of the rule's scale (48 for the
     # deformed r = 4 rule); a bracket value off that lattice is no numerator
@@ -765,17 +800,19 @@ def test_a_bracket_the_scale_does_not_clear_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_kernel_matches_the_reference(make_rule, data):
-    # windows 1-5 share one memo; repeated modes contract with multiplicity
-    r, window = data.draw(st.sampled_from((4, 5))), data.draw(st.integers(1, 5))
+    # windows 1-5 share one memo; repeated modes contract with multiplicity;
+    # r = 2..5 puts N = 1..4 fields in each momentum block
+    r, window = data.draw(st.sampled_from((2, 3, 4, 5))), data.draw(st.integers(1, 5))
     ctx, rule = WeylContext(r - 1, window), make_rule(r)
     a, b = data.draw(weyl_elements(ctx, 3)), data.draw(weyl_elements(ctx, 3))
     ab = weyl_star(a, b, rule)
     assert q_terms(ab) == ref.star(q_terms(a), q_terms(b), rule)
-    assert q_terms(f_r_map(r, ab)) == ref.f_r(r, q_terms(ab))
-    assert q_terms(f_r_map(r, a)) == ref.f_r(r, q_terms(a))
+    if r >= 4:  # f_r is defined for r = 4, 5
+        assert q_terms(f_r_map(r, ab)) == ref.f_r(r, q_terms(ab))
+        assert q_terms(f_r_map(r, a)) == ref.f_r(r, q_terms(a))
 
 
 def test_products_and_f_r_decode_no_key(monkeypatch):
