@@ -20,6 +20,19 @@ slots up.  The top bit of every slot is a guard: an exponent that would
 overflow its slot, or an eps exponent that would go negative, sets it and is
 refused with ``ValueError``.
 
+A ring may carry a cap E on derivative degree (``Ring(n, cap=E)``; the
+default None is exact).  A capped ring is the quotient by every monomial of
+derivative degree above E: ``sum_of_products`` and ``dx`` drop the keys
+above E from what they accumulate, and ``from_items`` and the one-term
+constructors drop them from their input.  This is exact truncation, because
+products add degrees, d_x adds exactly 1, and sums, scalar multiples,
+``substitute``, ``var_der``, the pseudo-differential Leibniz terms and
+residues never lower a degree: the degree <= E part of their result depends
+only on the degree <= E parts of their inputs.  ``partial`` in a jet of
+order o lowers degrees by o, so in a capped ring it is exact only up to
+degree E - o.  Capped and exact rings compare unequal, so their polynomials
+never mix; at E = 0 every polynomial is jet-free and d_x is zero.
+
 Code outside this module reads a polynomial through ``items()``, which
 yields ``((eps, jets), Fraction)`` with ``jets`` a tuple of ``(alpha, order,
 power)`` triples sorted by (alpha, order), and builds one from such pairs
@@ -45,34 +58,42 @@ _JETS = 2 * W           # bit offset of the first jet slot
 
 
 class Ring:
-    """Context for differential polynomials over Q: the number of fields.
+    """Context for differential polynomials over Q: the number of fields and
+    an optional cap on derivative degree.
 
     d, the squarefree part of r in an r-spin context, is recorded in the
-    JSON form; rings with different field counts or d are unequal, so their
+    JSON form.  ``cap`` = E keeps only the monomials of derivative degree
+    <= E (see the module docstring); None, the default, is exact.  Rings
+    with different field counts, d or caps are unequal, so their
     polynomials never mix.  A field count whose u^N_0 needs a packed slot
-    above ``TOP_SLOT`` is refused.
+    above ``TOP_SLOT`` is refused.  The JSON form does not record the cap.
     """
 
-    __slots__ = ("n_fields", "d")
+    __slots__ = ("n_fields", "d", "cap")
 
-    def __init__(self, n_fields: int, d: int = 1):
+    def __init__(self, n_fields: int, d: int = 1, cap: int | None = None):
         if n_fields < 1:
             raise ValueError("need at least one field")
         if 1 + n_fields > TOP_SLOT:
             raise ValueError(f"{n_fields} fields need packed slot {1 + n_fields} "
                              f"for u^{n_fields}_0, above {TOP_SLOT}")
+        if cap is not None and (type(cap) is not int or not 0 <= cap <= SLOT_MAX):
+            raise ValueError(f"a derivative-degree cap is an int in 0..{SLOT_MAX}, "
+                             f"got {cap!r}")
         self.n_fields = n_fields
         self.d = d
+        self.cap = cap
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.n_fields == other.n_fields
-                and self.d == other.d)
+                and self.d == other.d and self.cap == other.cap)
 
     def __hash__(self):
-        return hash((self.n_fields, self.d))
+        return hash((self.n_fields, self.d, self.cap))
 
     def __repr__(self):
-        return f"Ring(n_fields={self.n_fields}, d={self.d})"
+        cap = "" if self.cap is None else f", cap={self.cap}"
+        return f"Ring(n_fields={self.n_fields}, d={self.d}{cap})"
 
     def check_compatible(self, other: "Ring"):
         if self != other:
@@ -87,6 +108,13 @@ class Ring:
         except ValueError:
             raise ValueError(
                 f"{self} has exact rational coefficients, got {value!r}") from None
+
+    def within_cap(self, terms: dict) -> dict:
+        """terms without the keys above the cap; terms itself when exact."""
+        cap = self.cap
+        if cap is None:
+            return terms
+        return {key: v for key, v in terms.items() if (key >> W) & MASK <= cap}
 
 
 def rspin_ring(r: int) -> Ring:
@@ -176,7 +204,9 @@ class DiffPoly:
         else:
             c = ring.scalar(coeff)
             num, den = c.numerator, c.denominator
-        return DiffPoly(ring, {key: num}, den) if num else DiffPoly(ring)
+        if not num or (ring.cap is not None and (key >> W) & MASK > ring.cap):
+            return DiffPoly(ring)
+        return DiffPoly(ring, {key: num}, den)
 
     @staticmethod
     def const(ring: Ring, value) -> "DiffPoly":
@@ -193,11 +223,12 @@ class DiffPoly:
     @staticmethod
     def from_items(ring: Ring, items) -> "DiffPoly":
         """sum c eps^e prod (u^alpha_order)^power over ((e, jets), c) pairs;
-        the jets need not be sorted, and repeated monomials add up."""
+        the jets need not be sorted, and repeated monomials add up; a
+        capped ring drops the monomials above its cap."""
         coeffs: dict = {}
         for (eps, jets), c in items:
             add_term(coeffs, _pack(ring, eps, jets), ring.scalar(c))
-        return DiffPoly(ring, *over_one_den(coeffs))
+        return DiffPoly(ring, *over_one_den(ring.within_cap(coeffs)))
 
     # -- the decoded view ----------------------------------------------------
 
@@ -306,17 +337,27 @@ class DiffPoly:
     # -- calculus ---------------------------------------------------------------
 
     def dx(self) -> "DiffPoly":
-        """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i."""
-        up = (1 << (W * self.ring.n_fields)) - 1  # times a slot's unit: one order up
+        """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i.
+
+        In a ring capped at E the terms of degree E and above derive to
+        nothing; at E = 0 that is every term.
+        """
+        ring, terms = self.ring, self.terms
+        if ring.cap is not None:
+            cap = ring.cap
+            if not cap:
+                return DiffPoly(ring)
+            terms = {key: v for key, v in terms.items() if (key >> W) & MASK < cap}
+        up = (1 << (W * ring.n_fields)) - 1  # times a slot's unit: one order up
         acc: dict = {}
         get = acc.get
-        for key, v in self.terms.items():
+        for key, v in terms.items():
             base = key + _DEG
             for shift, power in nonzero_slots(key, _JETS):
                 k = base + (up << shift)
                 acc[k] = get(k, 0) + v * power
         check_slots(acc)
-        return DiffPoly(self.ring, *canonical(acc, self.den))
+        return DiffPoly(ring, *canonical(acc, self.den))
 
     def dx_pow(self, k: int) -> "DiffPoly":
         f = self
@@ -411,7 +452,7 @@ class DiffPoly:
             eps, jets = _unpack(key, n)
             new = _pack(out_ring, eps, [(field_map[a], o, p) for a, o, p in jets])
             acc[new] = acc.get(new, 0) + v
-        return DiffPoly(out_ring, *canonical(acc, self.den))
+        return DiffPoly(out_ring, *canonical(out_ring.within_cap(acc), self.den))
 
     # -- rendering / serialization ------------------------------------------------
 
@@ -519,7 +560,8 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
 
     The one product loop: a product of monomials is the sum of their packed
     keys, and every term goes straight into one accumulator of integer
-    numerators over the least common denominator of all the triples.
+    numerators over the least common denominator of all the triples.  A
+    capped ring then drops the accumulated keys above its cap.
     """
     triples = list(triples)
     for _, f, g in triples:
@@ -542,6 +584,8 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     check_slots(acc)
+    if ring.cap is not None:
+        acc = ring.within_cap(acc)
     return DiffPoly(ring, *canonical(acc, den))
 
 

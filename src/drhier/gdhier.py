@@ -14,6 +14,14 @@ computed in u and reaches w only at the output, where every monomial gains
 an even power of sqrt(-r), a rational (-r)^n.  The dispersionless two-point
 data consumed by the reconstruction recursion is the eps = 0 part of those
 Hamiltonian densities.
+
+That eps = 0 part is the derivative-degree-0 part before eps dressing, and
+no step of the pipeline lowers derivative degree.  So each context keeps
+an E = 0 view (``GDContext.dispersionless``): the same pipeline over the
+ring capped at derivative degree 0 (see ``diffpoly``), with its own root
+and r-spin change, where every polynomial is jet-free and d_x is zero.
+``dispersionless_omega`` reads the view and hands back its result in the
+exact ring; the exact root is never truncated.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ class GDContext:
     derivative memo, and is memoized per p; ``lax_power(p)`` builds the
     whole operator, for the positive part of a flow.
 
+    ``dispersionless()`` is the context's E = 0 view, built on first use:
+    a context of the same r and depth over ``ring_f`` capped at derivative
+    degree 0, with its own root and memos.
+
     The root and the residue memo are unsynchronized; share a context
     across threads only behind a lock, or use one per thread.
     """
@@ -52,9 +64,12 @@ class GDContext:
     def __init__(self, r: int, depth: int):
         if r < 2:
             raise ValueError("need r >= 2")
+        self._setup(r, depth, rspin_ring(r))
+
+    def _setup(self, r: int, depth: int, ring: Ring):
         self.r = r
         self.depth = depth
-        self.ring_f = self.ring_w = rspin_ring(r)
+        self.ring_f = self.ring_w = ring
         coeffs = {r: DiffPoly.const(self.ring_f, 1)}
         for i in range(r - 1):
             coeffs[i] = DiffPoly.jet(self.ring_f, i + 1, 0)
@@ -63,6 +78,17 @@ class GDContext:
         self._residues: dict[int, DiffPoly] = {}
         self._rspin_change = None
         self._rspin_operator = None
+        self._dispersionless = self if ring.cap == 0 else None
+
+    def dispersionless(self) -> "GDContext":
+        """The E = 0 view: this context's pipeline over the ring capped at
+        derivative degree 0, built once; a view is its own view."""
+        if self._dispersionless is None:
+            view = GDContext.__new__(GDContext)
+            ring = self.ring_f
+            view._setup(self.r, self.depth, Ring(ring.n_fields, ring.d, cap=0))
+            self._dispersionless = view
+        return self._dispersionless
 
     def f_var(self, i: int, order: int = 0) -> DiffPoly:
         """The jet variable of f_i (0-based Lax index)."""
@@ -321,13 +347,14 @@ def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> DiffPoly:
     density, a jet-free polynomial in the w fields with zero constant term.
 
     The two-index family Omega_{alpha,p;beta,0} is its plain partial
-    derivative in u^beta.
+    derivative in u^beta.  It is read off ``ctx.dispersionless()``, the
+    E = 0 view, and returned in ``ctx.ring_w``: a jet-free polynomial has
+    the same terms in both rings.  The view refuses what ``ctx`` would,
+    since it has the same depth.
     """
-    h = rspin_hamiltonian(ctx, alpha, p)
-    density = h.density.eps_coefficient(0)
-    if density.has_jets():
-        raise ValueError(
-            "eps = 0 density depends on jet variables; normalization is broken")
+    view = ctx.dispersionless()
+    density = rspin_hamiltonian(view, alpha, p).density
+    density = DiffPoly(ctx.ring_w, density.terms, density.den)
     constant = density.constant_term()
     if constant:
         density = density - DiffPoly.const(ctx.ring_w, constant)

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .diffpoly import LocalFunctional
 from .drspin import DR_DZ_SHIFTS
@@ -194,15 +194,15 @@ def _mode_offsets(n: int, window: int) -> dict:
             for alpha in range(1, n + 1) for k in range(-window, window + 1)}
 
 
-def pack_key(ctx: WeylContext, h: int, e: int, pkey) -> int:
-    """The key of hbar^h eps^e times the (alpha, k, power) factors of pkey.
+def pack_key(ctx: WeylContext, offsets: dict, h: int, e: int, pkey) -> int:
+    """The key of hbar^h eps^e times the (alpha, k, power) factors of pkey;
+    offsets is ``_mode_offsets`` of ctx.
 
     A field outside 1..N, a mode outside the window, a power below 1 or an
     exponent above ``SLOT_MAX`` (repeated factors added up) is refused.
     """
     if not (0 <= h <= SLOT_MAX and 0 <= e <= SLOT_MAX):
         raise ValueError(f"hbar and eps exponents must lie in 0..{SLOT_MAX}, got {h}, {e}")
-    offsets = _mode_offsets(ctx.n_fields, ctx.window)
     key = h + e * _EPS
     for alpha, k, power in pkey:
         shift = offsets.get((alpha, k))
@@ -315,10 +315,18 @@ class WeylElement:
     def __init__(self, ctx: WeylContext, terms: dict | None = None):
         self.ctx = ctx
         self._left = self._right = None
-        coeffs: dict = {}
+        offsets = _mode_offsets(ctx.n_fields, ctx.window)
+        nums: dict = {}
+        den = 1
         for (h, e, pkey), c in (terms or {}).items():
-            add_term(coeffs, pack_key(ctx, h, e, pkey), _to_q(c, h, e, pkey))
-        self.terms, self.den = over_one_den(coeffs)
+            key = pack_key(ctx, offsets, h, e, pkey)  # the key is refused first
+            n, d = _to_q(c, h, e, pkey).as_integer_ratio()
+            if den % d:  # move the numerators so far to the new lcm
+                lift = d // gcd(den, d)
+                den *= lift
+                nums = {k: v * lift for k, v in nums.items()}
+            nums[key] = nums.get(key, 0) + n * (den // d)
+        self.terms, self.den = canonical(nums, den)
 
     @classmethod
     def _of(cls, ctx: WeylContext, terms: dict, den: int = 1) -> "WeylElement":

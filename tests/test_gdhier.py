@@ -13,6 +13,7 @@ from drhier.gdhier import (
     eta_matrix,
     gd_flow,
     gd_flow_via_hamiltonian,
+    gd_context,
     gd_hamiltonian,
     gd_operator,
     rspin_change,
@@ -558,12 +559,22 @@ def test_trr_r3():
             trr_check(CTX[3], alpha, p)
 
 
+def trr_levels(r, p_max):
+    """TRR for every alpha at p <= p_max; Omega_{alpha,p_max+2;1,0} reads
+    res L^{(alpha + r (p_max + 2))/r}, which needs that many levels plus 2."""
+    ctx = gd_context(r, r * (p_max + 3) + 1)
+    for alpha in range(1, r):
+        for p in range(p_max + 1):
+            trr_check(ctx, alpha, p)
+
+
 def test_trr_r4_low_levels():
-    # higher (alpha, p) for r = 4, 5 need deep Lax roots; the low levels
-    # exercise the same identity at desk scale
-    trr_check(CTX[4], 1, 0)
-    trr_check(CTX[4], 2, 0)
+    trr_levels(4, 3)
 
 
 def test_trr_r5_low_levels():
-    trr_check(CTX[5], 1, 0)
+    trr_levels(5, 3)
+
+
+def test_trr_r6():
+    trr_levels(6, 2)
