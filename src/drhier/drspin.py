@@ -10,6 +10,11 @@ u^{alpha_1}_{b_1}..u^{alpha_n}_{b_n} with the prefactor eps^{2g} over the
 multiset symmetry factor).  Boundary classes are never evaluated here:
 they are table keys, and vanishing statements are explicit zero entries.
 
+A polynomial in the weights a_1..a_n is a ``DiffPoly`` of ``Ring(n)`` whose
+only jets are a_i = u^i_0, so the expansion and the pairing use the
+arithmetic of ``diffpoly``; ``DRPolynomial`` holds the paired result as
+sorted exponent tuples.
+
 The reference g_{1,1} Hamiltonians for r = 3, 4, 5 ship as exact built-in
 data for the hierarchy-comparison checks.
 """
@@ -18,34 +23,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring
-from .scalars import Frozen, add_term, exact_rational
-
-# a-polynomials: exponent tuple (over markings carrying weights) -> Fraction
-APoly = dict[tuple[int, ...], Fraction]
-
-
-def apoly_add(a: APoly, b: APoly) -> APoly:
-    out = dict(a)
-    for k, v in b.items():
-        add_term(out, k, v)
-    return out
-
-
-def apoly_mul(a: APoly, b: APoly) -> APoly:
-    out: APoly = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            add_term(out, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
-    return out
-
-
-def apoly_scale(a: APoly, c: Fraction) -> APoly:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring, sum_of_products
+from .scalars import Frozen, exact_rational
 
 
 # -- profiles --------------------------------------------------------------------------
@@ -153,101 +134,71 @@ def canonical_boundary(h: int, J: tuple[int, ...], g: int,
 
 
 def hain_expand(g: int, n: int, zero_weight_marking: bool = False
-                ) -> dict[TautMonomial, APoly]:
+                ) -> dict[TautMonomial, DiffPoly]:
     """(sum a_j^2 psi_j/2 - 1/2 sum_{|J|>=2} a_J^2 d_0^J
         - 1/4 sum_J sum_{h=1..g-1} a_J^2 d_h^J)^g / g!
 
-    Markings are 1..n carrying the weights a_1..a_n; with
-    ``zero_weight_marking`` an extra first marking of weight 0 is prepended
-    (markings become 1..n+1 with marking 1 the weightless one).  The a_i
-    are kept as free polynomial variables: representatives are only
-    meaningful modulo sum a_i = 0, which downstream assembly respects.
+    Markings are 1..n carrying the weights a_1..a_n, the jets u^1_0..u^n_0
+    of ``Ring(n)``; with ``zero_weight_marking`` an extra first marking of
+    weight 0 is prepended (markings become 1..n+1 with marking 1 the
+    weightless one).  The a_i are kept as free polynomial variables:
+    representatives are only meaningful modulo sum a_i = 0, which downstream
+    assembly respects.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
+    ring = Ring(n)
     offset = 1 if zero_weight_marking else 0
     markings = tuple(range(1, n + offset + 1))
     n_mark = len(markings)
+    weight = {m: DiffPoly.jet(ring, m - offset, 0) if m > offset else DiffPoly.zero(ring)
+              for m in markings}
 
-    def weight_vector(marking: int) -> APoly:
-        """a_marking as an APoly over the n weighted positions."""
-        if zero_weight_marking and marking == 1:
-            return {}
-        idx = marking - 1 - offset
-        e = [0] * n
-        e[idx] = 1
-        return {tuple(e): Fraction(1)}
-
-    def subset_weight(J) -> APoly:
-        acc: APoly = {}
-        for m in J:
-            acc = apoly_add(acc, weight_vector(m))
-        return acc
-
-    one = TautMonomial(psi=(0,) * n_mark)
     if g == 0:
-        return {one: {(0,) * n: Fraction(1)}}
+        return {TautMonomial(psi=(0,) * n_mark): DiffPoly.const(ring, 1)}
 
-    base: list[tuple[TautMonomial, APoly]] = []
+    base: list[tuple[TautMonomial, DiffPoly]] = []
     for pos, m in enumerate(markings):
-        w = weight_vector(m)
-        if not w:
-            continue
-        psi = [0] * n_mark
-        psi[pos] = 1
-        base.append((TautMonomial(psi=tuple(psi)),
-                     apoly_scale(apoly_mul(w, w), Fraction(1, 2))))
-    subsets: list[tuple[int, ...]] = []
+        if m > offset:
+            psi = [0] * n_mark
+            psi[pos] = 1
+            base.append((TautMonomial(psi=tuple(psi)), weight[m] * weight[m] / 2))
+    squares = []  # (J, a_J^2) for every J of nonzero weight
     for mask in range(1, 1 << n_mark):
-        subsets.append(tuple(markings[i] for i in range(n_mark) if mask >> i & 1))
-    boundary_terms: dict[tuple[int, tuple[int, ...]], APoly] = {}
-    for J in subsets:
-        if len(J) < 2:
-            continue
-        w2 = subset_weight(J)
-        if not w2:
-            continue
-        sym = canonical_boundary(0, J, g, markings)
-        contribution = apoly_scale(apoly_mul(w2, w2), Fraction(-1, 2))
-        boundary_terms[sym] = apoly_add(boundary_terms.get(sym, {}), contribution)
-    for h in range(1, g):
-        for J in subsets:
-            w2 = subset_weight(J)
-            if not w2:
-                continue
-            sym = canonical_boundary(h, J, g, markings)
-            contribution = apoly_scale(apoly_mul(w2, w2), Fraction(-1, 4))
-            boundary_terms[sym] = apoly_add(boundary_terms.get(sym, {}), contribution)
-    for sym, apoly in sorted(boundary_terms.items()):
-        base.append((TautMonomial(psi=(0,) * n_mark, boundary=(sym,)), apoly))
+        J = tuple(markings[i] for i in range(n_mark) if mask >> i & 1)
+        a_J = sum((weight[m] for m in J), DiffPoly.zero(ring))
+        if a_J:
+            squares.append((J, a_J * a_J))
+    boundary_terms: dict[tuple[int, tuple[int, ...]], DiffPoly] = {}
+    for h in range(g):
+        for J, square in squares:
+            if h or len(J) >= 2:
+                sym = canonical_boundary(h, J, g, markings)
+                boundary_terms[sym] = square / (-4 if h else -2) + boundary_terms.get(sym, 0)
+    for sym, poly in sorted(boundary_terms.items()):
+        base.append((TautMonomial(psi=(0,) * n_mark, boundary=(sym,)), poly))
 
-    # multinomial expansion of the g-th power over the base terms, divided by g!
-    out: dict[TautMonomial, APoly] = {}
+    # multinomial expansion of the g-th power over the base terms, divided by
+    # g!: poly is the product of term^mult / mult! over the terms chosen so far
+    out: dict[TautMonomial, DiffPoly] = {}
 
-    def choose(idx: int, remaining: int, taut_psi, taut_bnd, apoly: APoly,
-               denominator: int):
+    def choose(idx: int, remaining: int, taut_psi, taut_bnd, poly: DiffPoly):
         if remaining == 0:
-            sym = TautMonomial(psi=tuple(taut_psi), boundary=tuple(sorted(taut_bnd)))
-            out[sym] = apoly_add(out.get(sym, {}),
-                                 apoly_scale(apoly, Fraction(1, denominator)))
+            # each multiset of base terms gives its own monomial
+            out[TautMonomial(psi=tuple(taut_psi), boundary=tuple(sorted(taut_bnd)))] = poly
             return
         if idx == len(base):
             return
         term_sym, term_poly = base[idx]
-        power_poly: APoly = {(0,) * n: Fraction(1)}
         for mult in range(remaining + 1):
             if mult:
-                power_poly = apoly_mul(power_poly, term_poly)
-                if not power_poly:
-                    break
-            new_psi = [a + mult * b for a, b in zip(taut_psi, term_sym.psi)]
-            new_bnd = taut_bnd + list(term_sym.boundary) * mult
-            choose(idx + 1, remaining - mult, new_psi, new_bnd,
-                   apoly_mul(apoly, power_poly) if mult else apoly,
-                   denominator * factorial(mult))
+                poly = poly * term_poly / mult
+            choose(idx + 1, remaining - mult,
+                   [a + mult * b for a, b in zip(taut_psi, term_sym.psi)],
+                   taut_bnd + list(term_sym.boundary) * mult, poly)
 
-    choose(0, g, [0] * n_mark, [], {(0,) * n: Fraction(1)}, 1)
-    return {sym: poly for sym, poly in out.items() if poly}
+    choose(0, g, [0] * n_mark, [], DiffPoly.const(ring, 1))
+    return out
 
 
 # -- intersection-number tables ----------------------------------------------------------------
@@ -259,6 +210,28 @@ class TableMissError(KeyError):
 
 class TableFileError(ValueError):
     """A table file cannot be read or does not hold a well-formed table."""
+
+
+def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
+    """The (monomial, value) pairs keyed by canonical boundary symbols.
+
+    A symbol that no expansion for (g, n) holds, with h outside 0..g or J
+    not a set of markings in 1..n, and two different values for one class,
+    raise TableFileError.
+    """
+    markings = tuple(range(1, n + 1))
+    canon: dict[TautMonomial, Fraction] = {}
+    for sym, value in entries:
+        boundary = []
+        for h, J in sym.boundary:
+            if not (0 <= h <= g and all(1 <= m <= n for m in J) and len(set(J)) == len(J)):
+                raise TableFileError(f"boundary symbol [{h}, {list(J)}] needs 0 <= h <= {g} "
+                                     f"and distinct markings in 1..{n}")
+            boundary.append(canonical_boundary(h, J, g, markings))
+        key = TautMonomial(psi=sym.psi, boundary=tuple(sorted(boundary)))
+        if canon.setdefault(key, value) != value:
+            raise TableFileError(f"{key} is given twice, as {canon[key]} and {value}")
+    return canon
 
 
 class IntegralTable:
@@ -281,13 +254,7 @@ class IntegralTable:
         self.default_zero = default_zero
 
     def canonicalize(self):
-        markings = tuple(range(1, self.n + 1))
-        canon = {}
-        for sym, value in self.entries.items():
-            boundary = tuple(sorted(canonical_boundary(h, J, self.g, markings)
-                                    for h, J in sym.boundary))
-            canon[TautMonomial(psi=sym.psi, boundary=boundary)] = value
-        self.entries = canon
+        self.entries = canonical_entries(self.g, self.n, self.entries.items())
         return self
 
     def lookup(self, sym: TautMonomial) -> Fraction:
@@ -338,7 +305,7 @@ class IntegralTable:
                 and isinstance(default_zero, bool)):
             raise TableFileError("need integers g >= 0, n >= 1 and a boolean default_zero, "
                                  f"got {g!r}, {n!r}, {default_zero!r}")
-        entries = {}
+        entries = []
         for item in data["entries"]:
             if not isinstance(item, dict):
                 raise TableFileError(f"malformed entry {item!r}")
@@ -349,13 +316,12 @@ class IntegralTable:
                 raise TableFileError(f"boundary is a list of [h, J] pairs, got {boundary!r}")
             sym = TautMonomial(
                 psi=integers(item.get("psi"), "psi", length=n),
-                boundary=tuple(sorted((h, integers(J, "J", least=1))
-                                      for h, J in boundary)))
-            entries[sym] = rational(item.get("value"))
-        table = IntegralTable(g=g, n=n,
-                              labels=integers(data.get("labels", []), "labels", least=1),
-                              entries=entries, default_zero=default_zero)
-        return table.canonicalize()
+                boundary=tuple((h, integers(J, "J", least=1)) for h, J in boundary))
+            entries.append((sym, rational(item.get("value"))))
+        return IntegralTable(g=g, n=n,
+                             labels=integers(data.get("labels", []), "labels", least=1),
+                             entries=canonical_entries(g, n, entries),
+                             default_zero=default_zero)
 
     @staticmethod
     def load(path) -> "IntegralTable":
@@ -373,7 +339,7 @@ class IntegralTable:
 
 class DRPolynomial(Frozen):
     """Homogeneous degree-2g polynomial in the weights a_1..a_n, modulo
-    the ideal generated by sum a_i."""
+    the ideal generated by sum a_i, as sorted (exponent tuple, value) pairs."""
 
     __slots__ = ("g", "n", "coeffs")
 
@@ -381,34 +347,34 @@ class DRPolynomial(Frozen):
         self._init(g, n, coeffs)
 
     @staticmethod
-    def from_apoly(g: int, n: int, poly: APoly) -> "DRPolynomial":
-        for exps in poly:
+    def from_diffpoly(g: int, n: int, poly: DiffPoly) -> "DRPolynomial":
+        """poly, a polynomial of Ring(n) in a_i = u^i_0, decoded once."""
+        Ring(n).check_compatible(poly.ring)
+        coeffs = []
+        for (_, jets), value in poly.items():
+            exps = [0] * n
+            for i, _, power in jets:
+                exps[i - 1] = power
             if sum(exps) != 2 * g:
                 raise ValueError(
-                    f"monomial a^{exps} is not homogeneous of degree {2 * g}")
-        return DRPolynomial(g, n, tuple(sorted(poly.items())))
-
-    def as_apoly(self) -> APoly:
-        return dict(self.coeffs)
+                    f"monomial a^{tuple(exps)} is not homogeneous of degree {2 * g}")
+            coeffs.append((tuple(exps), value))
+        return DRPolynomial(g, n, tuple(sorted(coeffs)))
 
 
-def pair_with_table(expansion: dict[TautMonomial, APoly], table: IntegralTable,
+def pair_with_table(expansion: dict[TautMonomial, DiffPoly], table: IntegralTable,
                     dilaton: bool, g: int, n: int) -> DRPolynomial:
     """Substitute table values for the tautological monomials.
 
     With ``dilaton`` the psi_1-insertion at the extra marked point has been
     removed beforehand, which costs the factor (2g - 2 + n).
     """
-    total: APoly = {}
-    for sym, poly in expansion.items():
-        value = table.lookup(sym)
-        if value:
-            total = apoly_add(total, apoly_scale(poly, value))
-    if dilaton:
-        total = apoly_scale(total, Fraction(2 * g - 2 + n))
-    if not total:
-        total = {}
-    return DRPolynomial.from_apoly(g, n, total)
+    ring = Ring(n)
+    one = DiffPoly.const(ring, 1)
+    factor = 2 * g - 2 + n if dilaton else 1
+    total = sum_of_products(ring, [(table.lookup(sym) * factor, poly, one)
+                                   for sym, poly in expansion.items()])
+    return DRPolynomial.from_diffpoly(g, n, total)
 
 
 def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
@@ -423,22 +389,18 @@ def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
     """
     if ring is None:
         ring = rspin_ring(r)
-    density = DiffPoly.zero(ring)
+    items = []
     for profile, poly in contributions:
         if profile.r != r:
             raise ValueError("profile belongs to a different r")
         labels = profile.labels
-        sym_factor = Fraction(1)
-        for nk in profile.counts:
-            sym_factor /= factorial(nk)
+        sym_factor = prod(factorial(nk) for nk in profile.counts)
         for exps, coeff in poly.coeffs:
             if len(exps) != profile.n:
                 raise ValueError("polynomial arity does not match the profile")
-            term = DiffPoly.const(ring, coeff * sym_factor)
-            for label, b in zip(labels, exps):
-                term = term * DiffPoly.jet(ring, label, b)
-            density = density + term.eps_shift(2 * profile.g)
-    return integrate(density)
+            jets = [(label, b, 1) for label, b in zip(labels, exps)]
+            items.append(((2 * profile.g, jets), coeff / sym_factor))
+    return integrate(DiffPoly.from_items(ring, items))
 
 
 # -- built-in reference Hamiltonians ------------------------------------------------------------------
@@ -520,10 +482,5 @@ def builtin_g11(r: int, ring: Ring | None = None) -> LocalFunctional:
         raise ValueError(f"no built-in g_{{1,1}} data for r = {r}")
     if ring is None:
         ring = rspin_ring(r)
-    density = DiffPoly.zero(ring)
-    for coeff, eps, jets in _G11_DATA[r]:
-        term = DiffPoly.const(ring, coeff)
-        for alpha, order, power in jets:
-            term = term * DiffPoly.jet(ring, alpha, order, power)
-        density = density + term.eps_shift(eps)
-    return integrate(density)
+    return integrate(DiffPoly.from_items(
+        ring, (((eps, jets), coeff) for coeff, eps, jets in _G11_DATA[r])))

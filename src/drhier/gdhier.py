@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate, rspin_ring
-from .hamops import HamiltonianOperator, flow, op_dress, transport_operator
+from .hamops import HamiltonianOperator, op_dress, transport_operator
 # pdo_root stays bound here: perfbench's tracer wraps it under this name
 from .psido import LaxRoot, PseudoDiffOp, pdo_root, product_coeff  # noqa: F401
 
@@ -93,9 +93,6 @@ class GDContext:
     def f_var(self, i: int, order: int = 0) -> DiffPoly:
         """The jet variable of f_i (0-based Lax index)."""
         return DiffPoly.jet(self.ring_f, i + 1, order)
-
-    def w_var(self, alpha: int, order: int = 0) -> DiffPoly:
-        return DiffPoly.jet(self.ring_w, alpha, order)
 
     def lax_power(self, p: int) -> PseudoDiffOp:
         """L^{p/r} as the exact L^q composed with S^s, p = q r + s.
@@ -226,9 +223,6 @@ class RSpinChange:
     def inverse_images(self) -> dict[int, DiffPoly]:
         return {i + 1: g for i, g in enumerate(self.inverse)}
 
-    def forward_images(self) -> dict[int, DiffPoly]:
-        return {a + 1: w for a, w in enumerate(self.forward)}
-
 
 def rspin_change(ctx: GDContext) -> RSpinChange:
     """u^alpha = res L^{(r-alpha)/r} / (r-alpha), inverted triangularly."""
@@ -332,11 +326,6 @@ def rspin_system(ctx: GDContext, alpha: int, d: int) -> tuple[HamiltonianOperato
                                                               LocalFunctional]:
     """The Dubrovin-Zhang pair (K^{r-spin}, h^{r-spin}_{alpha,d}) in w variables."""
     return rspin_operator(ctx), rspin_hamiltonian(ctx, alpha, d)
-
-
-def gd_flow_via_hamiltonian(ctx: GDContext, m: int) -> list[DiffPoly]:
-    """The same flow through K^GD and the variational derivative (cross-check)."""
-    return flow(gd_hamiltonian(ctx, m), gd_operator(ctx))
 
 
 # -- dispersionless two-point data --------------------------------------------------------

@@ -169,10 +169,6 @@ class MiuraMap:
         return MiuraMap(ring, [DiffPoly.jet(ring, a, 0)
                                for a in range(1, ring.n_fields + 1)])
 
-    def is_identity(self) -> bool:
-        return all(w == DiffPoly.jet(self.ring, a, 0)
-                   for a, w in enumerate(self.entries, start=1))
-
     def max_eps(self) -> int:
         return max(w.max_eps() for w in self.entries)
 

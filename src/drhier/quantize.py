@@ -376,9 +376,6 @@ class WeylElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def hbar_order(self) -> int:
-        return min((key & MASK for key in self.terms), default=0)
-
     def classical_limit(self) -> "WeylElement":
         """Set hbar = 0: the hbar^0 part, a commutative mode polynomial."""
         return WeylElement._of(self.ctx, *canonical({key: n for key, n in self.terms.items()

@@ -11,7 +11,10 @@ refuses a slot index above ``TOP_SLOT`` when it builds a key from outside.
 
 ``diffpoly`` (jet monomials), ``reconstruct`` (t-monomials) and
 ``quantize`` (Weyl-algebra mode counts) pack their keys in this format and
-keep their coefficients as int numerators over one denominator.  This
+keep their coefficients as int numerators over one denominator.
+``drspin`` keeps none of its own: its polynomials in the weights a_i are
+``diffpoly`` polynomials in the jets u^i_0, so they go through
+``diffpoly``'s kernel.  This
 module owns that canonical form: int numerators over one ``den`` > 0, no
 zero stored, and gcd(den, numerators) = 1, so equal values are equal
 structurally.  ``over_one_den`` builds it from Fractions, ``canonical``

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,23 @@ def worked_table(tmp_path):
                           default_zero=False).canonicalize()
     path = tmp_path / "t202.json"
     path.write_text(json.dumps(table.to_json_dict()))
+    return str(path)
+
+
+def g3_table_dict() -> dict:
+    """A g = 3, n = 4 table for labels (2, 2, 2, 2): a seeded nonzero value
+    for every monomial of Hain's expansion, boundary classes included."""
+    rng = random.Random(20270)
+    entries = {sym: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 16))
+               for sym in sorted(hain_expand(3, 4), key=lambda s: (s.psi, s.boundary))}
+    return IntegralTable(g=3, n=4, labels=(2, 2, 2, 2), entries=entries,
+                         default_zero=False).to_json_dict()
+
+
+@pytest.fixture(scope="module")
+def g3_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("g3") / "t304.json"
+    path.write_text(json.dumps(g3_table_dict()))
     return str(path)
 
 
@@ -91,7 +109,15 @@ BOUNDARY_GOLDENS = {
     "assemble-r3-a1-d1-g2-c02": ("assemble", "--r", "3", "--alpha", "1", "--d", "1",
                                  "--g", "2", "--counts", "0,2",
                                  "--table-file", "WORKED_TABLE"),
+    # the seeded g = 3, n = 4 table: nonzero boundary values throughout
+    "hain-pair-g3-c04": ("hain-pair", "--g", "3", "--counts", "0,4",
+                         "--table-file", "G3_TABLE"),
+    "assemble-r3-a1-d3-g3-c04": ("assemble", "--r", "3", "--alpha", "1", "--d", "3",
+                                 "--g", "3", "--counts", "0,4",
+                                 "--table-file", "G3_TABLE"),
 }
+
+TABLE_FIXTURES = {"WORKED_TABLE": "worked_table", "G3_TABLE": "g3_table"}
 
 # a verb that reads stdin gets the "hamiltonian" object of this golden
 GOLDEN_STDIN = {"render-rspin-r5-a1-d1": "rspin-r5-a1-d1.json"}
@@ -99,12 +125,12 @@ GOLDEN_STDIN = {"render-rspin-r5-a1-d1": "rspin-r5-a1-d1.json"}
 
 @pytest.mark.parametrize("golden", sorted(BOUNDARY_GOLDENS))
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
-def test_rational_and_extension_goldens(run, monkeypatch, worked_table, golden, fmt,
-                                        suffix):
+def test_rational_and_extension_goldens(run, monkeypatch, request, golden, fmt, suffix):
     # rspin rescales by even powers of sqrt(-r) at the output; every verb
     # prints rational coefficients in the four-part JSON form with the
     # context's "d"
-    argv = [worked_table if a == "WORKED_TABLE" else a for a in BOUNDARY_GOLDENS[golden]]
+    argv = [request.getfixturevalue(TABLE_FIXTURES[a]) if a in TABLE_FIXTURES else a
+            for a in BOUNDARY_GOLDENS[golden]]
     if golden in GOLDEN_STDIN:
         data = json.loads((GOLDEN / GOLDEN_STDIN[golden]).read_text())
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data["hamiltonian"])))
@@ -401,6 +427,16 @@ def test_a_quantize_window_beyond_the_mode_slots_is_a_usage_error(run, r, window
     {"g": 2},
     [1],
     {"g": 2, "n": 2, "entries": [{"psi": [2, 0], "boundary": []}]},
+    # boundary symbols that no g = 2, n = 2 expansion holds: h outside 0..g,
+    # a marking outside 1..n, a repeated marking
+    {"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [[9, [7, 7]]], "value": "5"}]},
+    {"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [[1, [3]]], "value": "5"}]},
+    {"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [[0, [1, 1]]], "value": "5"}]},
+    # one class with two values, given twice or through two representatives
+    {"g": 2, "n": 2, "entries": [{"psi": [2, 0], "boundary": [], "value": "7/4320"},
+                                 {"psi": [2, 0], "boundary": [], "value": "1"}]},
+    {"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [[1, [1]]], "value": "0"},
+                                 {"psi": [1, 0], "boundary": [[1, [2]]], "value": "5"}]},
 ])
 def test_malformed_table_file_exit(run, tmp_path, payload):
     path = tmp_path / "table.json"

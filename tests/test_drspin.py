@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hain_reference import decoded, reference_hain_expand, weight_poly
 
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import (
     DRPolynomial,
     IntegralTable,
     Profile,
+    TableFileError,
     TableMissError,
     TautMonomial,
     assemble_hamiltonian,
@@ -75,12 +77,12 @@ def test_profiles_satisfy_selection_and_bound():
 # -- Hain expansion ---------------------------------------------------------------------
 
 def test_hain_g0_is_one():
-    exp = hain_expand(0, 3)
+    exp = decoded(hain_expand(0, 3), 3)
     assert exp == {TautMonomial(psi=(0, 0, 0)): {(0, 0, 0): Fraction(1)}}
 
 
 def test_hain_g1_n2():
-    exp = hain_expand(1, 2)
+    exp = decoded(hain_expand(1, 2), 2)
     assert exp[TautMonomial(psi=(1, 0))] == {(2, 0): Fraction(1, 2)}
     assert exp[TautMonomial(psi=(0, 1))] == {(0, 2): Fraction(1, 2)}
     # the only boundary term: -(a_1 + a_2)^2/2 on delta_0^{12}
@@ -90,7 +92,7 @@ def test_hain_g1_n2():
 
 
 def test_hain_g2_n2_psi_part():
-    exp = hain_expand(2, 2)
+    exp = decoded(hain_expand(2, 2), 2)
     assert exp[TautMonomial(psi=(2, 0))] == {(4, 0): Fraction(1, 8)}
     assert exp[TautMonomial(psi=(1, 1))] == {(2, 2): Fraction(1, 4)}
     # separating genus-1 divisors collapse onto the canonical representative:
@@ -103,12 +105,22 @@ def test_hain_g2_n2_psi_part():
 
 def test_hain_zero_weight_marking():
     # marking 1 carries weight zero: no psi_1 term at the top level
-    exp = hain_expand(1, 2, zero_weight_marking=True)
+    exp = decoded(hain_expand(1, 2, zero_weight_marking=True), 2)
     assert TautMonomial(psi=(1, 0, 0)) not in exp
     assert exp[TautMonomial(psi=(0, 1, 0))] == {(2, 0): Fraction(1, 2)}
     # delta_0 over J = {1, 2} sees only the weight of marking 2
     sym = TautMonomial(psi=(0, 0, 0), boundary=((0, (1, 2)),))
     assert exp[sym] == {(2, 0): Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("zero_weight_marking", [False, True])
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_hain_expand_matches_the_reference(g, zero_weight_marking):
+    # g <= 3 and n <= 4 markings in all; with the weightless marking that is
+    # n <= 3 weighted ones
+    for n in range(1, 5 - zero_weight_marking):
+        got = decoded(hain_expand(g, n, zero_weight_marking), n)
+        assert got == reference_hain_expand(g, n, zero_weight_marking), (g, n)
 
 
 def test_hain_degree_is_g():
@@ -136,9 +148,9 @@ def worked_example_table():
 def test_worked_example_pairing():
     table = worked_example_table()
     poly = pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
-    assert poly.as_apoly() == {(4, 0): Fraction(7, 8640),
-                               (0, 4): Fraction(7, 8640),
-                               (2, 2): Fraction(13, 4320)}
+    assert poly.coeffs == (((0, 4), Fraction(7, 8640)),
+                           ((2, 2), Fraction(13, 4320)),
+                           ((4, 0), Fraction(7, 8640)))
 
 
 def test_worked_example_assembles_to_reference_term():
@@ -166,7 +178,7 @@ def test_strict_table_raises_on_missing():
 def test_default_zero_empty_table():
     table = IntegralTable(g=2, n=2, labels=(2, 2), entries={}, default_zero=True)
     poly = pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
-    assert poly.as_apoly() == {}
+    assert poly.coeffs == ()
 
 
 # -- assembly ----------------------------------------------------------------------------------
@@ -175,7 +187,7 @@ def test_assemble_distinct_labels_p_series_oracle():
     # P = a_1 a_2 with labels (1, 2): compare Fourier images
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(1, 1))
-    poly = DRPolynomial.from_apoly(1, 2, {(1, 1): Fraction(1)})
+    poly = DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 1): Fraction(1)}))
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     window = 3
     ps = lf_to_p_series(h, window)
@@ -195,7 +207,7 @@ def test_assemble_equal_labels_symmetry_factor():
     # P = a_1 a_2, labels (2, 2): the 1/2! multiset factor
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(0, 2))
-    poly = DRPolynomial.from_apoly(1, 2, {(1, 1): Fraction(1)})
+    poly = DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 1): Fraction(1)}))
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     u2 = DiffPoly.jet(ring, 2, 1)
     assert h.density == (u2 * u2).eps_shift(2) / 2
@@ -224,7 +236,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
         base = {k: v for k, v in base.items() if v}
         if not base:
             continue
-        poly = DRPolynomial.from_apoly(g, n, base)
+        poly = DRPolynomial.from_diffpoly(g, n, weight_poly(n, base))
         # Q: random degree 2g-1 polynomial; (sum a) * Q
         shifted = dict(base)
         for _ in range(2):
@@ -242,7 +254,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
                 key = tuple(bumped)
                 shifted[key] = shifted.get(key, Fraction(0)) + q_coeff
         shifted = {k: v for k, v in shifted.items() if v}
-        poly2 = DRPolynomial.from_apoly(g, n, shifted)
+        poly2 = DRPolynomial.from_diffpoly(g, n, weight_poly(n, shifted))
         h1 = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
         h2 = assemble_hamiltonian(3, [(profile, poly2)], ring=ring)
         assert local_eq(h1, h2)
@@ -251,7 +263,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
 def test_assemble_g0_constant():
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=0, counts=(2, 1))
-    poly = DRPolynomial.from_apoly(0, 3, {(0, 0, 0): Fraction(1)})
+    poly = DRPolynomial.from_diffpoly(0, 3, weight_poly(3, {(0, 0, 0): Fraction(1)}))
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     u1 = DiffPoly.jet(ring, 1, 0)
     u2 = DiffPoly.jet(ring, 2, 0)
@@ -260,7 +272,7 @@ def test_assemble_g0_constant():
 
 def test_assemble_rejects_inhomogeneous():
     with pytest.raises(ValueError):
-        DRPolynomial.from_apoly(1, 2, {(1, 0): Fraction(1)})
+        DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 0): Fraction(1)}))
 
 
 # -- built-in data -----------------------------------------------------------------------------------
@@ -323,3 +335,18 @@ def test_table_canonicalizes_boundary_keys():
         entries={TautMonomial(psi=(0, 0), boundary=((1, (2,)),)): Fraction(5)},
     ).canonicalize()
     assert raw.lookup(TautMonomial(psi=(0, 0), boundary=((1, (1,)),))) == 5
+
+
+def test_table_keeps_one_value_per_class():
+    # delta_1^{1} and delta_1^{2} are one class on genus 2 with two markings:
+    # equal values merge, different ones are refused
+    def table(v1, v2):
+        return IntegralTable(g=2, n=2, labels=(2, 2), entries={
+            TautMonomial(psi=(1, 0), boundary=((1, (1,)),)): Fraction(v1),
+            TautMonomial(psi=(1, 0), boundary=((1, (2,)),)): Fraction(v2)}).canonicalize()
+    assert table(3, 3).entries == {TautMonomial(psi=(1, 0), boundary=((1, (1,)),)): 3}
+    with pytest.raises(TableFileError, match="given twice"):
+        table(3, 4)
+    with pytest.raises(TableFileError, match="needs 0 <= h <= 2"):
+        IntegralTable(g=2, n=2, labels=(2, 2), entries={
+            TautMonomial(psi=(1, 0), boundary=((3, ()),)): Fraction(1)}).canonicalize()
