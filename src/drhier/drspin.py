@@ -216,8 +216,8 @@ def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
     """The (monomial, value) pairs keyed by canonical boundary symbols.
 
     A symbol that no expansion for (g, n) holds, with h outside 0..g or J
-    not a set of markings in 1..n, and two different values for one class,
-    raise TableFileError.
+    not a set of markings in 1..n, a monomial of degree other than g, and
+    two different values for one class, raise TableFileError.
     """
     markings = tuple(range(1, n + 1))
     canon: dict[TautMonomial, Fraction] = {}
@@ -229,6 +229,8 @@ def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
                                      f"and distinct markings in 1..{n}")
             boundary.append(canonical_boundary(h, J, g, markings))
         key = TautMonomial(psi=sym.psi, boundary=tuple(sorted(boundary)))
+        if key.degree() != g:
+            raise TableFileError(f"{key} has degree {key.degree()}, not g = {g}")
         if canon.setdefault(key, value) != value:
             raise TableFileError(f"{key} is given twice, as {canon[key]} and {value}")
     return canon

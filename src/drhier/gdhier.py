@@ -138,7 +138,9 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
 
     Extraction adjoins temporary jet variables X_b to the ring, computes the
     commutator, and reads the coefficient operators off the terms linear in
-    the X_b jets; the temporaries never escape.
+    the X_b jets; the temporaries never escape.  Those terms are grouped by
+    (order, b, order of the X_b jet), and each group is one ``from_items``
+    in ``ring_f``: its other jets are already the fields 1..n.
     """
     r = ctx.r
     n = r - 1
@@ -155,8 +157,7 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
         piece = dinv * PseudoDiffOp.from_poly(ext, DiffPoly.jet(ext, n + 1 + b, 0))
         x_op = piece if x_op is None else x_op + piece
     comm = x_op.commutator(lax_ext)
-    K = HamiltonianOperator.zero(ctx.ring_f)
-    field_back = {a: a for a in range(1, n + 1)}
+    entries = [[{} for _ in range(n)] for _ in range(n)]  # d_x order -> terms
     for order in range(0, comm.top + 1):
         coeff = comm.coeff(order)
         if order > r - 2:
@@ -168,13 +169,12 @@ def gd_operator(ctx: GDContext) -> HamiltonianOperator:
             if len(x_jets) != 1 or x_jets[0][2] != 1:
                 raise AssertionError("commutator is not linear in the temporaries")
             (xa, xo, _), = x_jets
-            b = xa - (n + 1)
             rest = tuple(t for t in jets if t[0] <= n)
-            rest_poly = DiffPoly.from_items(ext, [((eps, rest), c)]).map_fields(
-                field_back, ctx.ring_f)
-            entry = K.entries[order][b]
-            K.entries[order][b] = entry + PseudoDiffOp.finite(ctx.ring_f, {xo: rest_poly})
-    return K
+            entries[order][xa - (n + 1)].setdefault(xo, []).append(((eps, rest), c))
+    return HamiltonianOperator(ctx.ring_f, [
+        [PseudoDiffOp.finite(ctx.ring_f, {xo: DiffPoly.from_items(ctx.ring_f, items)
+                                          for xo, items in entry.items()}) for entry in row]
+        for row in entries])
 
 
 def gd_hamiltonian(ctx: GDContext, m: int) -> LocalFunctional:

@@ -4,17 +4,19 @@ A HamiltonianOperator is an N x N matrix of differential operators: finite
 PseudoDiffOp sums of differential-polynomial coefficients times nonnegative
 powers of d_x, composed by the Leibniz rule of ``psido``.  It induces the
 bracket {f, g}_K = int (df/du^mu  K^{mu nu}  dg/du^nu) dx on local
-functionals.  Miura transformations are near-identity changes of
-field variables w^alpha = u^alpha + O(eps) by differential polynomials;
-they transport functionals by substitution of the inverse map and operators
-by the chain-rule conjugation formula.
+functionals.  Applying it to a vector forms each output entry as one
+``sum_of_products`` over the pairs (c^{ab}_j, d_x^j vec[b]), and the bracket
+is one more over the pairs (dh1/du^mu, flow^mu).  Miura transformations are
+near-identity changes of field variables w^alpha = u^alpha + O(eps) by
+differential polynomials; they transport functionals by substitution of the
+inverse map and operators by the chain-rule conjugation formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring
+from .diffpoly import DiffPoly, LocalFunctional, Ring, derivatives, sum_of_products
 from .psido import PseudoDiffOp
 from .scalars import add_term
 
@@ -48,20 +50,16 @@ class HamiltonianOperator:
                     out.entries[a][b] = PseudoDiffOp.dx(ring, 1, eta[a][b])
         return out
 
-    def entry(self, alpha: int, beta: int) -> PseudoDiffOp:
-        """1-based field indexing."""
-        return self.entries[alpha - 1][beta - 1]
-
     def apply_vector(self, vec: list[DiffPoly]) -> list[DiffPoly]:
-        n = self.ring.n_fields
-        out = []
-        for a in range(n):
-            acc = DiffPoly.zero(self.ring)
-            for b in range(n):
-                if not self.entries[a][b].is_zero():
-                    acc = acc + self.entries[a][b].apply(vec[b])
-            out.append(acc)
-        return out
+        """(K vec)^a as one ``sum_of_products`` over (c^{ab}_j, d_x^j vec[b]), each
+        vec[b] differentiated once; only finite differential operators apply."""
+        if any(op.lo is not None or min(op.coeffs, default=0) < 0
+               for row in self.entries for op in row):
+            raise ValueError("only a finite differential operator can be applied")
+        derivs = [derivatives({0: v}) for v in vec]
+        return [sum_of_products(self.ring, ((1, c, derivs[b](0, j)) for b, op in enumerate(row)
+                                            for j, c in op.coeffs.items()))
+                for row in self.entries]
 
     def __sub__(self, other: "HamiltonianOperator") -> "HamiltonianOperator":
         return HamiltonianOperator(
@@ -101,12 +99,8 @@ def bracket(h1: LocalFunctional, h2: LocalFunctional,
     """{h1, h2}_K = int dh1/du^mu K^{mu nu} dh2/du^nu dx."""
     h1.ring.check_compatible(K.ring)
     applied = flow(h2, K)
-    density = DiffPoly.zero(K.ring)
-    for a in range(K.ring.n_fields):
-        left = h1.var_der(a + 1)
-        if not left.is_zero() and not applied[a].is_zero():
-            density = density + left * applied[a]
-    return LocalFunctional(density)
+    return LocalFunctional(sum_of_products(
+        K.ring, ((1, h1.var_der(a), applied[a - 1]) for a in range(1, K.ring.n_fields + 1))))
 
 
 def flow(h: LocalFunctional, K: HamiltonianOperator) -> list[DiffPoly]:
@@ -169,9 +163,6 @@ class MiuraMap:
         return MiuraMap(ring, [DiffPoly.jet(ring, a, 0)
                                for a in range(1, ring.n_fields + 1)])
 
-    def max_eps(self) -> int:
-        return max(w.max_eps() for w in self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, MiuraMap):
             return NotImplemented
@@ -232,11 +223,10 @@ def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],
         left: dict[int, PseudoDiffOp] = {}
         right: dict[int, PseudoDiffOp] = {}
         for mu in range(1, n + 1):
-            for p in range(w.max_order(mu) + 1):
-                dw = w.partial(mu, p)
-                if dw.is_zero():
-                    continue
-                left[mu] = left.get(mu, zero) + PseudoDiffOp.finite(ring, {p: dw})
+            partials = {p: dw for p in range(w.max_order(mu) + 1) if (dw := w.partial(mu, p))}
+            if partials:
+                left[mu] = PseudoDiffOp.finite(ring, partials)
+            for p, dw in partials.items():
                 right[mu] = right.get(mu, zero) + PseudoDiffOp.dx(
                     ring, p, (-1) ** p) * PseudoDiffOp.from_poly(ring, dw)
         lefts.append(left)

@@ -135,15 +135,6 @@ class PseudoDiffOp:
         return PseudoDiffOp(self.ring, self.top, self.lo,
                             {n: c.truncate_eps(emax) for n, c in self.coeffs.items()})
 
-    def apply(self, f: DiffPoly) -> DiffPoly:
-        """sum c_j d_x^j f; only a finite differential operator applies exactly."""
-        if self.lo is not None or any(n < 0 for n in self.coeffs):
-            raise ValueError("only a finite differential operator can be applied")
-        out = DiffPoly.zero(self.ring)
-        for j, c in self.coeffs.items():
-            out = out + c * f.dx_pow(j)
-        return out
-
     def __mul__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         """Composition; output window is the pessimistic intersection.
 

@@ -44,13 +44,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate
+from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, sum_of_products
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
     miura_push_operator, miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
 from .scalars import Frozen, add_term, exact_rational
-from .slots import MASK, SLOT_MAX, TOP_SLOT, W, guard_slots, nonzero_slots
+from .slots import (MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale, canonical_sum,
+                    guard_slots, nonzero_slots)
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
@@ -638,7 +639,9 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     Inverts the triangular system d_x^d u^sp|_{x=0} = t^alpha_d + delta +
     O(t^2) + O(eps): peel the lowest (eps, degree) level off the residual,
     emit the matching monomial in z^gamma_d = u^gamma_d -
-    delta^{gamma,1} delta_{d,1}, subtract its full series, and repeat.
+    delta^{gamma,1} delta_{d,1}, subtract its full series, and repeat.  The
+    residual stays in the canonical form of ``slots``, and the emitted
+    monomials are summed by one ``sum_of_products``.
 
     The input series is trustworthy up to t-degree one less than the
     solution box (as flow series are); levels beyond it are neither peeled
@@ -655,6 +658,7 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     n = ring.n_fields
     b = sol.bounds
     sdeg = b.t_deg - 1
+    beyond = _VARS + W * n * (b.t_max + 1)  # the first slot past t_max
     z11 = dict(sol.jet(1, 1))
     add_term(z11, 0, -sol.den)
 
@@ -662,49 +666,33 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
         """Series of z^gamma_d: the string jet minus its delta entry."""
         return z11 if (gamma, d) == (1, 1) else sol.jet(gamma, d)
 
+    z11_poly = DiffPoly.jet(ring, 1, 1) - 1
     out = []
     for alpha in range(1, n + 1):
-        # numerators over den, which grows to clear each subtracted product
-        residual = {key: v for key, v in series[alpha - 1].items()
-                    if v and _degree(key) <= sdeg}
-        den = sol.den
-        q_terms: list[tuple[Fraction, int, TMon]] = []
+        residual, den = canonical({key: v for key, v in series[alpha - 1].items()
+                                   if v and _degree(key) <= sdeg}, sol.den)
+        triples = []  # (coeff, eps^i prod of the other u-jets, (u^1_1 - 1)^p) per peel
         for i in range(b.eps_max + 1):
             for degree in range(sdeg + 1):
-                level = sorted(unpack_key(key, n)[0] for key in residual
-                               if key & MASK == i and _degree(key) == degree)
-                for m in level:
-                    coeff = Fraction(residual.get(pack_key(n, m, i), 0), den)
-                    if not coeff:
-                        continue
-                    for (gamma, d), _ in m:
-                        if d > b.t_max:
-                            raise ValueError(
-                                f"series needs jet order {d} > bound {b.t_max}")
-                    q_terms.append((coeff, i, m))
+                for key in sorted(key for key in residual
+                                  if key & MASK == i and _degree(key) == degree):
+                    m = unpack_key(key, n)[0]
+                    if key >> beyond:
+                        top = max(d for (_, d), _ in m)
+                        raise ValueError(f"series needs jet order {top} > bound {b.t_max}")
+                    coeff = Fraction(residual[key], den)
+                    rest = [(gamma, d, power) for (gamma, d), power in m if (gamma, d) != (1, 1)]
+                    triples.append((coeff, DiffPoly.from_items(ring, [((i, rest), 1)]),
+                                    z11_poly ** dict(m).get((1, 1), 0)))
                     # subtract coeff * eps^i * prod z^gamma_d over the box
-                    factors = [(gamma, d) for (gamma, d), power in m
-                               for _ in range(power)]
+                    factors = [(gamma, d) for (gamma, d), power in m for _ in range(power)]
                     product, pden = sol.series_product(factors, z_jet, b.eps_max - i, sdeg)
-                    lift = pden * coeff.denominator // gcd(den, pden * coeff.denominator)
-                    if lift != 1:
-                        den *= lift
-                        residual = {key: v * lift for key, v in residual.items()}
-                    scale = den // (pden * coeff.denominator) * coeff.numerator
-                    for key, value in product.items():
-                        add_term(residual, key + i, -scale * value)
+                    product = canonical({k + i: v for k, v in product.items()}, pden)
+                    residual, den = canonical_sum(residual, den, *canonical_scale(
+                        *product, coeff.numerator, coeff.denominator), -1)
         if residual:
             raise ValueError("series is not closed by jets within the bounds")
-        poly = DiffPoly.zero(ring)
-        for coeff, i, m in q_terms:
-            term = DiffPoly.const(ring, coeff)
-            for (gamma, d), power in m:
-                z = DiffPoly.jet(ring, gamma, d)
-                if gamma == 1 and d == 1:
-                    z = z - DiffPoly.const(ring, 1)
-                term = term * z ** power
-            poly = poly + term.eps_shift(i)
-        out.append(poly)
+        out.append(sum_of_products(ring, triples))
     return out
 
 

@@ -404,6 +404,18 @@ def test_quantize_check_cli(run):
     '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],'
     '"integrated":"false"}',
     '{"N":1,"terms":[],"integrated":1}',
+    # what the writer cannot emit: (field, order) pairs out of strict order,
+    # a coefficient string other than str(Fraction(s)), a zero coefficient,
+    # one monomial twice, a d that is not squarefree
+    '{"N":2,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,2],[1,0,3]]}]}',
+    '{"N":2,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[2,0,1],[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["  1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["1_000","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["2/4","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["0","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]},'
+    '{"coeff":["2","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+    '{"N":1,"d":4,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
 ])
 def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -411,6 +423,34 @@ def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
     assert code == 2
     assert out == ""
     assert err.startswith("malformed render input:") and err.count("\n") == 1
+
+
+def diffpoly_payloads(node):
+    """Every object with an N and a terms list in a parsed JSON document."""
+    if isinstance(node, dict):
+        if "N" in node and isinstance(node.get("terms"), list):
+            yield node
+        for value in node.values():
+            yield from diffpoly_payloads(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from diffpoly_payloads(value)
+
+
+def test_render_reads_every_golden_payload(run, monkeypatch):
+    # the strict reader refuses nothing the writer emits, and reads it back
+    payloads = []
+    for path in [*GOLDEN.glob("*.json"), *(GOLDEN.parents[1] / "perfbench" / "golden").glob(
+            "verify-main-*.stdout")]:
+        text = path.read_text()
+        if text.startswith("{"):
+            payloads.extend(diffpoly_payloads(json.loads(text)))
+    assert len(payloads) >= 80
+    for payload in payloads:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, err = run("render", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == payload
 
 
 @pytest.mark.parametrize("r, window", [(3, 1024), (5, 512), (3, 100000)])
@@ -437,6 +477,8 @@ def test_a_quantize_window_beyond_the_mode_slots_is_a_usage_error(run, r, window
                                  {"psi": [2, 0], "boundary": [], "value": "1"}]},
     {"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [[1, [1]]], "value": "0"},
                                  {"psi": [1, 0], "boundary": [[1, [2]]], "value": "5"}]},
+    # a monomial of degree 3, not g = 2: no lookup can reach it
+    {"g": 2, "n": 2, "entries": [{"psi": [3, 0], "boundary": [], "value": "5"}]},
 ])
 def test_malformed_table_file_exit(run, tmp_path, payload):
     path = tmp_path / "table.json"

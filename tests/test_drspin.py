@@ -332,9 +332,9 @@ def test_table_canonicalizes_boundary_keys():
     # delta_1^{2} equals delta_1^{1} on genus 2 with two markings
     raw = IntegralTable(
         g=2, n=2, labels=(2, 2),
-        entries={TautMonomial(psi=(0, 0), boundary=((1, (2,)),)): Fraction(5)},
+        entries={TautMonomial(psi=(1, 0), boundary=((1, (2,)),)): Fraction(5)},
     ).canonicalize()
-    assert raw.lookup(TautMonomial(psi=(0, 0), boundary=((1, (1,)),))) == 5
+    assert raw.lookup(TautMonomial(psi=(1, 0), boundary=((1, (1,)),))) == 5
 
 
 def test_table_keeps_one_value_per_class():

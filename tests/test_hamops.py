@@ -76,8 +76,26 @@ def test_finite_operator_rejects_negative_powers():
 def test_apply_refuses_truncated_operators():
     windowed = PseudoDiffOp(R1, 1, -1, {1: DiffPoly.const(R1, 1)})
     with pytest.raises(ValueError):
-        windowed.apply(u())
-    assert PseudoDiffOp.dx(R1, 2).apply(u()) == u(1, 2)
+        HamiltonianOperator(R1, [[windowed]]).apply_vector([u()])
+    assert dx_op(power=2).apply_vector([u()]) == [u(1, 2)]
+
+
+def test_apply_vector_differentiates_each_entry_once(monkeypatch):
+    # entries of orders 1..4: each vec[b] needs d_x^1..d_x^4, and one memo per
+    # b serves all three rows, so d_x runs 4 times per entry (not 10 per row)
+    rng = random.Random(5)
+    entries = [[PseudoDiffOp.finite(R3, {j: u(rng.randint(1, 3), rng.randint(0, 1), R3) + j
+                                         for j in range(1, 5)})
+                for _ in range(3)] for _ in range(3)]
+    K = HamiltonianOperator(R3, entries)
+    vec = [u(b, 0, R3) * u(b % 3 + 1, 1, R3) for b in range(1, 4)]
+    expected = [sum((c * v.dx_pow(j) for op, v in zip(row, vec) for j, c in op.coeffs.items()),
+                    DiffPoly.zero(R3)) for row in entries]
+    calls = []
+    dx = DiffPoly.dx
+    monkeypatch.setattr(DiffPoly, "dx", lambda self: calls.append(1) or dx(self))
+    assert K.apply_vector(vec) == expected
+    assert len(calls) <= 4 * len(vec)
 
 
 def test_json_entry_shape():
