@@ -3,10 +3,9 @@
 Exit codes: 0 success (and verdict-style commands passing), 1 failed
 verdict or nonzero residuals, 2 usage errors (argparse, bad ``--counts``,
 a ``quantize-check`` window beyond the packed mode slots) and malformed
-``render`` input (a coefficient outside Q, a jet or a field count beyond the
-packed slots, a non-boolean ``integrated`` or a payload the writer cannot
-emit among it), 3 missing,
-unreadable or malformed table file, 4 strict-policy table miss, 5
+``render`` input (a payload ``DiffPoly.to_json_dict`` cannot emit, which
+``DiffPoly.from_json_dict`` refuses, or a non-boolean ``integrated``), 3
+missing, unreadable or malformed table file, 4 strict-policy table miss, 5
 computation precondition errors (a table whose n is not the sum of
 ``--counts`` among them), 6 internal errors (any other exception, such as
 a failed assertion in a settled check).
@@ -18,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .diffpoly import DiffPoly, LocalFunctional
 from .drspin import (
@@ -62,7 +60,6 @@ from .reconstruct import (
     special_solution,
     verify_dr_dz_equivalence,
 )
-from .scalars import squarefree_part
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -289,36 +286,13 @@ def cmd_quantize_check(args) -> int:
     emit(args, text, checks)
     return EXIT_OK
 
-def check_as_written(data: dict):
-    """Refuse (ValueError) a parsed render payload the writer cannot emit; only
-    exact decimal strings such as "1e-1" are read beyond what it writes."""
-    d = data.get("d", 1)
-    if squarefree_part(d) != d:
-        raise ValueError(f"d = {d} is not squarefree")
-    seen = set()
-    for term in data["terms"]:
-        pairs = [jet[:2] for jet in term["jets"]]
-        if any(p >= q for p, q in zip(pairs, pairs[1:])):
-            raise ValueError(f"jets {term['jets']} are not in strictly increasing (field, order)")
-        for text in term["coeff"]:
-            if isinstance(text, str) and text != str(Fraction(text)) and not (
-                    set(text) <= set("0123456789.+-eE") and set(text) & set(".eE")):
-                raise ValueError(f"coefficient {text!r} is not written {str(Fraction(text))!r}")
-        if not Fraction(term["coeff"][0]):
-            raise ValueError(f"zero coefficient at jets {term['jets']}")
-        monomial = (term.get("eps", 0), str(term["jets"]))
-        if monomial in seen:
-            raise ValueError(f"two terms at eps^{monomial[0]} and jets {term['jets']}")
-        seen.add(monomial)
-
 def cmd_render(args) -> int:
     try:
         data = json.load(sys.stdin)  # JSONDecodeError is a ValueError
-        poly = DiffPoly.from_json_dict(data)
-        check_as_written(data)
-        integrated = data.get("integrated", False)
+        integrated = data.get("integrated", False) if isinstance(data, dict) else False
         if not isinstance(integrated, bool):
             raise ValueError(f"integrated must be true or false, got {integrated!r}")
+        poly = DiffPoly.from_json_dict(data)
     except ValueError as exc:
         print(f"malformed render input: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,6 +43,7 @@ fails loudly instead of truncating.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
@@ -55,6 +56,7 @@ Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
 _DEG = 1 << W           # one unit of derivative degree
 _JETS = 2 * W           # bit offset of the first jet slot
+_RATIONAL = re.compile(r"-?[1-9][0-9]*(/[1-9][0-9]*)?")  # str(Fraction) but 0
 
 
 class Ring:
@@ -490,43 +492,47 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
     def to_json_dict(self) -> dict:
-        """Coefficients in the four-part form [a, b, c, e] of
-        a + b*i + c*sqrt(d) + e*i*sqrt(d); over Q, b = c = e = 0."""
+        """Each coefficient as one string str(c), the terms in render order."""
         return {
             "N": self.ring.n_fields,
             "d": self.ring.d,
             "terms": [
-                {"coeff": [str(c), "0", "0", "0"],
-                 "eps": eps,
-                 "jets": [[a, o, p] for a, o, p in jets]}
+                {"coeff": str(c), "eps": eps, "jets": [[a, o, p] for a, o, p in jets]}
                 for (eps, jets), c in self.sorted_terms()
             ],
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "DiffPoly":
-        """Inverse of to_json_dict; a malformed payload, or a coefficient
-        outside Q or written as a float, raises ValueError."""
+        """Inverse of to_json_dict, and the one reader of its form: a payload
+        to_json_dict cannot emit raises ValueError.  That takes N, d and terms
+        present, d = 1 or the squarefree part of N + 1 (the d of
+        ``rspin_ring(N + 1)``), each term with a nonzero coefficient string
+        equal to str(Fraction(s)), jets in strictly increasing (field, order)
+        with powers >= 1, and no monomial twice.  A cap is not recorded."""
         def integer(value, what, least=None):
             if type(value) is not int or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
                 raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
             return value
 
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-            raise ValueError("expected an object with a 'terms' list")
-        ring = Ring(integer(data.get("N"), "N", 1), integer(data.get("d", 1), "d", 1))
-        items = []
+        def require(obj, keys, what):
+            missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else keys
+            if missing:
+                raise ValueError(f"{what} has no {missing[0]!r}: {obj!r}")
+
+        require(data, ("N", "d", "terms"), "a payload")
+        n, d = integer(data["N"], "N", 1), integer(data["d"], "d")
+        Ring(n)  # refuses an N beyond the packed slots before d's trial division
+        if d != 1 and d != squarefree_part(n + 1):
+            raise ValueError(f"d = {d} is neither 1 nor the squarefree part of N + 1 = {n + 1}")
+        if not isinstance(data["terms"], list):
+            raise ValueError(f"terms must be a list, got {data['terms']!r}")
+        items = {}
         for term in data["terms"]:
-            if not (isinstance(term, dict) and isinstance(term.get("jets"), list)
-                    and isinstance(term.get("coeff"), list) and len(term["coeff"]) == 4):
-                raise ValueError(f"malformed term {term!r}")
-            try:
-                coeff, *irrational = (exact_rational(x) for x in term["coeff"])
-            except ValueError as exc:
-                raise ValueError(f"malformed coefficient {term['coeff']!r}: {exc}") from None
-            if any(irrational):
-                raise ValueError(f"coefficient {term['coeff']!r} is not rational")
+            require(term, ("coeff", "eps", "jets"), "a term")
+            if not isinstance(term["jets"], list):
+                raise ValueError(f"jets must be a list, got {term['jets']!r}")
             jets = []
             for jet in term["jets"]:
                 if not isinstance(jet, list) or len(jet) != 3:
@@ -534,8 +540,23 @@ class DiffPoly:
                 alpha, order, power = jet
                 jets.append((integer(alpha, "field index"), integer(order, "order", 0),
                              integer(power, "power", 1)))
-            items.append(((integer(term.get("eps", 0), "eps", 0), jets), coeff))
-        return DiffPoly.from_items(ring, items)
+            if any(p[:2] >= q[:2] for p, q in zip(jets, jets[1:])):
+                raise ValueError(f"jets {term['jets']} are not in strictly increasing "
+                                 f"(field, order)")
+            monomial = (integer(term["eps"], "eps", 0), tuple(jets))
+            if monomial in items:
+                raise ValueError(f"two terms at eps^{monomial[0]} and jets {term['jets']}")
+            items[monomial] = _coefficient(term["coeff"])
+        return DiffPoly.from_items(Ring(n, d), items.items())
+
+
+def _coefficient(text) -> Fraction:
+    """The value of a JSON coefficient, a nonzero string str(Fraction(s))."""
+    value = Fraction(text) if isinstance(text, str) and _RATIONAL.fullmatch(text) else 0
+    if not value or str(value) != text:
+        raise ValueError(f"coefficient {text!r} is not a nonzero p or p/q in lowest "
+                         f"terms written as a string")
+    return value
 
 
 def derivatives(coeffs: dict[int, DiffPoly]):

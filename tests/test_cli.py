@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,8 +130,7 @@ GOLDEN_STDIN = {"render-rspin-r5-a1-d1": "rspin-r5-a1-d1.json"}
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 def test_rational_and_extension_goldens(run, monkeypatch, request, golden, fmt, suffix):
     # rspin rescales by even powers of sqrt(-r) at the output; every verb
-    # prints rational coefficients in the four-part JSON form with the
-    # context's "d"
+    # prints each rational coefficient as one string, with the context's "d"
     argv = [request.getfixturevalue(TABLE_FIXTURES[a]) if a in TABLE_FIXTURES else a
             for a in BOUNDARY_GOLDENS[golden]]
     if golden in GOLDEN_STDIN:
@@ -272,8 +274,19 @@ def test_unknown_verb_exit():
     assert exc.value.code == 2
 
 
+def one_term(coeff='"1"', jets="[[1,0,1]]", n=1, d=1, eps=0):
+    """A render payload of one term, its coefficient given as JSON text."""
+    return (f'{{"N":{n},"d":{d},"terms":[{{"coeff":{coeff},"eps":{eps},'
+            f'"jets":{jets}}}]}}')
+
+
+LARGE_PRIME_D = 1000000000000000003
+
+
 def test_render_stdin(run, monkeypatch):
     payload = DiffPoly.jet(Ring(1), 1, 2) * Fraction(3, 2)
+    assert payload.to_json_dict() == {
+        "N": 1, "d": 1, "terms": [{"coeff": "3/2", "eps": 0, "jets": [[1, 2, 1]]}]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload.to_json_dict())))
     code, out, _ = run("render")
     assert code == 0
@@ -290,12 +303,14 @@ def test_render_integrated_flag(run, monkeypatch, integrated, out):
     assert run("render") == (0, out, "")
 
 
-def test_render_reads_exact_decimal_strings(run, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(
-        '{"N":1,"d":1,"terms":[{"coeff":["1e-1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}'))
-    code, out, _ = run("render")
-    assert code == 0
-    assert out == "1/10*u1\n"
+def test_render_refuses_exact_decimal_strings(run, monkeypatch):
+    # "1e-1" is 1/10, but the writer emits "1/10": a decimal is not its form
+    monkeypatch.setattr("sys.stdin", io.StringIO(one_term(coeff='"1e-1"')))
+    assert run("render") == (2, "", "malformed render input: coefficient '1e-1' "
+                                    "is not a nonzero p or p/q in lowest terms "
+                                    "written as a string\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(one_term(coeff='"1/10"')))
+    assert run("render") == (0, "1/10*u1\n", "")
 
 
 def test_reconstruct_cli(run):
@@ -382,47 +397,108 @@ def test_quantize_check_cli(run):
     assert "associativity: 6 ok" in out
 
 
-@pytest.mark.parametrize("stdin", [
-    '{"N": 1}',
-    "not json",
-    '{"N": 1, "terms": [{"coeff": [1, 0, 0, 0], "eps": 0, "jets": [[2, 0, 1]]}]}',
-    # i*sqrt(3): coefficients are rational
-    '{"N":1,"d":3,"terms":[{"coeff":["0","0","0","1"],"eps":0,"jets":[[1,0,1]]}]}',
-    # eps carries degree -1; a negative exponent is no differential polynomial
-    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":-1,"jets":[[1,0,1]]}]}',
-    # a float is refused, not read as its binary value 3602879701896397/2^55
-    '{"N":1,"d":1,"terms":[{"coeff":[0.1,"0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["1","0","0",0.0],"eps":0,"jets":[[1,0,1]]}]}',
-    # a power beyond the 15-bit exponent slot
-    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,40000]]}]}',
-    # 10000 fields: u^10000_0 alone needs slot 10001, so the ring is refused
-    '{"N":10000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[10000,3000,2]]}]}',
-    # refused before a name is built for each of the fields
-    '{"N":4095,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}]}',
-    '{"N":1000000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}]}',
+# (stdin, a fragment of the one stderr line that names why it is refused)
+MALFORMED_RENDER_INPUT = [
+    ("not json", "Expecting value"),
+    # the old four-slot form a + b*i + c*sqrt(d) + e*i*sqrt(d) is refused
+    # whatever its slots hold, before its slots are read
+    ('{"N": 1, "terms": [{"coeff": [1, 0, 0, 0], "eps": 0, "jets": [[1, 0, 1]]}], "d": 1}',
+     "coefficient [1, 0, 0, 0] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['1', '0', '0', '0'] is not a nonzero p or p/q"),
+    ('{"N":1,"d":1,"terms":[{"coeff":[0.1,"0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+     "coefficient [0.1, '0', '0', '0'] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["1","0","0",0.0],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['1', '0', '0', 0.0] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["  1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['  1', '0', '0', '0'] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["1_000","0","0","0"],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['1_000', '0', '0', '0'] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["2/4","0","0","0"],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['2/4', '0', '0', '0'] is not a nonzero p or p/q"),
+    ('{"N":1,"terms":[{"coeff":["0","0","0","0"],"eps":0,"jets":[[1,0,1]]}],"d":1}',
+     "coefficient ['0', '0', '0', '0'] is not a nonzero p or p/q"),
+    # a coefficient other than a nonzero string str(Fraction(s)): a JSON
+    # number (a float would be read as its binary value 3602879701896397/2^55),
+    # a decimal, spaces, underscores, a zero denominator, lower terms, zero
+    (one_term(coeff="3"), "coefficient 3 is not a nonzero p or p/q"),
+    (one_term(coeff="0.1"), "coefficient 0.1 is not a nonzero p or p/q"),
+    (one_term(coeff='"1e-1"'), "coefficient '1e-1' is not a nonzero p or p/q"),
+    (one_term(coeff='"  1"'), "coefficient '  1' is not a nonzero p or p/q"),
+    (one_term(coeff='"1_000"'), "coefficient '1_000' is not a nonzero p or p/q"),
+    (one_term(coeff='"1/0"'), "coefficient '1/0' is not a nonzero p or p/q"),
+    (one_term(coeff='"2/4"'), "coefficient '2/4' is not a nonzero p or p/q"),
+    (one_term(coeff='"0"'), "coefficient '0' is not a nonzero p or p/q"),
+    (one_term(coeff='"-0"'), "coefficient '-0' is not a nonzero p or p/q"),
+    (one_term(coeff='"3/1"'), "coefficient '3/1' is not a nonzero p or p/q"),
+    # a missing key
+    ('{"N": 1}', "a payload has no 'd'"),
+    ('{"N":1,"terms":[{"coeff":"1","eps":0,"jets":[[1,0,1]]}]}', "a payload has no 'd'"),
+    ('{"d":1,"terms":[{"coeff":"1","eps":0,"jets":[[1,0,1]]}]}', "a payload has no 'N'"),
+    ('{"N":1,"d":1}', "a payload has no 'terms'"),
+    ('{"N":1,"d":1,"terms":[{"coeff":"1","jets":[[1,0,1]]}]}', "a term has no 'eps'"),
+    ('{"N":1,"d":1,"terms":[{"coeff":"1","eps":0}]}', "a term has no 'jets'"),
+    # d is 1 or the squarefree part of N + 1, checked once N is in range, so a
+    # large prime d is refused without trial division up to its square root
+    ('{"N":1,"d":3,"terms":[{"coeff":["0","0","0","1"],"eps":0,"jets":[[1,0,1]]}]}',
+     "d = 3 is neither 1 nor the squarefree part of N + 1 = 2"),
+    ('{"N":1,"d":4,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
+     "d = 4 is neither 1 nor the squarefree part of N + 1 = 2"),
+    (one_term(n=2, d=2, jets="[[2,0,1]]"),
+     "d = 2 is neither 1 nor the squarefree part of N + 1 = 3"),
+    (one_term(d=LARGE_PRIME_D), f"d = {LARGE_PRIME_D} is neither 1"),
+    # a field count beyond the packed slots, refused before the d rule is
+    # tested and before a name is built for each field: u^N_0 needs slot N + 1
+    ('{"N":10000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[10000,3000,2]]}],'
+     '"d":1}', "10000 fields need packed slot 10001 for u^10000_0, above 4095"),
+    ('{"N":4095,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}],"d":1}',
+     "4095 fields need packed slot 4096"),
+    ('{"N":1000000,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[]}],"d":1}',
+     "1000000 fields need packed slot 1000001"),
+    # jets: a field out of range, a power beyond the 15-bit exponent slot,
+    # (field, order) pairs repeated or out of order; eps carries degree -1,
+    # so a negative exponent is no differential polynomial
+    (one_term(jets="[[2,0,1]]"), "field index 2 out of range 1..1"),
+    (one_term(jets="[[1,0,40000]]"), "a monomial exponent exceeds 32767"),
+    ('{"N":2,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,2],[1,0,3]]}],'
+     '"d":3}', "jets [[1, 0, 2], [1, 0, 3]] are not in strictly increasing"),
+    (one_term(n=2, jets="[[1,0,2],[1,0,3]]"),
+     "jets [[1, 0, 2], [1, 0, 3]] are not in strictly increasing"),
+    (one_term(n=2, jets="[[2,0,1],[1,0,1]]"),
+     "jets [[2, 0, 1], [1, 0, 1]] are not in strictly increasing"),
+    (one_term(eps=-1), "eps must be an integer >= 0, got -1"),
+    # one monomial twice
+    ('{"N":1,"d":1,"terms":[{"coeff":"1","eps":0,"jets":[[1,0,1]]},'
+     '{"coeff":"2","eps":0,"jets":[[1,0,1]]}]}', "two terms at eps^0 and jets [[1, 0, 1]]"),
     # "false" is a string, not a boolean
-    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}],'
-    '"integrated":"false"}',
-    '{"N":1,"terms":[],"integrated":1}',
-    # what the writer cannot emit: (field, order) pairs out of strict order,
-    # a coefficient string other than str(Fraction(s)), a zero coefficient,
-    # one monomial twice, a d that is not squarefree
-    '{"N":2,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,2],[1,0,3]]}]}',
-    '{"N":2,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[2,0,1],[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["  1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["1_000","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["2/4","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["0","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]},'
-    '{"coeff":["2","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-    '{"N":1,"d":4,"terms":[{"coeff":["1","0","0","0"],"eps":0,"jets":[[1,0,1]]}]}',
-])
-def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin):
+    ('{"N":1,"d":1,"terms":[{"coeff":"1","eps":0,"jets":[[1,0,1]]}],"integrated":"false"}',
+     "integrated must be true or false, got 'false'"),
+    ('{"N":1,"terms":[],"integrated":1}', "integrated must be true or false, got 1"),
+]
+
+
+@pytest.mark.parametrize("stdin, reason", MALFORMED_RENDER_INPUT,
+                         ids=[stdin for stdin, _ in MALFORMED_RENDER_INPUT])
+def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin, reason):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run("render")
     assert code == 2
     assert out == ""
     assert err.startswith("malformed render input:") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_render_refuses_a_large_d_in_a_subprocess():
+    # trial division of this prime d up to its square root would take about
+    # 10^9 steps; the subprocess keeps such a regression from hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "drhier.cli", "render"],
+                          input=f'{{"N":1,"d":{LARGE_PRIME_D},"terms":[]}}',
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"malformed render input: d = {LARGE_PRIME_D} is neither 1 "
+                           f"nor the squarefree part of N + 1 = 2\n")
 
 
 def diffpoly_payloads(node):

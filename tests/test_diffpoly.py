@@ -15,6 +15,7 @@ from drhier.diffpoly import (
     eps_dress,
     integrate,
     local_eq,
+    rspin_ring,
 )
 from drhier.quantize import WeylContext, WeylElement, lf_to_p_series
 from weyl_reference import decoded
@@ -328,6 +329,21 @@ def test_diffpoly_json_roundtrip():
     assert back == f
 
 
+@pytest.mark.parametrize("ring", dict.fromkeys([*(rspin_ring(r) for r in range(2, 9)),
+                                                 *(Ring(n) for n in range(1, 4))]), ids=repr)
+def test_json_roundtrip_in_every_ring_the_writer_emits(ring):
+    # the reader accepts d = 1 or the squarefree part of N + 1: every ring the
+    # writer is given, Ring(n) and rspin_ring(r) = Ring(r - 1, d) with d
+    # 2, 3, 1, 5, 6, 7, 2 for r = 2..8
+    rng = random.Random(ring.n_fields * 10 + ring.d)
+    for _ in range(20):
+        f = rand_poly(rng, ring) + rand_poly(rng, ring).eps_shift(rng.randint(1, 3))
+        assert DiffPoly.from_json_dict(f.to_json_dict()) == f
+        lf = LocalFunctional(f)
+        assert LocalFunctional.from_json_dict(lf.to_json_dict()) == lf
+        assert DiffPoly.from_json_dict(lf.to_json_dict()) == lf.canonical_density()
+
+
 @pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True])
 def test_floats_are_refused_as_coefficients(value):
     # the binary value of 0.1 is 3602879701896397/36028797018963968
@@ -338,25 +354,33 @@ def test_floats_are_refused_as_coefficients(value):
     with pytest.raises(ValueError, match="exact rational"):
         u(1, 0, R2) * value
     data = (u(1, 0, R1) * 3).to_json_dict()
-    data["terms"][0]["coeff"][0] = value
-    with pytest.raises(ValueError, match="exact rational"):
+    data["terms"][0]["coeff"] = value
+    with pytest.raises(ValueError, match="is not a nonzero p or p/q"):
         DiffPoly.from_json_dict(data)
 
 
 @pytest.mark.parametrize("value", [1, Fraction(1, 10), "1/10", "1e-1", "0.1"])
 def test_exact_coefficients_are_accepted(value):
     assert DiffPoly.const(R2, value) == DiffPoly.const(R2, Fraction(value))
+    # JSON holds one form of each value: the string str(Fraction(value))
     data = u(1, 0, R1).to_json_dict()
-    data["terms"][0]["coeff"][0] = value if isinstance(value, (int, str)) else str(value)
+    data["terms"][0]["coeff"] = str(Fraction(value))
     assert DiffPoly.from_json_dict(data) == u(1, 0, R1) * Fraction(value)
+    if value != str(Fraction(value)):
+        data["terms"][0]["coeff"] = value
+        with pytest.raises(ValueError, match="is not a nonzero p or p/q"):
+            DiffPoly.from_json_dict(data)
 
 
-def test_json_terms_with_one_monomial_add_up():
+def test_json_terms_with_one_monomial_are_refused():
+    # the writer emits each monomial once, so a repeat is no sum but an error
     data = (u(1, 0, R1) * 3).to_json_dict()
     data["terms"] *= 2
-    assert DiffPoly.from_json_dict(data) == u(1, 0, R1) * 6
-    data["terms"].append(dict(data["terms"][0], coeff=["-6", "0", "0", "0"]))
-    assert DiffPoly.from_json_dict(data).is_zero()
+    with pytest.raises(ValueError, match="two terms at eps\\^0"):
+        DiffPoly.from_json_dict(data)
+    data["terms"][1] = dict(data["terms"][0], coeff="-3")
+    with pytest.raises(ValueError, match="two terms at eps\\^0"):
+        DiffPoly.from_json_dict(data)
 
 
 def test_local_functional_json_has_flag():
