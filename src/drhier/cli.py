@@ -199,7 +199,8 @@ def cmd_reconstruct(args) -> int:
         print("reconstruction demo is wired for r = 2 (gd-chain omega data)",
               file=sys.stderr)
         return EXIT_PRECONDITION
-    ctx = gd_context(args.r, root_depth_for_residue(1 + 2 * args.tmax + args.r))
+    # the deepest residue read is the one of Omega_{r-1,2;1,0}, p = 3r - 1
+    ctx = gd_context(args.r, root_depth_for_residue(3 * args.r - 1))
     h11 = rspin_hamiltonian(ctx, 1, 1)
     # the rewritten flow is exact only if each of its jets has a t-variable
     # and each of its terms has at most t_deg - 1 jet factors
@@ -218,7 +219,7 @@ def cmd_reconstruct(args) -> int:
               f"{args.t_degree - 1}", file=sys.stderr)
         return EXIT_PRECONDITION
     bounds = Bounds(t_max=args.tmax, t_deg=args.t_degree, eps_max=args.eps_order)
-    omega = omega_from_gd(ctx, q_max=args.tmax)
+    omega = omega_from_gd(ctx, q_max=1)
     sol = special_solution(h11, omega, bounds)
     report = check_string_dilaton(sol)
     flows = jet_rewrite(sol.flow_series(1, 1), sol)

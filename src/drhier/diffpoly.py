@@ -43,12 +43,11 @@ fails loudly instead of truncating.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .scalars import add_term, exact_rational, power_by_squaring, squarefree_part
+from .scalars import add_term, exact_rational, power_by_squaring, read_rational, squarefree_part
 from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale,
                     canonical_sum, check_slots, nonzero_slots, over_one_den)
 
@@ -56,7 +55,6 @@ Monomial = tuple[int, tuple[tuple[int, int, int], ...]]
 
 _DEG = 1 << W           # one unit of derivative degree
 _JETS = 2 * W           # bit offset of the first jet slot
-_RATIONAL = re.compile(r"-?[1-9][0-9]*(/[1-9][0-9]*)?")  # str(Fraction) but 0
 
 
 class Ring:
@@ -552,8 +550,8 @@ class DiffPoly:
 
 def _coefficient(text) -> Fraction:
     """The value of a JSON coefficient, a nonzero string str(Fraction(s))."""
-    value = Fraction(text) if isinstance(text, str) and _RATIONAL.fullmatch(text) else 0
-    if not value or str(value) != text:
+    value = read_rational(text)
+    if not value:
         raise ValueError(f"coefficient {text!r} is not a nonzero p or p/q in lowest "
                          f"terms written as a string")
     return value

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring, sum_of_products
-from .scalars import Frozen, exact_rational
+from .scalars import Frozen, read_rational
 
 
 # -- profiles --------------------------------------------------------------------------
@@ -294,11 +294,11 @@ class IntegralTable:
             return tuple(value)
 
         def rational(value):
-            try:
-                return exact_rational(value)
-            except ValueError:
-                raise TableFileError(
-                    f"value must be an exact rational, got {value!r}") from None
+            parsed = read_rational(value)
+            if parsed is None:
+                raise TableFileError(f"value {value!r} is not p or p/q in lowest terms "
+                                     f"written as a string")
+            return parsed
 
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
             raise TableFileError("expected an object with an 'entries' list")

@@ -1,12 +1,13 @@
 """Reconstruction of a hierarchy from one Hamiltonian and its genus-0 part.
 
 The special solution u^sp of the deformed hierarchy (initial datum
-u^alpha = delta^{alpha,1} x) is built one level at a time: the genus-0
-layer by Taylor integration of the dispersionless flows, one t-degree per
-level, and the eps^i layers (i >= 1) through the dilaton-derived recursion
-(i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp], one level per
-(i, total t-degree n).  Each level is the exact (eps, degree) part of
-whole series products over the finished lower levels, divided and then
+u^alpha = delta^{alpha,1} x) is built one level at a time.  Its t-degree 1
+is read off the genus-0 data Omega_{beta,1;1,0}; every other level (i,
+total t-degree n), genus 0 included, comes from the one dilaton-derived
+recursion (i + n) c = [t^1_1-flow of h_{1,1} evaluated on u^sp].  So the
+genus-0 data is read only at (beta, 0) and (1, 1), whatever the box's
+largest subscript.  Each level is the exact (eps, degree) part of whole
+series products over the finished lower levels, divided and then
 written.  All series live at x = 0.  The x dependence is recovered through
 the t^1_0 derivative (the t^1_0 flow is plain translation), and jets of the
 solution are series pushed forward from the table by the string equation
@@ -35,8 +36,8 @@ tuples of ((gamma, k), power) and values as ``Fraction``s, and
 
 The honesty of the construction is checked from outside: string/dilaton
 residuals recompute both sides from the stored table, and the r = 2
-acceptance test compares against a direct multi-flow Taylor integration
-that uses neither string nor dilaton.
+acceptance test compares against ``integrate_flows_directly``, a direct
+multi-flow Taylor integration that uses neither string nor dilaton.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, sum_of_products
+from .diffpoly import DiffPoly, LocalFunctional, Ring, sum_of_products
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
     miura_push_operator, miura_push_poly
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
@@ -438,97 +439,79 @@ class SpecialSolution:
                 for table in self._tables]
 
 
-def special_solution(h11: LocalFunctional, omega: OmegaData, bounds: Bounds,
-                     route: str = "max") -> SpecialSolution:
+def special_solution(h11: LocalFunctional, omega: OmegaData,
+                     bounds: Bounds) -> SpecialSolution:
     """Build the special solution from h_{1,1} and the genus-0 data.
 
-    ``route`` selects which flow integrates each genus-0 monomial ("max" or
-    "min" over the available variables); the result must not depend on it.
+    Degree 1 is read off the data: at t = 0, where u = delta^{gamma,1} x, the
+    coefficient of t^beta_0 in u^alpha is eta^{alpha mu} d^2
+    Omega_{beta,1;1,0}/du^mu du^1 at u = 0, and t^beta_q, q >= 1, gets none.
+    Every other level (i, n), genus 0 from n = 2 on included, takes the one
+    dilaton step (i + n) c = [t^1_1-flow of h11 evaluated on u^sp].  So
+    Omega is read only as ``density(beta, 0)`` and ``density(1, 1)``, besides
+    the q >= 1 vanishing that ``check_vanishing`` asserts.
 
-    The table is filled one level at a time: the genus-0 layer by t-degree
-    n, then each eps^i layer by (i, n).  A level's right-hand sides are the
-    exact (eps^i, t-degree n) parts of whole series products; they are
-    divided and written once all of them are known.  The order inside a
-    level does not matter, because a level reads no entry of its own level
-    except its own coefficient.  A genus-0 level n reads the flows at
-    t-degree n - 1.  In an eps layer, jets keep the t-degree and eps order
-    of the entries they come from, and the only jet with a nonzero
-    (t^0, eps^0) entry is u^1_1 = 1.  The eps^e piece of the flow has
-    derivative degree e + 1, so a term that reaches level (i, n) has e = 0
-    and every other factor at (t^0, eps^0): it is u^gamma_0 u^1_1 or a
-    linear u^gamma_1.  ``check_vanishing`` rules out the linear terms, and
-    eta d^2 Omega_{1,1} = id gives u^gamma_0 u^1_1 the coefficient
+    A level's right-hand sides are the exact (eps^i, t-degree n) parts of
+    whole series products; they are divided and written once all of them
+    are known.  The order inside a level does not matter, because a level
+    reads no entry of its own level except its own coefficient.  Jets keep
+    the t-degree and eps order of the entries they come from, and the only
+    jet with a nonzero (t^0, eps^0) entry is u^1_1 = 1.  The eps^e piece of
+    the flow has derivative degree e + 1, so a term that reaches level (i, n)
+    has e = 0 and every other factor at (t^0, eps^0): it is u^gamma_0 u^1_1
+    or a linear u^gamma_1.  ``check_vanishing`` rules out the linear terms,
+    and eta d^2 Omega_{1,1} = id gives u^gamma_0 u^1_1 the coefficient
     delta^{alpha,gamma}, so the level reads only its own coefficient, which
     the divisor i + n - 1 absorbs.
     """
-    if route not in ("max", "min"):
-        raise ValueError(f"unknown route {route!r}: expected 'max' or 'min'")
     ring = h11.ring
     ring.check_compatible(omega.ring)
     _check_box(ring, bounds, bounds.t_deg)
     n_fields = ring.n_fields
+    fields = range(1, n_fields + 1)
     eta = omega.eta
-    k_eta = HamiltonianOperator.eta_dx(ring, eta)
-    flows_p = flow(h11, k_eta)
+    flows_p = flow(h11, HamiltonianOperator.eta_dx(ring, eta))
     for p in flows_p:
         for piece_eps, piece in p.eps_decompose().items():
             if not piece.is_homogeneous(piece_eps + 1):
                 raise ValueError("t^1_1 flow is not of the dressed degree i+1")
 
+    def raised_at_zero(poly: DiffPoly, alpha: int) -> Fraction:
+        """eta^{alpha mu} d poly/du^mu at u = 0."""
+        return sum((eta[alpha - 1][mu - 1] * poly.partial(mu, 0).constant_term()
+                    for mu in fields if eta[alpha - 1][mu - 1]), _ZERO)
+
     # precondition: the eps = 0 density of h11 is the Omega_{1,1;1,0} input
-    density0 = h11.density.eps_coefficient(0)
     base = omega.density(1, 1)
-    drift = density0 - base
-    if drift.has_jets() or not drift.is_constant():
+    if not (h11.density.eps_coefficient(0) - base).is_constant():
         raise ValueError("h11 dispersionless part does not match the Omega data")
     omega.check_vanishing()
     # the recursion denominator uses eta d^2 Omega_{1,1;mu,0}/du^1 du^rho = id
-    for a in range(1, n_fields + 1):
-        for rho in range(1, n_fields + 1):
-            acc = Fraction(0)
-            for mu in range(1, n_fields + 1):
-                if eta[a - 1][mu - 1]:
-                    second = base.partial(mu, 0).partial(1, 0).partial(rho, 0)
-                    acc += eta[a - 1][mu - 1] * second.constant_term()
-            if acc != (1 if a == rho else 0):
-                raise ValueError("Omega data violates eta d2 Omega_{1,1} = id")
+    if any(raised_at_zero(base.partial(1, 0).partial(rho, 0), a) != (a == rho)
+           for a in fields for rho in fields):
+        raise ValueError("Omega data violates eta d2 Omega_{1,1} = id")
 
     sol = SpecialSolution(ring, bounds)
-    # du^alpha/dt^beta_q = eta^{alpha mu} d_x dOmega_{beta,q+1;1,0}/du^mu: the
-    # flow of the dispersionless Hamiltonian int Omega_{beta,q+1;1,0} dx
-    genus0_flows = {(beta, q): flow(integrate(omega.density(beta, q)), k_eta)
-                    for beta in range(1, n_fields + 1)
-                    for q in range(bounds.t_max + 1)}
+    for beta in fields:
+        second = omega.density(beta, 0).partial(1, 0)
+        for alpha in fields:
+            value = raised_at_zero(second, alpha)
+            if beta == 1 and value != (alpha == 1):
+                raise ValueError("Omega data breaks the initial condition u^1 = x")
+            sol.set_coeff(alpha, (((beta, 0), 1),), 0, value)
 
-    # genus-0 layer: Taylor integration of the dispersionless flows
-    sol.set_coeff(1, (((1, 0), 1),), 0, 1)
-    pick = max if route == "max" else min
-    rest_vars = [v for v in sol.variables() if v != (1, 0)]
-    for degree in range(1, bounds.t_deg + 1):
-        level = {(var, alpha): sol.poly_series(genus0_flows[var][alpha - 1], sol.jet,
-                                               0, degree - 1, exact=True)
-                 for var in rest_vars for alpha in range(1, n_fields + 1)}
-        for (var, alpha), (series, den) in level.items():
-            shift = _var_shift(n_fields, var)
-            for base_key, value in series.items():
-                m = base_key + _unit(shift)
-                if pick(v for v in _variables(m, n_fields) if v != (1, 0)) == var:
-                    sol._write(alpha, m, value, den * ((m >> shift) & MASK))
-
-    # eps layers: (i + n) c = [flow of h11](u^sp), the u^alpha term on the
-    # right contributing the coefficient itself
-    for i in range(1, bounds.eps_max + 1):
-        for degree in range(bounds.t_deg + 1):
+    # (i + n) c = [flow of h11](u^sp), the u^alpha term on the right
+    # contributing the coefficient itself
+    for i in range(bounds.eps_max + 1):
+        for degree in range(0 if i else 2, bounds.t_deg + 1):
             level = [sol.poly_series(p, sol.jet, i, degree, exact=True) for p in flows_p]
             for alpha, (rhs, den) in enumerate(level, start=1):
                 for m, value in rhs.items():
                     if degree == 0 and i == 1:
-                        raise AssertionError(
-                            "recursion inconsistent at the empty monomial")
+                        raise AssertionError("recursion inconsistent at the empty monomial")
                     if not (m >> (2 * W)) & MASK:
-                        raise AssertionError(
-                            f"recursion breaks the initial condition at "
-                            f"{unpack_key(m, n_fields)[0]}")
+                        raise AssertionError("recursion breaks the initial condition at "
+                                             f"{unpack_key(m, n_fields)[0]}")
                     sol._write(alpha, m, value, den * (i + degree - 1))
     return sol
 

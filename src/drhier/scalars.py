@@ -3,19 +3,22 @@
 Operators, Hamiltonians and t-series have rational coefficients, stdlib
 ``fractions.Fraction`` (always reduced, positive denominator); differential
 polynomials store integer numerators over one denominator and hand out
-``Fraction``s.  ``exact_rational`` is where a value from outside becomes a
-rational, and it refuses floats.  The r-spin normalization brings in sqrt(-r) only
-as even powers, (-r)^n, so it stays over Q too.  ``AlgScalar`` is the
-Gaussian rationals Q(i), in which ``quantize`` takes and prints
-Weyl-algebra coefficients; it computes over Q.  ``Frozen`` is the base of
-the package's small immutable records.
+``Fraction``s.  ``exact_rational`` is where a value from Python code becomes
+a rational, and it refuses floats; ``read_rational`` is where a JSON string
+does, and it takes only the form ``str(Fraction)`` writes.  The r-spin
+normalization brings in sqrt(-r) only as even powers, (-r)^n, so it stays
+over Q too.  ``AlgScalar`` is the Gaussian rationals Q(i), in which
+``quantize`` takes and prints Weyl-algebra coefficients; it computes over
+Q.  ``Frozen`` is the base of the package's small immutable records.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/[1-9][0-9]*)?")  # the shapes of str(Fraction)
 
 
 class Frozen:
@@ -89,6 +92,19 @@ def exact_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected an exact rational, got {value!r}")
+
+
+def read_rational(text) -> Fraction | None:
+    """The value of a string as str(Fraction) writes it, such as "0", "-3" or
+    "2/7"; None for anything else ("2/4", "1e1", "0.5", " 1", a number).  The
+    shape is checked first, so no exponent is ever expanded."""
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
+        try:
+            value = Fraction(text)
+        except ValueError:  # a numeral above the int string limit
+            return None
+        return value if str(value) == text else None
+    return None
 
 
 class AlgScalar:

@@ -488,14 +488,21 @@ def test_render_malformed_input_is_a_usage_error(run, monkeypatch, stdin, reason
     assert reason in err
 
 
-def test_render_refuses_a_large_d_in_a_subprocess():
-    # trial division of this prime d up to its square root would take about
-    # 10^9 steps; the subprocess keeps such a regression from hanging the suite
+def run_cli_subprocess(*argv, timeout, input=None):
+    """``python -m drhier.cli *argv`` in a fresh process over this tree's src:
+    a regression that stalls fails the test at the timeout instead of
+    hanging the suite."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "drhier.cli", "render"],
-                          input=f'{{"N":1,"d":{LARGE_PRIME_D},"terms":[]}}',
-                          capture_output=True, text=True, env=env, timeout=10)
+    return subprocess.run([sys.executable, "-m", "drhier.cli", *argv], input=input,
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_render_refuses_a_large_d_in_a_subprocess():
+    # trial division of this prime d up to its square root would take about
+    # 10^9 steps
+    done = run_cli_subprocess("render", input=f'{{"N":1,"d":{LARGE_PRIME_D},"terms":[]}}',
+                              timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (f"malformed render input: d = {LARGE_PRIME_D} is neither 1 "
                            f"nor the squarefree part of N + 1 = 2\n")
@@ -555,6 +562,9 @@ def test_a_quantize_window_beyond_the_mode_slots_is_a_usage_error(run, r, window
                                  {"psi": [1, 0], "boundary": [[1, [2]]], "value": "5"}]},
     # a monomial of degree 3, not g = 2: no lookup can reach it
     {"g": 2, "n": 2, "entries": [{"psi": [3, 0], "boundary": [], "value": "5"}]},
+    # a value that is not the string str(Fraction) writes
+    *({"g": 2, "n": 2, "entries": [{"psi": [2, 0], "boundary": [], "value": value}]}
+      for value in ("2/4", "1_000", "0.5", 5)),
 ])
 def test_malformed_table_file_exit(run, tmp_path, payload):
     path = tmp_path / "table.json"
@@ -564,6 +574,28 @@ def test_malformed_table_file_exit(run, tmp_path, payload):
     assert code == cli.EXIT_TABLE_FILE
     assert out == ""
     assert err.startswith("table file error:") and err.count("\n") == 1
+
+
+def test_an_exponent_table_value_is_refused_in_a_subprocess(tmp_path):
+    # Fraction("1e100000000") would write out a hundred million digits
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"g": 2, "n": 2, "entries": [
+        {"psi": [2, 0], "boundary": [], "value": "1e100000000"}]}))
+    done = run_cli_subprocess("hain-pair", "--g", "2", "--counts", "0,2",
+                              "--table-file", str(path), timeout=10)
+    assert (done.returncode, done.stdout) == (cli.EXIT_TABLE_FILE, "")
+    assert done.stderr.startswith("table file error:") and done.stderr.count("\n") == 1
+
+
+def test_reconstruct_finishes_at_the_largest_tmax_in_a_subprocess():
+    # the construction reads Omega only up to q = 1, so a large --tmax only
+    # widens the packed keys
+    done = run_cli_subprocess("reconstruct", "--r", "2", "--tmax", "4092",
+                              "--format", "json", timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(done.stdout)
+    assert report["bounds"]["t_max"] == 4092
+    assert report["string_residuals"] == report["dilaton_residuals"] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -99,23 +99,34 @@ def test_fault_injection_is_located(kdv):
     assert (1, target, 2) in report.dilaton_residuals
 
 
-def test_uniqueness_under_evaluation_order(kdv):
+def test_omega_is_read_only_up_to_q_1(kdv):
+    # the construction reads density(beta, 0) and density(1, 1): data up to
+    # q = 1 gives the same tables on a t_max = 3 box as data up to q = 3
     ctx, omega, h11, sol = kdv
-    other = special_solution(h11, omega, BOUNDS, route="min")
-    assert sol.tables() == other.tables()
-    with pytest.raises(ValueError, match="unknown route 'mid'"):
-        special_solution(h11, omega, BOUNDS, route="mid")
+    assert max(q for _, q in omega.densities) == BOUNDS.t_max == 3
+    assert special_solution(h11, omega_from_gd(ctx, q_max=1), BOUNDS).tables() \
+        == sol.tables()
+
+
+def broken_omega(omega, q):
+    """omega with u^2 added to density (1, q)."""
+    u = DiffPoly.jet(omega.ring, 1, 0)
+    densities = dict(omega.densities)
+    densities[(1, q)] = densities[(1, q)] + u ** 2
+    return OmegaData(ring=omega.ring, eta=omega.eta, densities=densities)
 
 
 def test_precondition_mismatch_detected(kdv):
-    ctx, omega, h11, _ = kdv
-    ring = ctx.ring_w
-    u = DiffPoly.jet(ring, 1, 0)
-    broken = OmegaData(ring=ring, eta=omega.eta,
-                       densities=dict(omega.densities))
-    broken.densities[(1, 1)] = omega.densities[(1, 1)] + u ** 2
-    with pytest.raises(ValueError):
-        special_solution(h11, broken, BOUNDS)
+    _, omega, h11, _ = kdv
+    with pytest.raises(ValueError, match="h11 dispersionless part"):
+        special_solution(h11, broken_omega(omega, 1), BOUNDS)
+
+
+def test_omega_must_keep_the_initial_condition(kdv):
+    # Omega_{1,1;1,0} gives the t^1_0 column of degree 1, which must be u^1 = x
+    _, omega, h11, _ = kdv
+    with pytest.raises(ValueError, match="initial condition"):
+        special_solution(h11, broken_omega(omega, 0), BOUNDS)
 
 
 @pytest.mark.parametrize("bounds, extra", [
@@ -152,8 +163,9 @@ def test_special_solution_matches_direct_flow_integration(kdv):
 def test_evaluator_walks_stored_entries(kdv, monkeypatch):
     # work count on the small oracle box: the special solution makes no
     # pointwise step (the coefficient-at-a-time recursion makes 121 steps
-    # and 124 jet lookups here) but one series product per flow and level,
-    # and each product reads one jet per factor of each term
+    # and 124 jet lookups here) but one series product per entry of the
+    # t^1_1 flow and level, genus 0 included from degree 2 on, and each
+    # product reads one jet per factor of each term
     _, omega, h11, _ = kdv
     small = Bounds(t_max=2, t_deg=3, eps_max=2)
     counts = Counter()
@@ -177,8 +189,8 @@ def test_evaluator_walks_stored_entries(kdv, monkeypatch):
     counted("jet", "lookups")
     monkeypatch.setattr(SpecialSolution, "poly_series", counted_series)
     special_solution(h11, omega, small)
-    # genus 0: one product per flow t^1_1, t^1_2 at degree n - 1 for level n
-    expected = Counter({(0, n - 1, True): 2 for n in range(1, small.t_deg + 1)})
+    # degree 1 is read off the data, and genus 0 builds no flow of Omega
+    expected = Counter({(0, n, True): 1 for n in range(2, small.t_deg + 1)})
     expected.update({(i, n, True): 1 for i in range(1, small.eps_max + 1)
                      for n in range(small.t_deg + 1)})
     assert levels == expected
@@ -293,18 +305,21 @@ def pointwise_special_solution(h11, omega, bounds):
     return sol
 
 
-# r = 4 at t_max = 2 needs Lax root powers to depth 17 (about 8 s on 2 vCPUs),
-# so its box stays at t_max = 1
+# the reference integrates the Omega flows up to q = t_max: r = 4 at t_max = 2
+# needs Lax root powers to depth 17 (about 8 s on 2 vCPUs), so the r = 4 and
+# r = 5 boxes stay at t_max = 1
 LEVEL_BOXES = [(2, Bounds(4, 5, 6)), (2, Bounds(3, 4, 4)), (3, Bounds(2, 3, 2)),
-               (3, Bounds(3, 4, 4)), (4, Bounds(1, 3, 2))]
+               (3, Bounds(3, 4, 4)), (4, Bounds(1, 3, 2)), (5, Bounds(1, 3, 2))]
 
 
 @cache
 def level_inputs(r):
     """(h_{1,1}, omega) at r for every box of LEVEL_BOXES: r-spin h_{1,1} at
-    r = 2, the DR g_{1,1} above.  The r = 4 depth is the one of the CLI's
-    ``rspin --r 4 --alpha 3 --d 1``, so both share their root powers."""
-    ctx = gd_context(4, 15) if r == 4 else ctx_for(r)
+    r = 2, the DR g_{1,1} above.  The r = 4 and r = 5 depths are the ones of
+    the CLI's ``rspin --r 4 --alpha 3 --d 1`` and ``rspin --r 5 --alpha 2
+    --d 1``, so each shares its root powers with that command."""
+    depth = {4: 15, 5: 16}.get(r)
+    ctx = gd_context(r, depth) if depth else ctx_for(r)
     q_max = max(bounds.t_max for s, bounds in LEVEL_BOXES if s == r)
     h11 = rspin_hamiltonian(ctx, 1, 1) if r == 2 else builtin_g11(r, ctx.ring_w)
     return h11, omega_from_gd(ctx, q_max)
@@ -314,8 +329,7 @@ def level_inputs(r):
 def test_special_solution_matches_pointwise_recursion(r, bounds):
     h11, omega = level_inputs(r)
     reference = pointwise_special_solution(h11, omega, bounds).tables()
-    for route in ("max", "min") if r == 3 else ("max",):
-        assert special_solution(h11, omega, bounds, route=route).tables() == reference
+    assert special_solution(h11, omega, bounds).tables() == reference
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drhier.scalars import AlgScalar, squarefree_part
+from drhier.scalars import AlgScalar, read_rational, squarefree_part
 
 
 # -- AlgScalar -------------------------------------------------------------------------
@@ -116,3 +116,14 @@ def test_equal_scalars_hash_equal(x, y):
     if x == y:
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
+
+
+@given(st.fractions())
+def test_read_rational_reads_what_str_writes(value):
+    assert read_rational(str(value)) == value
+
+
+@pytest.mark.parametrize("text", ["2/4", "1/1", "-0", "0/5", "+1", " 1", "1_000", "0.5",
+                                  "1e1", "1e100000000", "1/0", "", "9" * 5000, 5, None])
+def test_read_rational_refuses_every_other_form(text):
+    assert read_rational(text) is None
