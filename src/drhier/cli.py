@@ -42,6 +42,7 @@ from .gdhier import (
 )
 from .hamops import HamiltonianOperator, flow
 from .psido import root_depth_for_residue
+from .scalars import excerpt
 from .slots import SLOT_MAX, TOP_SLOT
 from .quantize import (
     DeformedRule,
@@ -143,13 +144,13 @@ def paired_expansion(args, counts: tuple[int, ...]):
     n = sum(counts)
     if table.n != n:
         raise ValueError(
-            f"the table is for n = {table.n} but --counts sums to n = {n}")
+            f"the table is for n = {excerpt(table.n)} but --counts sums to n = {n}")
     if table.g != args.g:
-        raise ValueError(f"the table is for g = {table.g} but --g is {args.g}")
+        raise ValueError(f"the table is for g = {excerpt(table.g)} but --g is {args.g}")
     labels = counts_labels(counts)
     if table.labels and table.labels != labels:
-        raise ValueError(f"the table has labels {list(table.labels)} but --counts "
-                         f"implies labels {list(labels)}")
+        raise ValueError(f"the table has labels {excerpt(list(table.labels))} but "
+                         f"--counts implies labels {list(labels)}")
     return pair_with_table(hain_expand(args.g, n), table,
                            dilaton=not args.no_dilaton, g=args.g, n=n)
 
@@ -196,8 +197,9 @@ def cmd_verify_main(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     if args.r != 2:
-        print("reconstruction demo is wired for r = 2 (gd-chain omega data)",
-              file=sys.stderr)
+        print("reconstruct is wired for r = 2 only: its output names field 1 alone, "
+              "as w, and for r >= 4 h^{r-spin}_{1,1} with eta d_x would mix DZ and "
+              "DR variables", file=sys.stderr)
         return EXIT_PRECONDITION
     # the deepest residue read is the one of Omega_{r-1,2;1,0}, p = 3r - 1
     ctx = gd_context(args.r, root_depth_for_residue(3 * args.r - 1))
@@ -223,7 +225,6 @@ def cmd_reconstruct(args) -> int:
     sol = special_solution(h11, omega, bounds)
     report = check_string_dilaton(sol)
     flows = jet_rewrite(sol.flow_series(1, 1), sol)
-    names = w_names(args.r)
     text = ("coefficients: {}\nstring residuals: {}\ndilaton residuals: {}\n"
             "t^1_1 flow (rewritten): {}").format(
         sol.entry_count(), len(report.string_residuals),
@@ -292,7 +293,7 @@ def cmd_render(args) -> int:
         data = json.load(sys.stdin)  # JSONDecodeError is a ValueError
         integrated = data.get("integrated", False) if isinstance(data, dict) else False
         if not isinstance(integrated, bool):
-            raise ValueError(f"integrated must be true or false, got {integrated!r}")
+            raise ValueError(f"integrated must be true or false, got {excerpt(integrated)}")
         poly = DiffPoly.from_json_dict(data)
     except ValueError as exc:
         print(f"malformed render input: {exc}", file=sys.stderr)

@@ -47,7 +47,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .scalars import add_term, exact_rational, power_by_squaring, read_rational, squarefree_part
+from .scalars import (add_term, exact_rational, excerpt, power_by_squaring, read_rational,
+                      squarefree_part)
 from .slots import (GUARD, MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale,
                     canonical_sum, check_slots, nonzero_slots, over_one_den)
 
@@ -75,8 +76,8 @@ class Ring:
         if n_fields < 1:
             raise ValueError("need at least one field")
         if 1 + n_fields > TOP_SLOT:
-            raise ValueError(f"{n_fields} fields need packed slot {1 + n_fields} "
-                             f"for u^{n_fields}_0, above {TOP_SLOT}")
+            raise ValueError(f"{excerpt(n_fields)} fields need packed slot {excerpt(1 + n_fields)}"
+                             f" for u^{excerpt(n_fields)}_0, above {TOP_SLOT}")
         if cap is not None and (type(cap) is not int or not 0 <= cap <= SLOT_MAX):
             raise ValueError(f"a derivative-degree cap is an int in 0..{SLOT_MAX}, "
                              f"got {cap!r}")
@@ -135,13 +136,13 @@ def _pack(ring: Ring, eps: int, jets) -> int:
     key = degree = total = 0
     for alpha, order, power in jets:
         if not 1 <= alpha <= n:
-            raise ValueError(f"field index {alpha} out of range 1..{n}")
+            raise ValueError(f"field index {excerpt(alpha)} out of range 1..{n}")
         if order < 0 or power < 0:
             raise ValueError("order and power must be >= 0")
         slot = 1 + order * n + alpha
         if slot > TOP_SLOT:
-            raise ValueError(f"u^{alpha}_{order} needs packed slot {slot}, "
-                             f"above {TOP_SLOT}")
+            raise ValueError(f"u^{alpha}_{excerpt(order)} needs packed slot "
+                             f"{excerpt(slot)}, above {TOP_SLOT}")
         if power > SLOT_MAX:
             raise ValueError(f"a monomial exponent exceeds {SLOT_MAX}")
         key += power << (W * slot)
@@ -260,9 +261,6 @@ class DiffPoly:
 
     def max_eps(self) -> int:
         return max((key & MASK for key in self.terms), default=0)
-
-    def has_jets(self) -> bool:
-        return any((key >> W) & MASK for key in self.terms)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -511,39 +509,41 @@ class DiffPoly:
         def integer(value, what, least=None):
             if type(value) is not int or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
-                raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+                raise ValueError(f"{what} must be an integer{bound}, got {excerpt(value)}")
             return value
 
         def require(obj, keys, what):
             missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else keys
             if missing:
-                raise ValueError(f"{what} has no {missing[0]!r}: {obj!r}")
+                raise ValueError(f"{what} has no {missing[0]!r}: {excerpt(obj)}")
 
         require(data, ("N", "d", "terms"), "a payload")
         n, d = integer(data["N"], "N", 1), integer(data["d"], "d")
         Ring(n)  # refuses an N beyond the packed slots before d's trial division
         if d != 1 and d != squarefree_part(n + 1):
-            raise ValueError(f"d = {d} is neither 1 nor the squarefree part of N + 1 = {n + 1}")
+            raise ValueError(f"d = {excerpt(d)} is neither 1 nor the squarefree part "
+                             f"of N + 1 = {n + 1}")
         if not isinstance(data["terms"], list):
-            raise ValueError(f"terms must be a list, got {data['terms']!r}")
+            raise ValueError(f"terms must be a list, got {excerpt(data['terms'])}")
         items = {}
         for term in data["terms"]:
             require(term, ("coeff", "eps", "jets"), "a term")
             if not isinstance(term["jets"], list):
-                raise ValueError(f"jets must be a list, got {term['jets']!r}")
+                raise ValueError(f"jets must be a list, got {excerpt(term['jets'])}")
             jets = []
             for jet in term["jets"]:
                 if not isinstance(jet, list) or len(jet) != 3:
-                    raise ValueError(f"a jet is [field, order, power], got {jet!r}")
+                    raise ValueError(f"a jet is [field, order, power], got {excerpt(jet)}")
                 alpha, order, power = jet
                 jets.append((integer(alpha, "field index"), integer(order, "order", 0),
                              integer(power, "power", 1)))
             if any(p[:2] >= q[:2] for p, q in zip(jets, jets[1:])):
-                raise ValueError(f"jets {term['jets']} are not in strictly increasing "
-                                 f"(field, order)")
+                raise ValueError(f"jets {excerpt(term['jets'])} are not in strictly "
+                                 f"increasing (field, order)")
             monomial = (integer(term["eps"], "eps", 0), tuple(jets))
             if monomial in items:
-                raise ValueError(f"two terms at eps^{monomial[0]} and jets {term['jets']}")
+                raise ValueError(f"two terms at eps^{excerpt(monomial[0])} and jets "
+                                 f"{excerpt(term['jets'])}")
             items[monomial] = _coefficient(term["coeff"])
         return DiffPoly.from_items(Ring(n, d), items.items())
 
@@ -552,8 +552,8 @@ def _coefficient(text) -> Fraction:
     """The value of a JSON coefficient, a nonzero string str(Fraction(s))."""
     value = read_rational(text)
     if not value:
-        raise ValueError(f"coefficient {text!r} is not a nonzero p or p/q in lowest "
-                         f"terms written as a string")
+        raise ValueError(f"coefficient {excerpt(text)} is not a nonzero p or p/q "
+                         f"in lowest terms written as a string")
     return value
 
 

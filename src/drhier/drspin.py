@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring, sum_of_products
-from .scalars import Frozen, read_rational
+from .scalars import Frozen, excerpt, read_rational
 
 
 # -- profiles --------------------------------------------------------------------------
@@ -225,14 +225,17 @@ def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
         boundary = []
         for h, J in sym.boundary:
             if not (0 <= h <= g and all(1 <= m <= n for m in J) and len(set(J)) == len(J)):
-                raise TableFileError(f"boundary symbol [{h}, {list(J)}] needs 0 <= h <= {g} "
-                                     f"and distinct markings in 1..{n}")
+                raise TableFileError(
+                    f"boundary symbol {excerpt([h, list(J)])} needs 0 <= h <= "
+                    f"{excerpt(g)} and distinct markings in 1..{excerpt(n)}")
             boundary.append(canonical_boundary(h, J, g, markings))
         key = TautMonomial(psi=sym.psi, boundary=tuple(sorted(boundary)))
         if key.degree() != g:
-            raise TableFileError(f"{key} has degree {key.degree()}, not g = {g}")
+            raise TableFileError(f"{excerpt(key)} has degree {excerpt(key.degree())}"
+                                 f", not g = {excerpt(g)}")
         if canon.setdefault(key, value) != value:
-            raise TableFileError(f"{key} is given twice, as {canon[key]} and {value}")
+            raise TableFileError(f"{excerpt(key)} is given twice, as "
+                                 f"{excerpt(canon[key])} and {excerpt(value)}")
     return canon
 
 
@@ -288,16 +291,16 @@ class IntegralTable:
             if (not isinstance(value, list)
                     or any(type(x) is not int or x < least for x in value)
                     or length is not None and len(value) != length):
-                size = "" if length is None else f"{length} "
-                raise TableFileError(
-                    f"{what} must be a list of {size}integers >= {least}, got {value!r}")
+                size = "" if length is None else f"{excerpt(length)} "
+                raise TableFileError(f"{what} must be a list of {size}integers >= {least}, "
+                                     f"got {excerpt(value)}")
             return tuple(value)
 
         def rational(value):
             parsed = read_rational(value)
             if parsed is None:
-                raise TableFileError(f"value {value!r} is not p or p/q in lowest terms "
-                                     f"written as a string")
+                raise TableFileError(f"value {excerpt(value)} is not p or p/q in "
+                                     f"lowest terms written as a string")
             return parsed
 
         if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
@@ -306,16 +309,17 @@ class IntegralTable:
         if not (type(g) is int and type(n) is int and g >= 0 and n >= 1
                 and isinstance(default_zero, bool)):
             raise TableFileError("need integers g >= 0, n >= 1 and a boolean default_zero, "
-                                 f"got {g!r}, {n!r}, {default_zero!r}")
+                                 f"got {', '.join(map(excerpt, (g, n, default_zero)))}")
         entries = []
         for item in data["entries"]:
             if not isinstance(item, dict):
-                raise TableFileError(f"malformed entry {item!r}")
+                raise TableFileError(f"malformed entry {excerpt(item)}")
             boundary = item.get("boundary", [])
             if not isinstance(boundary, list) or not all(
                     isinstance(b, list) and len(b) == 2 and type(b[0]) is int
                     for b in boundary):
-                raise TableFileError(f"boundary is a list of [h, J] pairs, got {boundary!r}")
+                raise TableFileError(f"boundary is a list of [h, J] pairs, got "
+                                     f"{excerpt(boundary)}")
             sym = TautMonomial(
                 psi=integers(item.get("psi"), "psi", length=n),
                 boundary=tuple((h, integers(J, "J", least=1)) for h, J in boundary))

@@ -26,10 +26,11 @@ slot above 4095; the top bit of a slot is a guard, so m1 divides m exactly
 when m - m1 borrows into no guard bit.  ``special_solution`` and
 ``integrate_flows_directly`` refuse a box whose degree, eps order or
 largest subscript the slots cannot hold.  A solution keeps one
-denominator, ``den``, for its tables and its cached jets; a write whose
-value it does not clear multiplies all of them up to the lcm.  Series
-products return (numerators, denominator) pairs.  Code
-outside the module reads a solution through the decoded view: ``coeff``,
+denominator, ``den``, for its tables and its cached jets, and a write sets
+one level of one field at once: it reduces the level by one gcd, lifts
+``den`` at most once, and pushes the level's change into each cached jet.
+Series products return (numerators, denominator) pairs.  Code outside the
+module reads a solution through the decoded view: ``coeff``,
 ``tables``, ``cached_jets`` and ``decode`` give t-monomials as sorted
 tuples of ((gamma, k), power) and values as ``Fraction``s, and
 ``set_coeff`` takes that form.
@@ -37,13 +38,15 @@ tuples of ((gamma, k), power) and values as ``Fraction``s, and
 The honesty of the construction is checked from outside: string/dilaton
 residuals recompute both sides from the stored table, and the r = 2
 acceptance test compares against ``integrate_flows_directly``, a direct
-multi-flow Taylor integration that uses neither string nor dilaton.
+multi-flow Taylor integration that uses neither string nor dilaton: its
+jets are the t^1_0 derivatives it takes of its own finished levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from functools import cache
+from math import gcd, lcm, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, sum_of_products
 from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
@@ -257,7 +260,8 @@ def _check_box(ring: Ring, bounds: Bounds, degree: int):
 
 class SpecialSolution:
     """Per-field t-series of the special solution, stored at x = 0: packed
-    tables of numerators over the one denominator ``den``."""
+    tables of numerators over the one denominator ``den``, and one jet
+    source, the string jets of ``jet``, cached by (gamma, d)."""
 
     def __init__(self, ring: Ring, bounds: Bounds):
         self.ring = ring
@@ -265,7 +269,7 @@ class SpecialSolution:
         self._n = ring.n_fields
         self.den = 1
         self._tables: list[dict[int, int]] = [dict() for _ in range(self._n)]
-        # jet series by (source, gamma, d), kept equal to the table by writes
+        # string jet series by (gamma, d), kept equal to the table by writes
         self._jets: dict = {}
 
     # -- the decoded view ---------------------------------------------------------
@@ -281,7 +285,7 @@ class SpecialSolution:
         return [self.decode(table) for table in self._tables]
 
     def cached_jets(self) -> dict:
-        """Every cached jet series, decoded, by (source, gamma, d)."""
+        """Every cached jet series, decoded, by (gamma, d)."""
         return {label: self.decode(series) for label, series in self._jets.items()}
 
     def entry_count(self) -> int:
@@ -295,48 +299,41 @@ class SpecialSolution:
     def set_coeff(self, alpha: int, m: TMon, i: int, value):
         """Write the coefficient of t^m eps^i in u^alpha; a float is refused."""
         value = exact_rational(value)
-        self._write(alpha, pack_key(self._n, m, i), value.numerator, value.denominator)
+        self._write(alpha, {pack_key(self._n, m, i): value.numerator}, value.denominator)
 
     # -- writes -------------------------------------------------------------------
 
-    def _write(self, alpha: int, key: int, num: int, den: int):
-        """Set one entry to num / den and push the change into every cached
-        jet of field alpha: both jet sources are linear in the table."""
-        g = gcd(num, den)
-        num, den = num // g, den // g
+    def _write(self, alpha: int, level: dict[int, int], den: int):
+        """Set u^alpha to num / den at each key of the level.  One gcd reduces
+        the level, ``den`` lifts every table and cached jet at most once, in
+        place, and the change reaches each cached jet of alpha through one
+        ``raise_subscripts`` chain: the string jets are linear in the table."""
+        g = gcd(den, *level.values())
+        den //= g
         if self.den % den:
-            self._lift(den // gcd(self.den, den))
+            scale = den // gcd(self.den, den)
+            self.den *= scale
+            for series in (*self._tables, *self._jets.values()):
+                for key, v in series.items():
+                    series[key] = v * scale
         table = self._tables[alpha - 1]
-        change = num * (self.den // den) - table.get(key, 0)
-        if not change:
-            return
-        add_term(table, key, change)
-        raised = [{key: change}]
-        for (source, gamma, d), series in self._jets.items():
-            if gamma != alpha:
-                continue
-            if source == "direct":
-                delta = t_derivative(raised[0], self._n, (1, 0), d)
-            else:
+        change = {key: num // g * (self.den // den) - table.get(key, 0)
+                  for key, num in level.items()}
+        for key, v in change.items():
+            add_term(table, key, v)
+        raised = [change]
+        for (gamma, d), series in self._jets.items():
+            if gamma == alpha:
                 while len(raised) <= d:
                     raised.append(raise_subscripts(raised[-1], self._n, self.bounds.t_max))
-                delta = raised[d]
-            for k, v in delta.items():
-                add_term(series, k, v)
-
-    def _lift(self, scale: int):
-        """Multiply the denominator by scale, and every numerator with it, in
-        place: a live jet series stays the same object."""
-        self.den *= scale
-        for series in (*self._tables, *self._jets.values()):
-            for key, v in series.items():
-                series[key] = v * scale
+                for key, v in raised[d].items():
+                    add_term(series, key, v)
 
     def variables(self):
         return [(gamma, n) for gamma in range(1, self._n + 1)
                 for n in range(self.bounds.t_max + 1)]
 
-    # -- the two jet sources: series of d_x^d u^gamma over den ---------------------------
+    # -- the string jets: series of d_x^d u^gamma over den ---------------------------
 
     def jet(self, gamma: int, d: int) -> dict:
         """d_x^d u^gamma via the string equation: d_x V = delta + sum
@@ -344,20 +341,12 @@ class SpecialSolution:
         the stored table.  The series is live: later writes update it."""
         if d == 0:
             return self._tables[gamma - 1]
-        key = ("string", gamma, d)
+        key = (gamma, d)
         if key not in self._jets:
             series = raise_subscripts(self.jet(gamma, d - 1), self._n, self.bounds.t_max)
-            if (gamma, d) == (1, 1):
+            if key == (1, 1):
                 add_term(series, 0, self.den)
             self._jets[key] = series
-        return self._jets[key]
-
-    def direct_jet(self, gamma: int, d: int) -> dict:
-        """d_x^d u^gamma as the plain t^1_0-derivative of the table (exact
-        where the stored box reaches degree + d); live like ``jet``."""
-        key = ("direct", gamma, d)
-        if key not in self._jets:
-            self._jets[key] = t_derivative(self._tables[gamma - 1], self._n, (1, 0), d)
         return self._jets[key]
 
     # -- evaluation of differential polynomials on the solution ------------------------
@@ -506,13 +495,14 @@ def special_solution(h11: LocalFunctional, omega: OmegaData,
         for degree in range(0 if i else 2, bounds.t_deg + 1):
             level = [sol.poly_series(p, sol.jet, i, degree, exact=True) for p in flows_p]
             for alpha, (rhs, den) in enumerate(level, start=1):
-                for m, value in rhs.items():
+                for m in rhs:
                     if degree == 0 and i == 1:
                         raise AssertionError("recursion inconsistent at the empty monomial")
                     if not (m >> (2 * W)) & MASK:
                         raise AssertionError("recursion breaks the initial condition at "
                                              f"{unpack_key(m, n_fields)[0]}")
-                    sol._write(alpha, m, value, den * (i + degree - 1))
+                if rhs:
+                    sol._write(alpha, rhs, den * (i + degree - 1))
     return sol
 
 
@@ -571,8 +561,9 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     integration orders monomials by their non-t^1_0 degree (the rest
     degree): the coefficient of t^m is the flow of the largest variable of m
     other than t^1_0, read at rest degree one less.  Every entry below the
-    level being written is final, so each flow is evaluated once per level
-    as a whole series, and each write is a lookup in it.
+    level being written is final, so at each level the jets are taken once
+    from the finished tables, each flow is evaluated once as a whole series,
+    and each field's entries of the level are written at once.
     """
     budget = bounds.t_deg + t10_extra
     _check_box(ring, bounds, budget)
@@ -581,10 +572,13 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
     sol.set_coeff(1, (((1, 0), 1),), 0, 1)
     rest_vars = [v for v in sol.variables() if v != (1, 0)]
     for rest_degree in range(1, bounds.t_deg + 1):
-        level = {(var, alpha): sol.poly_series(flows[var][alpha - 1], sol.direct_jet,
+        direct_jet = cache(lambda gamma, d: t_derivative(sol._tables[gamma - 1], n_fields,
+                                                         (1, 0), d))
+        level = {(var, alpha): sol.poly_series(flows[var][alpha - 1], direct_jet,
                                                bounds.eps_max, budget - 1,
                                                rest_degree - 1)
                  for var in rest_vars for alpha in range(1, n_fields + 1)}
+        entries = [{} for _ in range(n_fields)]  # per field: {key: (num, den)}
         for (var, alpha), (series, den) in level.items():
             shift = _var_shift(n_fields, var)
             for base, value in series.items():
@@ -593,7 +587,11 @@ def integrate_flows_directly(flows: dict[tuple[int, int], list[DiffPoly]],
                 if (base >> (2 * W)) & MASK == rest_degree - 1 \
                         and max(_variables(base, n_fields), default=var) <= var:
                     m = base + _unit(shift)
-                    sol._write(alpha, m, value, den * ((m >> shift) & MASK))
+                    entries[alpha - 1][m] = value, den * ((m >> shift) & MASK)
+        for alpha, written in enumerate(entries, start=1):
+            common = lcm(*(den for _, den in written.values()))
+            sol._write(alpha, {m: v * (common // den) for m, (v, den) in written.items()},
+                       common)
     return sol
 
 

@@ -94,6 +94,13 @@ def exact_rational(value) -> Fraction:
     raise ValueError(f"expected an exact rational, got {value!r}")
 
 
+def excerpt(value, limit: int = 40) -> str:
+    """How an error echoes a value read from input: repr of a str, str of
+    anything else, cut to its two ends around "..." past ``limit`` chars."""
+    text, half = repr(value) if isinstance(value, str) else str(value), (limit - 3) // 2
+    return text if len(text) <= limit else f"{text[:half]}...{text[-half:]}"
+
+
 def read_rational(text) -> Fraction | None:
     """The value of a string as str(Fraction) writes it, such as "0", "-3" or
     "2/7"; None for anything else ("2/4", "1e1", "0.5", " 1", a number).  The

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ctx_for
+from lax_reference import gd_flow
 from hain_reference import weight_poly
 
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
@@ -27,7 +28,6 @@ from drhier.drspin import (
 )
 from drhier.gdhier import (
     eta_matrix,
-    gd_flow,
     gd_hamiltonian,
     gd_operator,
     rspin_hamiltonian,

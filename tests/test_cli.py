@@ -341,6 +341,15 @@ def test_reconstruct_cli(run):
     assert out.endswith("t^1_1 flow (rewritten): w*w_1\n")
 
 
+@pytest.mark.parametrize("r", ["3", "5"])
+def test_reconstruct_refuses_r_other_than_2(run, r):
+    # the output names only field 1, and for r >= 4 the r-spin h_{1,1} would
+    # be paired with the DR operator eta d_x
+    code, out, err = run("reconstruct", "--r", r)
+    assert (code, out) == (cli.EXIT_PRECONDITION, "")
+    assert err.startswith("reconstruct is wired for r = 2 only:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("box, golden", [
     ([], "reconstruct-default"),
     (["--tmax", "2", "--t-degree", "3", "--eps-order", "2"], "reconstruct-t2-d3-e2"),

@@ -11,7 +11,6 @@ from drhier.gdhier import (
     GDContext,
     dispersionless_omega,
     eta_matrix,
-    gd_flow,
     gd_context,
     gd_hamiltonian,
     gd_operator,
@@ -26,6 +25,7 @@ from drhier.psido import PseudoDiffOp, pdo_root
 from drhier.scalars import AlgScalar
 
 from conftest import ctx_for
+from lax_reference import gd_flow
 
 CTX = {r: ctx_for(r) for r in (2, 3, 4, 5)}
 

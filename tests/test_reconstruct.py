@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from drhier import reconstruct
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
-from drhier.drspin import builtin_g11
-from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian
-from drhier.hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, miura_push_poly
+from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
+from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian, rspin_system
+from drhier.hamops import (HamiltonianOperator, MiuraMap, flow, miura_invert,
+                           miura_push_operator, miura_push_poly)
 from drhier.psido import PseudoDiffOp
 from drhier.reconstruct import (
     SLOT_MAX,
@@ -25,8 +26,10 @@ from drhier.reconstruct import (
     integrate_flows_directly,
     jet_rewrite,
     omega_from_gd,
+    pack_key,
     solutions_agree,
     special_solution,
+    t_derivative,
     VerdictReport,
     verify_dr_dz_equivalence,
 )
@@ -197,6 +200,40 @@ def test_evaluator_walks_stored_entries(kdv, monkeypatch):
     assert counts["steps"] == 0 and counts["lookups"] <= 40, counts
 
 
+def test_each_level_reaches_each_cached_jet_once(kdv, monkeypatch):
+    # special_solution writes each field's level at once: the level's change
+    # reaches the cached string jets of that field through one shared
+    # raise_subscripts chain, so a write makes at most one call per cached
+    # jet of its field, however many entries the level holds
+    _, omega, h11, _ = kdv
+    calls = Counter()
+    writes = []
+    raise_subscripts = reconstruct.raise_subscripts
+    write = SpecialSolution._write
+
+    def counted_raise(*args):
+        calls["raise"] += 1
+        return raise_subscripts(*args)
+
+    def counted_write(self, alpha, level, den):
+        before = calls["raise"]
+        jets = sum(gamma == alpha for gamma, _ in self._jets)
+        write(self, alpha, level, den)
+        writes.append((len(level), jets, calls["raise"] - before))
+
+    monkeypatch.setattr(reconstruct, "raise_subscripts", counted_raise)
+    monkeypatch.setattr(SpecialSolution, "_write", counted_write)
+    bounds = Bounds(t_max=5, t_deg=6, eps_max=6)
+    sol = special_solution(h11, omega, bounds)
+    assert all(made <= jets for _, jets, made in writes), writes
+    # degree 1 is one one-entry write; after it, one write per nonempty
+    # (field, level), where one write per entry would push 193 entries
+    levels = bounds.t_deg - 1 + bounds.eps_max * (bounds.t_deg + 1)
+    assert len(writes) <= 1 + levels < sum(size for size, _, _ in writes) \
+        == sol.entry_count() == 193
+    assert sum(made for _, _, made in writes) * 5 < sum(size * jets for size, jets, _ in writes)
+
+
 def test_oracle_evaluates_each_flow_once_per_level(kdv, monkeypatch):
     # the oracle makes no pointwise evaluation: at each rest degree it
     # multiplies out each flow of each field once, as a whole series
@@ -249,7 +286,8 @@ def test_jet_rewrite_makes_no_pointwise_evaluation(kdv, monkeypatch):
 
 
 def test_oracle_never_uses_string_jets(kdv, monkeypatch):
-    # the oracle stays independent of the string equation: direct_jet only
+    # the oracle stays independent of the string equation: it reads only the
+    # t^1_0 derivatives it takes of its own tables
     ctx, omega, h11, _ = kdv
     small = Bounds(t_max=1, t_deg=3, eps_max=2)
     sol = special_solution(h11, omega, small)
@@ -352,12 +390,13 @@ def test_series_products_do_no_fraction_arithmetic(kdv, monkeypatch):
     small = Bounds(t_max=2, t_deg=3, eps_max=2)
     sol = special_solution(h11, omega, small)
     flows_p = flow(h11, HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2)))
+    shifted = direct_jets(sol)
 
     def products():
         out = [sol.series_product([(1, 0), (1, 1), (1, 1)], sol.jet, 2, 3),
                sol.series_product([(1, 0), (1, 1)], sol.jet, 2, 3, None, True)]
         for p in flows_p:
-            for jet_fn in (sol.jet, sol.direct_jet):
+            for jet_fn in (sol.jet, shifted):
                 out += [sol.poly_series(p, jet_fn, 2, 3),
                         sol.poly_series(p, jet_fn, 2, 3, 1),
                         sol.poly_series(p, jet_fn, 2, 3, exact=True)]
@@ -413,6 +452,13 @@ def divisors(m):
     for split in product(*(range(p + 1) for _, p in m)):
         yield (tuple((v, k) for (v, _), k in zip(m, split) if k),
                tuple((v, p - k) for (v, p), k in zip(m, split) if p - k))
+
+
+def direct_jets(sol):
+    """The jet function d_x^d u^gamma = d^d u^gamma/d(t^1_0)^d of sol's
+    table as it stands, memoized: the jets the oracle reads at a level."""
+    return cache(lambda gamma, d: t_derivative(sol.jet(gamma, 0), sol.ring.n_fields,
+                                               (1, 0), d))
 
 
 def with_factor(m, var, power):
@@ -504,9 +550,10 @@ def random_polys(draw):
 @settings(max_examples=25, deadline=None)
 @given(random_tables(), random_polys())
 def test_eval_poly_matches_brute_force(sol, poly):
+    shifted = direct_jets(sol)
     for m, i in box_points(sol):
         assert sol.eval_poly(poly, m, i) == brute_eval(sol, poly, m, i, pulled_jet)
-        assert sol.eval_poly(poly, m, i, jet_fn=sol.direct_jet) \
+        assert sol.eval_poly(poly, m, i, jet_fn=shifted) \
             == brute_eval(sol, poly, m, i, shifted_jet)
 
 
@@ -523,7 +570,7 @@ def pointwise_integration(flows, bounds, t10_extra):
                 m = with_factor(rest, (1, 0), k)
                 for alpha, i in product((1, 2), range(bounds.eps_max + 1)):
                     value = sol.eval_poly(flows[var][alpha - 1], with_factor(m, var, -1),
-                                          i, jet_fn=sol.direct_jet)
+                                          i, jet_fn=direct_jets(sol))
                     sol.set_coeff(alpha, m, i, value / e)
     return sol
 
@@ -556,15 +603,17 @@ def fresh_copy(sol):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_jet_caches_follow_writes(data):
-    # writes (to zero, and back to an earlier value) between reads of both
-    # jet sources: every cached series stays equal to a fresh recomputation
+    # writes (to zero, back to an earlier value, and whole levels over one
+    # denominator) between reads of the string jets: every cached series
+    # stays equal to a fresh recomputation
     bounds = Bounds(data.draw(st.integers(1, 3)), 3, data.draw(st.integers(0, 2)))
     sol = SpecialSolution(RING2, bounds)
     keys = [(with_factor(m, (1, 0), k), i) for m, i in box_points(sol) for k in range(2)]
     history: dict = {}
     live = {}
     for _ in range(data.draw(st.integers(1, 25))):
-        if data.draw(st.booleans()):
+        action = data.draw(st.sampled_from(["entry", "level", "read"]))
+        if action == "entry":
             alpha = data.draw(st.integers(1, 2))
             m, i = data.draw(st.sampled_from(keys))
             earlier = history.get((alpha, m, i), [])
@@ -574,17 +623,28 @@ def test_jet_caches_follow_writes(data):
                 value = Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
             history.setdefault((alpha, m, i), []).append(sol.coeff(alpha, m, i))
             sol.set_coeff(alpha, m, i, value)
+        elif action == "level":
+            alpha = data.draw(st.integers(1, 2))
+            points = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6,
+                                        unique=True))
+            nums = [data.draw(st.integers(-6, 6)) for _ in points]
+            den = data.draw(st.integers(1, 12))
+            for m, i in points:
+                history.setdefault((alpha, m, i), []).append(sol.coeff(alpha, m, i))
+            sol._write(alpha, {pack_key(2, m, i): num for (m, i), num in zip(points, nums)},
+                       den)
+            assert [sol.coeff(alpha, m, i) for m, i in points] == \
+                [Fraction(num, den) for num in nums]
         else:
-            source = data.draw(st.sampled_from(["jet", "direct_jet"]))
             gamma, d = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
-            live[(source, gamma, d)] = getattr(sol, source)(gamma, d)
+            live[(gamma, d)] = sol.jet(gamma, d)
         fresh = fresh_copy(sol)
-        for (source, gamma, d), series in sol.cached_jets().items():
-            expected = (fresh.jet if source == "string" else fresh.direct_jet)(gamma, d)
-            assert series == fresh.decode(expected), (source, gamma, d)
-        for (source, gamma, d), series in live.items():
-            assert series is getattr(sol, source)(gamma, d)
-            assert sol.decode(series) == fresh.decode(getattr(fresh, source)(gamma, d))
+        assert sol.den % fresh.den == 0
+        for (gamma, d), series in sol.cached_jets().items():
+            assert series == fresh.decode(fresh.jet(gamma, d)), (gamma, d)
+        for (gamma, d), series in live.items():
+            assert series is sol.jet(gamma, d)
+            assert sol.decode(series) == fresh.decode(fresh.jet(gamma, d))
 
 
 # -- jet rewriting -----------------------------------------------------------------------
@@ -687,6 +747,66 @@ def test_dz_miura_map_shapes():
     m5 = dz_miura_map(5, ring5)
     assert m5.entries[1] == DiffPoly.jet(ring5, 2, 0) \
         + (DiffPoly.jet(ring5, 4, 2) / 60).eps_shift(2)
+
+
+# -- the DR -> DZ Miura map, derived ------------------------------------------------------------
+
+
+def eps2_residuals(r, shifts):
+    """The eps^2 parts of conditions 2 and 3 for the map w^alpha = u^alpha +
+    c_alpha eps^2 u^{alpha+2}_2, c_alpha = shifts.get(alpha, 0): the
+    nonzero coefficients of push(eta d_x) - K^{r-spin} and of the canonical
+    density of g11[w] - h^{r-spin}_{1,1}, by where they sit."""
+    ctx = ctx_for(r)
+    ring = ctx.ring_w
+    entries = [DiffPoly.jet(ring, a, 0) for a in range(1, r)]
+    for a, c in shifts.items():
+        entries[a - 1] += (DiffPoly.jet(ring, a + 2, 2) * c).eps_shift(2)
+    miura = MiuraMap(ring, entries)
+    inverse = miura_invert(miura, 2)
+    k_spin, h_spin = rspin_system(ctx, 1, 1)
+    op = miura_push_operator(HamiltonianOperator.eta_dx(ring, eta_matrix(r)), miura,
+                             inverse, 2) - k_spin.truncate_eps(2)
+    density = (miura_push_poly(builtin_g11(r, ring), inverse, 2)
+               - h_spin.truncate_eps(2)).canonical_density()
+    parts = [((a, b, n), c) for a, row in enumerate(op.entries) for b, entry in enumerate(row)
+             for n, c in entry.coeffs.items()] + [("density", density)]
+    return {(place, jets): v for place, poly in parts
+            for (eps, jets), v in poly.items() if eps == 2}
+
+
+def solve_exact(rows, n):
+    """The unique x with sum_i row[i] x_i = row[n] for every row, over Q,
+    by Gauss-Jordan elimination; a rank below n or an inconsistent row
+    fails the test."""
+    rows, solved = [list(map(Fraction, row)) for row in rows], []
+    for col in range(n):
+        pivot = next(row for row in rows if row[col])
+        rows.remove(pivot)
+        pivot = [v / pivot[col] for v in pivot]
+        rows, solved = ([[v - row[col] * p for v, p in zip(row, pivot)] for row in block]
+                        for block in (rows, solved))
+        solved.append(pivot)
+    assert not any(any(row) for row in rows)
+    return [row[n] for row in solved]
+
+
+@pytest.mark.parametrize("r, expected", [(4, {1: Fraction(1, 96)}),
+                                         (5, {1: Fraction(1, 60), 2: Fraction(1, 60)})])
+def test_dr_dz_miura_shifts_are_derived(r, expected):
+    # the weight grading leaves one unknown c_alpha per alpha <= r - 3, and
+    # the eps^2 parts of conditions 2 and 3 are affine in each: evaluating
+    # them at c = 0 and at each unit vector gives a linear system over Q
+    unknowns = [a for a in range(1, r) if a + 2 < r]
+    base = eps2_residuals(r, {})
+    columns = [eps2_residuals(r, {a: 1}) for a in unknowns]
+    places = sorted(base.keys() | {k for col in columns for k in col}, key=repr)
+    rows = [[col.get(k, 0) - base.get(k, 0) for col in columns] + [-base.get(k, 0)]
+            for k in places]
+    derived = dict(zip(unknowns, solve_exact(rows, len(unknowns))))
+    assert derived == expected == {a: c for a, (_, c) in DR_DZ_SHIFTS[r].items()}
+    assert all(beta == a + 2 for a, (beta, _) in DR_DZ_SHIFTS[r].items())
+    assert base and not eps2_residuals(r, derived)
 
 
 # -- flow agreement for r = 3 (equivalence corollary) -------------------------------------------
