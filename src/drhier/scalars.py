@@ -19,6 +19,7 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 _RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/[1-9][0-9]*)?")  # the shapes of str(Fraction)
+_EXCERPT_MAX = 40  # the longest echo of an input value in an error message
 
 
 class Frozen:
@@ -94,11 +95,12 @@ def exact_rational(value) -> Fraction:
     raise ValueError(f"expected an exact rational, got {value!r}")
 
 
-def excerpt(value, limit: int = 40) -> str:
+def excerpt(value) -> str:
     """How an error echoes a value read from input: repr of a str, str of
-    anything else, cut to its two ends around "..." past ``limit`` chars."""
-    text, half = repr(value) if isinstance(value, str) else str(value), (limit - 3) // 2
-    return text if len(text) <= limit else f"{text[:half]}...{text[-half:]}"
+    anything else, cut to its two ends around "..." past _EXCERPT_MAX chars."""
+    text = repr(value) if isinstance(value, str) else str(value)
+    half = (_EXCERPT_MAX - 3) // 2
+    return text if len(text) <= _EXCERPT_MAX else f"{text[:half]}...{text[-half:]}"
 
 
 def read_rational(text) -> Fraction | None:
