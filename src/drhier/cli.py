@@ -24,11 +24,11 @@ from .drspin import (
     Profile,
     TableFileError,
     TableMissError,
+    a_coefficients,
     assemble_hamiltonian,
     builtin_g11,
     counts_labels,
     enumerate_profiles,
-    hain_expand,
     pair_with_table,
 )
 from .gdhier import (
@@ -134,7 +134,7 @@ def load_table(args) -> IntegralTable:
     return table
 
 def paired_expansion(args, counts: tuple[int, ...]):
-    """Load the table, expand Hain's formula for (g, n) and pair the two.
+    """Load the table and pair Hain's expansion with it: (table, a-polynomial).
 
     The table must be for the command line's genus, number of markings
     and, when it records them, marking labels.  The labels are built only
@@ -151,18 +151,16 @@ def paired_expansion(args, counts: tuple[int, ...]):
     if table.labels and table.labels != labels:
         raise ValueError(f"the table has labels {excerpt(list(table.labels))} but "
                          f"--counts implies labels {list(labels)}")
-    return pair_with_table(hain_expand(args.g, n), table,
-                           dilaton=not args.no_dilaton, g=args.g, n=n)
+    return table, pair_with_table(table, dilaton=not args.no_dilaton)
 
 def cmd_hain_pair(args) -> int:
-    poly = paired_expansion(args, args.counts)
-    lines = [
-        "a^({}) : {}".format(",".join(map(str, exps)), value)
-        for exps, value in poly.coeffs
-    ]
+    table, poly = paired_expansion(args, args.counts)
+    coeffs = a_coefficients(table.g, table.n, poly)
+    lines = ["a^({}) : {}".format(",".join(map(str, exps)), value)
+             for exps, value in coeffs]
     text = "\n".join(lines) if lines else "0"
-    emit(args, text, {"g": poly.g, "n": poly.n,
-                      "coeffs": [[list(e), str(v)] for e, v in poly.coeffs]})
+    emit(args, text, {"g": table.g, "n": table.n,
+                      "coeffs": [[list(e), str(v)] for e, v in coeffs]})
     return EXIT_OK
 
 def cmd_assemble(args) -> int:
@@ -171,7 +169,7 @@ def cmd_assemble(args) -> int:
     if not profile.selection_holds():
         print("profile violates the degree selection rule", file=sys.stderr)
         return EXIT_PRECONDITION
-    poly = paired_expansion(args, profile.counts)
+    _, poly = paired_expansion(args, profile.counts)
     h = assemble_hamiltonian(args.r, [(profile, poly)])
     names = u_names(args.r - 1)
     emit(args, f"int {h.render(names)} dx", h.to_json_dict())

@@ -287,9 +287,6 @@ class DiffPoly:
         return DiffPoly(self.ring, *canonical_sum(self.terms, self.den,
                                                   other.terms, other.den, -1))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, DiffPoly):
             return sum_of_products(self.ring, ((1, self, other),))
@@ -395,13 +392,8 @@ class DiffPoly:
         """Split by differential degree: sum of jet orders times powers, minus eps."""
         return self._split(lambda key: (((key >> W) & MASK) - (key & MASK), key))
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {((key >> W) & MASK) - (key & MASK) for key in self.terms}
-        if not degs:
-            return True
-        if degree is None:
-            return len(degs) == 1
-        return degs == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        return all(((key >> W) & MASK) - (key & MASK) == degree for key in self.terms)
 
     def eps_decompose(self) -> dict[int, "DiffPoly"]:
         """Split by eps exponent; the pieces carry no eps factor."""
@@ -620,10 +612,6 @@ class LocalFunctional:
     def ring(self) -> Ring:
         return self.density.ring
 
-    @staticmethod
-    def zero(ring: Ring) -> "LocalFunctional":
-        return LocalFunctional(DiffPoly.zero(ring))
-
     def var_der(self, alpha: int) -> DiffPoly:
         return self.density.var_der(alpha)
 
@@ -635,14 +623,6 @@ class LocalFunctional:
 
     def __neg__(self):
         return LocalFunctional(-self.density)
-
-    def __mul__(self, scalar):
-        return LocalFunctional(self.density * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return LocalFunctional(self.density / scalar)
 
     def truncate_eps(self, emax: int) -> "LocalFunctional":
         return LocalFunctional(self.density.truncate_eps(emax))

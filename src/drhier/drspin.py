@@ -11,9 +11,9 @@ multiset symmetry factor).  Boundary classes are never evaluated here:
 they are table keys, and vanishing statements are explicit zero entries.
 
 A polynomial in the weights a_1..a_n is a ``DiffPoly`` of ``Ring(n)`` whose
-only jets are a_i = u^i_0, so the expansion and the pairing use the
-arithmetic of ``diffpoly``; ``DRPolynomial`` holds the paired result as
-sorted exponent tuples.
+only jets are a_i = u^i_0, so the expansion, the pairing and the assembly
+carry one such polynomial; ``a_coefficients`` decodes it into sorted
+exponent tuples where they are read.
 
 The reference g_{1,1} Hamiltonians for r = 3, 4, 5 ship as exact built-in
 data for the hierarchy-comparison checks.
@@ -244,23 +244,21 @@ class IntegralTable:
 
     ``labels`` records the r-spin multiplicities at the markings; the
     integrand is understood as lambda_g c^{r-spin} times the keyed
-    monomial.  Lookups of absent keys return 0 under ``default_zero`` and
-    raise TableMissError otherwise.
+    monomial.  The (monomial, value) pairs are keyed by their canonical
+    boundary symbols on construction (``canonical_entries``).  Lookups of
+    absent keys return 0 under ``default_zero`` and raise TableMissError
+    otherwise.
     """
 
     __slots__ = ("g", "n", "labels", "entries", "default_zero")
 
-    def __init__(self, g: int, n: int, labels: tuple[int, ...],
-                 entries: dict[TautMonomial, Fraction], default_zero: bool = False):
+    def __init__(self, g: int, n: int, labels: tuple[int, ...], entries,
+                 default_zero: bool = False):
         self.g = g
         self.n = n
         self.labels = labels
-        self.entries = entries
+        self.entries = canonical_entries(g, n, entries)
         self.default_zero = default_zero
-
-    def canonicalize(self):
-        self.entries = canonical_entries(self.g, self.n, self.entries.items())
-        return self
 
     def lookup(self, sym: TautMonomial) -> Fraction:
         if sym in self.entries:
@@ -326,8 +324,7 @@ class IntegralTable:
             entries.append((sym, rational(item.get("value"))))
         return IntegralTable(g=g, n=n,
                              labels=integers(data.get("labels", []), "labels", least=1),
-                             entries=canonical_entries(g, n, entries),
-                             default_zero=default_zero)
+                             entries=entries, default_zero=default_zero)
 
     @staticmethod
     def load(path) -> "IntegralTable":
@@ -343,53 +340,47 @@ class IntegralTable:
 # -- pairing and assembly ------------------------------------------------------------------------
 
 
-class DRPolynomial(Frozen):
-    """Homogeneous degree-2g polynomial in the weights a_1..a_n, modulo
-    the ideal generated by sum a_i, as sorted (exponent tuple, value) pairs."""
-
-    __slots__ = ("g", "n", "coeffs")
-
-    def __init__(self, g: int, n: int, coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]):
-        self._init(g, n, coeffs)
-
-    @staticmethod
-    def from_diffpoly(g: int, n: int, poly: DiffPoly) -> "DRPolynomial":
-        """poly, a polynomial of Ring(n) in a_i = u^i_0, decoded once."""
-        Ring(n).check_compatible(poly.ring)
-        coeffs = []
-        for (_, jets), value in poly.items():
-            exps = [0] * n
-            for i, _, power in jets:
-                exps[i - 1] = power
-            if sum(exps) != 2 * g:
-                raise ValueError(
-                    f"monomial a^{tuple(exps)} is not homogeneous of degree {2 * g}")
-            coeffs.append((tuple(exps), value))
-        return DRPolynomial(g, n, tuple(sorted(coeffs)))
+def a_coefficients(g: int, n: int, poly: DiffPoly
+                   ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """poly, a homogeneous degree-2g polynomial of Ring(n) in a_i = u^i_0, as
+    sorted (exponent tuple, value) pairs; any other poly raises ValueError."""
+    Ring(n).check_compatible(poly.ring)
+    coeffs = []
+    for (eps, jets), value in poly.items():
+        if eps or any(order for _, order, _ in jets):
+            raise ValueError(f"the term eps^{eps} with jets {jets} is not a "
+                             f"monomial in the weights a_i = u^i_0")
+        exps = [0] * n
+        for i, _, power in jets:
+            exps[i - 1] = power
+        if sum(exps) != 2 * g:
+            raise ValueError(f"monomial a^{tuple(exps)} is not homogeneous of degree {2 * g}")
+        coeffs.append((tuple(exps), value))
+    return tuple(sorted(coeffs))
 
 
-def pair_with_table(expansion: dict[TautMonomial, DiffPoly], table: IntegralTable,
-                    dilaton: bool, g: int, n: int) -> DRPolynomial:
-    """Substitute table values for the tautological monomials.
+def pair_with_table(table: IntegralTable, dilaton: bool) -> DiffPoly:
+    """Hain's expansion for the table's (g, n) with table values substituted
+    for the tautological monomials: a polynomial of Ring(n) in the weights.
 
     With ``dilaton`` the psi_1-insertion at the extra marked point has been
     removed beforehand, which costs the factor (2g - 2 + n).
     """
-    ring = Ring(n)
+    ring = Ring(table.n)
     one = DiffPoly.const(ring, 1)
-    factor = 2 * g - 2 + n if dilaton else 1
-    total = sum_of_products(ring, [(table.lookup(sym) * factor, poly, one)
-                                   for sym, poly in expansion.items()])
-    return DRPolynomial.from_diffpoly(g, n, total)
+    factor = 2 * table.g - 2 + table.n if dilaton else 1
+    return sum_of_products(ring, [(table.lookup(sym) * factor, poly, one)
+                                  for sym, poly in hain_expand(table.g, table.n).items()])
 
 
 def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
                          ) -> LocalFunctional:
-    """Sum the profile contributions into a local functional.
+    """Sum the (profile, a-polynomial) contributions into a local functional.
 
-    The a-monomial a_1^{b_1}..a_n^{b_n} of a profile with sorted labels
-    alpha_1..alpha_n maps to u^{alpha_1}_{b_1}..u^{alpha_n}_{b_n}; the
-    prefactor is eps^{2g} divided by the product of the n_k! multiset
+    Each polynomial is read through ``a_coefficients`` for the profile's g
+    and n.  The a-monomial a_1^{b_1}..a_n^{b_n} of a profile with sorted
+    labels alpha_1..alpha_n maps to u^{alpha_1}_{b_1}..u^{alpha_n}_{b_n};
+    the prefactor is eps^{2g} divided by the product of the n_k! multiset
     symmetry factors (the per-profile remnant of the 1/n! over ordered
     insertions).
     """
@@ -401,9 +392,7 @@ def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
             raise ValueError("profile belongs to a different r")
         labels = profile.labels
         sym_factor = prod(factorial(nk) for nk in profile.counts)
-        for exps, coeff in poly.coeffs:
-            if len(exps) != profile.n:
-                raise ValueError("polynomial arity does not match the profile")
+        for exps, coeff in a_coefficients(profile.g, profile.n, poly):
             jets = [(label, b, 1) for label, b in zip(labels, exps)]
             items.append(((2 * profile.g, jets), coeff / sym_factor))
     return integrate(DiffPoly.from_items(ring, items))

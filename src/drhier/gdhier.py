@@ -323,12 +323,11 @@ def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> DiffPoly:
     derivative in u^beta.  It is read off ``ctx.dispersionless()``, the
     E = 0 view, and returned in ``ctx.ring_w``: a jet-free polynomial has
     the same terms in both rings.  The view refuses what ``ctx`` would,
-    since it has the same depth.
+    since it has the same depth.  The density has weight alpha + r(p + 1)
+    + 1 > 0 in the grading where w^beta weighs r + 1 - beta, so it has no
+    constant term.
     """
     view = ctx.dispersionless()
     density = rspin_hamiltonian(view, alpha, p).density
-    density = DiffPoly(ctx.ring_w, density.terms, density.den)
-    constant = density.constant_term()
-    if constant:
-        density = density - DiffPoly.const(ctx.ring_w, constant)
-    return density
+    assert not density.constant_term(), "a positive-weight density has no constant"
+    return DiffPoly(ctx.ring_w, density.terms, density.den)

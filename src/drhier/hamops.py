@@ -198,13 +198,10 @@ def miura_invert(m: MiuraMap, emax: int) -> MiuraMap:
     return MiuraMap(ring, current)
 
 
-def miura_push_poly(f, inverse: MiuraMap, emax: int):
+def miura_push_poly(f: LocalFunctional, inverse: MiuraMap, emax: int) -> LocalFunctional:
     """Rewrite f(u) in the new variables: substitute u = inverse(w), cut at eps^emax."""
     images = {a + 1: img for a, img in enumerate(inverse.entries)}
-    if isinstance(f, LocalFunctional):
-        return LocalFunctional(
-            f.density.substitute(images).truncate_eps(emax))
-    return f.substitute(images).truncate_eps(emax)
+    return LocalFunctional(f.density.substitute(images).truncate_eps(emax))
 
 
 def transport_operator(K: HamiltonianOperator, forward: list[DiffPoly],

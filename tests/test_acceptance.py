@@ -16,7 +16,6 @@ from hain_reference import weight_poly
 
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import (
-    DRPolynomial,
     IntegralTable,
     Profile,
     TautMonomial,
@@ -234,9 +233,9 @@ def test_criterion_5_worked_example():
     for sym in expansion:
         if sym.boundary:
             entries[sym] = Fraction(0)
-    table = IntegralTable(g=g, n=n, labels=(2, 2), entries=entries,
-                          default_zero=False).canonicalize()
-    poly = pair_with_table(expansion, table, dilaton=True, g=g, n=n)
+    table = IntegralTable(g=g, n=n, labels=(2, 2), entries=entries.items(),
+                          default_zero=False)
+    poly = pair_with_table(table, dilaton=True)
     profile = Profile(r=3, alpha=1, d=1, g=g, counts=(0, 2))
     h = assemble_hamiltonian(3, [(profile, poly)])
     ring = h.ring
@@ -411,10 +410,8 @@ def test_criterion_10_assembly_well_definedness():
                 shifted[key] = shifted.get(key, Fraction(0)) + q_coeff
         shifted = {k: v for k, v in shifted.items() if v}
         h1 = assemble_hamiltonian(
-            4, [(profile, DRPolynomial.from_diffpoly(g, n, weight_poly(n, base)))], ring=ring)
-        h2 = assemble_hamiltonian(
-            4, [(profile, DRPolynomial.from_diffpoly(g, n, weight_poly(n, shifted)))],
-            ring=ring)
+            4, [(profile, weight_poly(n, base))], ring=ring)
+        h2 = assemble_hamiltonian(4, [(profile, weight_poly(n, shifted))], ring=ring)
         assert local_eq(h1, h2)
         checked += 1
     report(10, "assembled functionals are invariant under adding "

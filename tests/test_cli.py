@@ -38,8 +38,8 @@ def worked_table(tmp_path):
     for sym in hain_expand(2, 2):
         if sym.boundary:
             entries[sym] = Fraction(0)
-    table = IntegralTable(g=2, n=2, labels=(2, 2), entries=entries,
-                          default_zero=False).canonicalize()
+    table = IntegralTable(g=2, n=2, labels=(2, 2), entries=entries.items(),
+                          default_zero=False)
     path = tmp_path / "t202.json"
     path.write_text(json.dumps(table.to_json_dict()))
     return str(path)
@@ -49,8 +49,8 @@ def g3_table_dict() -> dict:
     """A g = 3, n = 4 table for labels (2, 2, 2, 2): a seeded nonzero value
     for every monomial of Hain's expansion, boundary classes included."""
     rng = random.Random(20270)
-    entries = {sym: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 16))
-               for sym in sorted(hain_expand(3, 4), key=lambda s: (s.psi, s.boundary))}
+    entries = [(sym, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 16)))
+               for sym in sorted(hain_expand(3, 4), key=lambda s: (s.psi, s.boundary))]
     return IntegralTable(g=3, n=4, labels=(2, 2, 2, 2), entries=entries,
                          default_zero=False).to_json_dict()
 
@@ -96,6 +96,8 @@ BOUNDARY_GOLDENS = {
     "gd-r4-m7": ("gd", "--r", "4", "--m", "7"),
     "rspin-r3-a2-d2": ("rspin", "--r", "3", "--alpha", "2", "--d", "2"),
     "rspin-r4-a3-d1": ("rspin", "--r", "4", "--alpha", "3", "--d", "1"),
+    # a deep root, res L^{19/4}: a reorder of the root's products must keep it
+    "rspin-r4-a3-d3": ("rspin", "--r", "4", "--alpha", "3", "--d", "3"),
     # the built-in reference g_{1,1}
     "dr-g11-r3": ("dr-g11", "--r", "3"),
     "dr-g11-r4": ("dr-g11", "--r", "4"),
@@ -249,6 +251,27 @@ def test_hain_pair_strict_miss_exit(run, tmp_path, worked_table):
                        "--table-file", str(bad))
     assert code == cli.EXIT_TABLE_MISS
     assert "strict" in err
+
+
+def test_strict_policy_overrides_a_default_zero_table(run, tmp_path, worked_table):
+    data = json.loads(open(worked_table).read())
+    data["entries"] = data["entries"][:1]
+    data["default_zero"] = True
+    lenient = tmp_path / "lenient.json"
+    lenient.write_text(json.dumps(data))
+    argv = ("hain-pair", "--g", "2", "--counts", "0,2", "--table-file", str(lenient))
+    assert run(*argv)[0] == cli.EXIT_OK
+    code, out, err = run(*argv, "--policy", "strict")
+    assert (code, out) == (cli.EXIT_TABLE_MISS, "")
+    assert err.startswith("table miss under strict policy: ") and err.count("\n") == 1
+
+
+def test_assemble_refuses_a_profile_off_the_selection_rule(run, worked_table):
+    # r = 3, alpha = 1, d = 1 has the g = 1 profiles (0,3) and (2,0), not (0,2)
+    code, out, err = run("assemble", "--r", "3", "--alpha", "1", "--d", "1",
+                         "--g", "1", "--counts", "0,2", "--table-file", worked_table)
+    assert (code, out) == (cli.EXIT_PRECONDITION, "")
+    assert err == "profile violates the degree selection rule\n"
 
 
 def test_hain_pair_zero_policy_rescues(run, tmp_path, worked_table):

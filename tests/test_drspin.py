@@ -6,12 +6,12 @@ from hain_reference import decoded, reference_hain_expand, weight_poly
 
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import (
-    DRPolynomial,
     IntegralTable,
     Profile,
     TableFileError,
     TableMissError,
     TautMonomial,
+    a_coefficients,
     assemble_hamiltonian,
     builtin_g11,
     enumerate_profiles,
@@ -141,22 +141,23 @@ def worked_example_table():
     for sym in hain_expand(2, 2):
         if sym.boundary:
             entries[sym] = Fraction(0)
-    return IntegralTable(g=2, n=2, labels=(2, 2), entries=entries,
-                         default_zero=False).canonicalize()
+    return IntegralTable(g=2, n=2, labels=(2, 2), entries=entries.items(),
+                         default_zero=False)
 
 
 def test_worked_example_pairing():
     table = worked_example_table()
-    poly = pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
-    assert poly.coeffs == (((0, 4), Fraction(7, 8640)),
-                           ((2, 2), Fraction(13, 4320)),
-                           ((4, 0), Fraction(7, 8640)))
+    poly = pair_with_table(table, dilaton=True)
+    assert poly.ring == Ring(2)
+    assert a_coefficients(2, 2, poly) == (((0, 4), Fraction(7, 8640)),
+                                          ((2, 2), Fraction(13, 4320)),
+                                          ((4, 0), Fraction(7, 8640)))
 
 
 def test_worked_example_assembles_to_reference_term():
     table = worked_example_table()
     profile = Profile(r=3, alpha=1, d=1, g=2, counts=(0, 2))
-    poly = pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
+    poly = pair_with_table(table, dilaton=True)
     h = assemble_hamiltonian(3, [(profile, poly)])
     ring = h.ring
     u2 = DiffPoly.jet(ring, 2, 0)
@@ -169,16 +170,16 @@ def test_worked_example_assembles_to_reference_term():
 
 def test_strict_table_raises_on_missing():
     table = IntegralTable(g=2, n=2, labels=(2, 2),
-                          entries={TautMonomial(psi=(2, 0)): Fraction(1)},
+                          entries=[(TautMonomial(psi=(2, 0)), Fraction(1))],
                           default_zero=False)
     with pytest.raises(TableMissError):
-        pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
+        pair_with_table(table, dilaton=True)
 
 
 def test_default_zero_empty_table():
-    table = IntegralTable(g=2, n=2, labels=(2, 2), entries={}, default_zero=True)
-    poly = pair_with_table(hain_expand(2, 2), table, dilaton=True, g=2, n=2)
-    assert poly.coeffs == ()
+    table = IntegralTable(g=2, n=2, labels=(2, 2), entries=(), default_zero=True)
+    poly = pair_with_table(table, dilaton=True)
+    assert poly.is_zero() and a_coefficients(2, 2, poly) == ()
 
 
 # -- assembly ----------------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_assemble_distinct_labels_p_series_oracle():
     # P = a_1 a_2 with labels (1, 2): compare Fourier images
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(1, 1))
-    poly = DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 1): Fraction(1)}))
+    poly = weight_poly(2, {(1, 1): Fraction(1)})
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     window = 3
     ps = lf_to_p_series(h, window)
@@ -207,7 +208,7 @@ def test_assemble_equal_labels_symmetry_factor():
     # P = a_1 a_2, labels (2, 2): the 1/2! multiset factor
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(0, 2))
-    poly = DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 1): Fraction(1)}))
+    poly = weight_poly(2, {(1, 1): Fraction(1)})
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     u2 = DiffPoly.jet(ring, 2, 1)
     assert h.density == (u2 * u2).eps_shift(2) / 2
@@ -236,7 +237,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
         base = {k: v for k, v in base.items() if v}
         if not base:
             continue
-        poly = DRPolynomial.from_diffpoly(g, n, weight_poly(n, base))
+        poly = weight_poly(n, base)
         # Q: random degree 2g-1 polynomial; (sum a) * Q
         shifted = dict(base)
         for _ in range(2):
@@ -254,7 +255,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
                 key = tuple(bumped)
                 shifted[key] = shifted.get(key, Fraction(0)) + q_coeff
         shifted = {k: v for k, v in shifted.items() if v}
-        poly2 = DRPolynomial.from_diffpoly(g, n, weight_poly(n, shifted))
+        poly2 = weight_poly(n, shifted)
         h1 = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
         h2 = assemble_hamiltonian(3, [(profile, poly2)], ring=ring)
         assert local_eq(h1, h2)
@@ -263,7 +264,7 @@ def test_assemble_well_defined_modulo_sum_ideal():
 def test_assemble_g0_constant():
     ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=0, counts=(2, 1))
-    poly = DRPolynomial.from_diffpoly(0, 3, weight_poly(3, {(0, 0, 0): Fraction(1)}))
+    poly = weight_poly(3, {(0, 0, 0): Fraction(1)})
     h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
     u1 = DiffPoly.jet(ring, 1, 0)
     u2 = DiffPoly.jet(ring, 2, 0)
@@ -271,8 +272,18 @@ def test_assemble_g0_constant():
 
 
 def test_assemble_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
-        DRPolynomial.from_diffpoly(1, 2, weight_poly(2, {(1, 0): Fraction(1)}))
+    # a contribution must be homogeneous of degree 2g in the profile's n weights
+    profile = Profile(r=3, alpha=1, d=1, g=1, counts=(0, 2))
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        assemble_hamiltonian(3, [(profile, weight_poly(2, {(1, 0): Fraction(1)}))])
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        assemble_hamiltonian(3, [(profile, weight_poly(3, {(1, 1, 0): Fraction(1)}))])
+    with pytest.raises(ValueError, match="not homogeneous of degree 4"):
+        a_coefficients(2, 2, weight_poly(2, {(1, 1): Fraction(1)}))
+    # eps^2 u^1_1 u^2_0 has degree 2 but is not a polynomial in a_1, a_2
+    jets = DiffPoly.jet(Ring(2), 1, 1) * DiffPoly.jet(Ring(2), 2, 0)
+    with pytest.raises(ValueError, match="not a monomial in the weights"):
+        a_coefficients(1, 2, jets.eps_shift(2))
 
 
 # -- built-in data -----------------------------------------------------------------------------------
@@ -332,21 +343,47 @@ def test_table_canonicalizes_boundary_keys():
     # delta_1^{2} equals delta_1^{1} on genus 2 with two markings
     raw = IntegralTable(
         g=2, n=2, labels=(2, 2),
-        entries={TautMonomial(psi=(1, 0), boundary=((1, (2,)),)): Fraction(5)},
-    ).canonicalize()
+        entries=[(TautMonomial(psi=(1, 0), boundary=((1, (2,)),)), Fraction(5))])
     assert raw.lookup(TautMonomial(psi=(1, 0), boundary=((1, (1,)),))) == 5
+
+
+def test_a_python_table_pairs_like_the_same_table_read_from_json():
+    # every boundary symbol written as delta_{g-h}^{J^c}, the other name of
+    # delta_h^J: the constructor keys it canonically, as the reader does
+    g, n = 2, 2
+    expansion = hain_expand(g, n)
+    rng = random.Random(32)
+    flipped = []
+    for sym in sorted(expansion, key=lambda s: (s.psi, s.boundary)):
+        boundary = tuple((g - h, tuple(m for m in range(1, n + 1) if m not in J))
+                         for h, J in sym.boundary)
+        flipped.append((TautMonomial(sym.psi, boundary), Fraction(rng.randint(1, 9), 7)))
+    assert any(sym.boundary and sym not in expansion for sym, _ in flipped)
+    payload = {"g": g, "n": n, "labels": [2, 2], "entries": [
+        {"psi": list(sym.psi), "boundary": [[h, list(J)] for h, J in sym.boundary],
+         "value": str(value)} for sym, value in flipped]}
+    built = IntegralTable(g=g, n=n, labels=(2, 2), entries=flipped)
+    read = IntegralTable.from_json_dict(payload)
+    assert built.entries == read.entries
+    assert set(built.entries) == set(expansion)
+    paired = pair_with_table(built, dilaton=True)
+    assert paired == pair_with_table(read, dilaton=True)
+    # the boundary values take part: zeroing them changes the pairing
+    no_boundary = IntegralTable(g=g, n=n, labels=(2, 2), default_zero=True, entries=[
+        (sym, value) for sym, value in flipped if not sym.boundary])
+    assert paired != pair_with_table(no_boundary, dilaton=True)
 
 
 def test_table_keeps_one_value_per_class():
     # delta_1^{1} and delta_1^{2} are one class on genus 2 with two markings:
     # equal values merge, different ones are refused
     def table(v1, v2):
-        return IntegralTable(g=2, n=2, labels=(2, 2), entries={
-            TautMonomial(psi=(1, 0), boundary=((1, (1,)),)): Fraction(v1),
-            TautMonomial(psi=(1, 0), boundary=((1, (2,)),)): Fraction(v2)}).canonicalize()
+        return IntegralTable(g=2, n=2, labels=(2, 2), entries=[
+            (TautMonomial(psi=(1, 0), boundary=((1, (1,)),)), Fraction(v1)),
+            (TautMonomial(psi=(1, 0), boundary=((1, (2,)),)), Fraction(v2))])
     assert table(3, 3).entries == {TautMonomial(psi=(1, 0), boundary=((1, (1,)),)): 3}
     with pytest.raises(TableFileError, match="given twice"):
         table(3, 4)
     with pytest.raises(TableFileError, match="needs 0 <= h <= 2"):
-        IntegralTable(g=2, n=2, labels=(2, 2), entries={
-            TautMonomial(psi=(1, 0), boundary=((3, ()),)): Fraction(1)}).canonicalize()
+        IntegralTable(g=2, n=2, labels=(2, 2), entries=[
+            (TautMonomial(psi=(1, 0), boundary=((3, ()),)), Fraction(1))])

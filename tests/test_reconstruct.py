@@ -161,6 +161,11 @@ def test_special_solution_matches_direct_flow_integration(kdv):
     oracle = integrate_flows_directly(flows, ctx.ring_w, small, t10_extra=8)
     sol = special_solution(h11, omega, small)
     assert solutions_agree(sol, oracle, small)
+    # the comparison can fail: one changed entry inside the box is seen
+    target = (((1, 1), 1), ((1, 2), 1))
+    sol.set_coeff(1, target, 2, sol.coeff(1, target, 2) + 1)
+    assert not solutions_agree(sol, oracle, small)
+    assert not solutions_agree(oracle, sol, small)
 
 
 def test_evaluator_walks_stored_entries(kdv, monkeypatch):
@@ -668,6 +673,18 @@ def test_jet_rewrite_zero(kdv):
     assert jet_rewrite([dict()], sol)[0].is_zero()
 
 
+def test_jet_rewrite_refuses_a_series_that_leaves_the_box(kdv):
+    _, _, _, sol = kdv
+    # t^1_4 is a jet of order 4, above the box's t_max = 3
+    beyond = {pack_key(1, (((1, BOUNDS.t_max + 1), 1),), 0): sol.den}
+    with pytest.raises(ValueError, match="jet order 4 > bound 3"):
+        jet_rewrite([beyond], sol)
+    # an eps order above eps_max is never peeled, so the residual stays
+    deeper = {pack_key(1, (((1, 1), 1),), BOUNDS.eps_max + 1): sol.den}
+    with pytest.raises(ValueError, match="not closed by jets"):
+        jet_rewrite([deeper], sol)
+
+
 # -- the three-condition checker ------------------------------------------------------------
 
 def test_verify_r3_identity():
@@ -747,6 +764,8 @@ def test_dz_miura_map_shapes():
     m5 = dz_miura_map(5, ring5)
     assert m5.entries[1] == DiffPoly.jet(ring5, 2, 0) \
         + (DiffPoly.jet(ring5, 4, 2) / 60).eps_shift(2)
+    with pytest.raises(ValueError, match="no Miura map data for r = 6"):
+        dz_miura_map(6, Ring(5))
 
 
 # -- the DR -> DZ Miura map, derived ------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from drhier.diffpoly import DiffPoly, Ring
-from drhier.drspin import DRPolynomial, IntegralTable, Profile, TautMonomial
+from drhier.drspin import IntegralTable, Profile, TautMonomial
 from drhier.quantize import DeformedRule, StandardRule, WeylContext
 from drhier.reconstruct import Bounds, OmegaData, ResidualReport, VerdictReport
 from drhier.scalars import Frozen
@@ -23,8 +23,6 @@ ETA = ((0, 1), (1, 0))
 RECORDS = {
     "Profile": lambda: (Profile(3, 1, 1, 0, (2, 1)), Profile(3, 1, 1, 0, (1, 2))),
     "TautMonomial": lambda: (TautMonomial((1, 0), ((0, (1, 2)),)), TautMonomial((1, 0))),
-    "DRPolynomial": lambda: (DRPolynomial(1, 2, (((2, 0), Fraction(1, 2)),)),
-                             DRPolynomial(1, 2, (((0, 2), Fraction(1, 2)),))),
     "Bounds": lambda: (Bounds(3, 4, 4), Bounds(3, 4, 5)),
     "WeylContext": lambda: (WeylContext(2, 3), WeylContext(2, 4)),
     "StandardRule": lambda: (StandardRule.from_eta(ETA),
@@ -72,7 +70,7 @@ def test_records_never_equal_another_type_with_the_same_fields():
     assert WeylContext(2, 3) != (2, 3) and (2, 3) != WeylContext(2, 3)
     assert Bounds(3, 4, 4) != Box(3, 4, 4) and Box(3, 4, 4) != Bounds(3, 4, 4)
     assert Bounds(3, 4, 4) != (3, 4, 4)
-    assert Bounds(1, 2, (3,)) != DRPolynomial(1, 2, (3,))
+    assert TautMonomial(2, 3) != WeylContext(2, 3)
     # the same field values make two rules of different classes: never one token
     standard, deformed = StandardRule(1, ()), DeformedRule(1, ())
     assert standard != deformed
