@@ -41,7 +41,6 @@ from .gdhier import (
     rspin_system,
 )
 from .hamops import HamiltonianOperator, flow
-from .psido import root_depth_for_residue
 from .scalars import excerpt
 from .slots import SLOT_MAX, TOP_SLOT
 from .quantize import (
@@ -93,7 +92,7 @@ def emit(args, text_value: str, json_value) -> None:
         print(text_value)
 
 def cmd_gd(args) -> int:
-    ctx = gd_context(args.r, root_depth_for_residue(args.m + args.r))
+    ctx = gd_context(args.r)
     K = gd_operator(ctx)
     h = gd_hamiltonian(ctx, args.m)
     names = f_names(args.r)
@@ -104,8 +103,7 @@ def cmd_gd(args) -> int:
     return EXIT_OK
 
 def cmd_rspin(args) -> int:
-    k = args.alpha + args.r * args.d
-    ctx = gd_context(args.r, root_depth_for_residue(k + args.r))
+    ctx = gd_context(args.r)
     K, h = rspin_system(ctx, args.alpha, args.d)
     names = w_names(args.r)
     text = "K^{{{r}-spin}} = {K}\nh^{{{r}-spin}}_{{{a},{d}}} = int {h} dx".format(
@@ -182,8 +180,7 @@ def cmd_dr_g11(args) -> int:
     return EXIT_OK
 
 def cmd_verify_main(args) -> int:
-    k = 1 + args.r
-    ctx = gd_context(args.r, root_depth_for_residue(k + args.r))
+    ctx = gd_context(args.r)
     report = verify_dr_dz_equivalence(ctx)
     conds = ", ".join(f"{name}: {str(c).lower()}"
                       for name, c in zip(report.CONDITION_NAMES, report.conditions))
@@ -199,8 +196,7 @@ def cmd_reconstruct(args) -> int:
               "as w, and for r >= 4 h^{r-spin}_{1,1} with eta d_x would mix DZ and "
               "DR variables", file=sys.stderr)
         return EXIT_PRECONDITION
-    # the deepest residue read is the one of Omega_{r-1,2;1,0}, p = 3r - 1
-    ctx = gd_context(args.r, root_depth_for_residue(3 * args.r - 1))
+    ctx = gd_context(args.r)
     h11 = rspin_hamiltonian(ctx, 1, 1)
     # the rewritten flow is exact only if each of its jets has a t-variable
     # and each of its terms has at most t_deg - 1 jet factors
@@ -272,8 +268,7 @@ def cmd_quantize_check(args) -> int:
             return EXIT_FAIL
         checks["associativity"] += 1
     if r in (4, 5):
-        rule_def = DeformedRule.from_operator(
-            rspin_operator(gd_context(r, root_depth_for_residue(r - 1))))
+        rule_def = DeformedRule.from_operator(rspin_operator(gd_context(r)))
         for sample in range(args.samples // 2):
             a, b = rand_el(), rand_el()
             lhs = f_r_map(r, weyl_star(a, b, rule_def))

@@ -120,6 +120,7 @@ class Ring:
 
 def rspin_ring(r: int) -> Ring:
     """The ring of an r-spin context: r - 1 fields, d the squarefree part of r."""
+    Ring(r - 1)  # refuses r - 1 beyond the packed slots before r's trial division
     return Ring(r - 1, squarefree_part(r))
 
 
@@ -717,12 +718,12 @@ def local_eq(h1: LocalFunctional, h2: LocalFunctional) -> bool:
     return (h1 - h2).is_zero()
 
 
-def eps_dress(h: LocalFunctional | DiffPoly):
-    """Promote an eps-free element to total degree zero: piece of differential
-    degree k gains eps^k."""
-    density = h.density if isinstance(h, LocalFunctional) else h
+def eps_dress(h: LocalFunctional) -> LocalFunctional:
+    """Promote an eps-free functional to total degree zero: the piece of its
+    density of differential degree k gains eps^k."""
+    density = h.density
     if density.max_eps() > 0:
         raise ValueError("eps dressing expects an eps-free input")
-    out = DiffPoly(density.ring, {key + ((key >> W) & MASK): v
-                                  for key, v in density.terms.items()}, density.den)
-    return LocalFunctional(out) if isinstance(h, LocalFunctional) else out
+    return LocalFunctional(DiffPoly(density.ring, {key + ((key >> W) & MASK): v
+                                                   for key, v in density.terms.items()},
+                                    density.den))

@@ -133,42 +133,34 @@ def canonical_boundary(h: int, J: tuple[int, ...], g: int,
     return min((h, J), (g - h, comp))
 
 
-def hain_expand(g: int, n: int, zero_weight_marking: bool = False
-                ) -> dict[TautMonomial, DiffPoly]:
+def hain_expand(g: int, n: int) -> dict[TautMonomial, DiffPoly]:
     """(sum a_j^2 psi_j/2 - 1/2 sum_{|J|>=2} a_J^2 d_0^J
         - 1/4 sum_J sum_{h=1..g-1} a_J^2 d_h^J)^g / g!
 
     Markings are 1..n carrying the weights a_1..a_n, the jets u^1_0..u^n_0
-    of ``Ring(n)``; with ``zero_weight_marking`` an extra first marking of
-    weight 0 is prepended (markings become 1..n+1 with marking 1 the
-    weightless one).  The a_i are kept as free polynomial variables:
+    of ``Ring(n)``.  The a_i are kept as free polynomial variables:
     representatives are only meaningful modulo sum a_i = 0, which downstream
     assembly respects.
     """
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     ring = Ring(n)
-    offset = 1 if zero_weight_marking else 0
-    markings = tuple(range(1, n + offset + 1))
-    n_mark = len(markings)
-    weight = {m: DiffPoly.jet(ring, m - offset, 0) if m > offset else DiffPoly.zero(ring)
-              for m in markings}
+    markings = tuple(range(1, n + 1))
+    weight = {m: DiffPoly.jet(ring, m, 0) for m in markings}
 
     if g == 0:
-        return {TautMonomial(psi=(0,) * n_mark): DiffPoly.const(ring, 1)}
+        return {TautMonomial(psi=(0,) * n): DiffPoly.const(ring, 1)}
 
     base: list[tuple[TautMonomial, DiffPoly]] = []
-    for pos, m in enumerate(markings):
-        if m > offset:
-            psi = [0] * n_mark
-            psi[pos] = 1
-            base.append((TautMonomial(psi=tuple(psi)), weight[m] * weight[m] / 2))
-    squares = []  # (J, a_J^2) for every J of nonzero weight
-    for mask in range(1, 1 << n_mark):
-        J = tuple(markings[i] for i in range(n_mark) if mask >> i & 1)
+    for m in markings:
+        psi = [0] * n
+        psi[m - 1] = 1
+        base.append((TautMonomial(psi=tuple(psi)), weight[m] * weight[m] / 2))
+    squares = []  # (J, a_J^2) for every nonempty J
+    for mask in range(1, 1 << n):
+        J = tuple(markings[i] for i in range(n) if mask >> i & 1)
         a_J = sum((weight[m] for m in J), DiffPoly.zero(ring))
-        if a_J:
-            squares.append((J, a_J * a_J))
+        squares.append((J, a_J * a_J))
     boundary_terms: dict[tuple[int, tuple[int, ...]], DiffPoly] = {}
     for h in range(g):
         for J, square in squares:
@@ -176,28 +168,28 @@ def hain_expand(g: int, n: int, zero_weight_marking: bool = False
                 sym = canonical_boundary(h, J, g, markings)
                 boundary_terms[sym] = square / (-4 if h else -2) + boundary_terms.get(sym, 0)
     for sym, poly in sorted(boundary_terms.items()):
-        base.append((TautMonomial(psi=(0,) * n_mark, boundary=(sym,)), poly))
+        base.append((TautMonomial(psi=(0,) * n, boundary=(sym,)), poly))
 
     # multinomial expansion of the g-th power over the base terms, divided by
-    # g!: poly is the product of term^mult / mult! over the terms chosen so far
+    # g!, one term at a time: a state is a multiset of the terms taken so far
+    # (the degree still to fill, its psi and boundary) with the product of
+    # term^mult / mult! over it.  Each multiset of g base terms gives its own
+    # monomial, so the result is assigned, not summed.
     out: dict[TautMonomial, DiffPoly] = {}
-
-    def choose(idx: int, remaining: int, taut_psi, taut_bnd, poly: DiffPoly):
-        if remaining == 0:
-            # each multiset of base terms gives its own monomial
-            out[TautMonomial(psi=tuple(taut_psi), boundary=tuple(sorted(taut_bnd)))] = poly
-            return
-        if idx == len(base):
-            return
-        term_sym, term_poly = base[idx]
-        for mult in range(remaining + 1):
-            if mult:
+    states = [(g, (0,) * n, (), DiffPoly.const(ring, 1))]
+    for term, term_poly in base:
+        grown = []
+        for remaining, psi, bnd, poly in states:
+            grown.append((remaining, psi, bnd, poly))
+            for mult in range(1, remaining + 1):
                 poly = poly * term_poly / mult
-            choose(idx + 1, remaining - mult,
-                   [a + mult * b for a, b in zip(taut_psi, term_sym.psi)],
-                   taut_bnd + list(term_sym.boundary) * mult, poly)
-
-    choose(0, g, [0] * n_mark, [], DiffPoly.const(ring, 1))
+                psi_m = tuple(a + mult * b for a, b in zip(psi, term.psi))
+                bnd_m = bnd + term.boundary * mult
+                if mult == remaining:
+                    out[TautMonomial(psi=psi_m, boundary=tuple(sorted(bnd_m)))] = poly
+                else:
+                    grown.append((remaining - mult, psi_m, bnd_m, poly))
+        states = grown
     return out
 
 
@@ -373,8 +365,7 @@ def pair_with_table(table: IntegralTable, dilaton: bool) -> DiffPoly:
                                   for sym, poly in hain_expand(table.g, table.n).items()])
 
 
-def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
-                         ) -> LocalFunctional:
+def assemble_hamiltonian(r: int, contributions) -> LocalFunctional:
     """Sum the (profile, a-polynomial) contributions into a local functional.
 
     Each polynomial is read through ``a_coefficients`` for the profile's g
@@ -384,8 +375,6 @@ def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
     symmetry factors (the per-profile remnant of the 1/n! over ordered
     insertions).
     """
-    if ring is None:
-        ring = rspin_ring(r)
     items = []
     for profile, poly in contributions:
         if profile.r != r:
@@ -395,7 +384,7 @@ def assemble_hamiltonian(r: int, contributions, ring: Ring | None = None
         for exps, coeff in a_coefficients(profile.g, profile.n, poly):
             jets = [(label, b, 1) for label, b in zip(labels, exps)]
             items.append(((2 * profile.g, jets), coeff / sym_factor))
-    return integrate(DiffPoly.from_items(ring, items))
+    return integrate(DiffPoly.from_items(rspin_ring(r), items))
 
 
 # -- built-in reference Hamiltonians ------------------------------------------------------------------
@@ -471,11 +460,10 @@ DR_DZ_SHIFTS: dict[int, dict[int, tuple[int, Fraction]]] = {
 }
 
 
-def builtin_g11(r: int, ring: Ring | None = None) -> LocalFunctional:
-    """The reference double ramification Hamiltonian g_{1,1} for r = 3, 4, 5."""
+def builtin_g11(r: int) -> LocalFunctional:
+    """The reference double ramification Hamiltonian g_{1,1} for r = 3, 4, 5,
+    in ``rspin_ring(r)``."""
     if r not in _G11_DATA:
         raise ValueError(f"no built-in g_{{1,1}} data for r = {r}")
-    if ring is None:
-        ring = rspin_ring(r)
     return integrate(DiffPoly.from_items(
-        ring, (((eps, jets), coeff) for coeff, eps, jets in _G11_DATA[r])))
+        rspin_ring(r), (((eps, jets), coeff) for coeff, eps, jets in _G11_DATA[r])))

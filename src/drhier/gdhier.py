@@ -26,6 +26,7 @@ exact ring; the exact root is never truncated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +49,8 @@ class GDContext:
     The context holds one root S of L, a ``LaxRoot`` that only grows: each
     request solves only the levels no earlier one solved, and reads S^s,
     s < r, off the root's own powers.  ``depth`` only caps the root; a
-    request that needs a deeper root is refused.  ``residue(p)`` reads
+    request that needs a deeper root is refused, and ``math.inf`` (as
+    ``gd_context`` passes) caps nothing.  ``residue(p)`` reads
     order -1 of L^{p/r} through one ``product_coeff`` on S^s and its
     derivative memo, and is memoized per p; ``lax_power(p)`` builds the
     whole operator, for the positive part of a flow.
@@ -90,9 +92,9 @@ class GDContext:
             self._dispersionless = view
         return self._dispersionless
 
-    def f_var(self, i: int, order: int = 0) -> DiffPoly:
-        """The jet variable of f_i (0-based Lax index)."""
-        return DiffPoly.jet(self.ring_f, i + 1, order)
+    def f_var(self, i: int) -> DiffPoly:
+        """The field f_i (0-based Lax index), underived."""
+        return DiffPoly.jet(self.ring_f, i + 1, 0)
 
     def lax_power(self, p: int) -> PseudoDiffOp:
         """L^{p/r} as the exact L^q composed with S^s, p = q r + s.
@@ -125,9 +127,10 @@ class GDContext:
 
 
 @lru_cache(maxsize=32)
-def gd_context(r: int, depth: int) -> GDContext:
-    """Shared context per (r, depth); the 32 most recently used are kept."""
-    return GDContext(r, depth)
+def gd_context(r: int) -> GDContext:
+    """Shared context per r, its root uncapped: each residue roots exactly
+    as deep as it reads.  The 32 most recently used are kept."""
+    return GDContext(r, math.inf)
 
 
 # -- first hamiltonian structure -----------------------------------------------------

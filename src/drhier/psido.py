@@ -283,6 +283,7 @@ def root_depth_for_residue(p: int) -> int:
     S to depth D gives S^p the window [p + 1 - D, p]; reaching order -1
     needs D >= p + 2.  The two extra levels are a cap only and cost
     nothing: ``GDContext.residue`` roots just as deep as each residue
-    reads.
+    reads.  Only an explicitly capped ``GDContext`` needs this;
+    ``gd_context`` caps nothing.
     """
     return p + 4

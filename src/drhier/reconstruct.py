@@ -526,8 +526,9 @@ def check_string_dilaton(sol: SpecialSolution) -> ResidualReport:
 
     String: d u/d t^1_0 minus the string-equation jet d_x u; dilaton:
     d u/d t^1_1 minus (i + deg m) c.  Both are recomputed from the table,
-    independently of how it was filled, at every t-degree below t_deg.
-    They are reported as {(alpha, m, i): Fraction}.
+    independently of how it was filled, at every t-degree below t_deg: the
+    jet is pushed forward from the table here, not read from the solution's
+    jet cache.  They are reported as {(alpha, m, i): Fraction}.
     """
     n = sol.ring.n_fields
     string_res = {}
@@ -535,7 +536,10 @@ def check_string_dilaton(sol: SpecialSolution) -> ResidualReport:
     for alpha in range(1, n + 1):
         table = sol._tables[alpha - 1]
         string = t_derivative(table, n, (1, 0), 1)
-        for key, value in sol.jet(alpha, 1).items():
+        jet = raise_subscripts(table, n, sol.bounds.t_max)
+        if alpha == 1:
+            add_term(jet, 0, sol.den)
+        for key, value in jet.items():
             add_term(string, key, -value)
         dilaton = t_derivative(table, n, (1, 1), 1)
         for key, value in table.items():
@@ -763,7 +767,7 @@ def verify_dr_dz_equivalence(ctx: GDContext,
     each up to eps^{2r+2}.
     """
     r = ctx.r
-    g11 = builtin_g11(r, ctx.ring_w)
+    g11 = builtin_g11(r)
     if miura is None:
         miura = dz_miura_map(r, ctx.ring_w)
     eps_max = 2 * r + 2

@@ -1,6 +1,10 @@
-"""Shared context depths, so the expensive Lax roots are computed once per
-pytest process: gd_context keeps the 32 most recently used (r, depth)
-contexts, and a full run asks for fewer, so none is evicted.
+"""Suite-wide settings.
+
+Tests share the Lax contexts of ``gd_context(r)``, one per r, so the
+expensive roots are computed once per pytest process: the cache keeps the
+32 most recently used, and a full run asks for fewer, so none is evicted.
+A test that needs a capped or a fresh root builds ``GDContext(r, depth)``
+itself.
 
 Hypothesis runs derandomized, so each run draws the same examples and the
 suite's time is comparable between runs; every test keeps its own
@@ -8,13 +12,5 @@ max_examples."""
 
 from hypothesis import settings
 
-from drhier.gdhier import gd_context
-
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
-
-CTX_DEPTH = {2: 13, 3: 16, 4: 12, 5: 13}
-
-
-def ctx_for(r):
-    return gd_context(r, CTX_DEPTH[r])

@@ -63,16 +63,14 @@ def decoded(expansion: dict, n: int) -> dict:
     return {sym: exponents(poly, n) for sym, poly in expansion.items()}
 
 
-def reference_hain_expand(g: int, n: int, zero_weight_marking: bool = False) -> dict:
-    """hain_expand(g, n, zero_weight_marking), polynomials as exponent-tuple
-    dicts of Fractions."""
-    offset = 1 if zero_weight_marking else 0
-    markings = tuple(range(1, n + offset + 1))
+def reference_hain_expand(g: int, n: int) -> dict:
+    """hain_expand(g, n), polynomials as exponent-tuple dicts of Fractions."""
+    markings = tuple(range(1, n + 1))
     flat = (0,) * len(markings)
     radix = 2 * g + 1
 
     def weight_squared(J) -> dict:
-        linear = {radix ** (m - offset - 1): 1 for m in J if m > offset}
+        linear = {radix ** (m - 1): 1 for m in J}
         return poly_mul(linear, linear)
 
     base: dict = {}  # the degree-1 terms of Hain's combination, times 4

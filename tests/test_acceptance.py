@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ctx_for
 from lax_reference import gd_flow
 from hain_reference import weight_poly
 
@@ -27,6 +26,7 @@ from drhier.drspin import (
 )
 from drhier.gdhier import (
     eta_matrix,
+    gd_context,
     gd_hamiltonian,
     gd_operator,
     rspin_hamiltonian,
@@ -162,7 +162,7 @@ REFERENCE_PROFILES = {
 
 
 def test_criterion_1_two_spin_chain():
-    ctx = ctx_for(2)
+    ctx = gd_context(2)
     f = ctx.f_var(0)
     res = ctx.lax_power(5).residue()
     reference_res = (5 * f ** 3 / 16 + 5 * f.dx() ** 2 / 32
@@ -180,7 +180,7 @@ def test_criterion_1_two_spin_chain():
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_criterion_2_reference_tables(r):
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     K, h = rspin_system(ctx, 1, 1)
     assert K == reference_k_spin(r, ctx.ring_w)
     reference = reference_h_spin(r, ctx.ring_w)
@@ -199,7 +199,7 @@ def test_criterion_2_reference_tables(r):
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_criterion_3_equivalence_verification(r):
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     result = verify_dr_dz_equivalence(ctx)
     assert result.conditions == (True, True, True)
     assert result.verdict
@@ -242,8 +242,7 @@ def test_criterion_5_worked_example():
     u2 = DiffPoly.jet(ring, 2, 0)
     reference = integrate((u2 * u2.dx_pow(4)).eps_shift(4) / 432)
     assert local_eq(h, reference)
-    builtin_eps4 = integrate(builtin_g11(3, ring).density
-                             .eps_coefficient(4).eps_shift(4))
+    builtin_eps4 = integrate(builtin_g11(3).density.eps_coefficient(4).eps_shift(4))
     assert local_eq(h, builtin_eps4)
     report(5, "the two reference Hodge integrals assemble to "
               "int eps^4/432 u^2 u^2_4 dx, the eps^4 term of g_{1,1}")
@@ -254,7 +253,7 @@ def test_criterion_5_worked_example():
 
 @pytest.mark.parametrize("r,ms", [(2, (1, 3, 5)), (3, (1, 2, 4))])
 def test_criterion_6_gd_commutativity(r, ms):
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     K = gd_operator(ctx)
     hams = {m: gd_hamiltonian(ctx, m) for m in ms}
     for m in ms:
@@ -278,7 +277,7 @@ def test_criterion_7_root_roundtrip_and_flow_equivalence():
         for order in range(back.lo, r + 1):
             assert back.coeff(order) == lax.coeff(order), (r, order)
     for r, ms in ((2, (1, 3, 5)), (3, (1, 2, 4))):
-        ctx = ctx_for(r)
+        ctx = gd_context(r)
         for m in ms:
             assert gd_flow(ctx, m) == flow(gd_hamiltonian(ctx, m), gd_operator(ctx)), (r, m)
     report(7, "Lax roots invert to depth 8 for r = 2..5 and the commutator "
@@ -289,7 +288,7 @@ def test_criterion_7_root_roundtrip_and_flow_equivalence():
 
 
 def test_criterion_8_reconstruction_cross_check():
-    ctx = ctx_for(2)
+    ctx = gd_context(2)
     bounds = Bounds(t_max=3, t_deg=4, eps_max=4)
     omega = omega_from_gd(ctx, q_max=3)
     h11 = rspin_hamiltonian(ctx, 1, 1)
@@ -332,7 +331,7 @@ def test_criterion_9_quantization_properties():
             == weyl_star(a, weyl_star(b, c, rule2), rule2)
     for r in (4, 5):
         ctx = WeylContext(n_fields=r - 1, window=2)
-        rule_def = DeformedRule.from_operator(rspin_operator(ctx_for(r)))
+        rule_def = DeformedRule.from_operator(rspin_operator(gd_context(r)))
         rule_std = StandardRule.from_eta(eta_matrix(r))
         for _ in range(100):
             a, b = rand_weyl(rng, ctx, max_degree=2), \
@@ -342,7 +341,7 @@ def test_criterion_9_quantization_properties():
     # hand-expanded deformed commutators
     i = AlgScalar(0, 1)
     ctx4 = WeylContext(n_fields=3, window=3)
-    rule4 = DeformedRule.from_operator(rspin_operator(ctx_for(4)))
+    rule4 = DeformedRule.from_operator(rspin_operator(gd_context(4)))
     for m in (1, 2, 3):
         comm = weyl_commutator(WeylElement.mode(ctx4, 1, m),
                                WeylElement.mode(ctx4, 1, -m), rule4)
@@ -351,7 +350,7 @@ def test_criterion_9_quantization_properties():
                                WeylElement.mode(ctx4, 3, -m), rule4)
         assert comm == WeylElement(ctx4, {(1, 0, ()): i * m})
     ctx5 = WeylContext(n_fields=4, window=3)
-    rule5 = DeformedRule.from_operator(rspin_operator(ctx_for(5)))
+    rule5 = DeformedRule.from_operator(rspin_operator(gd_context(5)))
     for m in (1, 2):
         comm = weyl_commutator(WeylElement.mode(ctx5, 1, m),
                                WeylElement.mode(ctx5, 2, -m), rule5)
@@ -372,7 +371,6 @@ def test_criterion_9_quantization_properties():
 
 def test_criterion_10_assembly_well_definedness():
     rng = random.Random(4321)
-    ring = Ring(3, 1)
     checked = 0
     while checked < 100:
         g = rng.randint(1, 2)
@@ -409,9 +407,8 @@ def test_criterion_10_assembly_well_definedness():
                 key = tuple(bumped)
                 shifted[key] = shifted.get(key, Fraction(0)) + q_coeff
         shifted = {k: v for k, v in shifted.items() if v}
-        h1 = assemble_hamiltonian(
-            4, [(profile, weight_poly(n, base))], ring=ring)
-        h2 = assemble_hamiltonian(4, [(profile, weight_poly(n, shifted))], ring=ring)
+        h1 = assemble_hamiltonian(4, [(profile, weight_poly(n, base))])
+        h2 = assemble_hamiltonian(4, [(profile, weight_poly(n, shifted))])
         assert local_eq(h1, h2)
         checked += 1
     report(10, "assembled functionals are invariant under adding "

@@ -175,7 +175,7 @@ def test_gd_json_reads_back_into_the_context_ring(run):
     code, out, _ = run("gd", "--r", "3", "--m", "1", "--format", "json")
     assert code == 0
     h = DiffPoly.from_json_dict(json.loads(out)["hamiltonian"])
-    ctx = gd_context(3, 8)
+    ctx = gd_context(3)
     # the JSON holds the canonical density: the raw one up to total derivatives
     assert h == gd_hamiltonian(ctx, 1).canonical_density()
     assert LocalFunctional(h) == gd_hamiltonian(ctx, 1)
@@ -209,8 +209,8 @@ def test_verify_main_names_the_first_failed_condition(run, monkeypatch, fmt):
     # a g_{1,1} off by eps^2 w1_1^2 / 7 breaks condition (3) alone
     builtin_g11 = reconstruct.builtin_g11
 
-    def faulty(r, ring=None):
-        h = builtin_g11(r, ring)
+    def faulty(r):
+        h = builtin_g11(r)
         return integrate(h.density + DiffPoly.jet(h.ring, 1, 1, 2, Fraction(1, 7)).eps_shift(2))
 
     code, good, _ = run("verify-main", "--r", "4", "--format", fmt)
@@ -617,6 +617,32 @@ def test_an_exponent_table_value_is_refused_in_a_subprocess(tmp_path):
                               "--table-file", str(path), timeout=10)
     assert (done.returncode, done.stdout) == (cli.EXIT_TABLE_FILE, "")
     assert done.stderr.startswith("table file error:") and done.stderr.count("\n") == 1
+
+
+LARGE_PRIME_R = 10000000000000061
+
+
+@pytest.mark.parametrize("argv", [["gd", "--m", "1"], ["rspin", "--alpha", "1", "--d", "0"],
+                                  ["verify-main"]])
+@pytest.mark.parametrize("r", [LARGE_PRIME_R, 10 ** 20])
+def test_a_large_r_is_refused_before_its_trial_division(argv, r):
+    # the squarefree part of this prime r would take about 10^8 trial steps
+    done = run_cli_subprocess(*argv, "--r", str(r), timeout=10)
+    assert (done.returncode, done.stdout) == (cli.EXIT_PRECONDITION, "")
+    assert done.stderr == (f"error: {r - 1} fields need packed slot {r} for "
+                           f"u^{r - 1}_0, above 4095\n")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["hain-pair", "--g", "1", "--counts", "0,10"], "0\n"),
+    (["assemble", "--r", "3", "--alpha", "1", "--d", "8", "--g", "1", "--counts", "7,3"],
+     "int 0 dx\n"),
+])
+def test_ten_markings_expand_over_a_default_zero_table(run, tmp_path, argv, out):
+    # Hain's expansion over n = 10 markings has 1023 base terms at g = 1
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"g": 1, "n": 10, "default_zero": True, "entries": []}))
+    assert run(*argv, "--table-file", str(path)) == (0, out, "")
 
 
 def test_reconstruct_finishes_at_the_largest_tmax_in_a_subprocess():

@@ -142,9 +142,10 @@ def exact_eps0(ctx, alpha, p) -> DiffPoly:
     return density - density.constant_term()
 
 
-@pytest.mark.parametrize("r, p_max, depth", [(3, 3, 16), (4, 2, 17), (5, 1, 16)])
-def test_the_view_gives_the_exact_eps0_part(r, p_max, depth):
-    ctx = gd_context(r, depth)
+@pytest.mark.parametrize("r, p_max, levels", [(3, 3, 16), (4, 2, 17), (5, 1, 16)])
+def test_the_view_gives_the_exact_eps0_part(r, p_max, levels):
+    # the residues compared are those whose root reads at most ``levels`` levels
+    ctx = gd_context(r)
     view = ctx.dispersionless()
     assert view.ring_f == Ring(r - 1, ctx.ring_f.d, cap=0) and view.dispersionless() is view
     assert ctx.dispersionless() is view and view.root is not ctx.root
@@ -153,7 +154,7 @@ def test_the_view_gives_the_exact_eps0_part(r, p_max, depth):
             omega = dispersionless_omega(ctx, alpha, p)
             assert omega.ring is ctx.ring_w and omega.max_order() <= 0
             assert omega == exact_eps0(ctx, alpha, p)
-    for p in range(1, depth - 1):
+    for p in range(1, levels - 1):
         assert dict(view.residue(p).items()) == truncation(ctx.residue(p), 0)
     change, view_change = rspin_change(ctx), rspin_change(view)
     for exact, capped in zip(change.inverse, view_change.inverse):

@@ -4,9 +4,8 @@ from heapq import heappop
 
 import pytest
 
-from conftest import ctx_for
 from drhier import diffpoly
-from drhier.gdhier import rspin_hamiltonian
+from drhier.gdhier import gd_context, rspin_hamiltonian
 from drhier.scalars import AlgScalar
 from drhier.diffpoly import (
     DiffPoly,
@@ -182,7 +181,7 @@ def test_canonical_density_of_a_long_descent(monkeypatch):
 
 
 def test_canonical_density_pops_each_monomial_once(monkeypatch):
-    h = rspin_hamiltonian(ctx_for(3), 2, 3)
+    h = rspin_hamiltonian(gd_context(3), 2, 3)
     assert len(h.density.terms) == 102
     popped = counted_pops(monkeypatch)
     canonical = h.canonical_density()

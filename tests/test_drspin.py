@@ -103,24 +103,26 @@ def test_hain_g2_n2_psi_part():
         (1, (2,)) in sym.boundary or (1, (1, 2)) in sym.boundary for sym in exp)
 
 
-def test_hain_zero_weight_marking():
-    # marking 1 carries weight zero: no psi_1 term at the top level
-    exp = decoded(hain_expand(1, 2, zero_weight_marking=True), 2)
-    assert TautMonomial(psi=(1, 0, 0)) not in exp
-    assert exp[TautMonomial(psi=(0, 1, 0))] == {(2, 0): Fraction(1, 2)}
-    # delta_0 over J = {1, 2} sees only the weight of marking 2
-    sym = TautMonomial(psi=(0, 0, 0), boundary=((0, (1, 2)),))
-    assert exp[sym] == {(2, 0): Fraction(-1, 2)}
-
-
-@pytest.mark.parametrize("zero_weight_marking", [False, True])
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
-def test_hain_expand_matches_the_reference(g, zero_weight_marking):
-    # g <= 3 and n <= 4 markings in all; with the weightless marking that is
-    # n <= 3 weighted ones
-    for n in range(1, 5 - zero_weight_marking):
-        got = decoded(hain_expand(g, n, zero_weight_marking), n)
-        assert got == reference_hain_expand(g, n, zero_weight_marking), (g, n)
+def test_hain_expand_matches_the_reference(g):
+    for n in range(1, 5):
+        got = decoded(hain_expand(g, n), n)
+        assert got == reference_hain_expand(g, n), (g, n)
+
+
+def test_hain_expand_over_ten_markings():
+    # at g = 1 every base term is its own monomial: 10 psi_j with a_j^2 / 2
+    # and 1013 delta_0^J, |J| >= 2, with -a_J^2 / 2
+    n = 10
+    exp = hain_expand(1, n)
+    a = [DiffPoly.jet(Ring(n), j, 0) for j in range(1, n + 1)]
+    psi = {sym.psi.index(1): poly for sym, poly in exp.items() if not sym.boundary}
+    assert len(exp) == 1023 and psi == {j: a[j] * a[j] / 2 for j in range(n)}
+    for sym, poly in exp.items():
+        if sym.boundary:
+            (h, J), = sym.boundary
+            a_J = sum((a[m - 1] for m in J), DiffPoly.zero(Ring(n)))
+            assert (h, sym.psi, poly) == (0, (0,) * n, a_J * a_J / -2) and len(J) >= 2
 
 
 def test_hain_degree_is_g():
@@ -186,10 +188,9 @@ def test_default_zero_empty_table():
 
 def test_assemble_distinct_labels_p_series_oracle():
     # P = a_1 a_2 with labels (1, 2): compare Fourier images
-    ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(1, 1))
     poly = weight_poly(2, {(1, 1): Fraction(1)})
-    h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
+    h = assemble_hamiltonian(3, [(profile, poly)])
     window = 3
     ps = lf_to_p_series(h, window)
     # direct p-form: eps^2 sum_{k} P(k,-k) p^1_k p^2_{-k} over ordered pairs
@@ -206,18 +207,16 @@ def test_assemble_distinct_labels_p_series_oracle():
 
 def test_assemble_equal_labels_symmetry_factor():
     # P = a_1 a_2, labels (2, 2): the 1/2! multiset factor
-    ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=1, counts=(0, 2))
     poly = weight_poly(2, {(1, 1): Fraction(1)})
-    h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
-    u2 = DiffPoly.jet(ring, 2, 1)
+    h = assemble_hamiltonian(3, [(profile, poly)])
+    u2 = DiffPoly.jet(h.ring, 2, 1)
     assert h.density == (u2 * u2).eps_shift(2) / 2
 
 
 def test_assemble_well_defined_modulo_sum_ideal():
     # adding (sum a_i) * Q never changes the functional
     rng = random.Random(53)
-    ring = Ring(2)
     for _ in range(25):
         g = rng.choice((1, 2))
         counts = rng.choice([(2, 0), (0, 2), (1, 1), (2, 1), (1, 2)])
@@ -256,18 +255,17 @@ def test_assemble_well_defined_modulo_sum_ideal():
                 shifted[key] = shifted.get(key, Fraction(0)) + q_coeff
         shifted = {k: v for k, v in shifted.items() if v}
         poly2 = weight_poly(n, shifted)
-        h1 = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
-        h2 = assemble_hamiltonian(3, [(profile, poly2)], ring=ring)
+        h1 = assemble_hamiltonian(3, [(profile, poly)])
+        h2 = assemble_hamiltonian(3, [(profile, poly2)])
         assert local_eq(h1, h2)
 
 
 def test_assemble_g0_constant():
-    ring = Ring(2)
     profile = Profile(r=3, alpha=1, d=1, g=0, counts=(2, 1))
     poly = weight_poly(3, {(0, 0, 0): Fraction(1)})
-    h = assemble_hamiltonian(3, [(profile, poly)], ring=ring)
-    u1 = DiffPoly.jet(ring, 1, 0)
-    u2 = DiffPoly.jet(ring, 2, 0)
+    h = assemble_hamiltonian(3, [(profile, poly)])
+    u1 = DiffPoly.jet(h.ring, 1, 0)
+    u2 = DiffPoly.jet(h.ring, 2, 0)
     assert h.density == u1 * u1 * u2 / 2
 
 

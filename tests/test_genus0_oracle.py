@@ -15,16 +15,14 @@ models", CMP 1992).  sympy expands that series on its own.
 import pytest
 import sympy
 
-from conftest import ctx_for
 from drhier.diffpoly import DiffPoly
 from drhier.gdhier import dispersionless_omega, eta_matrix, gd_context
 
 
 @pytest.mark.parametrize("r, nonzero", [(3, 4), (4, 13), (5, 33), (6, 69), (7, 126)])
 def test_wdvv(r, nonzero):
-    # Omega_{a,1;1,0} reads res L^{(a + r)/r}: 2r + 1 levels serve every a.
     # dispersionless_omega reads the E = 0 view, so r = 6, 7 grow no jets
-    ctx = ctx_for(r) if r <= 5 else gd_context(r, 2 * r + 1)
+    ctx = gd_context(r)
     n = r - 1
     eta = eta_matrix(r)        # its own inverse
     fields = range(n)
@@ -53,7 +51,7 @@ def test_wdvv(r, nonzero):
 
 @pytest.mark.parametrize("r, k_max", [(3, 10), (4, 9), (5, 8)])
 def test_residues_match_the_symbol_calculus(r, k_max):
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     z = sympy.Symbol("z")
     f = sympy.symbols(f"f0:{r - 1}")
     symbol = 1 + sum(f[i] * z ** (r - i) for i in range(r - 1))

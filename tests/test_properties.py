@@ -105,7 +105,7 @@ def test_star_product_stores_no_zero(a, b):
 
 
 def image(poly):
-    return lf_to_p_series(integrate(eps_dress(poly)), 2)
+    return lf_to_p_series(eps_dress(integrate(poly)), 2)
 
 
 @FEW

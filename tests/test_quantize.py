@@ -11,7 +11,7 @@ import weyl_reference as ref
 from drhier import quantize
 from drhier.diffpoly import DiffPoly, Ring, eps_dress, integrate
 from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
-from drhier.gdhier import eta_matrix, rspin_hamiltonian, rspin_operator
+from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian, rspin_operator
 from drhier.quantize import (
     DeformedRule,
     StandardRule,
@@ -33,11 +33,8 @@ def std_rule(r):
     return StandardRule.from_eta(eta_matrix(r))
 
 
-from conftest import ctx_for
-
-
 def deformed_rule(r):
-    return DeformedRule.from_operator(rspin_operator(ctx_for(r)))
+    return DeformedRule.from_operator(rspin_operator(gd_context(r)))
 
 
 def rand_element(rng, ctx, max_degree=3):
@@ -397,7 +394,7 @@ P_SERIES_GOLDEN = Path(__file__).parent / "golden" / "p-series.txt"
 def test_p_series_golden():
     lines = []
     for r in (3, 4, 5):
-        lines += [f"r={r}", lf_to_p_series(rspin_hamiltonian(ctx_for(r), 1, 1), 2).render()]
+        lines += [f"r={r}", lf_to_p_series(rspin_hamiltonian(gd_context(r), 1, 1), 2).render()]
     assert lines == P_SERIES_GOLDEN.read_text().splitlines()
 
 
@@ -717,7 +714,7 @@ def test_constructor_adds_terms_that_meet_on_one_word():
        s=st.fractions(min_value=-4, max_value=4, max_denominator=6), density=densities())
 def test_every_route_gives_the_canonical_form(make_rule, a, b, s, density):
     rule = make_rule(4)
-    image = lf_to_p_series(integrate(eps_dress(density)), CTX3.window)
+    image = lf_to_p_series(eps_dress(integrate(density)), CTX3.window)
     made = [a, b, a + b, a - b, -a, a - a, a.scale(s), weyl_star(a, b, rule),
             weyl_star(weyl_star(a, b, rule), a, rule), f_r_map(4, a),
             f_r_map(4, weyl_star(a, b, deformed_rule(4))), a.classical_limit(),

@@ -37,9 +37,6 @@ from drhier.reconstruct import (
 BOUNDS = Bounds(t_max=3, t_deg=4, eps_max=4)
 
 
-from conftest import ctx_for
-
-
 def monomials(variables, degree):
     """Every t-monomial of the given total degree in the given variables."""
     for combo in combinations_with_replacement(variables, degree):
@@ -48,7 +45,7 @@ def monomials(variables, degree):
 
 @pytest.fixture(scope="module")
 def kdv():
-    ctx = ctx_for(2)
+    ctx = gd_context(2)
     omega = omega_from_gd(ctx, q_max=3)
     h11 = rspin_hamiltonian(ctx, 1, 1)
     sol = special_solution(h11, omega, BOUNDS)
@@ -100,6 +97,20 @@ def test_fault_injection_is_located(kdv):
     report = check_string_dilaton(sol)
     assert not report.clean
     assert (1, target, 2) in report.dilaton_residuals
+
+
+def test_string_residuals_audit_the_table_not_the_jet_cache(kdv):
+    # the string side pushes d_x u forward from the table itself: a changed
+    # cached jet is not reported, a changed table entry still is
+    _, omega, h11, _ = kdv
+    small = Bounds(t_max=2, t_deg=3, eps_max=2)
+    sol = special_solution(h11, omega, small)
+    sol.jet(1, 1)[pack_key(1, (((1, 1), 1),), 0)] += 1
+    assert check_string_dilaton(sol).clean
+    sol = special_solution(h11, omega, small)
+    target = (((1, 0), 1), ((1, 1), 1))
+    sol.set_coeff(1, target, 0, sol.coeff(1, target, 0) + 1)
+    assert (1, (((1, 1), 1),), 0) in check_string_dilaton(sol).string_residuals
 
 
 def test_omega_is_read_only_up_to_q_1(kdv):
@@ -358,13 +369,10 @@ LEVEL_BOXES = [(2, Bounds(4, 5, 6)), (2, Bounds(3, 4, 4)), (3, Bounds(2, 3, 2)),
 @cache
 def level_inputs(r):
     """(h_{1,1}, omega) at r for every box of LEVEL_BOXES: r-spin h_{1,1} at
-    r = 2, the DR g_{1,1} above.  The r = 4 and r = 5 depths are the ones of
-    the CLI's ``rspin --r 4 --alpha 3 --d 1`` and ``rspin --r 5 --alpha 2
-    --d 1``, so each shares its root powers with that command."""
-    depth = {4: 15, 5: 16}.get(r)
-    ctx = gd_context(r, depth) if depth else ctx_for(r)
+    r = 2, the DR g_{1,1} above."""
+    ctx = gd_context(r)
     q_max = max(bounds.t_max for s, bounds in LEVEL_BOXES if s == r)
-    h11 = rspin_hamiltonian(ctx, 1, 1) if r == 2 else builtin_g11(r, ctx.ring_w)
+    h11 = rspin_hamiltonian(ctx, 1, 1) if r == 2 else builtin_g11(r)
     return h11, omega_from_gd(ctx, q_max)
 
 
@@ -430,7 +438,7 @@ def oracle_tables_text():
     t^1_0-extended ones included (solutions_agree sees only the box)."""
     lines = []
     for r, bounds, extra in ORACLE_BOXES:
-        ctx = ctx_for(r)
+        ctx = gd_context(r)
         K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(r))
         flows = {(beta, q): flow(rspin_hamiltonian(ctx, beta, q), K)
                  for beta in range(1, r) for q in range(bounds.t_max + 1)}
@@ -688,25 +696,25 @@ def test_jet_rewrite_refuses_a_series_that_leaves_the_box(kdv):
 # -- the three-condition checker ------------------------------------------------------------
 
 def test_verify_r3_identity():
-    ctx = ctx_for(3)
+    ctx = gd_context(3)
     report = verify_dr_dz_equivalence(ctx, miura=MiuraMap.identity(ctx.ring_w))
     assert report.conditions == (True, True, True)
     assert report.verdict
 
 
 def test_verify_r4_shift_map():
-    ctx = ctx_for(4)
+    ctx = gd_context(4)
     report = verify_dr_dz_equivalence(ctx)
     assert report.conditions == (True, True, True)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_condition_three_is_the_canonical_density_of_the_difference(r, monkeypatch):
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     report = verify_dr_dz_equivalence(ctx)
     assert report.conditions == (True, True, True) and report.hamiltonian_diff.is_zero()
     eps_max, ring = 2 * r + 2, ctx.ring_w
-    pushed = miura_push_poly(builtin_g11(r, ring),
+    pushed = miura_push_poly(builtin_g11(r),
                              miura_invert(dz_miura_map(r, ring), eps_max), eps_max)
     rspin_system = reconstruct.rspin_system
     u = DiffPoly.jet(ring, r - 1, 1)
@@ -726,7 +734,7 @@ def test_condition_three_is_the_canonical_density_of_the_difference(r, monkeypat
 
 
 def test_verify_r4_identity_fails_condition_two():
-    ctx = ctx_for(4)
+    ctx = gd_context(4)
     report = verify_dr_dz_equivalence(ctx, miura=MiuraMap.identity(ctx.ring_w))
     assert report.conditions[1] is False
     assert not report.verdict
@@ -776,7 +784,7 @@ def eps2_residuals(r, shifts):
     c_alpha eps^2 u^{alpha+2}_2, c_alpha = shifts.get(alpha, 0): the
     nonzero coefficients of push(eta d_x) - K^{r-spin} and of the canonical
     density of g11[w] - h^{r-spin}_{1,1}, by where they sit."""
-    ctx = ctx_for(r)
+    ctx = gd_context(r)
     ring = ctx.ring_w
     entries = [DiffPoly.jet(ring, a, 0) for a in range(1, r)]
     for a, c in shifts.items():
@@ -786,7 +794,7 @@ def eps2_residuals(r, shifts):
     k_spin, h_spin = rspin_system(ctx, 1, 1)
     op = miura_push_operator(HamiltonianOperator.eta_dx(ring, eta_matrix(r)), miura,
                              inverse, 2) - k_spin.truncate_eps(2)
-    density = (miura_push_poly(builtin_g11(r, ring), inverse, 2)
+    density = (miura_push_poly(builtin_g11(r), inverse, 2)
                - h_spin.truncate_eps(2)).canonical_density()
     parts = [((a, b, n), c) for a, row in enumerate(op.entries) for b, entry in enumerate(row)
              for n, c in entry.coeffs.items()] + [("density", density)]
@@ -831,7 +839,7 @@ def test_dr_dz_miura_shifts_are_derived(r, expected):
 # -- flow agreement for r = 3 (equivalence corollary) -------------------------------------------
 
 def test_r3_flow_agreement():
-    ctx = ctx_for(3)
+    ctx = gd_context(3)
     sol = special_solution(*level_inputs(3), BOUNDS)
     assert check_string_dilaton(sol).clean
     polys = jet_rewrite(sol.flow_series(2, 0), sol)
@@ -844,10 +852,10 @@ def test_r3_flow_agreement():
 def test_r3_special_solution_matches_direct_flow_integration():
     # DR/DZ equivalence at r = 3 with the identity Miura map: the special
     # solution built from the DR g_{1,1} is the solution of the r-spin flows
-    ctx = ctx_for(3)
+    ctx = gd_context(3)
     small = Bounds(t_max=2, t_deg=3, eps_max=2)
     omega = omega_from_gd(ctx, q_max=2)
-    sol = special_solution(builtin_g11(3, ctx.ring_w), omega, small)
+    sol = special_solution(builtin_g11(3), omega, small)
     K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(3))
     flows = {(beta, q): flow(rspin_hamiltonian(ctx, beta, q), K)
              for beta in (1, 2) for q in range(3)}

@@ -20,9 +20,7 @@ import pytest
 
 from drhier.diffpoly import DiffPoly, LocalFunctional
 from drhier.drspin import builtin_g11
-from drhier.gdhier import dispersionless_omega, gd_context, rspin_hamiltonian
-
-from conftest import CTX_DEPTH, ctx_for
+from drhier.gdhier import GDContext, dispersionless_omega, gd_context, rspin_hamiltonian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,7 +36,9 @@ def assert_weight(poly: DiffPoly, r: int, weight: int):
 
 # (r, d, alphas, depth): the exact Hamiltonians the suite can afford; for
 # r = 5, d = 2 only alpha = 1 (h_{4,2} alone takes about 0.6 s), the other
-# alphas' eps = 0 parts are graded through the E = 0 view below
+# alphas' eps = 0 parts are graded through the E = 0 view below.  Each is
+# built on its own context capped at depth, so the capped constructor that
+# explicit callers use serves them too.
 EXACT = [(3, d, (1, 2), 16) for d in range(3)] \
     + [(4, d, (1, 2, 3), 17) for d in range(3)] \
     + [(5, d, (1, 2, 3, 4), 16) for d in range(2)] + [(5, 2, (1,), 18)]
@@ -46,15 +46,15 @@ EXACT = [(3, d, (1, 2), 16) for d in range(3)] \
 
 @pytest.mark.parametrize("r, d, alphas, depth", EXACT)
 def test_every_rspin_hamiltonian_has_its_weight(r, d, alphas, depth):
-    ctx = gd_context(r, depth)
+    ctx = GDContext(r, depth)
     for alpha in alphas:
         assert_weight(rspin_hamiltonian(ctx, alpha, d).density, r, alpha + r * (d + 1) + 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_every_residue_has_weight_p_plus_one(r):
-    ctx = ctx_for(r)
-    for p in range(1, CTX_DEPTH[r] - 1):
+    ctx = gd_context(r)
+    for p in range(1, {2: 11, 3: 14, 4: 10, 5: 11}[r] + 1):
         residue = ctx.residue(p)
         if p % r:
             assert_weight(residue, r, p + 1)
@@ -64,7 +64,7 @@ def test_every_residue_has_weight_p_plus_one(r):
 
 @pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
 def test_the_dispersionless_view_has_the_same_weights(r):
-    ctx = gd_context(r, 4 * r + 1)  # res L^{(alpha + 3 r)/r} for d = 2
+    ctx = gd_context(r)
     view = ctx.dispersionless()
     for alpha in range(1, r):
         for d in range(3):
