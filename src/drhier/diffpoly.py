@@ -435,16 +435,6 @@ class DiffPoly:
             triples.append((c, DiffPoly.eps(self.ring, eps), prod))
         return sum_of_products(self.ring, triples)
 
-    def map_fields(self, field_map: dict[int, int], out_ring: Ring) -> "DiffPoly":
-        """Relabel field indices (a pure renaming, no calculus)."""
-        acc: dict = {}
-        n = self.ring.n_fields
-        for key, v in self.terms.items():
-            eps, jets = _unpack(key, n)
-            new = _pack(out_ring, eps, [(field_map[a], o, p) for a, o, p in jets])
-            acc[new] = acc.get(new, 0) + v
-        return DiffPoly(out_ring, *canonical(out_ring.within_cap(acc), self.den))
-
     # -- rendering / serialization ------------------------------------------------
 
     def sorted_terms(self):

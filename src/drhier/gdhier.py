@@ -30,10 +30,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .diffpoly import DiffPoly, LocalFunctional, Ring, eps_dress, integrate, rspin_ring
+from .diffpoly import (DiffPoly, LocalFunctional, Ring, derivatives, eps_dress, integrate,
+                       rspin_ring)
 from .hamops import HamiltonianOperator, op_dress, transport_operator
 # pdo_root stays bound here: perfbench's tracer wraps it under this name
-from .psido import LaxRoot, PseudoDiffOp, pdo_root, product_coeff  # noqa: F401
+from .psido import LaxRoot, PseudoDiffOp, gen_binom, pdo_root, product_coeff  # noqa: F401
+from .scalars import add_term
 
 
 def eta_matrix(r: int) -> list[list[Fraction]]:
@@ -51,9 +53,11 @@ class GDContext:
     s < r, off the root's own powers.  ``depth`` only caps the root; a
     request that needs a deeper root is refused, and ``math.inf`` (as
     ``gd_context`` passes) caps nothing.  ``residue(p)`` reads
-    order -1 of L^{p/r} through one ``product_coeff`` on S^s and its
-    derivative memo, and is memoized per p; ``lax_power(p)`` builds the
-    whole operator, for the positive part of a flow.
+    order -1 of L^{p/r} = S^s o L^q through one ``product_coeff``, so the
+    derivatives fall on the finite L^q.  The context keeps L^q, built once
+    as L^{q-1} o L, with one derivative memo per q, and the residues per p.
+    ``lax_power(p)`` builds the whole operator by its own powering, for the
+    positive part of a flow.
 
     ``dispersionless()`` is the context's E = 0 view, built on first use:
     a context of the same r and depth over ``ring_f`` capped at derivative
@@ -77,6 +81,8 @@ class GDContext:
             coeffs[i] = DiffPoly.jet(self.ring_f, i + 1, 0)
         self.lax = PseudoDiffOp(self.ring_f, r, None, coeffs)
         self.root = LaxRoot(self.lax, r)
+        self._lax_powers = [PseudoDiffOp.dx(ring, 0)]  # L^q at index q
+        self._lax_derivs = [derivatives(self._lax_powers[0].coeffs)]
         self._residues: dict[int, DiffPoly] = {}
         self._rspin_change = None
         self._rspin_operator = None
@@ -109,19 +115,29 @@ class GDContext:
         return self.lax.power(q) * frac if q else frac
 
     def residue(self, p: int) -> DiffPoly:
-        """res L^{p/r}: order -1 of L^q o S^s alone, p = q r + s."""
+        """res L^{p/r}: order -1 of S^s o L^q alone, p = q r + s.
+
+        L is homogeneous when d_x weighs 1 and f_i weighs r - i, so the
+        residue has weight p + 1, the jet of field gamma and order n
+        weighing r - gamma + 1 + n; that is asserted.
+        """
+        r = self.r
         if self.depth < p + 2:
             raise ValueError(
-                f"depth {self.depth} insufficient for res L^({p}/{self.r}); "
+                f"depth {self.depth} insufficient for res L^({p}/{r}); "
                 f"need at least {p + 2}")
         if p not in self._residues:
-            q, s = divmod(p, self.r)
+            q, s = divmod(p, r)
             if s == 0:
                 res = DiffPoly.zero(self.ring_f)
             else:
-                lq = self.lax.power(q) if q else PseudoDiffOp.dx(self.ring_f, 0)
+                while len(self._lax_powers) <= q:
+                    self._lax_powers.append(self._lax_powers[-1] * self.lax)
+                    self._lax_derivs.append(derivatives(self._lax_powers[-1].coeffs))
                 frac = self.root.power(s, p + 2).coeffs  # down to order -1 - q r
-                res = product_coeff(lq.coeffs, frac, -1, self.root.derivs[s])
+                res = product_coeff(frac, self._lax_powers[q].coeffs, -1, self._lax_derivs[q])
+            assert all(sum((r - gamma + 1 + n) * power for gamma, n, power in jets) == p + 1
+                       for (_, jets), _ in res.items()), f"res L^({p}/{r}) has a wrong weight"
             self._residues[p] = res
         return self._residues[p]
 
@@ -139,45 +155,31 @@ def gd_context(r: int) -> GDContext:
 def gd_operator(ctx: GDContext) -> HamiltonianOperator:
     """K^GD from [X, L]_+ = sum (K^GD)^{ab} X_b d^a for X = sum d^{-(b+1)} o X_b.
 
-    Extraction adjoins temporary jet variables X_b to the ring, computes the
-    commutator, and reads the coefficient operators off the terms linear in
-    the X_b jets; the temporaries never escape.  Those terms are grouped by
-    (order, b, order of the X_b jet), and each group is one ``from_items``
-    in ``ring_f``: its other jets are already the fields 1..n.
+    With L = sum_k f_k d^k, the Leibniz rule gives the order-a part of
+    d^{-(b+1)} o X_b f_k d^k - f_k d^k o d^{-(b+1)} o X_b in closed form:
+    with l = k - b - 1 - a >= 0, entry (a, b) is
+
+        sum_k [sum_{i<=l} binom(-(b+1), l) binom(l, i) (d^{l-i} f_k) d^i
+               - binom(k-b-1, l) f_k d^l].
+
+    Orders a >= r - 1 cancel (f_r = 1), so a runs over 0..r-2.
     """
-    r = ctx.r
-    n = r - 1
-    ext = Ring(2 * n, ctx.ring_f.d)
-    lax_ext = PseudoDiffOp(
-        ext, r, None,
-        {k: c.map_fields({a: a for a in range(1, n + 1)}, ext)
-         for k, c in ctx.lax.coeffs.items()})
-    x_lo = -(r + 1)
-    x_op = None
-    for b in range(n):
-        dinv = PseudoDiffOp(ext, -(b + 1), x_lo,
-                            {-(b + 1): DiffPoly.const(ext, 1)})
-        piece = dinv * PseudoDiffOp.from_poly(ext, DiffPoly.jet(ext, n + 1 + b, 0))
-        x_op = piece if x_op is None else x_op + piece
-    comm = x_op.commutator(lax_ext)
-    entries = [[{} for _ in range(n)] for _ in range(n)]  # d_x order -> terms
-    for order in range(0, comm.top + 1):
-        coeff = comm.coeff(order)
-        if order > r - 2:
-            if not coeff.is_zero():
-                raise AssertionError(f"[X, L]_+ has unexpected order {order}")
-            continue
-        for (eps, jets), c in coeff.items():
-            x_jets = [(a, o, p) for a, o, p in jets if a > n]
-            if len(x_jets) != 1 or x_jets[0][2] != 1:
-                raise AssertionError("commutator is not linear in the temporaries")
-            (xa, xo, _), = x_jets
-            rest = tuple(t for t in jets if t[0] <= n)
-            entries[order][xa - (n + 1)].setdefault(xo, []).append(((eps, rest), c))
+    n = ctx.r - 1
+    coeffs = ctx.lax.coeffs
+    deriv = derivatives(coeffs)
+    entries = [[{} for _ in range(n)] for _ in range(n)]  # d_x order -> coefficient
+    for a, row in enumerate(entries):
+        for b, entry in enumerate(row):
+            for k, f in coeffs.items():
+                l = k - b - 1 - a
+                if l < 0:
+                    continue
+                outer = gen_binom(-(b + 1), l)
+                for i in range(l + 1):
+                    add_term(entry, i, deriv(k, l - i) * (outer * math.comb(l, i)))
+                add_term(entry, l, f * -math.comb(k - b - 1, l))
     return HamiltonianOperator(ctx.ring_f, [
-        [PseudoDiffOp.finite(ctx.ring_f, {xo: DiffPoly.from_items(ctx.ring_f, items)
-                                          for xo, items in entry.items()}) for entry in row]
-        for row in entries])
+        [PseudoDiffOp.finite(ctx.ring_f, entry) for entry in row] for row in entries])
 
 
 def gd_hamiltonian(ctx: GDContext, m: int) -> LocalFunctional:

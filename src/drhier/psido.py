@@ -152,8 +152,7 @@ class PseudoDiffOp:
             lo = self.lo + other.top
         else:
             lo = max(self.lo + other.top, other.lo + self.top)
-        if lo is not None and lo > top:
-            raise ValueError("empty validity window in product")
+        assert lo is None or lo <= top, "the factors' windows are nonempty"
         a, b = self.coeffs, other.coeffs
         if not (a and b):
             return PseudoDiffOp(self.ring, top, lo)
@@ -229,15 +228,15 @@ class LaxRoot:
     and A's window must cover [m - depth + 1, m] for it.  Online recursion
     (van der Hoeven, "Relax, but don't be too lazy", JSC 34, 2002):
     ``powers[k]``, k < m, holds S^k down to the last solved level, and
-    ``derivs[k]`` memoizes its x-derivatives.  Step t computes, for each k,
-    only the order k - 1 - t coefficient F_k of S o S^{k-1} with
-    s_{-t} = 0: F_{k-1} (from d_x o F_{k-1} d^{k-2-t}) plus
-    ``product_coeff`` over the solved levels.  Since
-    [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
+    ``deriv`` memoizes the x-derivatives of S alone.  Step t computes, for
+    each k, only the order k - 1 - t coefficient F_k of S^{k-1} o S with
+    s_{-t} = 0: F_{k-1} (from F_{k-1} d^{k-2-t} o d_x) plus
+    ``product_coeff`` over the solved levels, whose derivatives all fall on
+    S.  Since [S^k]_{k-1-t} = F_k + k s_{-t}, the step solves
     s_{-t} = (a_{m-1-t} - F_m) / m and completes every power's new level.
     """
 
-    __slots__ = ("a", "m", "depth", "powers", "derivs")
+    __slots__ = ("a", "m", "depth", "powers", "deriv")
 
     def __init__(self, a: PseudoDiffOp, m: int):
         if m < 2:
@@ -247,11 +246,11 @@ class LaxRoot:
             raise ValueError("operator must be monic of top order m")
         self.a, self.m, self.depth = a, m, 1
         self.powers = [{}] + [{k: one} for k in range(1, m)]
-        self.derivs = [derivatives(p) for p in self.powers]
+        self.deriv = derivatives(self.powers[1])
 
     def power(self, s: int, depth: int) -> PseudoDiffOp:
         """S^s, 0 < s < m, on the window [s + 1 - depth, s]; solves missing levels first."""
-        a, m, powers, derivs = self.a, self.m, self.powers, self.derivs
+        a, m, powers, deriv = self.a, self.m, self.powers, self.deriv
         if a.lo is not None and a.lo > m - depth + 1:
             raise ValueError(
                 f"input window [{a.lo}, {a.top}] too shallow for depth {depth}")
@@ -259,7 +258,7 @@ class LaxRoot:
             fresh = [None, DiffPoly.zero(a.ring)]  # F_1 = 0: s_{-t} itself is the unknown
             for k in range(2, m + 1):
                 fresh.append(fresh[k - 1] + product_coeff(
-                    powers[1], powers[k - 1], k - 1 - t, derivs[k - 1]))
+                    powers[k - 1], powers[1], k - 1 - t, deriv))
             level = (a.coeff(m - 1 - t) - fresh[m]) / m
             for k in range(1, m):
                 c = fresh[k] + level * k

@@ -121,10 +121,6 @@ class RefPoly:
             out = out + prod.eps_shift(eps)
         return out
 
-    def map_fields(self, field_map: dict[int, int]) -> "RefPoly":
-        return RefPoly({(eps, tuple((field_map[a], o, p) for a, o, p in jets)): c
-                        for (eps, jets), c in self.terms.items()})
-
 
 def canonical_density(poly: RefPoly) -> RefPoly:
     """The integration-by-parts normal form, rule for rule as in drhier."""

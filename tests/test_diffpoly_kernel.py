@@ -131,15 +131,6 @@ def test_substitution_matches_the_reference(data):
 
 
 @SOME
-@given(pairs(), st.data())
-def test_field_relabelling_matches_the_reference(case, data):
-    ring, ((a, ra),) = case
-    m = data.draw(st.integers(1, 4))
-    field_map = {alpha: data.draw(st.integers(1, m)) for alpha in range(1, ring.n_fields + 1)}
-    agree(a.map_fields(field_map, Ring(m)), ra.map_fields(field_map))
-
-
-@SOME
 @given(pairs(max_power=2))
 def test_canonical_density_matches_the_reference(case):
     _, ((a, ra),) = case

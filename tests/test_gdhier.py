@@ -56,8 +56,9 @@ def adjoint(op, ring):
     return out
 
 
-def test_gd_operator_r4_antisymmetric():
-    ctx = CTX[4]
+@pytest.mark.parametrize("r", range(3, 9))
+def test_gd_operator_is_antisymmetric(r):
+    ctx = gd_context(r)
     K = gd_operator(ctx)
     n = ctx.r - 1
     for a in range(n):
@@ -119,9 +120,12 @@ def test_gd_flow_vanishes_at_multiples_of_r():
         assert all(p.is_zero() for p in gd_flow(CTX[r], r))
 
 
-@pytest.mark.parametrize("r,ms", [(2, (1, 3, 5)), (3, (1, 2, 4))])
+@pytest.mark.parametrize("r,ms", [(2, (1, 3, 5)), (3, (1, 2, 4)), (4, (1, 2, 3)),
+                                  (5, (1, 2, 3)), (6, (1, 2))])
 def test_flow_consistency(r, ms):
-    ctx = CTX[r]
+    # the Lax flows (gd_flow never reads K^GD) against flow(h^GD_m, K^GD):
+    # K^GD checked for r beyond its goldens
+    ctx = gd_context(r)
     for m in ms:
         assert gd_flow(ctx, m) == flow(gd_hamiltonian(ctx, m), gd_operator(ctx))
 
@@ -229,6 +233,24 @@ def test_product_differentiates_each_coefficient_once(monkeypatch):
         left * right
         assert differentiated
         assert len(differentiated) == len(set(differentiated))
+
+
+def test_cold_residues_differentiate_only_s_and_each_lax_power(monkeypatch):
+    # work count: the root differentiates only S (it forms S^{k-1} o S), and
+    # the residues S^s o L^q differentiate only the finite L^q, each through
+    # one memo per q
+    calls = []
+    dx = DiffPoly.dx
+
+    def counting_dx(poly):
+        calls.append(poly)
+        return dx(poly)
+
+    monkeypatch.setattr(DiffPoly, "dx", counting_dx)
+    ctx = GDContext(5, 23)
+    for p in range(1, 22):
+        ctx.residue(p)
+    assert len(calls) == 611
 
 
 def test_rspin_change_roots_only_as_deep_as_its_residues():

@@ -47,7 +47,8 @@ REFUSALS = [
     ("coefficient-outside-window", lambda: PseudoDiffOp(R1, 0, -1, {1: ONE}), ValueError,
      "order 1 outside window"),
     # no row for an empty product window: the constructor keeps lo <= top,
-    # so the window of a product of two operators is never empty
+    # so the window of a product of two operators is never empty, as
+    # PseudoDiffOp.__mul__ asserts
     ("infinite-product", lambda: PseudoDiffOp(R1, -1, None, {-1: ONE})
      * PseudoDiffOp.from_poly(R1, U), ValueError, "infinite series"),
     ("power-below-one", lambda: PseudoDiffOp.dx(R1).power(0), ValueError,
