@@ -20,18 +20,16 @@ slots up.  The top bit of every slot is a guard: an exponent that would
 overflow its slot, or an eps exponent that would go negative, sets it and is
 refused with ``ValueError``.
 
-A ring may carry a cap E on derivative degree (``Ring(n, cap=E)``; the
-default None is exact).  A capped ring is the quotient by every monomial of
-derivative degree above E: ``sum_of_products`` and ``dx`` drop the keys
-above E from what they accumulate, and ``from_items`` and the one-term
-constructors drop them from their input.  This is exact truncation, because
-products add degrees, d_x adds exactly 1, and sums, scalar multiples,
-``substitute``, ``var_der``, the pseudo-differential Leibniz terms and
-residues never lower a degree: the degree <= E part of their result depends
-only on the degree <= E parts of their inputs.  ``partial`` in a jet of
-order o lowers degrees by o, so in a capped ring it is exact only up to
-degree E - o.  Capped and exact rings compare unequal, so their polynomials
-never mix; at E = 0 every polynomial is jet-free and d_x is zero.
+A jet-free ring (``Ring(n, d, jet_free=True)``) is the quotient by every
+monomial of positive derivative degree: its polynomials are polynomials in
+eps and the u^alpha_0 alone.  Only d_x and the constructors know it: d_x is
+zero there, and ``from_items`` and the one-term constructors drop the
+monomials of positive degree.  Every other operation keeps a jet-free
+polynomial jet-free.  The quotient gives the degree-0 part of the exact
+result of whatever never lowers derivative degree: products add degrees,
+and sums, scalar multiples, ``substitute``, ``var_der``, the
+pseudo-differential Leibniz terms and residues never lower one.  Jet-free
+and exact rings compare unequal, so their polynomials never mix.
 
 Code outside this module reads a polynomial through ``items()``, which
 yields ``((eps, jets), Fraction)`` with ``jets`` a tuple of ``(alpha, order,
@@ -59,42 +57,39 @@ _JETS = 2 * W           # bit offset of the first jet slot
 
 
 class Ring:
-    """Context for differential polynomials over Q: the number of fields and
-    an optional cap on derivative degree.
+    """Context for differential polynomials over Q: the number of fields,
+    and whether the ring is jet-free.
 
     d, the squarefree part of r in an r-spin context, is recorded in the
-    JSON form.  ``cap`` = E keeps only the monomials of derivative degree
-    <= E (see the module docstring); None, the default, is exact.  Rings
-    with different field counts, d or caps are unequal, so their
-    polynomials never mix.  A field count whose u^N_0 needs a packed slot
-    above ``TOP_SLOT`` is refused.  The JSON form does not record the cap.
+    JSON form.  A ``jet_free`` ring keeps only the monomials of derivative
+    degree 0 (see the module docstring).  Rings with different field
+    counts, d or jet-freeness are unequal, so their polynomials never mix.
+    A field count whose u^N_0 needs a packed slot above ``TOP_SLOT`` is
+    refused.  The JSON form does not record jet-freeness.
     """
 
-    __slots__ = ("n_fields", "d", "cap")
+    __slots__ = ("n_fields", "d", "jet_free")
 
-    def __init__(self, n_fields: int, d: int = 1, cap: int | None = None):
+    def __init__(self, n_fields: int, d: int = 1, jet_free: bool = False):
         if n_fields < 1:
             raise ValueError("need at least one field")
         if 1 + n_fields > TOP_SLOT:
             raise ValueError(f"{excerpt(n_fields)} fields need packed slot {excerpt(1 + n_fields)}"
                              f" for u^{excerpt(n_fields)}_0, above {TOP_SLOT}")
-        if cap is not None and (type(cap) is not int or not 0 <= cap <= SLOT_MAX):
-            raise ValueError(f"a derivative-degree cap is an int in 0..{SLOT_MAX}, "
-                             f"got {cap!r}")
         self.n_fields = n_fields
         self.d = d
-        self.cap = cap
+        self.jet_free = bool(jet_free)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.n_fields == other.n_fields
-                and self.d == other.d and self.cap == other.cap)
+                and self.d == other.d and self.jet_free == other.jet_free)
 
     def __hash__(self):
-        return hash((self.n_fields, self.d, self.cap))
+        return hash((self.n_fields, self.d, self.jet_free))
 
     def __repr__(self):
-        cap = "" if self.cap is None else f", cap={self.cap}"
-        return f"Ring(n_fields={self.n_fields}, d={self.d}{cap})"
+        jet_free = ", jet_free=True" if self.jet_free else ""
+        return f"Ring(n_fields={self.n_fields}, d={self.d}{jet_free})"
 
     def check_compatible(self, other: "Ring"):
         if self != other:
@@ -109,13 +104,6 @@ class Ring:
         except ValueError:
             raise ValueError(
                 f"{self} has exact rational coefficients, got {value!r}") from None
-
-    def within_cap(self, terms: dict) -> dict:
-        """terms without the keys above the cap; terms itself when exact."""
-        cap = self.cap
-        if cap is None:
-            return terms
-        return {key: v for key, v in terms.items() if (key >> W) & MASK <= cap}
 
 
 def rspin_ring(r: int) -> Ring:
@@ -206,7 +194,7 @@ class DiffPoly:
         else:
             c = ring.scalar(coeff)
             num, den = c.numerator, c.denominator
-        if not num or (ring.cap is not None and (key >> W) & MASK > ring.cap):
+        if not num or (ring.jet_free and (key >> W) & MASK):
             return DiffPoly(ring)
         return DiffPoly(ring, {key: num}, den)
 
@@ -226,11 +214,13 @@ class DiffPoly:
     def from_items(ring: Ring, items) -> "DiffPoly":
         """sum c eps^e prod (u^alpha_order)^power over ((e, jets), c) pairs;
         the jets need not be sorted, and repeated monomials add up; a
-        capped ring drops the monomials above its cap."""
+        jet-free ring drops the monomials of positive derivative degree."""
         coeffs: dict = {}
         for (eps, jets), c in items:
             add_term(coeffs, _pack(ring, eps, jets), ring.scalar(c))
-        return DiffPoly(ring, *over_one_den(ring.within_cap(coeffs)))
+        if ring.jet_free:
+            coeffs = {key: c for key, c in coeffs.items() if not (key >> W) & MASK}
+        return DiffPoly(ring, *over_one_den(coeffs))
 
     # -- the decoded view ----------------------------------------------------
 
@@ -333,21 +323,15 @@ class DiffPoly:
     # -- calculus ---------------------------------------------------------------
 
     def dx(self) -> "DiffPoly":
-        """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i.
-
-        In a ring capped at E the terms of degree E and above derive to
-        nothing; at E = 0 that is every term.
-        """
-        ring, terms = self.ring, self.terms
-        if ring.cap is not None:
-            cap = ring.cap
-            if not cap:
-                return DiffPoly(ring)
-            terms = {key: v for key, v in terms.items() if (key >> W) & MASK < cap}
+        """Total x-derivative: sum over jets of u^alpha_{i+1} d/du^alpha_i;
+        zero in a jet-free ring."""
+        ring = self.ring
+        if ring.jet_free:
+            return DiffPoly(ring)
         up = (1 << (W * ring.n_fields)) - 1  # times a slot's unit: one order up
         acc: dict = {}
         get = acc.get
-        for key, v in terms.items():
+        for key, v in self.terms.items():
             base = key + _DEG
             for shift, power in nonzero_slots(key, _JETS):
                 k = base + (up << shift)
@@ -488,7 +472,7 @@ class DiffPoly:
         present, d = 1 or the squarefree part of N + 1 (the d of
         ``rspin_ring(N + 1)``), each term with a nonzero coefficient string
         equal to str(Fraction(s)), jets in strictly increasing (field, order)
-        with powers >= 1, and no monomial twice.  A cap is not recorded."""
+        with powers >= 1, and no monomial twice.  It reads into an exact ring."""
         def integer(value, what, least=None):
             if type(value) is not int or (least is not None and value < least):
                 bound = "" if least is None else f" >= {least}"
@@ -562,8 +546,7 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
 
     The one product loop: a product of monomials is the sum of their packed
     keys, and every term goes straight into one accumulator of integer
-    numerators over the least common denominator of all the triples.  A
-    capped ring then drops the accumulated keys above its cap.
+    numerators over the least common denominator of all the triples.
     """
     triples = list(triples)
     for _, f, g in triples:
@@ -586,8 +569,6 @@ def sum_of_products(ring: Ring, triples) -> DiffPoly:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     check_slots(acc)
-    if ring.cap is not None:
-        acc = ring.within_cap(acc)
     return DiffPoly(ring, *canonical(acc, den))
 
 

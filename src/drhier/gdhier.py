@@ -16,12 +16,13 @@ data consumed by the reconstruction recursion is the eps = 0 part of those
 Hamiltonian densities.
 
 That eps = 0 part is the derivative-degree-0 part before eps dressing, and
-no step of the pipeline lowers derivative degree.  So each context keeps
-an E = 0 view (``GDContext.dispersionless``): the same pipeline over the
-ring capped at derivative degree 0 (see ``diffpoly``), with its own root
-and r-spin change, where every polynomial is jet-free and d_x is zero.
-``dispersionless_omega`` reads the view and hands back its result in the
-exact ring; the exact root is never truncated.
+no step of the pipeline lowers derivative degree.  So each context keeps a
+jet-free view (``GDContext.dispersionless``): the same pipeline over the
+jet-free ring (see ``diffpoly``), with its own root and r-spin change,
+where every polynomial is a polynomial in the underived fields, d_x is
+zero and the Leibniz rule reads no derivative.  ``dispersionless_omega``
+reads the view and hands back its result in the exact ring; the exact root
+is never truncated.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class GDContext:
     ``lax_power(p)`` builds the whole operator by its own powering, for the
     positive part of a flow.
 
-    ``dispersionless()`` is the context's E = 0 view, built on first use:
-    a context of the same r and depth over ``ring_f`` capped at derivative
-    degree 0, with its own root and memos.
+    ``dispersionless()`` is the context's jet-free view, built on first
+    use: a context of the same r and depth over the jet-free ring of
+    ``ring_f``, with its own root and memos.
 
     The root and the residue memo are unsynchronized; share a context
     across threads only behind a lock, or use one per thread.
@@ -86,15 +87,15 @@ class GDContext:
         self._residues: dict[int, DiffPoly] = {}
         self._rspin_change = None
         self._rspin_operator = None
-        self._dispersionless = self if ring.cap == 0 else None
+        self._dispersionless = self if ring.jet_free else None
 
     def dispersionless(self) -> "GDContext":
-        """The E = 0 view: this context's pipeline over the ring capped at
-        derivative degree 0, built once; a view is its own view."""
+        """The jet-free view: this context's pipeline over the jet-free ring,
+        built once; a view is its own view."""
         if self._dispersionless is None:
             view = GDContext.__new__(GDContext)
             ring = self.ring_f
-            view._setup(self.r, self.depth, Ring(ring.n_fields, ring.d, cap=0))
+            view._setup(self.r, self.depth, Ring(ring.n_fields, ring.d, jet_free=True))
             self._dispersionless = view
         return self._dispersionless
 
@@ -326,7 +327,7 @@ def dispersionless_omega(ctx: GDContext, alpha: int, p: int) -> DiffPoly:
 
     The two-index family Omega_{alpha,p;beta,0} is its plain partial
     derivative in u^beta.  It is read off ``ctx.dispersionless()``, the
-    E = 0 view, and returned in ``ctx.ring_w``: a jet-free polynomial has
+    jet-free view, and returned in ``ctx.ring_w``: a jet-free polynomial has
     the same terms in both rings.  The view refuses what ``ctx`` would,
     since it has the same depth.  The density has weight alpha + r(p + 1)
     + 1 > 0 in the grading where w^beta weighs r + 1 - beta, so it has no

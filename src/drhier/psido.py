@@ -38,19 +38,21 @@ def product_coeff(a: dict[int, DiffPoly], b: dict[int, DiffPoly], n: int,
 
     The one Leibniz rule.  a and b map order -> coefficient (a nonempty);
     deriv(k, l) gives d_x^l b_k.  Each pair (j, k) contributes once, with
-    l = j + k - n >= 0 and, for a differential power j >= 0, l <= j.  The
-    terms go into one ``sum_of_products``, with no intermediate products.
+    l = j + k - n >= 0 and, for a differential power j >= 0, l <= j.  In a
+    jet-free ring d_x is zero, so only l = 0 is read.  The terms go into one
+    ``sum_of_products``, with no intermediate products.
     """
+    ring = next(iter(a.values())).ring
     triples = []
     for j, aj in a.items():
         for k in b:
             l = j + k - n
-            if l < 0 or 0 <= j < l:
+            if l < 0 or 0 <= j < l or (l and ring.jet_free):
                 continue
             dbk = deriv(k, l)
             if dbk:
                 triples.append((gen_binom(j, l), aj, dbk))
-    return sum_of_products(next(iter(a.values())).ring, triples)
+    return sum_of_products(ring, triples)
 
 
 class PseudoDiffOp:

@@ -29,8 +29,10 @@ largest subscript the slots cannot hold.  A solution keeps one
 denominator, ``den``, for its tables and its cached jets, and a write sets
 one level of one field at once: it reduces the level by one gcd, lifts
 ``den`` at most once, and pushes the level's change into each cached jet.
-Series products return (numerators, denominator) pairs.  Code outside the
-module reads a solution through the decoded view: ``coeff``,
+``poly_series``, the one series of a differential polynomial on the
+solution, returns a (numerators, denominator) pair; the recursion, the
+oracle and ``jet_rewrite`` all read whole levels through it.  Code
+outside the module reads a solution through the decoded view: ``coeff``,
 ``tables``, ``cached_jets`` and ``decode`` give t-monomials as sorted
 tuples of ((gamma, k), power) and values as ``Fraction``s, and
 ``set_coeff`` takes that form.
@@ -54,8 +56,8 @@ from .hamops import HamiltonianOperator, MiuraMap, flow, miura_invert, \
 from .gdhier import GDContext, dispersionless_omega, eta_matrix, rspin_system
 from .drspin import DR_DZ_SHIFTS, builtin_g11
 from .scalars import Frozen, add_term, exact_rational
-from .slots import (MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_scale, canonical_sum,
-                    guard_slots, nonzero_slots)
+from .slots import (MASK, SLOT_MAX, TOP_SLOT, W, canonical, canonical_sum, guard_slots,
+                    nonzero_slots)
 
 # t-monomial: sorted tuple of ((gamma, subscript), power)
 TMon = tuple[tuple[tuple[int, int], int], ...]
@@ -389,30 +391,23 @@ class SpecialSolution:
 
     # -- whole series of products: every coefficient of a level at once -------------------
 
-    def series_product(self, factors, jet_fn, eps_max: int, deg_max: int,
-                       rest_max: int | None = None, exact: bool = False):
-        """(numerators, denominator) of the product of the factors' jet
-        series, cut as in ``multiply_series``."""
-        return (multiply_series([jet_fn(gamma, d) for gamma, d in factors],
-                                eps_max, deg_max, rest_max, exact),
-                self.den ** len(factors))
-
     def poly_series(self, p: DiffPoly, jet_fn, eps_max: int, deg_max: int,
                     rest_max: int | None = None, exact: bool = False):
-        """(numerators, denominator) of p(u^sp, u^sp_x, ...) as a series, cut
-        like ``series_product``."""
+        """(numerators, denominator) of p(u^sp, u^sp_x, ...) as a series, the
+        product of each term's jet series cut as in ``multiply_series``."""
         products = []
         for (eps, jets), coeff in p.items():
             if eps <= eps_max:
-                factors = [(gamma, order) for gamma, order, power in jets
+                factors = [jet_fn(gamma, order) for gamma, order, power in jets
                            for _ in range(power)]
-                products.append((eps, coeff, self.series_product(
-                    factors, jet_fn, eps_max - eps, deg_max, rest_max, exact)))
+                products.append((eps, coeff, multiply_series(
+                    factors, eps_max - eps, deg_max, rest_max, exact),
+                                 self.den ** len(factors)))
         # every pden is a power of the solution's den: the largest is their lcm
-        den = p.den * max((pden for *_, (_, pden) in products), default=1)
+        den = p.den * max((pden for *_, pden in products), default=1)
         out = {}
         get = out.get
-        for eps, coeff, (product, pden) in products:
+        for eps, coeff, product, pden in products:
             scale = den // (coeff.denominator * pden) * coeff.numerator
             for key, v in product.items():
                 key += eps
@@ -623,10 +618,13 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     The series are packed, over ``sol.den``, as ``flow_series`` gives them.
     Inverts the triangular system d_x^d u^sp|_{x=0} = t^alpha_d + delta +
     O(t^2) + O(eps): peel the lowest (eps, degree) level off the residual,
-    emit the matching monomial in z^gamma_d = u^gamma_d -
-    delta^{gamma,1} delta_{d,1}, subtract its full series, and repeat.  The
-    residual stays in the canonical form of ``slots``, and the emitted
-    monomials are summed by one ``sum_of_products``.
+    read it as one polynomial in z^gamma_d = u^gamma_d -
+    delta^{gamma,1} delta_{d,1}, subtract that polynomial's full series
+    (one ``poly_series``), and repeat.  This is exact: every z-jet is its
+    own t-variable plus terms of higher degree or eps order, so a
+    z-monomial meets its own level only at its own key.  The residual
+    stays in the canonical form of ``slots``, and the emitted monomials are
+    summed by one ``sum_of_products``.
 
     The input series is trustworthy up to t-degree one less than the
     solution box (as flow series are); levels beyond it are neither peeled
@@ -656,9 +654,10 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
     for alpha in range(1, n + 1):
         residual, den = canonical({key: v for key, v in series[alpha - 1].items()
                                    if v and _degree(key) <= sdeg}, sol.den)
-        triples = []  # (coeff, eps^i prod of the other u-jets, (u^1_1 - 1)^p) per peel
+        triples = []  # (coeff, eps^i prod of the other u-jets, (u^1_1 - 1)^p) per monomial
         for i in range(b.eps_max + 1):
             for degree in range(sdeg + 1):
+                level = []  # the level as ((i, z-jets), coeff) items
                 for key in sorted(key for key in residual
                                   if key & MASK == i and _degree(key) == degree):
                     m = unpack_key(key, n)[0]
@@ -666,15 +665,15 @@ def jet_rewrite(series: list[dict], sol: SpecialSolution) -> list[DiffPoly]:
                         top = max(d for (_, d), _ in m)
                         raise ValueError(f"series needs jet order {top} > bound {b.t_max}")
                     coeff = Fraction(residual[key], den)
-                    rest = [(gamma, d, power) for (gamma, d), power in m if (gamma, d) != (1, 1)]
+                    jets = [(gamma, d, power) for (gamma, d), power in m]
+                    level.append(((i, jets), coeff))
+                    rest = [jet for jet in jets if jet[:2] != (1, 1)]
                     triples.append((coeff, DiffPoly.from_items(ring, [((i, rest), 1)]),
                                     z11_poly ** dict(m).get((1, 1), 0)))
-                    # subtract coeff * eps^i * prod z^gamma_d over the box
-                    factors = [(gamma, d) for (gamma, d), power in m for _ in range(power)]
-                    product, pden = sol.series_product(factors, z_jet, b.eps_max - i, sdeg)
-                    product = canonical({k + i: v for k, v in product.items()}, pden)
-                    residual, den = canonical_sum(residual, den, *canonical_scale(
-                        *product, coeff.numerator, coeff.denominator), -1)
+                if level:
+                    z_poly = DiffPoly.from_items(ring, level)
+                    residual, den = canonical_sum(residual, den, *canonical(
+                        *sol.poly_series(z_poly, z_jet, b.eps_max, sdeg)), -1)
         if residual:
             raise ValueError("series is not closed by jets within the bounds")
         out.append(sum_of_products(ring, triples))
@@ -756,8 +755,7 @@ class VerdictReport:
         }
 
 
-def verify_dr_dz_equivalence(ctx: GDContext,
-                             miura: MiuraMap | None = None) -> VerdictReport:
+def verify_dr_dz_equivalence(ctx: GDContext) -> VerdictReport:
     """Check the three sufficient conditions for DR/DZ equivalence:
 
     (1) dw^alpha/du^1 = delta^{alpha,1};
@@ -768,8 +766,7 @@ def verify_dr_dz_equivalence(ctx: GDContext,
     """
     r = ctx.r
     g11 = builtin_g11(r)
-    if miura is None:
-        miura = dz_miura_map(r, ctx.ring_w)
+    miura = dz_miura_map(r, ctx.ring_w)
     eps_max = 2 * r + 2
     ring = ctx.ring_w
 

@@ -4,12 +4,13 @@ Operators, Hamiltonians and t-series have rational coefficients, stdlib
 ``fractions.Fraction`` (always reduced, positive denominator); differential
 polynomials store integer numerators over one denominator and hand out
 ``Fraction``s.  ``exact_rational`` is where a value from Python code becomes
-a rational, and it refuses floats; ``read_rational`` is where a JSON string
-does, and it takes only the form ``str(Fraction)`` writes.  The r-spin
-normalization brings in sqrt(-r) only as even powers, (-r)^n, so it stays
-over Q too.  ``AlgScalar`` is the Gaussian rationals Q(i), in which
-``quantize`` takes and prints Weyl-algebra coefficients; it computes over
-Q.  ``Frozen`` is the base of the package's small immutable records.
+a rational, and it takes only an int or a ``Fraction``; ``read_rational`` is
+where a JSON string does, and it takes only the form ``str(Fraction)``
+writes.  The r-spin normalization brings in sqrt(-r) only as even powers,
+(-r)^n, so it stays over Q too.  ``AlgScalar`` is the Gaussian rationals
+Q(i), in which ``quantize`` takes and prints Weyl-algebra coefficients; it
+computes over Q.  ``Frozen`` is the base of the package's small immutable
+records.
 """
 
 from __future__ import annotations
@@ -83,15 +84,14 @@ def squarefree_part(n: int) -> int:
 
 
 def exact_rational(value) -> Fraction:
-    """value as a Fraction: an int, a Fraction, or a string such as "3/7" or
-    "1e-1".  Anything else raises ValueError, bools and floats included: the
-    binary value of 0.1 is 3602879701896397/36028797018963968, not 1/10.
+    """value as a Fraction: an int or a Fraction.  Anything else raises
+    ValueError.  A float is refused because the binary value of 0.1 is
+    3602879701896397/36028797018963968, not 1/10; a bool because it is no
+    number; a string because ``Fraction`` would expand its exponent, as in
+    "1e100000000".  ``read_rational`` is the reader of strings.
     """
-    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
     raise ValueError(f"expected an exact rational, got {value!r}")
 
 

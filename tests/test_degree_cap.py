@@ -1,19 +1,22 @@
-"""Rings capped at a derivative degree E, and the E = 0 view of a context.
+"""Jet-free rings, and the jet-free view of a context.
 
-A capped ring keeps the monomials of derivative degree (sum of order times
-power over the jets) at most E.  Every operation that never lowers that
-degree must give, in the capped ring, exactly the degree <= E part of its
-exact result: the truncation here is computed on the decoded terms of the
-exact result, apart from the kernel's own cap.
+A jet-free ring keeps only the monomials of derivative degree (sum of order
+times power over the jets) 0.  Every operation that never lowers that
+degree must give, in the jet-free ring, exactly the degree-0 part of its
+exact result: that part is computed here on the decoded terms of the exact
+result, apart from the kernel.
 """
 
+import math
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhier.diffpoly import DiffPoly, Ring, sum_of_products
+from drhier import diffpoly, gdhier, psido
+from drhier.diffpoly import DiffPoly, Ring, derivatives, sum_of_products
 from drhier.gdhier import (
     GDContext,
     dispersionless_omega,
@@ -32,108 +35,102 @@ def degree(mon) -> int:
     return sum(order * power for _, order, power in mon[1])
 
 
-def truncation(poly: DiffPoly, cap: int) -> dict:
-    return {mon: c for mon, c in poly.items() if degree(mon) <= cap}
+def degree_zero_part(poly: DiffPoly) -> dict:
+    return {mon: c for mon, c in poly.items() if not degree(mon)}
 
 
-def agree(capped: DiffPoly, exact: DiffPoly, cap: int):
-    assert capped.ring.cap == cap
-    assert capped.den > 0 and all(capped.terms.values())
-    assert gcd(capped.den, *capped.terms.values()) == 1
-    assert dict(capped.items()) == truncation(exact, cap)
+def agree(jet_free: DiffPoly, exact: DiffPoly):
+    assert jet_free.ring.jet_free and not exact.ring.jet_free
+    assert jet_free.den > 0 and all(jet_free.terms.values())
+    assert gcd(jet_free.den, *jet_free.terms.values()) == 1
+    assert dict(jet_free.items()) == degree_zero_part(exact)
 
 
 @st.composite
-def capped_cases(draw, count, **kwargs):
-    """A cap 0..3 and `count` polynomials as (capped, exact) pairs."""
+def jet_free_cases(draw, count, **kwargs):
+    """`count` polynomials as (jet-free, exact) pairs built from the same items."""
     n = draw(st.integers(1, 3))
-    cap = draw(st.integers(0, 3))
-    exact, capped = Ring(n), Ring(n, cap=cap)
+    exact, jet_free = Ring(n), Ring(n, jet_free=True)
     polys = []
     for _ in range(count):
         items = draw(term_dicts(n, max_order=3, **kwargs)).items()
-        polys.append((DiffPoly.from_items(capped, items), DiffPoly.from_items(exact, items)))
-    return cap, polys
+        polys.append((DiffPoly.from_items(jet_free, items), DiffPoly.from_items(exact, items)))
+    return polys
 
 
 @SOME
-@given(capped_cases(4), st.lists(rationals, min_size=2, max_size=2))
+@given(jet_free_cases(4), st.lists(rationals, min_size=2, max_size=2))
 def test_capped_products_are_truncated_exact_products(case, coeffs):
-    cap, ((a, ea), (b, eb), (c, ec), (d, ed)) = case
-    agree(a, ea, cap)  # the constructor truncates too
+    (a, ea), (b, eb), (c, ec), (d, ed) = case
+    agree(a, ea)  # the constructor drops the jets too
     agree(sum_of_products(a.ring, [(coeffs[0], a, b), (coeffs[1], c, d)]),
-          sum_of_products(ea.ring, [(coeffs[0], ea, eb), (coeffs[1], ec, ed)]), cap)
-    agree(a * b, ea * eb, cap)
-    agree(a + b - c, ea + eb - ec, cap)
+          sum_of_products(ea.ring, [(coeffs[0], ea, eb), (coeffs[1], ec, ed)]))
+    agree(a * b, ea * eb)
+    agree(a + b - c, ea + eb - ec)
 
 
 @SOME
-@given(capped_cases(1), st.data())
+@given(jet_free_cases(1), st.data())
 def test_capped_calculus_is_truncated_exact_calculus(case, data):
-    cap, ((a, ea),) = case
-    agree(a.dx(), ea.dx(), cap)
-    agree(a.dx_pow(2), ea.dx_pow(2), cap)
+    ((a, ea),) = case
+    agree(a.dx(), ea.dx())
+    assert not a.dx() and not a.dx_pow(2)
     alpha = data.draw(st.integers(1, a.ring.n_fields))
-    agree(a.var_der(alpha), ea.var_der(alpha), cap)
-    if cap == 0:
-        assert not a.dx()
+    agree(a.var_der(alpha), ea.var_der(alpha))
+    agree(a.partial(alpha, 0), ea.partial(alpha, 0))
 
 
 @SOME
-@given(capped_cases(1, max_power=2), st.data())
+@given(jet_free_cases(1, max_power=2), st.data())
 def test_capped_substitution_is_truncated_exact_substitution(case, data):
-    cap, ((a, ea),) = case
+    ((a, ea),) = case
     n = a.ring.n_fields
     images, exact_images = {}, {}
     for alpha in range(1, n + 1):
         items = data.draw(term_dicts(n, max_terms=2, max_order=2, max_power=1)).items()
         images[alpha] = DiffPoly.from_items(a.ring, items)
         exact_images[alpha] = DiffPoly.from_items(ea.ring, items)
-    agree(a.substitute(images), ea.substitute(exact_images), cap)
+    agree(a.substitute(images), ea.substitute(exact_images))
 
 
 def test_capped_and_exact_rings_never_mix():
-    exact, capped, other_cap = Ring(2), Ring(2, cap=0), Ring(2, cap=1)
-    assert exact != capped != other_cap and hash(exact) != hash(capped)
-    u = DiffPoly.jet(exact, 1, 0)
-    for ring in (capped, other_cap):
-        v = DiffPoly.jet(ring, 1, 0)
-        assert u != v
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            for left, right in ((u, v), (v, u), (DiffPoly.zero(ring), u)):
-                with pytest.raises(ValueError, match="ring context mismatch"):
-                    op(left, right)
-        for triple in ((1, u, v), (1, v, u), (1, v, v)):
+    exact, jet_free = Ring(2), Ring(2, jet_free=True)
+    assert exact != jet_free and hash(exact) != hash(jet_free)
+    assert repr(jet_free) == "Ring(n_fields=2, d=1, jet_free=True)"
+    u, v = DiffPoly.jet(exact, 1, 0), DiffPoly.jet(jet_free, 1, 0)
+    assert u != v
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for left, right in ((u, v), (v, u), (DiffPoly.zero(jet_free), u)):
             with pytest.raises(ValueError, match="ring context mismatch"):
-                sum_of_products(exact, [triple])
+                op(left, right)
+    for triple in ((1, u, v), (1, v, u), (1, v, v)):
         with pytest.raises(ValueError, match="ring context mismatch"):
-            sum_of_products(ring, [(1, u, u)])
-        a, b = PseudoDiffOp.from_poly(exact, u), PseudoDiffOp.from_poly(ring, v)
-        for left, right in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match="ring context mismatch"):
-                left * right
-            with pytest.raises(ValueError, match="ring context mismatch"):
-                left + right
-    # an equal capped ring built apart is the same ring
-    w = DiffPoly.jet(Ring(2, cap=0), 2, 0)
-    v = DiffPoly.jet(capped, 1, 0)
+            sum_of_products(exact, [triple])
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        sum_of_products(jet_free, [(1, u, u)])
+    a, b = PseudoDiffOp.from_poly(exact, u), PseudoDiffOp.from_poly(jet_free, v)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="ring context mismatch"):
+            left * right
+        with pytest.raises(ValueError, match="ring context mismatch"):
+            left + right
+    # an equal jet-free ring built apart is the same ring
+    w = DiffPoly.jet(Ring(2, jet_free=True), 2, 0)
     assert w.ring is not v.ring and (v * w).ring is v.ring
-    with pytest.raises(ValueError, match="derivative-degree cap"):
-        Ring(2, cap=-1)
-    with pytest.raises(ValueError, match="derivative-degree cap"):
-        Ring(2, cap=1.0)
 
 
 def test_a_capped_ring_drops_what_it_cannot_hold():
-    ring = Ring(1, cap=1)
-    assert DiffPoly.jet(ring, 1, 2).is_zero()
-    assert DiffPoly.jet(ring, 1, 1, 2).is_zero()
-    u1 = DiffPoly.jet(ring, 1, 1)
-    assert (u1 * u1).is_zero() and u1.dx().is_zero()
-    assert DiffPoly.from_items(ring, [((0, ((1, 1, 1),)), 2), ((0, ((1, 3, 1),)), 1)]) == 2 * u1
+    ring = Ring(1, jet_free=True)
+    u = DiffPoly.jet(ring, 1, 0)
+    assert DiffPoly.jet(ring, 1, 1).is_zero() and DiffPoly.jet(ring, 1, 2, 2).is_zero()
+    assert u.dx().is_zero() and (u * u).dx().is_zero()
+    items = [((0, ((1, 0, 1),)), 2), ((0, ((1, 1, 1),)), 1), ((1, ((1, 0, 1), (1, 3, 1))), 5)]
+    assert DiffPoly.from_items(ring, items) == 2 * u
+    # var_der reads the order-0 partial alone: there is no higher jet
+    assert (u ** 3).var_der(1) == 3 * u * u
 
 
-# -- the E = 0 view ------------------------------------------------------------------
+# -- the jet-free view ------------------------------------------------------------------
 
 
 def exact_eps0(ctx, alpha, p) -> DiffPoly:
@@ -146,7 +143,8 @@ def test_the_view_gives_the_exact_eps0_part(r, p_max, levels):
     # the residues compared are those whose root reads at most ``levels`` levels
     ctx = gd_context(r)
     view = ctx.dispersionless()
-    assert view.ring_f == Ring(r - 1, ctx.ring_f.d, cap=0) and view.dispersionless() is view
+    assert view.ring_f == Ring(r - 1, ctx.ring_f.d, jet_free=True)
+    assert view.dispersionless() is view
     assert ctx.dispersionless() is view and view.root is not ctx.root
     for alpha in range(1, r):
         for p in range(p_max + 1):
@@ -154,10 +152,36 @@ def test_the_view_gives_the_exact_eps0_part(r, p_max, levels):
             assert omega.ring is ctx.ring_w and omega.max_order() <= 0
             assert omega == exact_eps0(ctx, alpha, p)
     for p in range(1, levels - 1):
-        assert dict(view.residue(p).items()) == truncation(ctx.residue(p), 0)
+        assert dict(view.residue(p).items()) == degree_zero_part(ctx.residue(p))
     change, view_change = rspin_change(ctx), rspin_change(view)
-    for exact, capped in zip(change.inverse, view_change.inverse):
-        assert dict(capped.items()) == truncation(exact, 0)
+    for exact, jet_free in zip(change.inverse, view_change.inverse):
+        assert dict(jet_free.items()) == degree_zero_part(exact)
+
+
+def test_the_view_asks_no_memo_for_a_positive_order_derivative(monkeypatch):
+    # d_x is zero in a jet-free ring, so the view's Leibniz terms read every
+    # derivative memo at order 0 alone, and nothing calls d_x
+    lookups = Counter()
+
+    def counting(coeffs):
+        deriv = derivatives(coeffs)
+
+        def counted(k, l):
+            lookups["positive" if l else "zero"] += 1
+            return deriv(k, l)
+        return counted
+
+    def refuse(self):
+        raise AssertionError("the view took a derivative")
+
+    for module in (diffpoly, gdhier, psido):
+        monkeypatch.setattr(module, "derivatives", counting)
+    monkeypatch.setattr(DiffPoly, "dx", refuse)
+    ctx = GDContext(5, math.inf)
+    for alpha in range(1, 5):
+        for p in range(4):
+            assert dispersionless_omega(ctx, alpha, p)
+    assert lookups["zero"] and not lookups["positive"]
 
 
 def test_the_view_never_truncates_the_exact_root():

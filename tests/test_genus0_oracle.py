@@ -21,7 +21,7 @@ from drhier.gdhier import dispersionless_omega, eta_matrix, gd_context
 
 @pytest.mark.parametrize("r, nonzero", [(3, 4), (4, 13), (5, 33), (6, 69), (7, 126)])
 def test_wdvv(r, nonzero):
-    # dispersionless_omega reads the E = 0 view, so r = 6, 7 grow no jets
+    # dispersionless_omega reads the jet-free view, so r = 6, 7 grow no jets
     ctx = gd_context(r)
     n = r - 1
     eta = eta_matrix(r)        # its own inverse

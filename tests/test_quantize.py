@@ -372,8 +372,9 @@ def test_constructor_and_scale_refuse_floats():
         WeylElement(CTX1, {(0, 0, pkey): 0.1})
     with pytest.raises(ValueError, match="exact rational"):
         WeylElement.mode(CTX1, 1, 1).scale(0.5)
-    assert WeylElement(CTX1, {(0, 0, pkey): "1e-1"}) == \
-        WeylElement(CTX1, {(0, 0, pkey): Fraction(1, 10)})
+    # a string is no exact rational either: "1e-1" is refused, not read as 1/10
+    with pytest.raises(ValueError, match="exact rational"):
+        WeylElement(CTX1, {(0, 0, pkey): "1e-1"})
 
 
 def test_p_series_refuses_odd_twist():

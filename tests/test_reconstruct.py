@@ -278,27 +278,29 @@ def test_oracle_evaluates_each_flow_once_per_level(kdv, monkeypatch):
 
 
 def test_jet_rewrite_makes_no_pointwise_evaluation(kdv, monkeypatch):
-    # jet_rewrite subtracts one series product per peeled monomial
+    # jet_rewrite subtracts one polynomial series per nonempty (eps, degree) level
     ctx, _, h11, sol = kdv
     series = sol.flow_series(1, 1)
-    products = Counter()
-    series_product = SpecialSolution.series_product
+    levels = []
+    poly_series = SpecialSolution.poly_series
 
     def refuse(*args, **kwargs):
         raise AssertionError("jet_rewrite evaluated one coefficient")
 
-    def counted(self, factors, *args):
-        products[tuple(factors)] += 1
-        return series_product(self, factors, *args)
+    def counted(self, p, *args):
+        levels.append(p)
+        return poly_series(self, p, *args)
 
     monkeypatch.setattr(SpecialSolution, "eval_poly", refuse)
     monkeypatch.setattr(SpecialSolution, "_eval_factors", refuse)
-    monkeypatch.setattr(SpecialSolution, "series_product", counted)
+    monkeypatch.setattr(SpecialSolution, "poly_series", counted)
     polys = jet_rewrite(series, sol)
     K = HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2))
     assert polys[0] == flow(h11, K)[0].truncate_eps(BOUNDS.eps_max)
-    # w w_1 + eps^2 w_3 / 12 = z_0 z_1 + z_0 + eps^2 z_3 / 12 (z_1 = w_1 - 1)
-    assert products == Counter({((1, 0), (1, 1)): 1, ((1, 0),): 1, ((1, 3),): 1})
+    # w w_1 + eps^2 w_3 / 12 = z_0 z_1 + z_0 + eps^2 z_3 / 12 (z_1 = w_1 - 1):
+    # the levels z_0, z_0 z_1 and eps^2 z_3, in the z-jets u_d stands for
+    z0, z1, z3 = (DiffPoly.jet(ctx.ring_w, 1, d) for d in (0, 1, 3))
+    assert levels == [z0, z0 * z1, z3.eps_shift(2) / 12]
 
 
 def test_oracle_never_uses_string_jets(kdv, monkeypatch):
@@ -404,10 +406,12 @@ def test_series_products_do_no_fraction_arithmetic(kdv, monkeypatch):
     sol = special_solution(h11, omega, small)
     flows_p = flow(h11, HamiltonianOperator.eta_dx(ctx.ring_w, eta_matrix(2)))
     shifted = direct_jets(sol)
+    u, u1 = DiffPoly.jet(ctx.ring_w, 1, 0), DiffPoly.jet(ctx.ring_w, 1, 1)
+    monomials = u * u1 * u1, u * u1
 
     def products():
-        out = [sol.series_product([(1, 0), (1, 1), (1, 1)], sol.jet, 2, 3),
-               sol.series_product([(1, 0), (1, 1)], sol.jet, 2, 3, None, True)]
+        out = [sol.poly_series(monomials[0], sol.jet, 2, 3),
+               sol.poly_series(monomials[1], sol.jet, 2, 3, exact=True)]
         for p in flows_p:
             for jet_fn in (sol.jet, shifted):
                 out += [sol.poly_series(p, jet_fn, 2, 3),
@@ -695,9 +699,10 @@ def test_jet_rewrite_refuses_a_series_that_leaves_the_box(kdv):
 
 # -- the three-condition checker ------------------------------------------------------------
 
-def test_verify_r3_identity():
+def test_verify_r3_identity(monkeypatch):
     ctx = gd_context(3)
-    report = verify_dr_dz_equivalence(ctx, miura=MiuraMap.identity(ctx.ring_w))
+    monkeypatch.setattr(reconstruct, "dz_miura_map", lambda r, ring: MiuraMap.identity(ring))
+    report = verify_dr_dz_equivalence(ctx)
     assert report.conditions == (True, True, True)
     assert report.verdict
 
@@ -733,9 +738,10 @@ def test_condition_three_is_the_canonical_density_of_the_difference(r, monkeypat
         assert report.hamiltonian_diff.is_zero() is cond3
 
 
-def test_verify_r4_identity_fails_condition_two():
+def test_verify_r4_identity_fails_condition_two(monkeypatch):
     ctx = gd_context(4)
-    report = verify_dr_dz_equivalence(ctx, miura=MiuraMap.identity(ctx.ring_w))
+    monkeypatch.setattr(reconstruct, "dz_miura_map", lambda r, ring: MiuraMap.identity(ring))
+    report = verify_dr_dz_equivalence(ctx)
     assert report.conditions[1] is False
     assert not report.verdict
     data = report.to_json_dict()

@@ -36,7 +36,7 @@ def assert_weight(poly: DiffPoly, r: int, weight: int):
 
 # (r, d, alphas, depth): the exact Hamiltonians the suite can afford; for
 # r = 5, d = 2 only alpha = 1 (h_{4,2} alone takes about 0.6 s), the other
-# alphas' eps = 0 parts are graded through the E = 0 view below.  Each is
+# alphas' eps = 0 parts are graded through the jet-free view below.  Each is
 # built on its own context capped at depth, so the capped constructor that
 # explicit callers use serves them too.
 EXACT = [(3, d, (1, 2), 16) for d in range(3)] \
