@@ -2,13 +2,18 @@
 
 The pipeline: enumerate the (g, n_1..n_{r-1}) profiles allowed by the
 degree selection rule, expand the g-th power of Hain's divisor combination
-into tautological monomials with polynomial weights in the ramification
-multiplicities a_i, pair the monomials with externally supplied
-intersection-number tables, and assemble the surviving polynomials into a
-local functional (a-monomial a^{b_1}..a^{b_n} becomes the jet monomial
-u^{alpha_1}_{b_1}..u^{alpha_n}_{b_n} with the prefactor eps^{2g} over the
-multiset symmetry factor).  Boundary classes are never evaluated here:
-they are table keys, and vanishing statements are explicit zero entries.
+over g! into tautological monomials with polynomial weights in the
+ramification multiplicities a_i, pair the monomials with externally
+supplied intersection-number tables, and assemble the surviving
+polynomials into a local functional (a-monomial a^{b_1}..a^{b_n} becomes
+the jet monomial u^{alpha_1}_{b_1}..u^{alpha_n}_{b_n} with the prefactor
+eps^{2g} over the multiset symmetry factor).  Boundary classes are never
+evaluated here: they are table keys, and vanishing statements are explicit
+zero entries.
+
+A monomial of the expansion is a multiset of g base terms (psi_j or a
+boundary class) with a closed-form coefficient, so a pairing sums over the
+table's own entries; only a strict table walks the monomials, for a miss.
 
 A polynomial in the weights a_1..a_n is a ``DiffPoly`` of ``Ring(n)`` whose
 only jets are a_i = u^i_0, so the expansion, the pairing and the assembly
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring, sum_of_products
@@ -126,71 +133,68 @@ class TautMonomial(Frozen):
         return "*".join(parts) if parts else "1"
 
 
-def canonical_boundary(h: int, J: tuple[int, ...], g: int,
-                       markings: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+def boundary_names(h: int, J, g: int, markings) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The names (h, J), J sorted, and (g - h, J^c) of one boundary class."""
     J = tuple(sorted(J))
-    comp = tuple(m for m in markings if m not in J)
-    return min((h, J), (g - h, comp))
+    return (h, J), (g - h, tuple(m for m in markings if m not in J))
+
+
+def is_divisor(g: int, h: int, J) -> bool:
+    """delta_h^J is a divisor of Hain's combination: h < g, J not empty, h >= 1 or |J| >= 2."""
+    return h < g and len(J) >= (1 if h else 2)
+
+
+def hain_monomials(g: int, n: int):
+    """The monomials of Hain's expansion for (g, n), lazily: one per multiset
+    of g base terms, a base term being a marking j (for psi_j) or the
+    canonical symbol of a boundary class with a divisor name."""
+    if g < 0 or n < 1:
+        raise ValueError("need g >= 0 and n >= 1")
+    markings = tuple(range(1, n + 1))
+    classes = {min(boundary_names(h, J, g, markings)) for h in range(g)
+               for size in range(n + 1) for J in combinations(markings, size)
+               if is_divisor(g, h, J)}
+    return (TautMonomial(psi=tuple(map(choice.count, markings)),
+                         boundary=tuple(b for b in choice if type(b) is tuple))
+            for choice in combinations_with_replacement([*markings, *sorted(classes)], g))
+
+
+def hain_coefficients(g: int, n: int):
+    """The coefficient of a monomial of Hain's expansion for (g, n), as a
+    function: the product of t^m / m! over its base terms t taken m times,
+    t = a_j^2 / 2 for psi_j and, for a boundary class, the sum of -a_J^2 / 2
+    (h = 0) or -a_J^2 / 4 over its names (h, J) that are divisors."""
+    ring = Ring(n)
+    a = (None, *(DiffPoly.jet(ring, m, 0) for m in range(1, n + 1)))
+
+    @cache  # t^m / m!, kept for the life of this function
+    def power(term, m: int) -> DiffPoly:
+        if m > 1:
+            return power(term, m - 1) * power(term, 1) / m
+        if type(term) is int:
+            return a[term] ** 2 / 2
+        return sum(sum(a[i] for i in J) ** 2 / (-4 if h else -2)
+                   for h, J in boundary_names(*term, g, range(1, n + 1)) if is_divisor(g, h, J))
+
+    def coefficient(sym: TautMonomial) -> DiffPoly:
+        factors = [power(j, e) for j, e in enumerate(sym.psi, start=1) if e]
+        factors += [power(b, sym.boundary.count(b)) for b in set(sym.boundary)]
+        return prod(factors, start=DiffPoly.const(ring, 1))
+
+    return coefficient
 
 
 def hain_expand(g: int, n: int) -> dict[TautMonomial, DiffPoly]:
     """(sum a_j^2 psi_j/2 - 1/2 sum_{|J|>=2} a_J^2 d_0^J
         - 1/4 sum_J sum_{h=1..g-1} a_J^2 d_h^J)^g / g!
 
-    Markings are 1..n carrying the weights a_1..a_n, the jets u^1_0..u^n_0
-    of ``Ring(n)``.  The a_i are kept as free polynomial variables:
-    representatives are only meaningful modulo sum a_i = 0, which downstream
-    assembly respects.
+    by ``hain_monomials`` and ``hain_coefficients``.  Markings are 1..n
+    carrying the weights a_1..a_n, the jets u^1_0..u^n_0 of ``Ring(n)``.
+    The a_i are kept as free polynomial variables: representatives are only
+    meaningful modulo sum a_i = 0, which downstream assembly respects.
     """
-    if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
-    ring = Ring(n)
-    markings = tuple(range(1, n + 1))
-    weight = {m: DiffPoly.jet(ring, m, 0) for m in markings}
-
-    if g == 0:
-        return {TautMonomial(psi=(0,) * n): DiffPoly.const(ring, 1)}
-
-    base: list[tuple[TautMonomial, DiffPoly]] = []
-    for m in markings:
-        psi = [0] * n
-        psi[m - 1] = 1
-        base.append((TautMonomial(psi=tuple(psi)), weight[m] * weight[m] / 2))
-    squares = []  # (J, a_J^2) for every nonempty J
-    for mask in range(1, 1 << n):
-        J = tuple(markings[i] for i in range(n) if mask >> i & 1)
-        a_J = sum((weight[m] for m in J), DiffPoly.zero(ring))
-        squares.append((J, a_J * a_J))
-    boundary_terms: dict[tuple[int, tuple[int, ...]], DiffPoly] = {}
-    for h in range(g):
-        for J, square in squares:
-            if h or len(J) >= 2:
-                sym = canonical_boundary(h, J, g, markings)
-                boundary_terms[sym] = square / (-4 if h else -2) + boundary_terms.get(sym, 0)
-    for sym, poly in sorted(boundary_terms.items()):
-        base.append((TautMonomial(psi=(0,) * n, boundary=(sym,)), poly))
-
-    # multinomial expansion of the g-th power over the base terms, divided by
-    # g!, one term at a time: a state is a multiset of the terms taken so far
-    # (the degree still to fill, its psi and boundary) with the product of
-    # term^mult / mult! over it.  Each multiset of g base terms gives its own
-    # monomial, so the result is assigned, not summed.
-    out: dict[TautMonomial, DiffPoly] = {}
-    states = [(g, (0,) * n, (), DiffPoly.const(ring, 1))]
-    for term, term_poly in base:
-        grown = []
-        for remaining, psi, bnd, poly in states:
-            grown.append((remaining, psi, bnd, poly))
-            for mult in range(1, remaining + 1):
-                poly = poly * term_poly / mult
-                psi_m = tuple(a + mult * b for a, b in zip(psi, term.psi))
-                bnd_m = bnd + term.boundary * mult
-                if mult == remaining:
-                    out[TautMonomial(psi=psi_m, boundary=tuple(sorted(bnd_m)))] = poly
-                else:
-                    grown.append((remaining - mult, psi_m, bnd_m, poly))
-        states = grown
-    return out
+    monomials, coefficient = hain_monomials(g, n), hain_coefficients(g, n)
+    return {sym: coefficient(sym) for sym in monomials}
 
 
 # -- intersection-number tables ----------------------------------------------------------------
@@ -207,9 +211,10 @@ class TableFileError(ValueError):
 def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
     """The (monomial, value) pairs keyed by canonical boundary symbols.
 
-    A symbol that no expansion for (g, n) holds, with h outside 0..g or J
-    not a set of markings in 1..n, a monomial of degree other than g, and
-    two different values for one class, raise TableFileError.
+    A symbol that no expansion for (g, n) holds (h outside 0..g, J not a
+    set of markings in 1..n, or a class without a divisor name, such as
+    delta_0^{i} or delta_0^{}), a monomial of degree other than g, and two
+    different values for one class, raise TableFileError.
     """
     markings = tuple(range(1, n + 1))
     canon: dict[TautMonomial, Fraction] = {}
@@ -220,7 +225,12 @@ def canonical_entries(g: int, n: int, entries) -> dict[TautMonomial, Fraction]:
                 raise TableFileError(
                     f"boundary symbol {excerpt([h, list(J)])} needs 0 <= h <= "
                     f"{excerpt(g)} and distinct markings in 1..{excerpt(n)}")
-            boundary.append(canonical_boundary(h, J, g, markings))
+            names = boundary_names(h, J, g, markings)
+            if not any(is_divisor(g, *name) for name in names):
+                raise TableFileError(
+                    f"boundary symbol {excerpt([h, list(J)])} names no divisor of Hain's "
+                    f"combination: delta_0^J and delta_{excerpt(g)}^{{J^c}} need |J| >= 2")
+            boundary.append(min(names))
         key = TautMonomial(psi=sym.psi, boundary=tuple(sorted(boundary)))
         if key.degree() != g:
             raise TableFileError(f"{excerpt(key)} has degree {excerpt(key.degree())}"
@@ -237,9 +247,9 @@ class IntegralTable:
     ``labels`` records the r-spin multiplicities at the markings; the
     integrand is understood as lambda_g c^{r-spin} times the keyed
     monomial.  The (monomial, value) pairs are keyed by their canonical
-    boundary symbols on construction (``canonical_entries``).  Lookups of
-    absent keys return 0 under ``default_zero`` and raise TableMissError
-    otherwise.
+    boundary symbols on construction (``canonical_entries``).  A monomial
+    of Hain's expansion without an entry is zero under ``default_zero`` and
+    a TableMissError otherwise (``pair_with_table``).
     """
 
     __slots__ = ("g", "n", "labels", "entries", "default_zero")
@@ -251,13 +261,6 @@ class IntegralTable:
         self.labels = labels
         self.entries = canonical_entries(g, n, entries)
         self.default_zero = default_zero
-
-    def lookup(self, sym: TautMonomial) -> Fraction:
-        if sym in self.entries:
-            return self.entries[sym]
-        if self.default_zero:
-            return Fraction(0)
-        raise TableMissError(f"no table entry for {sym}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,8 +317,9 @@ class IntegralTable:
                 psi=integers(item.get("psi"), "psi", length=n),
                 boundary=tuple((h, integers(J, "J", least=1)) for h, J in boundary))
             entries.append((sym, rational(item.get("value"))))
-        return IntegralTable(g=g, n=n,
-                             labels=integers(data.get("labels", []), "labels", least=1),
+        labels = data.get("labels", [])  # none, or one per marking
+        return IntegralTable(g=g, n=n, labels=integers(labels, "labels", least=1,
+                                                        length=n if labels else None),
                              entries=entries, default_zero=default_zero)
 
     @staticmethod
@@ -355,14 +359,21 @@ def pair_with_table(table: IntegralTable, dilaton: bool) -> DiffPoly:
     """Hain's expansion for the table's (g, n) with table values substituted
     for the tautological monomials: a polynomial of Ring(n) in the weights.
 
+    Only the nonzero entries are summed, as each is a monomial of the
+    expansion; a strict table missing a monomial raises TableMissError.
     With ``dilaton`` the psi_1-insertion at the extra marked point has been
     removed beforehand, which costs the factor (2g - 2 + n).
     """
+    if not table.default_zero:
+        for sym in hain_monomials(table.g, table.n):
+            if sym not in table.entries:
+                raise TableMissError(f"no table entry for {sym}")
     ring = Ring(table.n)
     one = DiffPoly.const(ring, 1)
     factor = 2 * table.g - 2 + table.n if dilaton else 1
-    return sum_of_products(ring, [(table.lookup(sym) * factor, poly, one)
-                                  for sym, poly in hain_expand(table.g, table.n).items()])
+    coefficient = hain_coefficients(table.g, table.n)
+    return sum_of_products(ring, [(value * factor, coefficient(sym), one)
+                                  for sym, value in table.entries.items() if value])
 
 
 def assemble_hamiltonian(r: int, contributions) -> LocalFunctional:

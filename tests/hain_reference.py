@@ -1,4 +1,5 @@
-"""A reference for ``drspin.hain_expand`` with its own polynomial arithmetic.
+"""References for ``drspin.hain_expand``, with its own polynomial
+arithmetic, and for ``drspin.pair_with_table``.
 
 The g-th power of Hain's divisor combination is summed over multisets of g
 base terms, each multiset with weight 1/prod m_j! for its multiplicities
@@ -9,18 +10,23 @@ so a product of monomials of total degree <= 2g adds keys without a carry,
 and each base term is kept times 4, which makes its coefficients integers.
 A product of g base terms is then divided by 4^g prod m_j! and keyed by
 exponent tuples.  Only the monomial keys (``TautMonomial`` and
-``canonical_boundary``) come from ``drhier``.
+``boundary_names``) come from ``drhier``.
+
+The reference pairing walks the whole of ``hain_expand`` and looks each
+monomial up in the table: absent keys are zero under ``default_zero`` and
+a miss otherwise.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
-from drhier.diffpoly import DiffPoly, Ring
-from drhier.drspin import TautMonomial, canonical_boundary
+from drhier.diffpoly import DiffPoly, Ring, sum_of_products
+from drhier.drspin import TableMissError, TautMonomial, boundary_names, hain_expand
 
 
 def poly_add(a: dict, b: dict, scale=1) -> dict:
@@ -86,7 +92,7 @@ def reference_hain_expand(g: int, n: int) -> dict:
                 square = weight_squared(J)
                 if square:
                     sym = TautMonomial(psi=flat,
-                                       boundary=(canonical_boundary(h, J, g, markings),))
+                                       boundary=(min(boundary_names(h, J, g, markings)),))
                     base[sym] = poly_add(base.get(sym, {}), square, -1 if h else -2)
 
     out: dict = {}
@@ -102,3 +108,24 @@ def reference_hain_expand(g: int, n: int) -> dict:
             boundary=tuple(sorted(b for sym in choice for b in sym.boundary)))
         out[key] = poly_add(out[key], term) if key in out else term
     return {sym: poly for sym, poly in out.items() if poly}
+
+
+@cache
+def expansion(g: int, n: int) -> dict:
+    """hain_expand(g, n), computed once per (g, n) for the reference pairing."""
+    return hain_expand(g, n)
+
+
+def reference_pair(table, dilaton: bool) -> DiffPoly:
+    """pair_with_table(table, dilaton) as the sum over every monomial of
+    hain_expand of its looked-up value times its polynomial."""
+    ring = Ring(table.n)
+    one = DiffPoly.const(ring, 1)
+    factor = 2 * table.g - 2 + table.n if dilaton else 1
+    triples = []
+    for sym, poly in expansion(table.g, table.n).items():
+        if sym in table.entries:
+            triples.append((table.entries[sym] * factor, poly, one))
+        elif not table.default_zero:
+            raise TableMissError(f"no table entry for {sym}")
+    return sum_of_products(ring, triples)

@@ -597,6 +597,12 @@ def test_a_quantize_window_beyond_the_mode_slots_is_a_usage_error(run, r, window
     # a value that is not the string str(Fraction) writes
     *({"g": 2, "n": 2, "entries": [{"psi": [2, 0], "boundary": [], "value": value}]}
       for value in ("2/4", "1_000", "0.5", 5)),
+    # boundary classes with no divisor name: delta_0^{1}, delta_0^{} and
+    # their other names delta_2^{2}, delta_2^{12}
+    *({"g": 2, "n": 2, "entries": [{"psi": [1, 0], "boundary": [symbol], "value": "5"}]}
+      for symbol in ([0, [1]], [0, []], [2, [2]], [2, [1, 2]])),
+    # labels for three markings on a table for n = 2
+    {"g": 2, "n": 2, "labels": [2, 2, 2], "entries": []},
 ])
 def test_malformed_table_file_exit(run, tmp_path, payload):
     path = tmp_path / "table.json"
@@ -643,6 +649,36 @@ def test_ten_markings_expand_over_a_default_zero_table(run, tmp_path, argv, out)
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"g": 1, "n": 10, "default_zero": True, "entries": []}))
     assert run(*argv, "--table-file", str(path)) == (0, out, "")
+
+
+def test_a_class_without_a_divisor_is_refused_not_dropped(run, tmp_path):
+    # delta_0^{1} is in no expansion: its 5 would be dropped from the pairing
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"g": 1, "n": 2, "default_zero": True, "entries": [
+        {"psi": [1, 0], "boundary": [], "value": "1/24"},
+        {"psi": [0, 0], "boundary": [[0, [1]]], "value": "5"},
+        {"psi": [0, 0], "boundary": [[1, []]], "value": "7"}]}))
+    code, out, err = run("hain-pair", "--g", "1", "--counts", "0,2", "--table-file", str(path))
+    assert (code, out) == (cli.EXIT_TABLE_FILE, "")
+    assert err.startswith("table file error: ") and err.count("\n") == 1
+    assert "boundary symbol [0, [1]] names no divisor" in err
+
+
+def test_twenty_markings_pair_a_default_zero_table_through_its_entries(run, tmp_path):
+    # Hain's expansion over n = 20 markings has over a million base terms at
+    # g = 1; a table with no entry pairs to 0 without them
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"g": 1, "n": 20, "default_zero": True, "entries": []}))
+    assert run("hain-pair", "--g", "1", "--counts", "0,20", "--table-file", str(path)) \
+        == (0, "0\n", "")
+
+
+def test_an_empty_strict_table_misses_at_the_first_monomial(run, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"g": 1, "n": 14, "entries": []}))
+    code, out, err = run("hain-pair", "--g", "1", "--counts", "0,14", "--table-file", str(path))
+    assert (code, out) == (cli.EXIT_TABLE_MISS, "")
+    assert err == "table miss under strict policy: 'no table entry for psi1'\n"
 
 
 def test_reconstruct_finishes_at_the_largest_tmax_in_a_subprocess():

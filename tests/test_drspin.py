@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hain_reference import decoded, reference_hain_expand, weight_poly
+from hain_reference import decoded, reference_hain_expand, reference_pair, weight_poly
 
+from drhier import drspin
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import (
     IntegralTable,
@@ -16,6 +17,7 @@ from drhier.drspin import (
     builtin_g11,
     enumerate_profiles,
     hain_expand,
+    hain_monomials,
     pair_with_table,
 )
 from drhier.quantize import WeylContext, WeylElement, lf_to_p_series
@@ -184,6 +186,40 @@ def test_default_zero_empty_table():
     assert poly.is_zero() and a_coefficients(2, 2, poly) == ()
 
 
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_pairing_matches_the_reference_pairing(g):
+    # a strict table with a seeded value at every monomial, and a seeded
+    # default-zero sub-table of it (zero values included)
+    rng = random.Random(37 + g)
+    for n in range(1, 5):
+        full = {sym: Fraction(rng.randint(-9, 9), rng.randint(1, 16))
+                for sym in sorted(hain_monomials(g, n), key=lambda s: (s.psi, s.boundary))}
+        sub = [(sym, value) for sym, value in full.items() if rng.random() < 0.3]
+        for table in (IntegralTable(g=g, n=n, labels=(), entries=full.items()),
+                      IntegralTable(g=g, n=n, labels=(), entries=sub, default_zero=True)):
+            for dilaton in (True, False):
+                assert pair_with_table(table, dilaton) == reference_pair(table, dilaton), \
+                    (g, n, table.default_zero, dilaton)
+
+
+def test_a_default_zero_pairing_reads_only_the_table(monkeypatch):
+    table = worked_example_table()
+    table.default_zero = True
+    expected = reference_pair(table, dilaton=True)
+    monkeypatch.setattr(drspin, "hain_monomials",
+                        lambda g, n: pytest.fail("the expansion was walked"))
+    assert pair_with_table(table, dilaton=True) == expected
+
+
+def test_a_strict_miss_builds_no_coefficient(monkeypatch):
+    table = IntegralTable(g=3, n=4, labels=(), entries=[
+        (TautMonomial(psi=(3, 0, 0, 0)), Fraction(1))])
+    monkeypatch.setattr(drspin, "hain_coefficients",
+                        lambda g, n: pytest.fail("a coefficient was built"))
+    with pytest.raises(TableMissError, match=r"psi1\^2\*psi2"):
+        pair_with_table(table, dilaton=True)
+
+
 # -- assembly ----------------------------------------------------------------------------------
 
 def test_assemble_distinct_labels_p_series_oracle():
@@ -342,7 +378,7 @@ def test_table_canonicalizes_boundary_keys():
     raw = IntegralTable(
         g=2, n=2, labels=(2, 2),
         entries=[(TautMonomial(psi=(1, 0), boundary=((1, (2,)),)), Fraction(5))])
-    assert raw.lookup(TautMonomial(psi=(1, 0), boundary=((1, (1,)),))) == 5
+    assert raw.entries == {TautMonomial(psi=(1, 0), boundary=((1, (1,)),)): 5}
 
 
 def test_a_python_table_pairs_like_the_same_table_read_from_json():

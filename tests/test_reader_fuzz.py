@@ -31,7 +31,8 @@ LINE_MAX = 400  # a refusal echoes excerpts, never a whole value
 # values a mutation puts in place of a node: wrong types, edge integers and
 # strings, and values whose repr runs to thousands of characters
 SHORT = [None, True, False, 0, -1, 1, 2, 3, 4095, 32768, 10 ** 40, 0.5, "", "0", "1",
-         "-3/7", "1/0", "2/4", "1e5", [], {}, [1, 0, 1], [[1, 0, 1]], {"N": 1}]
+         "-3/7", "1/0", "2/4", "1e5", [], {}, [1, 0, 1], [[1, 0, 1]], {"N": 1},
+         [0, [1]], [2, 2, 2]]  # a boundary class with no divisor name; labels for n = 3
 LONG = [10 ** 4000, "9" * 5000, "-" + "9" * 6000 + "/7", "x" * 6000, [0] * 2000,
         {"k" * 5000: 1}]
 VALUES = st.sampled_from(SHORT) | st.sampled_from(LONG)
