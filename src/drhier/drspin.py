@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, islice
 from math import factorial, prod
 
 from .diffpoly import DiffPoly, LocalFunctional, Ring, integrate, rspin_ring, sum_of_products
@@ -147,16 +147,40 @@ def is_divisor(g: int, h: int, J) -> bool:
 def hain_monomials(g: int, n: int):
     """The monomials of Hain's expansion for (g, n), lazily: one per multiset
     of g base terms, a base term being a marking j (for psi_j) or the
-    canonical symbol of a boundary class with a divisor name."""
+    canonical symbol of a boundary class with a divisor name, in
+    ``combinations_with_replacement`` order over the markings and then the
+    sorted symbols, each symbol made only when the walk reaches it."""
     if g < 0 or n < 1:
         raise ValueError("need g >= 0 and n >= 1")
     markings = tuple(range(1, n + 1))
-    classes = {min(boundary_names(h, J, g, markings)) for h in range(g)
-               for size in range(n + 1) for J in combinations(markings, size)
-               if is_divisor(g, h, J)}
+
+    def subsets(start: int, J: tuple):  # J and its extensions, lexicographically
+        yield J
+        for m in range(start, n + 1):
+            yield from subsets(m + 1, (*J, m))
+
+    source = chain(markings, ((h, J) for h in range(g) for J in subsets(1, ())
+                              if (h, J) == min(names := boundary_names(h, J, g, markings))
+                              and any(is_divisor(g, *name) for name in names)))
+    pool: list = []
+
+    def reached(i: int) -> bool:  # pool[i] exists, once drawn from source
+        if i == len(pool):
+            pool.extend(islice(source, 1))
+        return i < len(pool)
+
+    def multisets(start: int, prefix: tuple):  # combinations_with_replacement(pool, g)
+        if len(prefix) == g:
+            yield prefix
+            return
+        i = start
+        while reached(i):
+            yield from multisets(i, (*prefix, pool[i]))
+            i += 1
+
     return (TautMonomial(psi=tuple(map(choice.count, markings)),
                          boundary=tuple(b for b in choice if type(b) is tuple))
-            for choice in combinations_with_replacement([*markings, *sorted(classes)], g))
+            for choice in multisets(0, ()))
 
 
 def hain_coefficients(g: int, n: int):

@@ -182,20 +182,19 @@ def miura_compose(outer: MiuraMap, inner_images: list[DiffPoly],
 
 
 def miura_invert(m: MiuraMap, emax: int) -> MiuraMap:
-    """Inverse map modulo eps^{emax+1} by successive substitution."""
+    """Inverse map modulo eps^{emax+1} by successive substitution,
+    current -> id - (m o current - current), which stops at its fixed point:
+    m o current = id mod eps^{emax+1}."""
     ring = m.ring
     identity = [DiffPoly.jet(ring, a, 0) for a in range(1, ring.n_fields + 1)]
     current = list(identity)
-    for _ in range(emax + 1):
+    for _ in range(emax + 2):
         composed = miura_compose(m, current, emax)
+        if composed == identity:
+            return MiuraMap(ring, current)
         current = [identity[a] - (composed[a] - current[a])
                    for a in range(ring.n_fields)]
-    # verify: m o inverse = identity mod eps^{emax+1}
-    check = miura_compose(m, current, emax)
-    for a in range(ring.n_fields):
-        if check[a] != identity[a]:
-            raise AssertionError("miura inversion failed to close")
-    return MiuraMap(ring, current)
+    raise AssertionError("miura inversion failed to close")
 
 
 def miura_push_poly(f: LocalFunctional, inverse: MiuraMap, emax: int) -> LocalFunctional:

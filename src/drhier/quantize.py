@@ -52,10 +52,11 @@ pairs, numerators over scale^(number of positive modes).  Since both
 brackets vanish unless the momenta add to zero, modes of different |k|
 commute, so by Wick's theorem a pair that contracts at several momenta
 normal-orders to the commutative product of its blocks' normal orders,
-and the memo holds single-block keys only.  The star product reads the
-memo first and calls ``_reorder`` only on a miss.  A bracket value that
-the scale does not make integral is refused.  The memo stays
-module-level, as the benchmark reads its size.
+and the memo holds single-block keys only.  The star product takes the
+cancelling blocks of a pair in one loop, lowest first, reads the memo for
+each and calls ``_reorder`` only on a miss, and multiplies their orders.
+A bracket value that the scale does not make integral is refused.  The
+memo stays module-level, as the benchmark reads its size.
 
 The classical (hbar^0) part is the Fourier dictionary of local functionals:
 u^alpha_j = sum_{|k| <= window} (ik)^j p^alpha_k e^{ikx}, of which a local
@@ -304,17 +305,12 @@ class WeylElement:
     term, in the canonical form of ``slots``.  The constructor takes
     {(hbar_exp, eps_exp, pkey): c} with pkey a tuple of (alpha, k, power)
     factors and c a Fraction, int or AlgScalar.
-
-    ``weyl_star`` caches each side's (key, numerator, occupancy bits) rows
-    in ``_left`` and ``_right`` the first time the element is used on that
-    side; they are None until then and take no part in equality.
     """
 
-    __slots__ = ("ctx", "terms", "den", "_left", "_right")
+    __slots__ = ("ctx", "terms", "den")
 
     def __init__(self, ctx: WeylContext, terms: dict | None = None):
         self.ctx = ctx
-        self._left = self._right = None
         offsets = _mode_offsets(ctx.n_fields, ctx.window)
         nums: dict = {}
         den = 1
@@ -335,7 +331,6 @@ class WeylElement:
         out.ctx = ctx
         out.terms = terms
         out.den = den
-        out._left = out._right = None
         return out
 
     @staticmethod
@@ -415,28 +410,19 @@ def _numerator(q, scale: int) -> int:
     return n
 
 
-def _normal_order(pos: int, nonpos: int, rule) -> tuple:
+def _reorder(pos: int, nonpos: int, rule) -> tuple:
     """Normal-order (product of the modes of key ``pos``, all p_k) x (product
     of the modes of key ``nonpos``, all p_{-k}) for one k >= 1.
 
     Returns (key, n) pairs, numerators over rule.scale^(positive modes).
     Unless both keys hold modes, nothing contracts and the product is their
-    sum.
+    sum.  Otherwise the result is memoized in ``_REORDER_MEMO`` under
+    (rule token, pos, nonpos): the largest positive mode x moves through
+    ``nonpos``, and c identical copies of a mode y contract with x to c
+    equal terms, so each distinct y gives c [x, y] times one normal order.
     """
-    if pos and nonpos:
-        return _reorder(pos, nonpos, rule)
-    return ((pos + nonpos, rule.scale ** _count(pos) if rule.scale != 1 else 1),)
-
-
-def _reorder(pos: int, nonpos: int, rule) -> tuple:
-    """``_normal_order`` of two nonzero keys of one momentum block.
-
-    Memoized in ``_REORDER_MEMO`` under (rule token, pos, nonpos); the
-    value's numerators are over rule.scale^(positive modes).  The largest
-    positive mode x moves through ``nonpos``: c identical copies of a mode y
-    contract with x to c equal terms, so each distinct y gives c [x, y]
-    times one normal order.
-    """
+    if not (pos and nonpos):
+        return ((pos + nonpos, rule.scale ** _count(pos)),)
     key = (rule.token, pos, nonpos)
     out = _REORDER_MEMO.get(key)
     if out is not None:
@@ -455,7 +441,7 @@ def _reorder(pos: int, nonpos: int, rule) -> tuple:
         copies = (nonpos >> y) & MASK
         brackets = rule.bracket((k, alpha), (-k, beta)) if copies else None
         if brackets:
-            order = _normal_order(head, nonpos - (1 << y), rule)
+            order = _reorder(head, nonpos - (1 << y), rule)
             for h, e, q in brackets:
                 num = copies * _numerator(q, scale)
                 delta = h + e * _EPS
@@ -463,7 +449,7 @@ def _reorder(pos: int, nonpos: int, rule) -> tuple:
                     term = key2 + delta
                     acc[term] = acc.get(term, 0) + num * n2
     # and the fully commuted term with x appended
-    for key2, n2 in _normal_order(head, nonpos, rule):
+    for key2, n2 in _reorder(head, nonpos, rule):
         term = key2 + x
         acc[term] = acc.get(term, 0) + n2 * scale
     out = {term: n for term, n in acc.items() if n}
@@ -478,13 +464,13 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     For each pair of keys, the momentum blocks that hold a left positive
     mode are ANDed with those that hold a right nonpositive mode of the
     opposite momentum.  A pair with no cancelling momentum is already normal
-    ordered: its product key is the sum of the keys.  Otherwise the
-    ``_layout`` table gives each cancelling momentum's (+k, -k) block
-    masks, and the block goes to the reorder memo on its own, since modes of
-    different |k| commute; ``_reorder`` runs only on a miss.  A pair that
-    cancels at one momentum adds its block order, shifted by the rest of
-    both keys, straight in; one that cancels at several adds the product of
-    its block orders.  The result accumulates as int numerators over
+    ordered: its product key is the sum of the keys.  Otherwise each
+    cancelling momentum, lowest first, has its (+k, -k) modes cut out with
+    the ``_layout`` block masks and normal-ordered on its own, since modes
+    of different |k| commute: the reorder memo is read first and
+    ``_reorder`` runs only on a miss.  The product of the block orders (the
+    first block's order as it is) is added, shifted by the rest of both
+    keys.  The result accumulates as int numerators over
     a.den * b.den * scale^M, M the most positive modes of a key of a: a
     pair that contracts m modes lifts its numerators by scale^(M - m), a
     step that a rule of scale 1 skips.
@@ -495,12 +481,9 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
     if rule.n_fields != ctx.n_fields:
         raise ValueError("rule and element field counts differ")
     vals, guards, spread, neg, pos, positive, blocks = _layout(ctx.n_fields, ctx.window)
-    left = a._left
-    if left is None:  # the +k occupancy bits moved onto the -k blocks
-        left = a._left = _rows(a.terms, vals, guards, spread, pos, W * ctx.n_fields)
-    right = b._right
-    if right is None:
-        right = b._right = _rows(b.terms, vals, guards, spread, neg, 0)
+    # the +k occupancy bits of a moved onto the -k blocks, against those of b
+    left = _rows(a.terms, vals, guards, spread, pos, W * ctx.n_fields)
+    right = _rows(b.terms, vals, guards, spread, neg, 0)
     scale = rule.scale
     lift = None
     top = 1
@@ -519,35 +502,23 @@ def weyl_star(a: WeylElement, b: WeylElement, rule) -> WeylElement:
             if not cancel:  # already normal ordered
                 term = w1 + w2
                 acc[term] = get(term, 0) + n1_top * n2
-            elif not cancel & (cancel - 1):  # one momentum
-                mask_pos, mask_nonpos = blocks[cancel]
+                continue
+            rest, terms, contracted = w1 + w2, None, 0
+            while cancel:  # one block at a time, lowest first
+                low = cancel & -cancel
+                cancel ^= low
+                mask_pos, mask_nonpos = blocks[low]
                 c_pos, c_nonpos = w1 & mask_pos, w2 & mask_nonpos
+                rest -= c_pos + c_nonpos
                 order = memo((token, c_pos, c_nonpos)) or _reorder(c_pos, c_nonpos, rule)
-                rest = w1 + w2 - c_pos - c_nonpos
-                v = n1 * n2 if lift is None else n1 * n2 * lift[_count(c_pos)]
-                for d, nc in order:
-                    term = rest + d
-                    acc[term] = get(term, 0) + v * nc
-            else:
-                rest, orders, contracted = w1 + w2, [], 0
-                while cancel:  # one block at a time, lowest first
-                    low = cancel & -cancel
-                    cancel ^= low
-                    mask_pos, mask_nonpos = blocks[low]
-                    c_pos, c_nonpos = w1 & mask_pos, w2 & mask_nonpos
-                    rest -= c_pos + c_nonpos
-                    orders.append(memo((token, c_pos, c_nonpos))
-                                  or _reorder(c_pos, c_nonpos, rule))
-                    if lift is not None:
-                        contracted += _count(c_pos)
-                terms = [(rest, n1 * n2 if lift is None else n1 * n2 * lift[contracted])]
-                last = orders.pop()
-                for order in orders:
-                    terms = [(t + d, v * nc) for t, v in terms for d, nc in order]
-                for t, v in terms:
-                    for d, nc in last:
-                        term = t + d
-                        acc[term] = get(term, 0) + v * nc
+                terms = order if terms is None else [
+                    (t + d, v * nc) for t, v in terms for d, nc in order]
+                if lift is not None:
+                    contracted += _count(c_pos)
+            v = n1 * n2 if lift is None else n1 * n2 * lift[contracted]
+            for d, nc in terms:
+                term = rest + d
+                acc[term] = get(term, 0) + v * nc
     # mode slots never carry: a memo term holds some of the contracted modes.
     # Every block order holds its fully commuted term, so acc holds w1 + w2
     # and each key that swaps one block's memo term in at a time: hbar and

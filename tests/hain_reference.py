@@ -14,7 +14,8 @@ exponent tuples.  Only the monomial keys (``TautMonomial`` and
 
 The reference pairing walks the whole of ``hain_expand`` and looks each
 monomial up in the table: absent keys are zero under ``default_zero`` and
-a miss otherwise.
+a miss otherwise.  The reference monomial walk builds its whole pool of
+base terms first and hands it to ``combinations_with_replacement``.
 """
 
 from __future__ import annotations
@@ -129,3 +130,24 @@ def reference_pair(table, dilaton: bool) -> DiffPoly:
         elif not table.default_zero:
             raise TableMissError(f"no table entry for {sym}")
     return sum_of_products(ring, triples)
+
+
+def reference_monomials(g: int, n: int) -> list:
+    """hain_monomials(g, n) as a list, walked over the full pool: the
+    markings, then every sorted canonical symbol of a class with a divisor
+    name (h < g, J not empty, and h >= 1 or |J| >= 2)."""
+    markings = tuple(range(1, n + 1))
+    classes = {min(boundary_names(h, J, g, markings)) for h in range(g)
+               for size in range(1 if h else 2, n + 1) for J in combinations(markings, size)}
+    return [TautMonomial(psi=tuple(map(choice.count, markings)),
+                         boundary=tuple(b for b in choice if type(b) is tuple))
+            for choice in combinations_with_replacement([*markings, *sorted(classes)], g)]
+
+
+def reference_first_miss(table) -> str | None:
+    """The miss message of a strict table under the reference walk, None
+    when the table holds every monomial."""
+    for sym in reference_monomials(table.g, table.n):
+        if sym not in table.entries:
+            return f"no table entry for {sym}"
+    return None

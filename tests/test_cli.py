@@ -674,9 +674,10 @@ def test_twenty_markings_pair_a_default_zero_table_through_its_entries(run, tmp_
 
 
 def test_an_empty_strict_table_misses_at_the_first_monomial(run, tmp_path):
+    # the walk reaches psi_1 before any of the boundary classes of 20 markings
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"g": 1, "n": 14, "entries": []}))
-    code, out, err = run("hain-pair", "--g", "1", "--counts", "0,14", "--table-file", str(path))
+    path.write_text(json.dumps({"g": 1, "n": 20, "entries": []}))
+    code, out, err = run("hain-pair", "--g", "1", "--counts", "0,20", "--table-file", str(path))
     assert (code, out) == (cli.EXIT_TABLE_MISS, "")
     assert err == "table miss under strict policy: 'no table entry for psi1'\n"
 

@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hain_reference import decoded, reference_hain_expand, reference_pair, weight_poly
+from hain_reference import (
+    decoded,
+    reference_first_miss,
+    reference_hain_expand,
+    reference_monomials,
+    reference_pair,
+    weight_poly,
+)
 
 from drhier import drspin
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
@@ -200,6 +207,33 @@ def test_pairing_matches_the_reference_pairing(g):
             for dilaton in (True, False):
                 assert pair_with_table(table, dilaton) == reference_pair(table, dilaton), \
                     (g, n, table.default_zero, dilaton)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_hain_monomials_match_the_full_pool_walk(g):
+    for n in range(1, 6):
+        assert list(hain_monomials(g, n)) == reference_monomials(g, n), n
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_strict_sub_table_misses_where_the_full_pool_walk_does(g):
+    # seeded strict sub-tables, each holding a random share of the monomials
+    # and, often, a run of the first ones, so that misses fall deep in the walk
+    rng = random.Random(41 + g)
+    for n in range(1, 5):
+        monomials = reference_monomials(g, n)
+        for share in (0.0, 0.5, 0.9, 1.0):
+            head = rng.randrange(len(monomials) + 1)
+            entries = [(sym, Fraction(rng.randint(1, 9))) for i, sym in enumerate(monomials)
+                       if i < head or rng.random() < share]
+            table = IntegralTable(g=g, n=n, labels=(), entries=entries)
+            miss = reference_first_miss(table)
+            if miss is None:
+                assert pair_with_table(table, dilaton=False) == reference_pair(table, False)
+                continue
+            with pytest.raises(TableMissError) as raised:
+                pair_with_table(table, dilaton=False)
+            assert raised.value.args == (miss,), (g, n, share)
 
 
 def test_a_default_zero_pairing_reads_only_the_table(monkeypatch):

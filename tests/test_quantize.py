@@ -647,35 +647,54 @@ def test_pairs_that_cancel_at_several_momenta_match_the_reference(make_rule, r, 
     assert q_terms(weyl_star(a, b, rule)) == ref.star(q_terms(a), q_terms(b), rule)
 
 
-def test_occupancy_is_computed_once_per_side(monkeypatch):
+def test_a_product_leaves_its_factors_as_they_were():
     rng = random.Random(103)
     ctx = WeylContext(n_fields=3, window=3)
     a, b, c = (rand_element(rng, ctx, 4) for _ in range(3))
-    uncached = [WeylElement(ctx, dict(x.items())) for x in (a, b, c)]
-    calls = []
-    rows = quantize._rows
+    before = [(dict(x.terms), x.den, x.items()) for x in (a, b, c)]
+    for rule in (std_rule(4), deformed_rule(4)):
+        weyl_star(a, b, rule)
+        weyl_star(b, c, rule)
+        assert q_terms(weyl_star(a, a, rule)) == star_by_swaps(a, a, rule)
+    for x, (terms, den, items) in zip((a, b, c), before):
+        fresh = WeylElement(ctx, dict(items))
+        assert x.terms == terms and x.den == den and x.items() == items
+        assert x == fresh and hash(x) == hash(fresh)
 
-    def counted(terms, *rest):
-        calls.append(terms)
-        return rows(terms, *rest)
 
-    monkeypatch.setattr(quantize, "_rows", counted)
-    rule = std_rule(4)
-    first = [weyl_star(a, b, rule), weyl_star(b, c, rule)]
-    # b is used on both sides, a only on the left and c only on the right:
-    # one row build per side, one row per term
-    assert calls == [a.terms, b.terms, b.terms, c.terms]
-    assert sum(map(len, calls)) == len(a.terms) + 2 * len(b.terms) + len(c.terms)
-    assert a._right is None and c._left is None
-    calls.clear()
-    for _ in range(3):
-        assert [weyl_star(a, b, rule), weyl_star(b, c, rule)] == first
-        weyl_star(a, b, deformed_rule(4))  # the rows do not depend on the rule
-    assert calls == []
-    # the cache takes no part in equality, hashing or items
-    for x, y in zip((a, b, c), uncached):
-        assert y._left is None and y._right is None
-        assert x == y and hash(x) == hash(y) and x.items() == y.items()
+class CountingMemo(dict):
+    """A reorder memo that counts its reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("make_rule", [std_rule, deformed_rule])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_warm_pair_reads_the_memo_once_per_cancelling_momentum(make_rule, m, monkeypatch):
+    # p1[1] p2[2] p3[3] against p3[-1] p2[-2] p1[-3], cut to m momenta
+    ctx, rule = WeylContext(n_fields=3, window=3), make_rule(4)
+    a = WeylElement(ctx, {(0, 0, tuple((k, k, 1) for k in range(1, m + 1))): 2})
+    b = WeylElement(ctx, {(0, 0, tuple(sorted((4 - k, -k, 1) for k in range(1, m + 1)))): 3})
+    assert cancelling_momenta(a, b) == m
+    memo = CountingMemo()
+    monkeypatch.setattr(quantize, "_REORDER_MEMO", memo)
+    cold = weyl_star(a, b, rule)
+    assert q_terms(cold) == star_by_swaps(a, b, rule) and len(memo) == m
+    memo.reads = 0
+    assert weyl_star(a, b, rule) == cold
+    assert memo.reads == m
 
 
 # -- the canonical form: int numerators over one denominator in lowest terms ---------------
@@ -779,7 +798,7 @@ def test_warm_star_products_call_no_reorder(monkeypatch):
     monkeypatch.setattr(quantize, "_reorder", refuse)
     fresh = [(WeylElement(ctx, dict(a.items())), WeylElement(ctx, dict(b.items())))
              for a, b in pairs]
-    for replay in (pairs, fresh):  # cached rows and rows built anew
+    for replay in (pairs, fresh):  # the same elements and equal ones built anew
         assert [weyl_star(a, b, rule) for a, b in replay for rule in rules] == first
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drhier import reconstruct
+from drhier import hamops, reconstruct
 from drhier.diffpoly import DiffPoly, Ring, integrate, local_eq
 from drhier.drspin import DR_DZ_SHIFTS, builtin_g11
 from drhier.gdhier import eta_matrix, gd_context, rspin_hamiltonian, rspin_system
@@ -736,6 +736,22 @@ def test_condition_three_is_the_canonical_density_of_the_difference(r, monkeypat
         assert report.hamiltonian_diff == \
             pushed.canonical_density() - h.canonical_density()
         assert report.hamiltonian_diff.is_zero() is cond3
+
+
+@pytest.mark.parametrize("r, compositions", [(3, 1), (4, 2), (5, 2)])
+def test_the_miura_inverse_stops_at_its_fixed_point(r, compositions, monkeypatch):
+    # the DR -> DZ map is the identity at r = 3 and closes after one
+    # substitution at r = 4, 5: each composition past the fixed point is waste
+    calls = []
+    compose = hamops.miura_compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(hamops, "miura_compose", counted)
+    assert verify_dr_dz_equivalence(gd_context(r)).conditions == (True, True, True)
+    assert len(calls) == compositions
 
 
 def test_verify_r4_identity_fails_condition_two(monkeypatch):
